@@ -10,6 +10,13 @@ variational vector collects the pathwise chain through the draw, the direct
 dependence of both factor densities on their own parameters, and the
 normalizer gradient.  Gradients through the sampled indicators are dropped.
 
+Each estimate runs one encoder pass and one structured-factor pass (mixture
+scores or a forward filter) through ``net.prepare``, and every draw comes from
+that record.  With gradients, the pathwise, entropy and log-normalizer
+adjoints on the encoder outputs are summed before one encoder backward pass;
+without them no backward pass runs at all.  The mixture-versus-dynamics
+decisions live on the network classes in ``infnet``.
+
 Per-datum terms are scaled by n_total over the batch size so every estimate
 targets the full-data bound.  Mixture-structured batches are row arrays;
 dynamics-structured batches are a single sequence, and the unit of batching
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import infnet, models, nnet
+from . import infnet, models
 from .errors import ContractError, NumericalError
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -57,125 +64,80 @@ class GradBundle:
     bound: BoundEstimate
 
 
-def _checked_batch(model, net, batch, n_total):
+def _prepared(model, net, batch, n_total):
+    """Checked batch, its prepared record, and the n_total / units scale."""
     batch = np.asarray(batch, dtype=float)
-    if isinstance(net, infnet.GmmInferenceNet):
-        if not isinstance(model.prior, models.GaussianMixture):
-            raise ContractError("a mixture posterior needs a mixture prior")
-        if batch.ndim != 2 or batch.shape[0] == 0:
-            raise ContractError("mixture batches are nonempty (n, data_dim) arrays")
-        units = batch.shape[0]
-    elif isinstance(net, infnet.LdsInferenceNet):
-        if not isinstance(model.prior, models.LinearDynamics):
-            raise ContractError("a dynamics posterior needs a dynamics prior")
-        if batch.ndim != 2 or batch.shape[0] == 0:
-            raise ContractError("dynamics batches are one nonempty (T, data_dim) sequence")
-        units = 1
-    else:
-        raise ContractError(f"unknown posterior network {type(net).__name__}")
+    if batch.ndim != 2 or batch.shape[0] == 0:
+        raise ContractError("a batch is a nonempty (rows, data_dim) array")
+    units = net.batch_units(model.prior, batch)
     if model.prior.dim != net.latent_dim:
         raise ContractError("prior and posterior latent dimensions differ")
     if n_total < units:
         raise ContractError("n_total must cover at least the batch")
-    return batch, units
+    return batch, net.prepare(batch), n_total / units
 
 
 def _term(name, fn):
-    """Evaluate one bound term, translating any numeric failure to its name."""
+    """Evaluate one bound term, translating any numeric failure to its name.
+
+    A broken contract (say, a decoder whose width differs from the data) is
+    a caller's mistake, not divergence, and keeps its type.
+    """
     try:
         with np.errstate(all="ignore"):
             out = fn()
+    except ContractError:
+        raise
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"{name} is not finite") from exc
-    if not np.isfinite(out[0]):
+    if not np.isfinite(out[0] if isinstance(out, tuple) else out):
         raise NumericalError(f"{name} is not finite")
     return out
 
 
-def _checked_noise(net, batch, z, eps):
-    d = net.latent_dim
-    eps = np.asarray(eps, dtype=float)
-    if isinstance(net, infnet.GmmInferenceNet):
-        z = np.asarray(z)
-        if not np.issubdtype(z.dtype, np.integer):
-            raise ContractError("mixture indicators must be integers")
-        n = batch.shape[0]
-        k = net.mixture.n_components
-        if z.shape != (n,) or z.min() < 0 or z.max() >= k:
-            raise ContractError("indicators must be one in-range label per row")
-        if eps.shape != (n, d):
-            raise ContractError("noise must be one latent vector per row")
-    else:
-        if z is not None:
-            raise ContractError("sequence draws have no indicators")
-        if eps.shape != (batch.shape[0] + 1, d):
-            raise ContractError("noise must cover the initial state and every step")
-    return z, eps
-
-
-def _assemble(model, net, batch, z, eps, n_total, want_grads):
-    batch, units = _checked_batch(model, net, batch, n_total)
-    z, eps = _checked_noise(net, batch, z, eps)
-    is_mixture = isinstance(net, infnet.GmmInferenceNet)
-    scale = n_total / units
-
-    m, v = infnet.encode(net, batch)
-    if is_mixture:
-        log_z = infnet.gmm_log_z_parts(net.mixture, m, v)[0]
-        x = infnet.gmm_reconstruct(net.mixture, m, v, z, eps)
-        x_rows = x
-        factor = net.mixture
-    else:
-        record = infnet.lds_filter(net.dynamics, m, v)
-        x = infnet.lds_reconstruct(net.dynamics, record, eps)
-        x_rows = x[1:]
-        log_z = record.log_z
-        factor = net.dynamics
-
-    dec_val, dec_dtheta, dec_dx = _term(
-        "decoder_term", lambda: models.decode_loglik(model.decoder, x_rows, batch)
-    )
-    pri_val, pri_dx, pri_dtheta = _term(
-        "prior_term", lambda: models.log_prior_with_grads(model.prior, x)
-    )
-    fac_val, fac_dx, fac_dphi = _term(
-        "pgm_factor_term", lambda: models.log_prior_with_grads(factor, x)
-    )
+def _assemble(model, net, batch, prep, drawn, scale, want_grads):
+    """Estimate at one draw, plus every gradient block when ``want_grads``;
+    without gradients no backward pass runs."""
+    x = drawn.x_star
+    x_rows = x[net.lead_rows :]
+    m, v = prep.m, prep.v
+    decode = models.decode_loglik if want_grads else models.decode_loglik_value
+    density = models.log_prior_with_grads if want_grads else models.log_prior
+    dec = _term("decoder_term", lambda: decode(model.decoder, x_rows, batch))
+    pri = _term("prior_term", lambda: density(model.prior, x))
+    fac = _term("pgm_factor_term", lambda: density(net.factor, x))
+    terms = (dec, pri, fac)  # with gradients each is (value, *gradients)
+    dec_val, pri_val, fac_val = (t[0] for t in terms) if want_grads else terms
     diff = x_rows - m
     ent_logq = float(np.sum(-0.5 * (LOG_2PI + np.log(v)) - 0.5 * diff**2 / v))
-    for name, val in (("dnn_entropy_term", -ent_logq), ("log_z_term", log_z)):
+    for name, val in (("dnn_entropy_term", -ent_logq), ("log_z_term", prep.log_z)):
         if not np.isfinite(val):
             raise NumericalError(f"{name} is not finite")
     est = BoundEstimate(
-        total=scale * (dec_val - ent_logq + pri_val - fac_val + log_z),
+        total=scale * (dec_val - ent_logq + pri_val - fac_val + prep.log_z),
         decoder_term=scale * dec_val,
         dnn_entropy_term=-scale * ent_logq,
         prior_term=scale * pri_val,
         pgm_factor_term=-scale * fac_val,
-        log_z_term=scale * log_z,
-    )
-    sample = infnet.PosteriorSample(
-        x_star=x, z_star=z if is_mixture else None, eps=eps, log_z=log_z
+        log_z_term=scale * prep.log_z,
     )
     if not want_grads:
-        return est, sample
+        return est
+    _, dec_dtheta, dec_dx = dec
+    _, pri_dx, pri_dtheta = pri
+    _, fac_dx, fac_dphi = fac
 
     # Pathwise adjoint of everything the draw feeds: decoder rows, both
     # factor densities, and the recognition entropy through x at fixed (m, v).
-    row_adj = dec_dx + diff / v
     g_x = pri_dx - fac_dx
-    if is_mixture:
-        g_x = g_x + row_adj
-        phi = infnet.gmm_pathwise_grad(net, batch, z, eps, scale * g_x)
-    else:
-        g_x = g_x.copy()
-        g_x[1:] += row_adj
-        phi = infnet.lds_pathwise_grad(net, batch, eps, scale * g_x)
-    phi = phi + infnet.encoder_grad(
-        net, batch, -scale * diff / v, scale * (0.5 / v - 0.5 * diff**2 / v**2)
-    )
-    phi = phi + scale * infnet.grad_log_z(net, batch)
-    phi[net.n_encoder_params :] -= scale * fac_dphi
+    g_x[net.lead_rows :] += dec_dx + diff / v
+    d_m, d_v, d_factor = net.pathwise_vjp(prep, drawn, scale * g_x)
+    # The entropy's direct dependence on (m, v) and the log normalizer join
+    # the pathwise adjoints, so the encoder runs one backward pass.
+    lz_m, lz_v, lz_factor = net.log_z_vjp(prep)
+    d_m = d_m + scale * (lz_m - diff / v)
+    d_v = d_v + scale * (lz_v + 0.5 / v - 0.5 * diff**2 / v**2)
+    phi = net.phi_grad(prep, d_m, d_v, d_factor + scale * (lz_factor - fac_dphi))
 
     blocks = {
         "grad_theta_nn": scale * dec_dtheta,
@@ -185,14 +147,16 @@ def _assemble(model, net, batch, z, eps, n_total, want_grads):
     for name, g in blocks.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"{name} is not finite")
-    bundle = GradBundle(sample=sample, bound=est, **blocks)
-    return est, bundle
+    return GradBundle(sample=drawn, bound=est, **blocks)
 
 
-def _draw(net, batch, rng):
-    if isinstance(net, infnet.GmmInferenceNet):
-        return infnet.gmm_sample(net, batch, rng)
-    return infnet.lds_sample(net, batch, rng)
+def _replayed(model, net, batch, z, eps, n_total):
+    batch, prep, scale = _prepared(model, net, batch, n_total)
+    z = net.checked_indicators(z, batch.shape[0])
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape != (batch.shape[0] + net.lead_rows, net.latent_dim):
+        raise ContractError("noise must be one latent vector per latent row")
+    return batch, prep, net.replay(prep, z, eps), scale
 
 
 def bound_with_noise(model, net, batch, z, eps, n_total):
@@ -201,19 +165,20 @@ def bound_with_noise(model, net, batch, z, eps, n_total):
     This is the finite-difference-friendly entry point: with (z, eps) held,
     the estimate is a smooth function of every parameter block.
     """
-    est, _ = _assemble(model, net, batch, z, eps, n_total, want_grads=False)
-    return est
+    replayed = _replayed(model, net, batch, z, eps, n_total)
+    return _assemble(model, net, *replayed, want_grads=False)
 
 
 def bound_estimate(model, net, batch, rng, n_total, n_samples=1):
-    """Single-draw bound estimate; n_samples above one averages fresh draws."""
+    """Single-draw bound estimate; n_samples above one averages fresh draws
+    from one prepared batch."""
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
-    batch, _ = _checked_batch(model, net, batch, n_total)
-    ests = []
-    for _ in range(n_samples):
-        s = _draw(net, batch, rng)
-        ests.append(bound_with_noise(model, net, batch, s.z_star, s.eps, n_total))
+    batch, prep, scale = _prepared(model, net, batch, n_total)
+    ests = [
+        _assemble(model, net, batch, prep, net.draw(prep, rng), scale, want_grads=False)
+        for _ in range(n_samples)
+    ]
     if n_samples == 1:
         return ests[0]
     mean = lambda name: float(np.mean([getattr(e, name) for e in ests]))
@@ -222,12 +187,11 @@ def bound_estimate(model, net, batch, rng, n_total, n_samples=1):
 
 def gradients_with_noise(model, net, batch, z, eps, n_total):
     """Gradient bundle for a replayed draw; shares noise with the bound."""
-    _, bundle = _assemble(model, net, batch, z, eps, n_total, want_grads=True)
-    return bundle
+    replayed = _replayed(model, net, batch, z, eps, n_total)
+    return _assemble(model, net, *replayed, want_grads=True)
 
 
 def bound_gradients(model, net, batch, rng, n_total):
     """One-draw gradient bundle for a training step."""
-    batch, _ = _checked_batch(model, net, batch, n_total)
-    s = _draw(net, batch, rng)
-    return gradients_with_noise(model, net, batch, s.z_star, s.eps, n_total)
+    batch, prep, scale = _prepared(model, net, batch, n_total)
+    return _assemble(model, net, batch, prep, net.draw(prep, rng), scale, want_grads=True)

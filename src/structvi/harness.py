@@ -411,24 +411,22 @@ def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2):
 
 def gmm_posterior_mean_latent(net, y):
     """E[x | y] under the structured posterior, responsibilities folded in."""
-    m, v = infnet.encode(net, y)
-    _, resp = infnet.gmm_log_z(net, y)
+    prep = net.prepare(y)
     n = y.shape[0]
     cols = []
     for j in range(net.mixture.n_components):
         mean_j, _ = infnet.gmm_conditional(
-            net.mixture, m, v, np.full(n, j, dtype=int)
+            net.mixture, prep.m, prep.v, np.full(n, j, dtype=int)
         )
         cols.append(mean_j)
-    return np.einsum("nk,knd->nd", resp, np.stack(cols))
+    return np.einsum("nk,knd->nd", prep.record, np.stack(cols))
 
 
 def lds_posterior_mean_latent(net, seq):
     """Smoothed latent means; the zero-noise reconstruction is exactly them."""
-    m, v = infnet.encode(net, seq)
-    record = infnet.lds_filter(net.dynamics, m, v)
+    prep = net.prepare(seq)
     zeros = np.zeros((seq.shape[0] + 1, net.latent_dim))
-    return infnet.lds_reconstruct(net.dynamics, record, zeros)
+    return net.replay(prep, None, zeros).x_star
 
 
 def imputation_mse(state, rows, seq_len=0, fraction=0.2, seed=0):
@@ -472,8 +470,7 @@ def tau_ahead_mae(state, seqs, tau):
     prior = eval_prior(state)
     total, count = 0.0, 0
     for seq in seqs:
-        m, v = infnet.encode(state.net, seq)
-        record = infnet.lds_filter(state.net.dynamics, m, v)
+        record = state.net.prepare(seq).record
         pred = record.mu_filt[1 : t_len - tau + 1]
         for _ in range(tau):
             pred = pred @ prior.trans.T

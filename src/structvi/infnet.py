@@ -3,13 +3,16 @@
 A recognition MLP maps each observation to a diagonal Gaussian factor
 N(x_n | m_n, diag(v_n)); a structured factor couples the latents, either a
 Gaussian mixture over independent rows or linear dynamics over a sequence.
-The product is renormalized, so each network exposes
+The product is renormalized.  A network's ``prepare`` runs one encoder pass
+(keeping its tape) and one factor pass, mixture scores or a forward filter;
+from that record the network exposes
 
   * the log normalizer of the product (closed form for the mixture, a
     forward filter for the dynamics),
-  * exact reparameterized joint samples with a recorded noise vector, and
-  * hand-written reverse-mode gradients of both the log normalizer and the
-    sampling map with respect to every parameter.
+  * exact joint draws (``draw``) and their replay at fixed noise (``replay``),
+  * hand-written adjoints of the log normalizer and of the sampling map on
+    (m, v) and the factor parameters (``log_z_vjp``, ``pathwise_vjp``), and
+  * ``phi_grad``: one encoder backward pass for summed (m, v) adjoints.
 
 Parameter vectors are laid out as [encoder parameters, structured-factor
 parameters], the factor part ordered as in the underlying ``models`` class.
@@ -32,58 +35,6 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass
-class GmmInferenceNet:
-    mixture: models.GaussianMixture
-    encoder: nnet.Mlp
-
-    @property
-    def latent_dim(self):
-        return self.mixture.dim
-
-    @property
-    def n_encoder_params(self):
-        return nnet.num_params(self.encoder)
-
-    def phi_vector(self):
-        return np.concatenate(
-            [nnet.param_vector(self.encoder), self.mixture.param_vector()]
-        )
-
-    def with_phi_vector(self, vec):
-        n = self.n_encoder_params
-        return GmmInferenceNet(
-            mixture=self.mixture.with_param_vector(vec[n:]),
-            encoder=nnet.set_param_vector(self.encoder, vec[:n]),
-        )
-
-
-@dataclass
-class LdsInferenceNet:
-    dynamics: models.LinearDynamics
-    encoder: nnet.Mlp
-
-    @property
-    def latent_dim(self):
-        return self.dynamics.dim
-
-    @property
-    def n_encoder_params(self):
-        return nnet.num_params(self.encoder)
-
-    def phi_vector(self):
-        return np.concatenate(
-            [nnet.param_vector(self.encoder), self.dynamics.param_vector()]
-        )
-
-    def with_phi_vector(self, vec):
-        n = self.n_encoder_params
-        return LdsInferenceNet(
-            dynamics=self.dynamics.with_param_vector(vec[n:]),
-            encoder=nnet.set_param_vector(self.encoder, vec[:n]),
-        )
-
-
-@dataclass
 class PosteriorSample:
     """One reparameterized joint draw plus everything needed to replay it."""
 
@@ -91,6 +42,139 @@ class PosteriorSample:
     z_star: Optional[np.ndarray]
     eps: np.ndarray
     log_z: float
+
+
+@dataclass
+class PreparedBatch:
+    """One encoder pass with its tape and one structured-factor pass."""
+
+    m: np.ndarray
+    v: np.ndarray
+    tape: nnet.GradTape
+    log_z: float
+    record: object  # (n, k) indicator marginals, or the FilterRecord
+
+
+class ProductNet:
+    """Recognition MLP times ``factor``; subclasses supply the factor pass."""
+
+    @property
+    def latent_dim(self):
+        return self.factor.dim
+
+    @property
+    def n_encoder_params(self):
+        return nnet.num_params(self.encoder)
+
+    def phi_vector(self):
+        return np.concatenate(
+            [nnet.param_vector(self.encoder), self.factor.param_vector()]
+        )
+
+    def with_phi_vector(self, vec):
+        n = self.n_encoder_params
+        return type(self)(
+            self.factor.with_param_vector(vec[n:]),
+            nnet.set_param_vector(self.encoder, vec[:n]),
+        )
+
+    def prepare(self, y):
+        m, v, tape = _encode_with_tape(self, y)
+        return PreparedBatch(m, v, tape, *self._factor_pass(m, v))
+
+    def phi_grad(self, prep, d_m, d_v, d_factor):
+        """One encoder backward pass for summed (m, v) adjoints."""
+        enc_grad, _ = nnet.backward(self.encoder, prep.tape, d_m, d_v)
+        return np.concatenate([enc_grad, d_factor])
+
+
+@dataclass
+class GmmInferenceNet(ProductNet):
+    mixture: models.GaussianMixture
+    encoder: nnet.Mlp
+    lead_rows = 0  # latent rows before the first observed row
+
+    @property
+    def factor(self):
+        return self.mixture
+
+    def batch_units(self, prior, batch):
+        if not isinstance(prior, models.GaussianMixture):
+            raise ContractError("a mixture posterior needs a mixture prior")
+        return batch.shape[0]
+
+    def checked_indicators(self, z, n):
+        z = np.asarray(z)
+        if not np.issubdtype(z.dtype, np.integer):
+            raise ContractError("mixture indicators must be integers")
+        if z.shape != (n,) or z.min() < 0 or z.max() >= self.mixture.n_components:
+            raise ContractError("indicators must be one in-range label per row")
+        return z
+
+    def _factor_pass(self, m, v):
+        log_z, _, resp = gmm_log_z_parts(self.mixture, m, v)
+        return log_z, resp
+
+    def draw(self, prep, rng):
+        """Indicators from one uniform block, then one normal block for eps."""
+        cum = np.cumsum(prep.record, axis=1)
+        u = rng.random((cum.shape[0], 1))
+        z = np.minimum((u > cum).sum(axis=1), cum.shape[1] - 1)
+        return self.replay(prep, z, rng.standard_normal(prep.m.shape))
+
+    def replay(self, prep, z, eps):
+        x = gmm_reconstruct(self.mixture, prep.m, prep.v, z, eps)
+        return PosteriorSample(x_star=x, z_star=z, eps=eps, log_z=prep.log_z)
+
+    def log_z_vjp(self, prep):
+        return gmm_log_z_factor_grads(self.mixture, prep.m, prep.v, prep.record)
+
+    def pathwise_vjp(self, prep, drawn, grad_x):
+        return gmm_pathwise_factor_vjp(
+            self.mixture, prep.m, prep.v, drawn.z_star, drawn.eps, grad_x
+        )
+
+
+@dataclass
+class LdsInferenceNet(ProductNet):
+    dynamics: models.LinearDynamics
+    encoder: nnet.Mlp
+    lead_rows = 1  # the initial state
+
+    @property
+    def factor(self):
+        return self.dynamics
+
+    def batch_units(self, prior, batch):
+        if not isinstance(prior, models.LinearDynamics):
+            raise ContractError("a dynamics posterior needs a dynamics prior")
+        return 1
+
+    def checked_indicators(self, z, n):
+        if z is not None:
+            raise ContractError("sequence draws have no indicators")
+        return z
+
+    def _factor_pass(self, m, v):
+        record = lds_filter(self.dynamics, m, v)
+        return record.log_z, record
+
+    def draw(self, prep, rng):
+        """One (T+1, d) normal block."""
+        t_len, d = prep.m.shape
+        return self.replay(prep, None, rng.standard_normal((t_len + 1, d)))
+
+    def replay(self, prep, z, eps):
+        x = lds_reconstruct(self.dynamics, prep.record, eps)
+        return PosteriorSample(x_star=x, z_star=None, eps=eps, log_z=prep.log_z)
+
+    def log_z_vjp(self, prep):
+        return lds_log_z_factor_grads(self.dynamics, prep.record)
+
+    def pathwise_vjp(self, prep, drawn, grad_x):
+        return lds_pathwise_factor_vjp(
+            self.dynamics, prep.record, drawn.x_star, drawn.eps, grad_x
+        )
 
 
 def init_gmm_net(k, d, data_dim, hidden=(), rng=None, activation="tanh"):
@@ -122,19 +206,7 @@ def init_lds_net(d, data_dim, hidden=(), rng=None, activation="tanh"):
     return LdsInferenceNet(dynamics=dynamics, encoder=encoder)
 
 
-def encode(net, y):
-    """Recognition-net factor parameters (m, v) for each observation row."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    mean, var, _ = nnet.forward(net.encoder, y)
-    if mean.shape[1] != net.latent_dim:
-        raise ContractError(
-            f"encoder emits dim {mean.shape[1]}, structured factor has dim "
-            f"{net.latent_dim}"
-        )
-    return mean, var
-
-
-def _encode_taped(net, y):
+def _encode_with_tape(net, y):
     y = np.atleast_2d(np.asarray(y, dtype=float))
     mean, var, tape = nnet.forward(net.encoder, y)
     if mean.shape[1] != net.latent_dim:
@@ -143,6 +215,11 @@ def _encode_taped(net, y):
             f"{net.latent_dim}"
         )
     return mean, var, tape
+
+
+def encode(net, y):
+    """Recognition-net factor parameters (m, v) for each observation row."""
+    return _encode_with_tape(net, y)[:2]
 
 
 def _guarded_chol(mats, what):
@@ -158,14 +235,19 @@ def _guarded_chol(mats, what):
 # Mixture-structured factor
 
 
-def gmm_scores(mixture, m, v):
-    """(n, k) log of [weight_k x N(m_n | mu_k, diag(v_n) + Sigma_k)]."""
-    n, d = m.shape
-    k = mixture.n_components
-    s = np.broadcast_to(mixture.covs, (n, k, d, d)).copy()
+def _combined_chol(mixture, v):
+    """(n, k, d, d) Cholesky factors of diag(v_n) + Sigma_k."""
+    n, d = v.shape
+    s = np.broadcast_to(mixture.covs, (n, mixture.n_components, d, d)).copy()
     idx = np.arange(d)
     s[:, :, idx, idx] += v[:, None, :]
-    chol = _guarded_chol(s, "combined mixture covariance")
+    return _guarded_chol(s, "combined mixture covariance")
+
+
+def gmm_scores(mixture, m, v):
+    """(n, k) log of [weight_k x N(m_n | mu_k, diag(v_n) + Sigma_k)]."""
+    d = m.shape[1]
+    chol = _combined_chol(mixture, v)
     u = m[:, None, :] - mixture.means[None, :, :]
     sol = np.linalg.solve(chol, u[..., None])[..., 0]
     quad = np.sum(sol**2, axis=-1)
@@ -184,13 +266,6 @@ def gmm_log_z_parts(mixture, m, v):
     return aggregate_scores(gmm_scores(mixture, m, v))
 
 
-def gmm_log_z(net, y):
-    """Log normalizer of the product posterior and the indicator marginals."""
-    m, v = encode(net, y)
-    log_z, _, resp = gmm_log_z_parts(net.mixture, m, v)
-    return log_z, resp
-
-
 def _mixture_precisions(mixture):
     covs = mixture.covs
     if not np.all(np.isfinite(covs)):
@@ -198,16 +273,20 @@ def _mixture_precisions(mixture):
     return np.linalg.inv(covs)
 
 
+def _conditional_parts(mixture, m, v, z):
+    """Indicator precisions, conditional covariance, and b with mean cov @ b."""
+    pk = _mixture_precisions(mixture)[z]
+    idx = np.arange(m.shape[1])
+    prec = pk.copy()
+    prec[:, idx, idx] += 1.0 / v
+    b = m / v + np.einsum("nij,nj->ni", pk, mixture.means[z])
+    return pk, np.linalg.inv(prec), b
+
+
 def gmm_conditional(mixture, m, v, z):
     """Mean and covariance of x_n given indicator z_n, vectorized over rows."""
-    prec_mix = _mixture_precisions(mixture)[np.asarray(z, dtype=int)]
-    idx = np.arange(m.shape[1])
-    prec = prec_mix.copy()
-    prec[:, idx, idx] += 1.0 / v
-    cov = np.linalg.inv(prec)
-    b = m / v + np.einsum("nij,nj->ni", prec_mix, mixture.means[z])
-    mean = np.einsum("nij,nj->ni", cov, b)
-    return mean, cov
+    _, cov, b = _conditional_parts(mixture, m, v, np.asarray(z, dtype=int))
+    return np.einsum("nij,nj->ni", cov, b), cov
 
 
 def gmm_reconstruct(mixture, m, v, z, eps):
@@ -217,36 +296,15 @@ def gmm_reconstruct(mixture, m, v, z, eps):
     return mean + np.einsum("nij,nj->ni", chol, eps)
 
 
-def _sample_indicators(resp, rng):
-    cum = np.cumsum(resp, axis=1)
-    u = rng.random((resp.shape[0], 1))
-    return np.minimum((u > cum).sum(axis=1), resp.shape[1] - 1)
+def gmm_log_z_factor_grads(mixture, m, v, resp):
+    """Gradients of the log normalizer with respect to (m, v) and the factor.
 
-
-def gmm_sample(net, y, rng):
-    """Joint draw: indicators from their marginals, then the Gaussian given z.
-
-    RNG order is one uniform block for z, then one normal block for eps.
+    ``resp`` holds the indicator marginals of the same (m, v), as the score
+    pass returns them.
     """
-    m, v = encode(net, y)
-    log_z, _, resp = gmm_log_z_parts(net.mixture, m, v)
-    z = _sample_indicators(resp, rng)
-    eps = rng.standard_normal(m.shape)
-    x = gmm_reconstruct(net.mixture, m, v, z, eps)
-    return PosteriorSample(x_star=x, z_star=z, eps=eps, log_z=log_z)
-
-
-def gmm_log_z_factor_grads(mixture, m, v):
-    """Gradients of the log normalizer with respect to (m, v) and the factor."""
     n, d = m.shape
-    k = mixture.n_components
-    scores = gmm_scores(mixture, m, v)
-    _, _, resp = aggregate_scores(scores)
-
-    s = np.broadcast_to(mixture.covs, (n, k, d, d)).copy()
     idx = np.arange(d)
-    s[:, :, idx, idx] += v[:, None, :]
-    chol = _guarded_chol(s, "combined mixture covariance")
+    chol = _combined_chol(mixture, v)
     u = m[:, None, :] - mixture.means[None, :, :]
     su = linalg.chol_solve(chol, u[..., None])[..., 0]
     sinv = linalg.inv_from_chol(chol)
@@ -271,14 +329,8 @@ def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
     n, d = m.shape
     k = mixture.n_components
     z = np.asarray(z, dtype=int)
-    idx = np.arange(d)
-
-    pk = _mixture_precisions(mixture)[z]
+    pk, cov, b = _conditional_parts(mixture, m, v, z)
     mu = mixture.means[z]
-    prec = pk.copy()
-    prec[:, idx, idx] += 1.0 / v
-    cov = np.linalg.inv(prec)
-    b = m / v + np.einsum("nij,nj->ni", pk, mu)
     chol = np.linalg.cholesky(cov)
 
     g = grad_x
@@ -293,12 +345,7 @@ def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
     np.add.at(d_means, z, np.einsum("nij,nj->ni", pk, b_b))
     g_cov = np.zeros((k, d, d))
     np.add.at(g_cov, z, -np.einsum("nij,njl,nlm->nim", pk, pk_b, pk))
-    d_raw = np.stack(
-        [
-            linalg.tril_raw_vjp(mixture.chol_raw[j], d, g_cov[j])
-            for j in range(k)
-        ]
-    )
+    d_raw = linalg.tril_raw_vjp(mixture.chol_raw, d, g_cov)
     d_factor = np.concatenate([np.zeros(k), d_means.ravel(), d_raw.ravel()])
     return d_m, d_v, d_factor
 
@@ -364,11 +411,14 @@ def lds_filter(dyn, m, v):
     )
 
 
-def lds_log_z(net, y):
-    """Log normalizer of the sequence posterior plus the recorded filter."""
-    m, v = encode(net, y)
-    record = lds_filter(net.dynamics, m, v)
-    return record.log_z, record
+def _smoother_step(dyn, record, t):
+    """Backward-sampling gain J of x_t on x_{t+1}, the inverse predicted
+    covariance it uses, and the Cholesky factor of x_t's conditional."""
+    pp1 = record.p_pred[t]
+    pp1_inv = np.linalg.inv(pp1)
+    j = record.p_filt[t] @ dyn.trans.T @ pp1_inv
+    cov = record.p_filt[t] - j @ pp1 @ j.T
+    return j, pp1_inv, linalg.cholesky_spd(cov, "conditional covariance")
 
 
 def lds_reconstruct(dyn, record, eps):
@@ -377,29 +427,15 @@ def lds_reconstruct(dyn, record, eps):
     ``eps`` has shape (..., T+1, d); row t is consumed for x_t.  Returns
     latents with the initial state in row 0.
     """
-    t_len, d = record.m.shape
-    a = dyn.trans
+    t_len = record.m.shape[0]
     x = np.zeros(eps.shape)
     chol_t = linalg.cholesky_spd(record.p_filt[t_len], "filtered covariance")
     x[..., t_len, :] = record.mu_filt[t_len] + eps[..., t_len, :] @ chol_t.T
     for t in range(t_len - 1, -1, -1):
-        pp1 = record.p_pred[t]
-        pp1_inv = np.linalg.inv(pp1)
-        j = record.p_filt[t] @ a.T @ pp1_inv
+        j, _, chol = _smoother_step(dyn, record, t)
         c = record.mu_filt[t] + (x[..., t + 1, :] - record.mu_pred[t]) @ j.T
-        cov = record.p_filt[t] - j @ pp1 @ j.T
-        chol = linalg.cholesky_spd(cov, "conditional covariance")
         x[..., t, :] = c + eps[..., t, :] @ chol.T
     return x
-
-
-def lds_sample(net, y, rng):
-    """Exact joint draw via backward sampling; one (T+1, d) noise block."""
-    m, v = encode(net, y)
-    record = lds_filter(net.dynamics, m, v)
-    eps = rng.standard_normal((m.shape[0] + 1, m.shape[1]))
-    x = lds_reconstruct(net.dynamics, record, eps)
-    return PosteriorSample(x_star=x, z_star=None, eps=eps, log_z=record.log_z)
 
 
 def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e):
@@ -481,27 +517,21 @@ def lds_log_z_factor_grads(dyn, record):
     return _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e)
 
 
-def lds_pathwise_factor_vjp(dyn, record, eps, grad_x):
+def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x):
     """Adjoint of the backward-sampling map at fixed noise.
 
-    Replays the sampling recursion, reverses it in execution-reverse order,
-    then pushes the accumulated filtered/predicted adjoints through the
-    filter reverse sweep.
+    ``x`` is the draw ``lds_reconstruct(dyn, record, eps)``.  Reverses the
+    sampling recursion in execution-reverse order, then pushes the
+    accumulated filtered/predicted adjoints through the filter reverse sweep.
     """
     t_len, d = record.m.shape
     a = dyn.trans
-    # replay forward sampling, keeping per-step intermediates
-    x = lds_reconstruct(dyn, record, eps)
     ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e = _zero_ext(t_len, d)
     x_bar = np.array(grad_x, dtype=float, copy=True)
     a_b = np.zeros_like(a)
     for t in range(t_len):
+        j, pp1_inv, chol = _smoother_step(dyn, record, t)
         pp1 = record.p_pred[t]
-        pp1_inv = np.linalg.inv(pp1)
-        j = record.p_filt[t] @ a.T @ pp1_inv
-        cov = record.p_filt[t] - j @ pp1 @ j.T
-        chol = linalg.cholesky_spd(cov, "conditional covariance")
-
         xb = x_bar[t]
         cov_b = linalg.cholesky_vjp(chol, np.outer(xb, eps[t]))
         # cov = p_filt - J pp1 J^T
@@ -532,42 +562,39 @@ def lds_pathwise_factor_vjp(dyn, record, eps, grad_x):
 
 
 # ---------------------------------------------------------------------------
-# Whole-network gradients
+# Whole-network operations, each one prepared pass
 
 
-def _with_encoder_grad(net, y, d_m, d_v, d_factor):
-    _, _, tape = _encode_taped(net, y)
-    enc_grad, _ = nnet.backward(net.encoder, tape, d_m, d_v)
-    return np.concatenate([enc_grad, d_factor])
+def posterior_log_z(net, y):
+    """Log normalizer of the product posterior and the factor-pass record."""
+    prep = net.prepare(y)
+    return prep.log_z, prep.record
+
+
+def posterior_sample(net, y, rng):
+    """Exact joint draw with its noise; RNG order as in the net's ``draw``."""
+    return net.draw(net.prepare(y), rng)
 
 
 def grad_log_z(net, y):
     """Gradient of the log normalizer in the network's phi layout."""
-    m, v = encode(net, y)
-    if isinstance(net, GmmInferenceNet):
-        d_m, d_v, d_factor = gmm_log_z_factor_grads(net.mixture, m, v)
-    else:
-        record = lds_filter(net.dynamics, m, v)
-        d_m, d_v, d_factor = lds_log_z_factor_grads(net.dynamics, record)
-    return _with_encoder_grad(net, y, d_m, d_v, d_factor)
+    prep = net.prepare(y)
+    return net.phi_grad(prep, *net.log_z_vjp(prep))
 
 
-def gmm_pathwise_grad(net, y, z, eps, grad_x):
-    """Phi-layout adjoint of x*(phi) at fixed indicators and noise."""
-    m, v = encode(net, y)
-    d_m, d_v, d_factor = gmm_pathwise_factor_vjp(net.mixture, m, v, z, eps, grad_x)
-    return _with_encoder_grad(net, y, d_m, d_v, d_factor)
+def pathwise_grad(net, y, z, eps, grad_x):
+    """Phi-layout adjoint of x*(phi) at fixed indicators (None for dynamics)
+    and noise."""
+    prep = net.prepare(y)
+    drawn = net.replay(prep, z, eps)
+    return net.phi_grad(prep, *net.pathwise_vjp(prep, drawn, grad_x))
 
 
 def lds_pathwise_grad(net, y, eps, grad_x):
     """Phi-layout adjoint of the sequence draw at fixed noise."""
-    m, v = encode(net, y)
-    record = lds_filter(net.dynamics, m, v)
-    d_m, d_v, d_dyn = lds_pathwise_factor_vjp(net.dynamics, record, eps, grad_x)
-    return _with_encoder_grad(net, y, d_m, d_v, d_dyn)
+    return pathwise_grad(net, y, None, eps, grad_x)
 
 
-def encoder_grad(net, y, d_m, d_v):
-    """Phi-layout vector for adjoints that touch the encoder outputs alone."""
-    n_factor = net.phi_vector().size - net.n_encoder_params
-    return _with_encoder_grad(net, y, d_m, d_v, np.zeros(n_factor))
+gmm_log_z = lds_log_z = posterior_log_z
+gmm_sample = lds_sample = posterior_sample
+gmm_pathwise_grad = pathwise_grad

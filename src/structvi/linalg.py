@@ -90,10 +90,6 @@ def logdet_from_chol(chol):
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
-def solve_spd(mat, b, what="matrix"):
-    return chol_solve(cholesky_spd(mat, what), b)
-
-
 def inv_spd(mat, what="matrix"):
     return inv_from_chol(cholesky_spd(mat, what))
 

@@ -305,11 +305,8 @@ def expected_log_prior(q, x, z):
     return val, np.concatenate(grad_blocks)
 
 
-def decode_loglik(decoder, x, y):
-    """Gaussian decoder log likelihood with both gradients.
-
-    Returns (value, gradient wrt decoder parameters, gradient wrt x).
-    """
+def _decoder_fit(decoder, x, y):
+    """Decoder forward pass and the Gaussian log likelihood of y."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     mean, var, tape = nnet.forward(decoder, x)
@@ -319,6 +316,20 @@ def decode_loglik(decoder, x, y):
         )
     resid = y - mean
     val = float(np.sum(-0.5 * (LOG_2PI + np.log(var)) - 0.5 * resid**2 / var))
+    return val, resid, var, tape
+
+
+def decode_loglik_value(decoder, x, y):
+    """Gaussian decoder log likelihood alone; runs no backward pass."""
+    return _decoder_fit(decoder, x, y)[0]
+
+
+def decode_loglik(decoder, x, y):
+    """Gaussian decoder log likelihood with both gradients.
+
+    Returns (value, gradient wrt decoder parameters, gradient wrt x).
+    """
+    val, resid, var, tape = _decoder_fit(decoder, x, y)
     dmean = resid / var
     dvar = -0.5 / var + 0.5 * resid**2 / var**2
     grad_params, grad_x = nnet.backward(decoder, tape, dmean, dvar)
@@ -327,11 +338,10 @@ def decode_loglik(decoder, x, y):
 
 @dataclass
 class GenerativeModel:
-    """Decoder plus latent prior; optionally a conjugate hyperprior."""
+    """Decoder plus latent prior."""
 
     decoder: nnet.Mlp
     prior: object
-    hyperprior: Optional[updates.PgmPosterior] = None
 
 
 @dataclass

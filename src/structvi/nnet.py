@@ -43,10 +43,6 @@ class Mlp:
     layers: list
     head: GaussianHead
 
-    @property
-    def input_dim(self):
-        return self.layers[0].weight.shape[1]
-
 
 @dataclass
 class GradTape:

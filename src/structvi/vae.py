@@ -22,16 +22,6 @@ def product_posterior(m, v):
     return mu, s2
 
 
-def elbo_with_noise(decoder, mu, s2, y, eps):
-    """Single-sample ELBO with a standard-normal prior at fixed noise."""
-    x = mu + np.sqrt(s2) * eps
-    mean, var, _ = nnet.forward(decoder, x)
-    loglik = np.sum(-0.5 * (LOG_2PI + np.log(var)) - 0.5 * (y - mean) ** 2 / var)
-    log_prior = np.sum(-0.5 * (LOG_2PI + x**2))
-    neg_entropy = np.sum(-0.5 * (LOG_2PI + np.log(s2)) - 0.5 * eps**2)
-    return float(loglik + log_prior - neg_entropy), x
-
-
 def elbo_and_grads(decoder, encoder, y, eps):
     """ELBO plus decoder and encoder parameter gradients, all hand-chained.
 

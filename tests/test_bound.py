@@ -355,3 +355,48 @@ def test_contract_checks():
         bound.bound_estimate(mismatched, net, y, np.random.default_rng(0), n_total=10)
     with pytest.raises(ContractError):
         bound.bound_estimate(lds_model, lds_net, seq[None, :, :], np.random.default_rng(0), n_total=5)
+
+
+@pytest.mark.parametrize(
+    "case,factor_pass", [(gmm_case, "gmm_scores"), (lds_case, "lds_filter")], ids=["gmm", "lds"]
+)
+def test_one_encoder_and_factor_pass_per_estimate(monkeypatch, case, factor_pass):
+    model, net, y = case(np.random.default_rng(37))
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in (
+        (nnet, "forward"),
+        (nnet, "backward"),
+        (infnet, "gmm_scores"),
+        (infnet, "lds_filter"),
+    ):
+        count(module, name)
+
+    bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=10)
+    assert calls == {factor_pass: 1, "forward": 2, "backward": 2}
+
+    calls.clear()
+    bound.bound_estimate(model, net, y, np.random.default_rng(0), n_total=10, n_samples=2)
+    assert calls == {factor_pass: 1, "forward": 3}
+
+
+@pytest.mark.parametrize("case", [gmm_case, lds_case], ids=["gmm", "lds"])
+def test_decoder_width_mismatch_is_contract_error(case):
+    rng = np.random.default_rng(41)
+    model, net, y = case(rng)
+    wide = models.GenerativeModel(
+        decoder=random_decoder(rng, net.latent_dim, y.shape[1] + 1), prior=model.prior
+    )
+    with pytest.raises(ContractError, match="decoder output dim"):
+        bound.bound_gradients(wide, net, y, np.random.default_rng(0), n_total=10)
+    with pytest.raises(ContractError, match="decoder output dim"):
+        bound.bound_estimate(wide, net, y, np.random.default_rng(0), n_total=10)
