@@ -6,11 +6,18 @@ structured model, and maximum-likelihood EM for a linear dynamical system
 with its own Kalman smoother.  Both exist to be compared against, so each
 exposes an honest held-out score: the mixture reports its exact posterior
 predictive density, the dynamical system its filtered multi-step forecasts.
+
+The LDS filter and smoother take one (T, D) sequence or an (n_seq, T, D)
+block.  With fixed parameters the covariances, innovation factors and gains
+do not depend on the observations, so each time step computes them once for
+the whole block: means carry the block's leading axis, covariances are shared
+(T, d, d) arrays, and log-likelihoods are block totals.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import gammaln, logsumexp
 
 from . import expfam, linalg, models, updates
@@ -134,12 +141,21 @@ class LdsEmParams:
 
 @dataclass(frozen=True)
 class SmoothedMoments:
-    """Posterior moments for one sequence; cross[t] is Cov(x_{t+2}, x_{t+1})."""
+    """Posterior moments of a sequence or block; cross[t] is Cov(x_{t+2}, x_{t+1})."""
 
-    mean: np.ndarray  # (T, d)
-    cov: np.ndarray  # (T, d, d)
-    cross: np.ndarray  # (T - 1, d, d)
+    mean: np.ndarray  # (T, d) or (n_seq, T, d)
+    cov: np.ndarray  # (T, d, d), shared by the block
+    cross: np.ndarray  # (T - 1, d, d), shared by the block
     loglik: float
+
+
+def _checked_sequences(seqs, min_len=1):
+    seqs = np.asarray(seqs, dtype=float)
+    if seqs.ndim != 3 or seqs.shape[0] < 1 or seqs.shape[1] < min_len:
+        raise ContractError(f"need (n_seq >= 1, T >= {min_len}, obs_dim) sequences")
+    if not np.all(np.isfinite(seqs)):
+        raise ContractError("sequence rows contain non-finite values")
+    return seqs
 
 
 def lds_em_init(seqs, d, seed=0):
@@ -166,97 +182,89 @@ def lds_em_init(seqs, d, seed=0):
 
 
 def lds_em_filter(params, y):
-    """Kalman filter for one sequence; returns means, covs, and predictions."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    t_len, obs_dim = y.shape
+    """Kalman filter for a sequence or block; returns means, covs, predictions
+    and the log-likelihood, shaped as the module docstring says."""
+    y = np.asarray(y, dtype=float)
+    block = y if y.ndim == 3 else np.atleast_2d(y)[None]
+    n_seq, t_len, obs_dim = block.shape
     d = params.trans.shape[0]
     a, c = params.trans, params.emit
-    xf = np.empty((t_len, d))
+    xf = np.empty((n_seq, t_len, d))
     pf = np.empty((t_len, d, d))
-    xp = np.empty((t_len, d))
+    xp = np.empty((n_seq, t_len, d))
     pp = np.empty((t_len, d, d))
     loglik = 0.0
     for t in range(t_len):
         if t == 0:
-            xp[t] = params.init_mean
+            xp[:, t] = params.init_mean
             pp[t] = params.init_cov
         else:
-            xp[t] = a @ xf[t - 1]
+            xp[:, t] = xf[:, t - 1] @ a.T
             pp[t] = a @ pf[t - 1] @ a.T + params.trans_cov
         s = c @ pp[t] @ c.T + params.emit_cov
         chol = linalg.cholesky_spd(linalg.symmetrize(s))
-        e = y[t] - c @ xp[t]
-        sol = np.linalg.solve(chol, e)
+        e = block[:, t] - xp[:, t] @ c.T
+        sol = solve_triangular(chol, e.T, lower=True)
         loglik += -0.5 * (
-            obs_dim * LOG_2PI + linalg.logdet_from_chol(chol) + sol @ sol
+            n_seq * (obs_dim * LOG_2PI + linalg.logdet_from_chol(chol)) + np.sum(sol * sol)
         )
-        gain = pp[t] @ c.T @ linalg.inv_from_chol(chol)
-        xf[t] = xp[t] + gain @ e
+        gain = cho_solve((chol, True), c @ pp[t]).T
+        xf[:, t] = xp[:, t] + e @ gain.T
         pf[t] = linalg.symmetrize((np.eye(d) - gain @ c) @ pp[t])
+    if y.ndim < 3:
+        xf, xp = xf[0], xp[0]
     return xf, pf, xp, pp, float(loglik)
 
 
 def lds_em_smooth(params, y):
-    """Rauch-Tung-Striebel pass with the lag-one covariances EM needs."""
+    """Rauch-Tung-Striebel pass with the lag-one covariances EM needs; the
+    gains and covariances are computed once per step and shared by a block."""
     xf, pf, xp, pp, loglik = lds_em_filter(params, y)
-    t_len, d = xf.shape
+    t_len, d = pf.shape[:2]
     a = params.trans
     xs = np.empty_like(xf)
     ps = np.empty_like(pf)
     cross = np.empty((t_len - 1, d, d))
-    xs[-1] = xf[-1]
+    xs[..., -1, :] = xf[..., -1, :]
     ps[-1] = pf[-1]
     for t in range(t_len - 2, -1, -1):
         j = pf[t] @ a.T @ np.linalg.inv(pp[t + 1])
-        xs[t] = xf[t] + j @ (xs[t + 1] - xp[t + 1])
+        xs[..., t, :] = xf[..., t, :] + (xs[..., t + 1, :] - xp[..., t + 1, :]) @ j.T
         ps[t] = linalg.symmetrize(pf[t] + j @ (ps[t + 1] - pp[t + 1]) @ j.T)
         cross[t] = ps[t + 1] @ j.T
     return SmoothedMoments(mean=xs, cov=ps, cross=cross, loglik=loglik)
 
 
 def lds_em_fit(seqs, d, n_iter=50, init=None):
-    """Batch EM over whole sequences; marginal likelihood is nondecreasing."""
-    seqs = np.asarray(seqs, dtype=float)
-    if seqs.ndim != 3 or seqs.shape[1] < 2:
-        raise ContractError("need (n_seq, T >= 2, obs_dim) sequences")
-    n_seq, t_len, obs_dim = seqs.shape
+    """Batch EM over whole sequences; marginal likelihood is nondecreasing.
+
+    Each iteration smooths the block in one call; the shared covariances
+    enter the sufficient statistics once per sequence.
+    """
+    seqs = _checked_sequences(seqs, min_len=2)
+    n_seq, t_len, _ = seqs.shape
     params = lds_em_init(seqs, d) if init is None else init
+    syy = np.einsum("nti,ntj->ij", seqs, seqs)
     logliks = []
     for _ in range(n_iter):
-        s11 = np.zeros((d, d))
-        s10 = np.zeros((d, d))
-        s00 = np.zeros((d, d))
-        sxx = np.zeros((d, d))
-        syx = np.zeros((obs_dim, d))
-        syy = np.zeros((obs_dim, obs_dim))
-        first_mean = np.zeros(d)
-        first_sq = np.zeros((d, d))
-        total = 0.0
-        for y in seqs:
-            sm = lds_em_smooth(params, y)
-            total += sm.loglik
-            second = sm.cov + np.einsum("ti,tj->tij", sm.mean, sm.mean)
-            s11 += second[1:].sum(axis=0)
-            s00 += second[:-1].sum(axis=0)
-            s10 += (sm.cross + np.einsum("ti,tj->tij", sm.mean[1:], sm.mean[:-1])).sum(
-                axis=0
-            )
-            sxx += second.sum(axis=0)
-            syx += y.T @ sm.mean
-            syy += y.T @ y
-            first_mean += sm.mean[0]
-            first_sq += second[0]
-        logliks.append(total)
-
-        trans = s10 @ np.linalg.inv(s00)
-        trans_cov = linalg.symmetrize(
-            (s11 - trans @ s10.T) / (n_seq * (t_len - 1))
+        sm = lds_em_smooth(params, seqs)
+        xs = sm.mean
+        logliks.append(sm.loglik)
+        second = n_seq * sm.cov + np.einsum("nti,ntj->tij", xs, xs)
+        s10 = n_seq * sm.cross.sum(axis=0) + np.einsum(
+            "nti,ntj->ij", xs[:, 1:], xs[:, :-1]
         )
-        emit = syx @ np.linalg.inv(sxx)
+        syx = np.einsum("nti,ntj->ij", seqs, xs)
+        init_mean = xs[:, 0].sum(axis=0) / n_seq
+
+        trans = s10 @ np.linalg.inv(second[:-1].sum(axis=0))
+        trans_cov = linalg.symmetrize(
+            (second[1:].sum(axis=0) - trans @ s10.T) / (n_seq * (t_len - 1))
+        )
+        emit = syx @ np.linalg.inv(second.sum(axis=0))
         emit_cov = linalg.symmetrize((syy - emit @ syx.T) / (n_seq * t_len))
-        init_mean = first_mean / n_seq
         init_cov = linalg.symmetrize(
-            first_sq / n_seq - np.outer(init_mean, init_mean)
+            second[0] / n_seq - np.outer(init_mean, init_mean)
         )
         params = LdsEmParams(
             trans=trans,
@@ -270,8 +278,8 @@ def lds_em_fit(seqs, d, n_iter=50, init=None):
 
 
 def lds_em_loglik(params, seqs):
-    seqs = np.asarray(seqs, dtype=float)
-    return float(sum(lds_em_filter(params, y)[4] for y in seqs))
+    """Marginal log-likelihood summed over an (n_seq, T, D) block."""
+    return lds_em_filter(params, _checked_sequences(seqs))[4]
 
 
 def lds_em_tau_mae(params, seqs, tau):
@@ -280,20 +288,9 @@ def lds_em_tau_mae(params, seqs, tau):
     The average runs over sequences, the T - tau valid origins, and every
     observed coordinate; tau = 0 degenerates to filtered reconstruction.
     """
-    seqs = np.asarray(seqs, dtype=float)
-    if seqs.ndim != 3:
-        raise ContractError("need (n_seq, T, obs_dim) sequences")
-    t_len = seqs.shape[1]
-    if not 0 <= tau < t_len:
+    seqs = _checked_sequences(seqs)
+    if not 0 <= tau < seqs.shape[1]:
         raise ContractError("tau must lie in [0, T)")
-    total = 0.0
-    count = 0
-    for y in seqs:
-        xf, _, _, _, _ = lds_em_filter(params, y)
-        pred = xf[: t_len - tau]
-        for _ in range(tau):
-            pred = pred @ params.trans.T
-        err = np.abs(y[tau:] - pred @ params.emit.T)
-        total += err.sum()
-        count += err.size
-    return total / count
+    xf = lds_em_filter(params, seqs)[0]
+    pred = models.forecast_means(xf, params.trans, tau)
+    return float(np.mean(np.abs(seqs[:, tau:] - pred @ params.emit.T)))

@@ -471,9 +471,7 @@ def tau_ahead_mae(state, seqs, tau):
     total, count = 0.0, 0
     for seq in seqs:
         record = state.net.prepare(seq).record
-        pred = record.mu_filt[1 : t_len - tau + 1]
-        for _ in range(tau):
-            pred = pred @ prior.trans.T
+        pred = models.forecast_means(record.mu_filt[1:], prior.trans, tau)
         mean, _, _ = nnet.forward(decoder, pred)
         err = np.abs(seq[tau:] - mean)
         total += err.sum()
@@ -890,7 +888,7 @@ def train_lds_em(cfg, ds=None, out_dir=None):
     metrics = [
         {
             "iteration": i + 1,
-            "train_bound": ll / seqs.shape[0],
+            "train_bound": ll / (seqs.shape[0] * cfg.seq_len),
             "val_bound": np.nan,
             "test_bound": np.nan,
             "imputation_mse": np.nan,
@@ -899,6 +897,10 @@ def train_lds_em(cfg, ds=None, out_dir=None):
         }
         for i, ll in enumerate(logliks)
     ]
+    if ds.test_idx is not None and ds.test_idx.size:
+        test_seqs = _as_sequences(ds.rows[ds.test_idx], cfg.seq_len)
+        metrics[-1]["test_bound"] = baselines.lds_em_loglik(params, test_seqs) / ds.test_idx.size
+        metrics[-1]["tau_mae"] = baselines.lds_em_tau_mae(params, test_seqs, 1)
 
     def saver(path):
         checkpoint.save(

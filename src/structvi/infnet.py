@@ -372,6 +372,7 @@ class FilterRecord:
     mu_filt: np.ndarray    # (T+1, d)
     p_filt: np.ndarray     # (T+1, d, d)
     log_z: float
+    smoother: Optional[tuple] = None  # filled by the first draw, see _smoother_factors
 
 
 def lds_filter(dyn, m, v):
@@ -411,14 +412,22 @@ def lds_filter(dyn, m, v):
     )
 
 
-def _smoother_step(dyn, record, t):
-    """Backward-sampling gain J of x_t on x_{t+1}, the inverse predicted
-    covariance it uses, and the Cholesky factor of x_t's conditional."""
-    pp1 = record.p_pred[t]
-    pp1_inv = np.linalg.inv(pp1)
-    j = record.p_filt[t] @ dyn.trans.T @ pp1_inv
-    cov = record.p_filt[t] - j @ pp1 @ j.T
-    return j, pp1_inv, linalg.cholesky_spd(cov, "conditional covariance")
+def _smoother_factors(dyn, record):
+    """Per step t: the gain J of x_t on x_{t+1}, the inverse predicted
+    covariance it uses and the Cholesky factor of x_t's conditional; then the
+    factor of the last filtered covariance.  Computed on a record's first
+    draw and shared with its pathwise adjoint; passes that never draw never
+    compute them."""
+    if record.smoother is None or record.smoother[0] is not dyn:
+        steps = []
+        for p_filt, pp1 in zip(record.p_filt, record.p_pred):
+            pp1_inv = np.linalg.inv(pp1)
+            j = p_filt @ dyn.trans.T @ pp1_inv
+            cov = p_filt - j @ pp1 @ j.T
+            steps.append((j, pp1_inv, linalg.cholesky_spd(cov, "conditional covariance")))
+        chol_t = linalg.cholesky_spd(record.p_filt[-1], "filtered covariance")
+        record.smoother = (dyn, steps, chol_t)
+    return record.smoother[1:]
 
 
 def lds_reconstruct(dyn, record, eps):
@@ -428,11 +437,11 @@ def lds_reconstruct(dyn, record, eps):
     latents with the initial state in row 0.
     """
     t_len = record.m.shape[0]
+    steps, chol_t = _smoother_factors(dyn, record)
     x = np.zeros(eps.shape)
-    chol_t = linalg.cholesky_spd(record.p_filt[t_len], "filtered covariance")
     x[..., t_len, :] = record.mu_filt[t_len] + eps[..., t_len, :] @ chol_t.T
     for t in range(t_len - 1, -1, -1):
-        j, _, chol = _smoother_step(dyn, record, t)
+        j, _, chol = steps[t]
         c = record.mu_filt[t] + (x[..., t + 1, :] - record.mu_pred[t]) @ j.T
         x[..., t, :] = c + eps[..., t, :] @ chol.T
     return x
@@ -529,8 +538,9 @@ def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x):
     ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e = _zero_ext(t_len, d)
     x_bar = np.array(grad_x, dtype=float, copy=True)
     a_b = np.zeros_like(a)
+    steps, chol_t = _smoother_factors(dyn, record)
     for t in range(t_len):
-        j, pp1_inv, chol = _smoother_step(dyn, record, t)
+        j, pp1_inv, chol = steps[t]
         pp1 = record.p_pred[t]
         xb = x_bar[t]
         cov_b = linalg.cholesky_vjp(chol, np.outer(xb, eps[t]))
@@ -551,7 +561,6 @@ def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x):
         pp1_b += -pp1_inv @ pp1_inv_b @ pp1_inv
         ext_pp[t] += pp1_b
     # terminal draw x_T = mu_filt[T] + chol(p_filt[T]) eps[T]
-    chol_t = linalg.cholesky_spd(record.p_filt[t_len], "filtered covariance")
     ext_mf[t_len] += x_bar[t_len]
     ext_pf[t_len] += linalg.cholesky_vjp(chol_t, np.outer(x_bar[t_len], eps[t_len]))
     d_m, d_v, d_dyn = _filter_reverse(

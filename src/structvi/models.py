@@ -171,6 +171,15 @@ class LinearDynamics:
         return LinearDynamics(trans, noise_raw, init_mean, init_raw)
 
 
+def forecast_means(filtered, trans, tau):
+    """Roll the (..., T, d) filtered means of origins 0..T-1-tau tau steps
+    ahead through the transition matrix ``trans``."""
+    pred = filtered[..., : filtered.shape[-2] - tau, :]
+    for _ in range(tau):
+        pred = pred @ trans.T
+    return pred
+
+
 def _gaussian_logpdf(x, mean, cov):
     d = x.shape[-1]
     chol = linalg.cholesky_spd(cov)

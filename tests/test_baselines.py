@@ -250,3 +250,95 @@ def test_tau_mae_contracts():
         baselines.lds_em_tau_mae(params, seqs, tau=5)
     with pytest.raises(ContractError):
         baselines.lds_em_tau_mae(params, seqs[0], tau=1)
+
+
+def batched_cases(rng):
+    for d, obs_dim, t_len in ((1, 1, 2), (1, 3, 4), (2, 2, 3), (2, 3, 6), (3, 2, 5)):
+        params = random_lds_params(rng, d, obs_dim)
+        yield params, simulate(params, rng, 4, t_len)
+
+
+def test_batched_smoother_matches_dense_oracle():
+    rng = np.random.default_rng(37)
+    for params, seqs in batched_cases(rng):
+        d = params.trans.shape[0]
+        t_len = seqs.shape[1]
+        sm = baselines.lds_em_smooth(params, seqs)
+        xf, pf, xp, pp, filt_ll = baselines.lds_em_filter(params, seqs)
+        assert sm.mean.shape == xf.shape == xp.shape == (seqs.shape[0], t_len, d)
+        assert sm.cov.shape == pf.shape == pp.shape == (t_len, d, d)
+        total = 0.0
+        for n, y in enumerate(seqs):
+            post_mean, post_cov, loglik = dense_lds_oracle(params, y)
+            total += loglik
+            np.testing.assert_allclose(sm.mean[n], post_mean, atol=1e-8)
+            for t in range(t_len):
+                blk = post_cov[t * d : (t + 1) * d, t * d : (t + 1) * d]
+                np.testing.assert_allclose(sm.cov[t], blk, atol=1e-8)
+                prefix_mean, prefix_cov, _ = dense_lds_oracle(params, y[: t + 1])
+                np.testing.assert_allclose(xf[n, t], prefix_mean[t], atol=1e-8)
+                np.testing.assert_allclose(pf[t], prefix_cov[t * d :, t * d :], atol=1e-8)
+            for t in range(t_len - 1):
+                blk = post_cov[(t + 1) * d : (t + 2) * d, t * d : (t + 1) * d]
+                np.testing.assert_allclose(sm.cross[t], blk, atol=1e-8)
+        assert sm.loglik == pytest.approx(total, abs=1e-8)
+        assert filt_ll == sm.loglik
+
+
+def test_single_sequence_equals_block_slice():
+    rng = np.random.default_rng(41)
+    for params, seqs in batched_cases(rng):
+        block = baselines.lds_em_smooth(params, seqs)
+        block_filt = baselines.lds_em_filter(params, seqs)
+        for n, y in enumerate(seqs):
+            one = baselines.lds_em_smooth(params, y)
+            assert one.mean.shape == y.shape[:1] + params.trans.shape[:1]
+            np.testing.assert_allclose(one.mean, block.mean[n], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(one.cov, block.cov, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(one.cross, block.cross, rtol=1e-12, atol=1e-12)
+            xf, pf, xp, pp, _ = baselines.lds_em_filter(params, y)
+            np.testing.assert_allclose(xf, block_filt[0][n], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(xp, block_filt[2][n], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(pf, block_filt[1], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(pp, block_filt[3], rtol=1e-12, atol=1e-12)
+        per_seq = sum(baselines.lds_em_smooth(params, y).loglik for y in seqs)
+        assert block.loglik == pytest.approx(per_seq, rel=1e-12)
+
+
+def test_em_iteration_smooths_block_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    params = random_lds_params(rng, 2, 3)
+    seqs = simulate(params, rng, 5, 7)
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in (
+        (baselines, "lds_em_smooth"),
+        (baselines, "lds_em_filter"),
+        (linalg, "cholesky_spd"),
+    ):
+        count(module, name)
+    baselines.lds_em_fit(seqs, d=2, n_iter=1, init=params)
+    assert calls == {"lds_em_smooth": 1, "lds_em_filter": 1, "cholesky_spd": 7}
+
+
+def test_lds_em_contract_errors_keep_their_type():
+    rng = np.random.default_rng(47)
+    params = random_lds_params(rng, 1, 2)
+    seqs = simulate(params, rng, 2, 5)
+    with pytest.raises(ContractError, match="sequences"):
+        baselines.lds_em_loglik(params, seqs[0])
+    with pytest.raises(ContractError, match="sequences"):
+        baselines.lds_em_tau_mae(params, seqs[:0], tau=1)
+    bad = seqs.copy()
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(ContractError, match="non-finite values"):
+        baselines.lds_em_fit(bad, d=1, n_iter=2)

@@ -623,6 +623,25 @@ def test_lds_em_wrapper(tmp_path):
     assert np.isfinite(mae)
 
 
+def test_lds_em_metrics_per_row_with_test_scores():
+    ds = seq_dataset(seed=16)
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, n_iters=4, seed=16, seq_len=10,
+        timing=False,
+    )
+    res = harness.train_lds_em(cfg, ds=ds)
+    params, logliks = res.state
+    n_train = ds.train_idx.size
+    test_seqs = harness._as_sequences(ds.rows[ds.test_idx], 10)
+    for row, ll in zip(res.metrics, logliks):
+        assert row["train_bound"] == ll / n_train
+    for row in res.metrics[:-1]:
+        assert np.isnan(row["test_bound"]) and np.isnan(row["tau_mae"])
+    last = res.metrics[-1]
+    assert last["test_bound"] == baselines.lds_em_loglik(params, test_seqs) / ds.test_idx.size
+    assert last["tau_mae"] == baselines.lds_em_tau_mae(params, test_seqs, 1)
+
+
 def test_vae_trainer_improves(tmp_path):
     ds = blob_dataset(n=240, seed=15)
     cfg = harness.TrainConfig(

@@ -379,6 +379,24 @@ class TestLdsSampling:
         assert sample.z_star is None
 
 
+    def test_draw_and_its_adjoint_share_smoother_factors(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        net = make_lds_net(rng, d=2, data_dim=3)
+        y = rng.standard_normal((5, 3))
+        prep = net.prepare(y)
+        calls = []
+        chol = linalg.cholesky_spd
+        monkeypatch.setattr(
+            linalg, "cholesky_spd", lambda *a: calls.append(a[1]) or chol(*a)
+        )
+        net.log_z_vjp(prep)
+        assert calls == []
+        drawn = net.draw(prep, np.random.default_rng(29))
+        net.pathwise_vjp(prep, drawn, rng.standard_normal(drawn.x_star.shape))
+        net.replay(prep, None, drawn.eps)
+        assert calls == ["conditional covariance"] * 5 + ["filtered covariance"]
+
+
 class TestLdsGradients:
     def test_log_z_grads_match_fd(self):
         """20 random instances over T and d, every coordinate, 1e-4 relative."""
