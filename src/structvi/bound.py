@@ -19,8 +19,10 @@ decisions live on the network classes in ``infnet``.
 
 Per-datum terms are scaled by n_total over the batch size so every estimate
 targets the full-data bound.  Mixture-structured batches are row arrays;
-dynamics-structured batches are a single sequence, and the unit of batching
-is then the whole sequence.
+a dynamics-structured batch is one (T, data_dim) sequence, and the unit of
+batching is then the whole sequence.  ``block_bound_estimate`` evaluates a
+(n_seq, T, data_dim) block of sequences with one prepared pass and returns
+the sum of their estimates.
 """
 
 from dataclasses import dataclass
@@ -64,14 +66,20 @@ class GradBundle:
     bound: BoundEstimate
 
 
-def _prepared(model, net, batch, n_total):
-    """Checked batch, its prepared record, and the n_total / units scale."""
+def _prepared(model, net, batch, n_total, block=False):
+    """Checked batch, its prepared record, and the n_total / units scale.
+
+    A ``block`` batch is (n_seq, T, data_dim); n_total None means the batch
+    is the whole data set.
+    """
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise ContractError("a batch is a nonempty (rows, data_dim) array")
+    if batch.ndim != (3 if block else 2) or 0 in batch.shape[:-1]:
+        shape = "(n_seq, T, data_dim)" if block else "(rows, data_dim)"
+        raise ContractError(f"a batch is a nonempty {shape} array")
     units = net.batch_units(model.prior, batch)
     if model.prior.dim != net.latent_dim:
         raise ContractError("prior and posterior latent dimensions differ")
+    n_total = units if n_total is None else n_total
     if n_total < units:
         raise ContractError("n_total must cover at least the batch")
     return batch, net.prepare(batch), n_total / units
@@ -99,11 +107,13 @@ def _assemble(model, net, batch, prep, drawn, scale, want_grads):
     """Estimate at one draw, plus every gradient block when ``want_grads``;
     without gradients no backward pass runs."""
     x = drawn.x_star
-    x_rows = x[net.lead_rows :]
+    x_rows = x[..., net.lead_rows :, :]
     m, v = prep.m, prep.v
     decode = models.decode_loglik if want_grads else models.decode_loglik_value
     density = models.log_prior_with_grads if want_grads else models.log_prior
-    dec = _term("decoder_term", lambda: decode(model.decoder, x_rows, batch))
+    # A sequence block decodes as one stack of rows.
+    flat = lambda a: a.reshape(-1, a.shape[-1])
+    dec = _term("decoder_term", lambda: decode(model.decoder, flat(x_rows), flat(batch)))
     pri = _term("prior_term", lambda: density(model.prior, x))
     fac = _term("pgm_factor_term", lambda: density(net.factor, x))
     terms = (dec, pri, fac)  # with gradients each is (value, *gradients)
@@ -169,20 +179,43 @@ def bound_with_noise(model, net, batch, z, eps, n_total):
     return _assemble(model, net, *replayed, want_grads=False)
 
 
+def _mean_estimate(ests):
+    if len(ests) == 1:
+        return ests[0]
+    mean = lambda name: float(np.mean([getattr(e, name) for e in ests]))
+    return BoundEstimate(**{name: mean(name) for name in ("total", *TERM_NAMES)})
+
+
 def bound_estimate(model, net, batch, rng, n_total, n_samples=1):
     """Single-draw bound estimate; n_samples above one averages fresh draws
     from one prepared batch."""
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
     batch, prep, scale = _prepared(model, net, batch, n_total)
-    ests = [
+    return _mean_estimate([
         _assemble(model, net, batch, prep, net.draw(prep, rng), scale, want_grads=False)
         for _ in range(n_samples)
-    ]
-    if n_samples == 1:
-        return ests[0]
-    mean = lambda name: float(np.mean([getattr(e, name) for e in ests]))
-    return BoundEstimate(**{name: mean(name) for name in ("total", *TERM_NAMES)})
+    ])
+
+
+def block_bound_estimate(model, net, seqs, rng, n_samples=1):
+    """Sum over a (n_seq, T, data_dim) block of each sequence's bound
+    estimate, averaged over n_samples draws; one encoder pass and one filter
+    serve the whole block.
+
+    The noise is one (n_seq, n_samples, T+1, d) normal block: the stream
+    that ``bound_estimate(..., n_total=1, n_samples)`` on each sequence in
+    turn consumes, so the two agree to rounding.
+    """
+    if n_samples < 1:
+        raise ContractError("n_samples must be positive")
+    seqs, prep, scale = _prepared(model, net, seqs, None, block=True)
+    n_seq, t_len = seqs.shape[:2]
+    eps = rng.standard_normal((n_seq, n_samples, t_len + net.lead_rows, net.latent_dim))
+    return _mean_estimate([
+        _assemble(model, net, seqs, prep, net.replay(prep, None, eps[:, s]), scale, want_grads=False)
+        for s in range(n_samples)
+    ])
 
 
 def gradients_with_noise(model, net, batch, z, eps, n_total):

@@ -388,24 +388,30 @@ def train_step(state, cfg, batch, n_total, rng):
 
 
 def _as_sequences(rows, seq_len):
+    """(n_seq, seq_len, dim) view of rows that hold whole sequences."""
     rows = np.asarray(rows, dtype=float)
+    if seq_len < 1 or rows.ndim != 2 or rows.shape[0] % seq_len:
+        raise ContractError(
+            f"{rows.shape[0]} rows are not whole sequences of length {seq_len}"
+        )
     return rows.reshape(-1, seq_len, rows.shape[-1])
 
 
 def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2):
-    """Average per-row bound estimate under the evaluation-point parameters."""
+    """Average per-row bound estimate under the evaluation-point parameters.
+
+    A dynamics model sums the estimates of the rows' sequences, all in one
+    ``bound.block_bound_estimate`` call.
+    """
     rng = np.random.default_rng(seed)
     model = models.GenerativeModel(decoder=eval_decoder(state), prior=eval_prior(state))
     if state.kind == "latent-lds":
         seqs = _as_sequences(rows, seq_len)
-        total = sum(
-            bound.bound_estimate(model, state.net, seq, rng, n_total=1, n_samples=n_samples).total
-            for seq in seqs
+        est = bound.block_bound_estimate(model, state.net, seqs, rng, n_samples=n_samples)
+    else:
+        est = bound.bound_estimate(
+            model, state.net, rows, rng, n_total=rows.shape[0], n_samples=n_samples
         )
-        return total / rows.shape[0]
-    est = bound.bound_estimate(
-        model, state.net, rows, rng, n_total=rows.shape[0], n_samples=n_samples
-    )
     return est.total / rows.shape[0]
 
 
@@ -419,35 +425,36 @@ def gmm_posterior_mean_latent(net, y):
             net.mixture, prep.m, prep.v, np.full(n, j, dtype=int)
         )
         cols.append(mean_j)
-    return np.einsum("nk,knd->nd", prep.record, np.stack(cols))
+    return np.einsum("nk,knd->nd", prep.record.resp, np.stack(cols))
 
 
-def lds_posterior_mean_latent(net, seq):
-    """Smoothed latent means; the zero-noise reconstruction is exactly them."""
-    prep = net.prepare(seq)
-    zeros = np.zeros((seq.shape[0] + 1, net.latent_dim))
-    return net.replay(prep, None, zeros).x_star
+def lds_posterior_mean_latent(net, seqs):
+    """Smoothed latent means of one (T, D) sequence or a (B, T, D) block; the
+    zero-noise reconstruction is exactly them."""
+    prep = net.prepare(seqs)
+    *lead, t_len, d = prep.m.shape
+    return net.replay(prep, None, np.zeros((*lead, t_len + 1, d))).x_star
 
 
 def imputation_mse(state, rows, seq_len=0, fraction=0.2, seed=0):
-    """Mask a random fraction of entries, reconstruct from the posterior mean."""
+    """Mask a random fraction of entries, reconstruct from the posterior mean.
+
+    A dynamics model smooths all the rows' sequences in one pass and decodes
+    them as one stack of rows.
+    """
     rows = np.asarray(rows, dtype=float)
+    is_lds = state.kind == "latent-lds"
+    seq_shape = _as_sequences(rows, seq_len).shape if is_lds else None
     rng = np.random.default_rng(seed)
     mask = rng.random(rows.shape) < fraction
     if not mask.any():
         return 0.0
     filled = np.where(mask, 0.0, rows)
-    decoder = eval_decoder(state)
-    if state.kind == "latent-lds":
-        recon = np.empty_like(rows)
-        seqs = _as_sequences(filled, seq_len)
-        for i, seq in enumerate(seqs):
-            latent = lds_posterior_mean_latent(state.net, seq)
-            mean, _, _ = nnet.forward(decoder, latent[1:])
-            recon[i * seq_len : (i + 1) * seq_len] = mean
+    if is_lds:
+        latent = lds_posterior_mean_latent(state.net, filled.reshape(seq_shape))[:, 1:]
     else:
         latent = gmm_posterior_mean_latent(state.net, filled)
-        recon, _, _ = nnet.forward(decoder, latent)
+    recon, _, _ = nnet.forward(eval_decoder(state), latent.reshape(-1, latent.shape[-1]))
     return float(np.mean((recon[mask] - rows[mask]) ** 2))
 
 
@@ -457,6 +464,7 @@ def tau_ahead_mae(state, seqs, tau):
     The filtered mean at time t uses observations up to t only; the prior
     dynamics propagate it tau steps; the decoder emits the prediction.  The
     average runs over sequences, valid origins, and observed coordinates.
+    All sequences go through one filter and one decoder pass.
     """
     if state.kind != "latent-lds":
         raise ContractError("tau-ahead forecasting needs a dynamics model")
@@ -466,17 +474,10 @@ def tau_ahead_mae(state, seqs, tau):
     t_len = seqs.shape[1]
     if not 0 <= tau < t_len:
         raise ContractError("tau must lie in [0, T)")
-    decoder = eval_decoder(state)
-    prior = eval_prior(state)
-    total, count = 0.0, 0
-    for seq in seqs:
-        record = state.net.prepare(seq).record
-        pred = models.forecast_means(record.mu_filt[1:], prior.trans, tau)
-        mean, _, _ = nnet.forward(decoder, pred)
-        err = np.abs(seq[tau:] - mean)
-        total += err.sum()
-        count += err.size
-    return total / count
+    record = state.net.prepare(seqs).record
+    pred = models.forecast_means(record.mu_filt[:, 1:], eval_prior(state).trans, tau)
+    mean, _, _ = nnet.forward(eval_decoder(state), pred.reshape(-1, pred.shape[-1]))
+    return float(np.mean(np.abs(seqs[:, tau:] - mean.reshape(seqs[:, tau:].shape))))
 
 
 def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):

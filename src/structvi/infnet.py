@@ -14,6 +14,10 @@ from that record the network exposes
     (m, v) and the factor parameters (``log_z_vjp``, ``pathwise_vjp``), and
   * ``phi_grad``: one encoder backward pass for summed (m, v) adjoints.
 
+A dynamics network also prepares a (B, T, D) block of sequences: one encoder
+pass over its B*T rows and one filter batched over the block, from which it
+draws and replays; its adjoints take one sequence.
+
 Parameter vectors are laid out as [encoder parameters, structured-factor
 parameters], the factor part ordered as in the underlying ``models`` class.
 
@@ -51,8 +55,8 @@ class PreparedBatch:
     m: np.ndarray
     v: np.ndarray
     tape: nnet.GradTape
-    log_z: float
-    record: object  # (n, k) indicator marginals, or the FilterRecord
+    log_z: float           # summed over the sequences of a block
+    record: object         # MixtureRecord or FilterRecord
 
 
 class ProductNet:
@@ -101,6 +105,8 @@ class GmmInferenceNet(ProductNet):
     def batch_units(self, prior, batch):
         if not isinstance(prior, models.GaussianMixture):
             raise ContractError("a mixture posterior needs a mixture prior")
+        if batch.ndim != 2:
+            raise ContractError("a mixture posterior takes rows, not sequence blocks")
         return batch.shape[0]
 
     def checked_indicators(self, z, n):
@@ -112,12 +118,13 @@ class GmmInferenceNet(ProductNet):
         return z
 
     def _factor_pass(self, m, v):
-        log_z, _, resp = gmm_log_z_parts(self.mixture, m, v)
-        return log_z, resp
+        chol = _combined_chol(self.mixture, v)
+        log_z, _, resp = aggregate_scores(gmm_scores(self.mixture, m, v, chol))
+        return log_z, MixtureRecord(resp=resp, chol=chol)
 
     def draw(self, prep, rng):
         """Indicators from one uniform block, then one normal block for eps."""
-        cum = np.cumsum(prep.record, axis=1)
+        cum = np.cumsum(prep.record.resp, axis=1)
         u = rng.random((cum.shape[0], 1))
         z = np.minimum((u > cum).sum(axis=1), cum.shape[1] - 1)
         return self.replay(prep, z, rng.standard_normal(prep.m.shape))
@@ -127,7 +134,8 @@ class GmmInferenceNet(ProductNet):
         return PosteriorSample(x_star=x, z_star=z, eps=eps, log_z=prep.log_z)
 
     def log_z_vjp(self, prep):
-        return gmm_log_z_factor_grads(self.mixture, prep.m, prep.v, prep.record)
+        rec = prep.record
+        return gmm_log_z_factor_grads(self.mixture, prep.m, prep.v, rec.resp, rec.chol)
 
     def pathwise_vjp(self, prep, drawn, grad_x):
         return gmm_pathwise_factor_vjp(
@@ -148,7 +156,7 @@ class LdsInferenceNet(ProductNet):
     def batch_units(self, prior, batch):
         if not isinstance(prior, models.LinearDynamics):
             raise ContractError("a dynamics posterior needs a dynamics prior")
-        return 1
+        return batch.shape[0] if batch.ndim == 3 else 1
 
     def checked_indicators(self, z, n):
         if z is not None:
@@ -157,12 +165,12 @@ class LdsInferenceNet(ProductNet):
 
     def _factor_pass(self, m, v):
         record = lds_filter(self.dynamics, m, v)
-        return record.log_z, record
+        return float(np.sum(record.log_z)), record
 
     def draw(self, prep, rng):
-        """One (T+1, d) normal block."""
-        t_len, d = prep.m.shape
-        return self.replay(prep, None, rng.standard_normal((t_len + 1, d)))
+        """One ([B,] T+1, d) normal block."""
+        *lead, t_len, d = prep.m.shape
+        return self.replay(prep, None, rng.standard_normal((*lead, t_len + 1, d)))
 
     def replay(self, prep, z, eps):
         x = lds_reconstruct(self.dynamics, prep.record, eps)
@@ -207,14 +215,16 @@ def init_lds_net(d, data_dim, hidden=(), rng=None, activation="tanh"):
 
 
 def _encode_with_tape(net, y):
+    """One encoder pass over rows, or over a (B, T, D) block as B*T rows."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    mean, var, tape = nnet.forward(net.encoder, y)
+    mean, var, tape = nnet.forward(net.encoder, y.reshape(-1, y.shape[-1]))
     if mean.shape[1] != net.latent_dim:
         raise ContractError(
             f"encoder emits dim {mean.shape[1]}, structured factor has dim "
             f"{net.latent_dim}"
         )
-    return mean, var, tape
+    shape = y.shape[:-1] + (net.latent_dim,)
+    return mean.reshape(shape), var.reshape(shape), tape
 
 
 def encode(net, y):
@@ -244,10 +254,22 @@ def _combined_chol(mixture, v):
     return _guarded_chol(s, "combined mixture covariance")
 
 
-def gmm_scores(mixture, m, v):
-    """(n, k) log of [weight_k x N(m_n | mu_k, diag(v_n) + Sigma_k)]."""
+@dataclass
+class MixtureRecord:
+    """Mixture score pass over rows."""
+
+    resp: np.ndarray  # (n, k) indicator marginals
+    chol: np.ndarray  # (n, k, d, d) Cholesky factors of diag(v_n) + Sigma_k
+
+
+def gmm_scores(mixture, m, v, chol=None):
+    """(n, k) log of [weight_k x N(m_n | mu_k, diag(v_n) + Sigma_k)].
+
+    ``chol`` is ``_combined_chol(mixture, v)`` when the caller has it.
+    """
     d = m.shape[1]
-    chol = _combined_chol(mixture, v)
+    if chol is None:
+        chol = _combined_chol(mixture, v)
     u = m[:, None, :] - mixture.means[None, :, :]
     sol = np.linalg.solve(chol, u[..., None])[..., 0]
     quad = np.sum(sol**2, axis=-1)
@@ -296,15 +318,14 @@ def gmm_reconstruct(mixture, m, v, z, eps):
     return mean + np.einsum("nij,nj->ni", chol, eps)
 
 
-def gmm_log_z_factor_grads(mixture, m, v, resp):
+def gmm_log_z_factor_grads(mixture, m, v, resp, chol):
     """Gradients of the log normalizer with respect to (m, v) and the factor.
 
-    ``resp`` holds the indicator marginals of the same (m, v), as the score
-    pass returns them.
+    ``resp`` and ``chol`` are the indicator marginals and combined-covariance
+    factors of the same (m, v), as the score pass keeps them.
     """
     n, d = m.shape
     idx = np.arange(d)
-    chol = _combined_chol(mixture, v)
     u = m[:, None, :] - mixture.means[None, :, :]
     su = linalg.chol_solve(chol, u[..., None])[..., 0]
     sinv = linalg.inv_from_chol(chol)
@@ -358,8 +379,10 @@ def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
 class FilterRecord:
     """Forward filter pass over pseudo-observations (m_t, diag(v_t)).
 
+    Shapes are for one sequence; a filter run on a (B, T, d) block gives
+    every array a leading B axis and ``log_z`` one value per sequence.
     Per-step arrays are indexed 0..T-1 for step t = index + 1; filtered
-    moments carry an extra leading row for the initial state.
+    moments carry an extra row for the initial state.
     """
 
     m: np.ndarray          # (T, d) pseudo-observation means
@@ -367,65 +390,81 @@ class FilterRecord:
     mu_pred: np.ndarray    # (T, d)
     p_pred: np.ndarray     # (T, d, d)
     chol_s: np.ndarray     # (T, d, d) innovation covariance factors
+    s_inv: np.ndarray      # (T, d, d) inverse innovation covariances
     resid: np.ndarray      # (T, d)
     gain: np.ndarray       # (T, d, d)
     mu_filt: np.ndarray    # (T+1, d)
     p_filt: np.ndarray     # (T+1, d, d)
-    log_z: float
+    log_z: object          # float; (B,) for a block
     smoother: Optional[tuple] = None  # filled by the first draw, see _smoother_factors
 
 
+def _mv(mat, vec):
+    """Matrix-vector products over matching leading axes."""
+    return (mat @ vec[..., None])[..., 0]
+
+
 def lds_filter(dyn, m, v):
-    """Kalman forward pass; the log normalizer accumulates per-step
-    prediction-error terms."""
-    t_len, d = m.shape
+    """Kalman forward pass over one (T, d) sequence or a (B, T, d) block.
+
+    Each step's covariances, Cholesky factor, inverse and gain are computed
+    once, batched over the block.  The log normalizer accumulates per-step
+    prediction-error terms for each sequence.
+    """
+    lead, (t_len, d) = m.shape[:-2], m.shape[-2:]
     a = dyn.trans
     q = dyn.noise_cov
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(dyn.init_cov))):
         raise InvalidParameterError("dynamics covariances contain non-finite entries")
-    mu_pred = np.zeros((t_len, d))
-    p_pred = np.zeros((t_len, d, d))
-    chol_s = np.zeros((t_len, d, d))
-    resid = np.zeros((t_len, d))
-    gain = np.zeros((t_len, d, d))
-    mu_filt = np.zeros((t_len + 1, d))
-    p_filt = np.zeros((t_len + 1, d, d))
-    mu_filt[0] = dyn.init_mean
-    p_filt[0] = dyn.init_cov
-    log_z = 0.0
+    mu_pred, resid = np.zeros(lead + (t_len, d)), np.zeros(lead + (t_len, d))
+    p_pred, chol_s, s_inv, gain = (np.zeros(lead + (t_len, d, d)) for _ in range(4))
+    mu_filt = np.zeros(lead + (t_len + 1, d))
+    p_filt = np.zeros(lead + (t_len + 1, d, d))
+    mu_filt[..., 0, :] = dyn.init_mean
+    p_filt[..., 0, :, :] = dyn.init_cov
+    log_z = np.zeros(lead)
+    idx = np.arange(d)
     for t in range(t_len):
-        mu_pred[t] = a @ mu_filt[t]
-        p_pred[t] = a @ p_filt[t] @ a.T + q
-        s = p_pred[t] + np.diag(v[t])
-        chol_s[t] = _guarded_chol(s, "innovation covariance")
-        resid[t] = m[t] - mu_pred[t]
-        sol = np.linalg.solve(chol_s[t], resid[t])
+        mp = mu_filt[..., t, :] @ a.T
+        pp = a @ p_filt[..., t, :, :] @ a.T + q
+        s = pp.copy()
+        s[..., idx, idx] += v[..., t, :]
+        chol = _guarded_chol(s, "innovation covariance")
+        e = m[..., t, :] - mp
+        sol = np.linalg.solve(chol, e[..., None])[..., 0]
         log_z += -0.5 * (
-            d * LOG_2PI + linalg.logdet_from_chol(chol_s[t]) + sol @ sol
+            d * LOG_2PI + linalg.logdet_from_chol(chol) + np.sum(sol**2, axis=-1)
         )
-        gain[t] = p_pred[t] @ linalg.inv_from_chol(chol_s[t])
-        mu_filt[t + 1] = mu_pred[t] + gain[t] @ resid[t]
-        p_filt[t + 1] = p_pred[t] - gain[t] @ p_pred[t]
+        si = linalg.inv_from_chol(chol)
+        k = pp @ si
+        mu_filt[..., t + 1, :] = mp + _mv(k, e)
+        p_filt[..., t + 1, :, :] = pp - k @ pp
+        mu_pred[..., t, :], resid[..., t, :] = mp, e
+        p_pred[..., t, :, :], chol_s[..., t, :, :] = pp, chol
+        s_inv[..., t, :, :], gain[..., t, :, :] = si, k
     return FilterRecord(
-        m=m, v=v, mu_pred=mu_pred, p_pred=p_pred, chol_s=chol_s, resid=resid,
-        gain=gain, mu_filt=mu_filt, p_filt=p_filt, log_z=float(log_z),
+        m=m, v=v, mu_pred=mu_pred, p_pred=p_pred, chol_s=chol_s, s_inv=s_inv,
+        resid=resid, gain=gain, mu_filt=mu_filt, p_filt=p_filt,
+        log_z=log_z if lead else float(log_z),
     )
 
 
 def _smoother_factors(dyn, record):
     """Per step t: the gain J of x_t on x_{t+1}, the inverse predicted
     covariance it uses and the Cholesky factor of x_t's conditional; then the
-    factor of the last filtered covariance.  Computed on a record's first
-    draw and shared with its pathwise adjoint; passes that never draw never
-    compute them."""
+    factor of the last filtered covariance.  Each is batched over a block.
+    Computed on a record's first draw and shared with its pathwise adjoint;
+    passes that never draw never compute them."""
     if record.smoother is None or record.smoother[0] is not dyn:
         steps = []
-        for p_filt, pp1 in zip(record.p_filt, record.p_pred):
+        for t in range(record.m.shape[-2]):
+            p_filt = record.p_filt[..., t, :, :]
+            pp1 = record.p_pred[..., t, :, :]
             pp1_inv = np.linalg.inv(pp1)
             j = p_filt @ dyn.trans.T @ pp1_inv
-            cov = p_filt - j @ pp1 @ j.T
+            cov = p_filt - j @ pp1 @ np.swapaxes(j, -1, -2)
             steps.append((j, pp1_inv, linalg.cholesky_spd(cov, "conditional covariance")))
-        chol_t = linalg.cholesky_spd(record.p_filt[-1], "filtered covariance")
+        chol_t = linalg.cholesky_spd(record.p_filt[..., -1, :, :], "filtered covariance")
         record.smoother = (dyn, steps, chol_t)
     return record.smoother[1:]
 
@@ -433,22 +472,24 @@ def _smoother_factors(dyn, record):
 def lds_reconstruct(dyn, record, eps):
     """Backward-sampling pass as a deterministic map of the noise block.
 
-    ``eps`` has shape (..., T+1, d); row t is consumed for x_t.  Returns
-    latents with the initial state in row 0.
+    ``eps`` has shape (..., T+1, d), where ``...`` ends with the record's
+    block axis, if any; row t is consumed for x_t.  Returns latents with the
+    initial state in row 0.
     """
-    t_len = record.m.shape[0]
+    t_len = record.m.shape[-2]
     steps, chol_t = _smoother_factors(dyn, record)
     x = np.zeros(eps.shape)
-    x[..., t_len, :] = record.mu_filt[t_len] + eps[..., t_len, :] @ chol_t.T
+    x[..., t_len, :] = record.mu_filt[..., t_len, :] + _mv(chol_t, eps[..., t_len, :])
     for t in range(t_len - 1, -1, -1):
         j, _, chol = steps[t]
-        c = record.mu_filt[t] + (x[..., t + 1, :] - record.mu_pred[t]) @ j.T
-        x[..., t, :] = c + eps[..., t, :] @ chol.T
+        back = x[..., t + 1, :] - record.mu_pred[..., t, :]
+        x[..., t, :] = record.mu_filt[..., t, :] + _mv(j, back) + _mv(chol, eps[..., t, :])
     return x
 
 
 def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e):
-    """Reverse sweep of the forward filter with externally injected adjoints.
+    """Reverse sweep of a single-sequence forward filter with externally
+    injected adjoints.
 
     Returns gradients for (m, v) and the dynamics parameter vector.
     """
@@ -461,7 +502,7 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e):
     mf_c = ext_mf[t_len].copy()
     pf_c = ext_pf[t_len].copy()
     for t in range(t_len - 1, -1, -1):
-        s_inv = linalg.inv_from_chol(record.chol_s[t])
+        s_inv = record.s_inv[t]
         pp = record.p_pred[t]
         k_gain = record.gain[t]
         e_b = ext_e[t].copy()
@@ -515,19 +556,19 @@ def _zero_ext(t_len, d):
 
 
 def lds_log_z_factor_grads(dyn, record):
-    """Gradients of the filter's log normalizer wrt (m, v) and the dynamics."""
+    """Gradients of a single-sequence filter's log normalizer wrt (m, v) and
+    the dynamics."""
     t_len, d = record.m.shape
     ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e = _zero_ext(t_len, d)
     for t in range(t_len):
-        s_inv = linalg.inv_from_chol(record.chol_s[t])
-        se = s_inv @ record.resid[t]
-        ext_s[t] = -0.5 * (s_inv - np.outer(se, se))
+        se = record.s_inv[t] @ record.resid[t]
+        ext_s[t] = -0.5 * (record.s_inv[t] - np.outer(se, se))
         ext_e[t] = -se
     return _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e)
 
 
 def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x):
-    """Adjoint of the backward-sampling map at fixed noise.
+    """Adjoint of the single-sequence backward-sampling map at fixed noise.
 
     ``x`` is the draw ``lds_reconstruct(dyn, record, eps)``.  Reverses the
     sampling recursion in execution-reverse order, then pushes the
@@ -580,6 +621,13 @@ def posterior_log_z(net, y):
     return prep.log_z, prep.record
 
 
+def gmm_log_z(net, y):
+    """Log normalizer of the mixture product posterior and its (n, k)
+    indicator marginals."""
+    log_z, record = posterior_log_z(net, y)
+    return log_z, record.resp
+
+
 def posterior_sample(net, y, rng):
     """Exact joint draw with its noise; RNG order as in the net's ``draw``."""
     return net.draw(net.prepare(y), rng)
@@ -604,6 +652,6 @@ def lds_pathwise_grad(net, y, eps, grad_x):
     return pathwise_grad(net, y, None, eps, grad_x)
 
 
-gmm_log_z = lds_log_z = posterior_log_z
+lds_log_z = posterior_log_z
 gmm_sample = lds_sample = posterior_sample
 gmm_pathwise_grad = pathwise_grad

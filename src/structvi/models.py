@@ -193,18 +193,20 @@ def log_prior(prior, x):
     """Log density of the latent array under the prior, summed over rows.
 
     For mixtures ``x`` is (n, d) and labels are marginalized.  For linear
-    dynamics ``x`` is (T + 1, d) with row 0 holding the initial state.
+    dynamics ``x`` is (T + 1, d) with row 0 holding the initial state, or a
+    (B, T + 1, d) block of such sequences, summed over the block.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(prior, GaussianMixture):
         return float(prior.log_density(x).sum())
     if isinstance(prior, LinearDynamics):
-        t_len = x.shape[0] - 1
-        if t_len < 1:
+        d = prior.dim
+        if x.shape[-2] < 2:
             raise ContractError("dynamics prior needs at least one transition")
-        val = _gaussian_logpdf(x[:1], prior.init_mean, prior.init_cov)[0]
-        resid = x[1:] - x[:-1] @ prior.trans.T
-        val += float(_gaussian_logpdf(resid, np.zeros(prior.dim), prior.noise_cov).sum())
+        init = x[..., :1, :].reshape(-1, d)
+        val = float(_gaussian_logpdf(init, prior.init_mean, prior.init_cov).sum())
+        resid = (x[..., 1:, :] - x[..., :-1, :] @ prior.trans.T).reshape(-1, d)
+        val += float(_gaussian_logpdf(resid, np.zeros(d), prior.noise_cov).sum())
         return val
     raise ContractError(f"unknown prior type {type(prior).__name__}")
 

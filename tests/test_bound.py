@@ -400,3 +400,75 @@ def test_decoder_width_mismatch_is_contract_error(case):
         bound.bound_gradients(wide, net, y, np.random.default_rng(0), n_total=10)
     with pytest.raises(ContractError, match="decoder output dim"):
         bound.bound_estimate(wide, net, y, np.random.default_rng(0), n_total=10)
+
+
+def test_gradient_step_inverts_each_innovation_once(monkeypatch):
+    """T=20, d=2: the filter's 20 innovation inverses serve the log-Z and
+    pathwise reverse sweeps; the prior and factor densities add 2 each."""
+    rng = np.random.default_rng(43)
+    model, net, y = lds_case(rng, t_len=20, d=2, data_dim=3)
+    calls = []
+    inv = linalg.inv_from_chol
+    monkeypatch.setattr(linalg, "inv_from_chol", lambda c: calls.append(1) or inv(c))
+    bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=20)
+    assert len(calls) == 24
+
+
+def test_mixture_gradient_step_factors_combined_covariance_once(monkeypatch):
+    model, net, y = gmm_case(np.random.default_rng(44))
+    calls = []
+    chol = linalg.cholesky_spd
+    monkeypatch.setattr(linalg, "cholesky_spd", lambda *a: calls.append(a[1]) or chol(*a))
+    bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=10)
+    assert calls == ["combined mixture covariance"]
+
+
+def block_case(rng, n_seq=3, t_len=5, d=2, data_dim=3):
+    model, net, _ = lds_case(rng, t_len=t_len, d=d, data_dim=data_dim)
+    return model, net, rng.standard_normal((n_seq, t_len, data_dim))
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_block_estimate_is_the_sum_of_sequence_estimates(n_samples):
+    model, net, seqs = block_case(np.random.default_rng(45))
+    got = bound.block_bound_estimate(model, net, seqs, np.random.default_rng(7), n_samples)
+    rng = np.random.default_rng(7)
+    singles = [
+        bound.bound_estimate(model, net, seq, rng, n_total=1, n_samples=n_samples)
+        for seq in seqs
+    ]
+    for name in ("total", *bound.TERM_NAMES):
+        want = sum(getattr(e, name) for e in singles)
+        assert getattr(got, name) == pytest.approx(want, rel=1e-12), name
+
+
+def test_block_estimate_runs_one_encoder_and_filter_pass(monkeypatch):
+    model, net, seqs = block_case(np.random.default_rng(46), n_seq=5)
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((nnet, "forward"), (nnet, "backward"), (infnet, "lds_filter")):
+        count(module, name)
+    bound.block_bound_estimate(model, net, seqs, np.random.default_rng(0), n_samples=2)
+    assert calls == {"lds_filter": 1, "forward": 3}
+
+
+def test_block_estimate_contract_checks():
+    rng = np.random.default_rng(47)
+    model, net, seqs = block_case(rng)
+    for bad in (seqs[0], seqs[:0], seqs[:, :0]):
+        with pytest.raises(ContractError, match="n_seq, T, data_dim"):
+            bound.block_bound_estimate(model, net, bad, rng)
+    with pytest.raises(ContractError, match="n_samples"):
+        bound.block_bound_estimate(model, net, seqs, rng, n_samples=0)
+    gmm_model, gmm_net, _ = gmm_case(rng)
+    with pytest.raises(ContractError, match="sequence blocks"):
+        bound.block_bound_estimate(gmm_model, gmm_net, seqs, rng)

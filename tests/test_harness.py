@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from structvi import baselines, checkpoint, data, harness, infnet, linalg, models, nnet
+from structvi import baselines, bound, checkpoint, data, harness, infnet, linalg, models, nnet
 from structvi.errors import ContractError, InvalidParameterError, NumericalError, ParseError
 
 
@@ -705,3 +705,90 @@ def test_dump_plot_data_pca_for_high_dim(tmp_path):
     assert header == ["pc0", "pc1", "component", "weight"]
     with open(paths["data"]) as fh:
         assert fh.readline().split() == ["pc0", "pc1", "label"]
+
+
+# ---------------------------------------------------------------------------
+# Dynamics evaluation on whole blocks of sequences
+
+
+def lds_eval_state(seed=14):
+    ds = seq_dataset(seed=seed)
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(8,), seed=seed, seq_len=10,
+        timing=False,
+    )
+    return harness.init_state(cfg, ds.dim), ds
+
+
+def test_lds_eval_matches_per_sequence_reference():
+    """Each metric equals its one-sequence-at-a-time recipe on the same RNG."""
+    state, ds = lds_eval_state()
+    rows = ds.rows[ds.test_idx]
+    seqs = rows.reshape(-1, 10, ds.dim)
+    assert seqs.shape[0] > 1
+    model = models.GenerativeModel(
+        decoder=harness.eval_decoder(state), prior=harness.eval_prior(state)
+    )
+    for n_samples in (1, 4):
+        rng = np.random.default_rng(3)
+        want = sum(
+            bound.bound_estimate(model, state.net, seq, rng, n_total=1, n_samples=n_samples).total
+            for seq in seqs
+        ) / rows.shape[0]
+        got = harness.per_datum_bound(state, rows, seq_len=10, seed=3, n_samples=n_samples)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    mask = np.random.default_rng(5).random(rows.shape) < 0.2
+    filled = np.where(mask, 0.0, rows).reshape(seqs.shape)
+    recon = np.concatenate([
+        nnet.forward(model.decoder, harness.lds_posterior_mean_latent(state.net, seq)[1:])[0]
+        for seq in filled
+    ])
+    want = np.mean((recon[mask] - rows[mask]) ** 2)
+    got = harness.imputation_mse(state, rows, seq_len=10, seed=5)
+    assert got == pytest.approx(want, rel=1e-12)
+
+    for tau in (1, 3):
+        errs = []
+        for seq in seqs:
+            filt = state.net.prepare(seq).record.mu_filt[1:]
+            pred = models.forecast_means(filt, model.prior.trans, tau)
+            errs.append(np.abs(seq[tau:] - nnet.forward(model.decoder, pred)[0]))
+        want = np.sum(errs) / np.size(errs)
+        assert harness.tau_ahead_mae(state, seqs, tau) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_seq", [12, 30])
+def test_lds_evaluate_runs_one_filter_per_task(monkeypatch, n_seq):
+    ds = seq_dataset(n_seq=n_seq, seed=15)
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(8,), seed=15, seq_len=10,
+        timing=False,
+    )
+    state = harness.init_state(cfg, ds.dim)
+    calls = []
+    lds_filter = infnet.lds_filter
+    monkeypatch.setattr(infnet, "lds_filter", lambda *a: calls.append(1) or lds_filter(*a))
+    out = harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
+    assert len(calls) == 3
+    assert np.isfinite(out["bound"]) and np.isfinite(out["tau_mae"][1])
+
+
+@pytest.mark.parametrize("seq_len", [0, 7])
+def test_malformed_sequence_input_is_contract_error(seq_len):
+    state, ds = lds_eval_state()
+    rows = ds.rows[ds.test_idx]
+    assert rows.shape[0] % 7
+    with pytest.raises(ContractError, match="whole sequences"):
+        harness.per_datum_bound(state, rows, seq_len=seq_len)
+    with pytest.raises(ContractError, match="whole sequences"):
+        harness.imputation_mse(state, rows, seq_len=seq_len)
+    # evaluate reads seq_len from the data set: none at all, or a test split
+    # that cuts a sequence.
+    if seq_len == 0:
+        bad = dataclasses.replace(ds, seq_len=None)
+    else:
+        bad = dataclasses.replace(ds, test_idx=ds.test_idx[:-seq_len])
+    for task in ("bound", "imputation"):
+        with pytest.raises(ContractError, match="whole sequences"):
+            harness.evaluate(state, bad, (task,))

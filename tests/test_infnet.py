@@ -447,3 +447,95 @@ class TestLdsGradients:
                 assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6), (
                     f"trial {trial} coord {i}"
                 )
+
+
+class TestLdsBlock:
+    """A (B, T, d) block runs the same filter and draws as B single sequences."""
+
+    def test_block_record_and_draws_match_single_sequences(self):
+        rng = np.random.default_rng(40)
+        net = make_lds_net(rng, d=2, data_dim=3)
+        ys = rng.standard_normal((4, 6, 3))
+        block = net.prepare(ys)
+        eps = rng.standard_normal((4, 7, 2))
+        x_block = net.replay(block, None, eps).x_star
+        fields = ("m", "v", "mu_pred", "p_pred", "chol_s", "s_inv", "resid", "gain",
+                  "mu_filt", "p_filt")
+        for b, y in enumerate(ys):
+            single = net.prepare(y)
+            for name in fields:
+                np.testing.assert_allclose(
+                    getattr(block.record, name)[b], getattr(single.record, name),
+                    rtol=1e-12, atol=1e-14, err_msg=name,
+                )
+            assert block.record.log_z[b] == pytest.approx(single.log_z, rel=1e-12)
+            x = infnet.lds_reconstruct(net.dynamics, single.record, eps[b])
+            np.testing.assert_allclose(x_block[b], x, rtol=1e-12, atol=1e-14)
+        assert block.log_z == pytest.approx(np.sum(block.record.log_z), rel=1e-12)
+
+    def test_block_draw_consumes_the_single_sequence_stream(self):
+        rng = np.random.default_rng(41)
+        net = make_lds_net(rng, d=2, data_dim=3)
+        ys = rng.standard_normal((3, 4, 3))
+        drawn = net.draw(net.prepare(ys), np.random.default_rng(5))
+        single_rng = np.random.default_rng(5)
+        for b, y in enumerate(ys):
+            one = net.draw(net.prepare(y), single_rng)
+            np.testing.assert_array_equal(drawn.eps[b], one.eps)
+            np.testing.assert_allclose(drawn.x_star[b], one.x_star, rtol=1e-12, atol=1e-14)
+
+    def test_dense_oracle_per_sequence_of_a_block(self):
+        """Criterion 02's oracle, T in 1..6 and d in 1..2, on 3-sequence
+        blocks: log Z, posterior mean and covariance per sequence at 1e-8.
+        The covariance comes from the reconstruction map's columns."""
+        rng = np.random.default_rng(42)
+        for d in (1, 2):
+            for t_len in range(1, 7):
+                net = make_lds_net(rng, d=d, data_dim=2)
+                ys = rng.standard_normal((3, t_len, 2))
+                m, v = infnet.encode(net, ys)
+                record = infnet.lds_filter(net.dynamics, m, v)
+                dim = (t_len + 1) * d
+                draw = lambda e: infnet.lds_reconstruct(
+                    net.dynamics, record, np.broadcast_to(e.reshape(t_len + 1, d), (3, t_len + 1, d))
+                ).reshape(3, dim)
+                means = draw(np.zeros(dim))
+                amap = np.stack([draw(e) - means for e in np.eye(dim)], axis=-1)
+                for b in range(3):
+                    log_z, post_mean, post_cov = dense_sequence_oracle(net.dynamics, m[b], v[b])
+                    where = f"T={t_len} d={d} b={b}"
+                    assert record.log_z[b] == pytest.approx(log_z, abs=1e-8), where
+                    np.testing.assert_allclose(means[b], post_mean, rtol=0, atol=1e-8, err_msg=where)
+                    np.testing.assert_allclose(
+                        amap[b] @ amap[b].T, post_cov, rtol=0, atol=1e-8, err_msg=where
+                    )
+
+    def test_filter_keeps_the_innovation_inverse(self):
+        rng = np.random.default_rng(43)
+        net = make_lds_net(rng, d=2, data_dim=3)
+        record = net.prepare(rng.standard_normal((5, 3))).record
+        s = record.chol_s @ np.swapaxes(record.chol_s, -1, -2)
+        np.testing.assert_allclose(record.s_inv @ s, np.broadcast_to(np.eye(2), s.shape),
+                                   atol=1e-12)
+
+class TestMixtureFactors:
+    def test_scores_with_given_factor_match_scores_alone(self):
+        rng = np.random.default_rng(45)
+        net = make_gmm_net(rng, k=3, d=2, data_dim=3)
+        m, v = infnet.encode(net, rng.standard_normal((6, 3)))
+        chol = infnet._combined_chol(net.mixture, v)
+        np.testing.assert_array_equal(
+            infnet.gmm_scores(net.mixture, m, v, chol), infnet.gmm_scores(net.mixture, m, v)
+        )
+
+    def test_log_z_grads_reuse_the_score_pass_factor(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        net = make_gmm_net(rng, k=3, d=2, data_dim=3)
+        prep = net.prepare(rng.standard_normal((6, 3)))
+        calls = []
+        chol = linalg.cholesky_spd
+        monkeypatch.setattr(
+            linalg, "cholesky_spd", lambda *a: calls.append(a[1]) or chol(*a)
+        )
+        net.log_z_vjp(prep)
+        assert calls == []
