@@ -32,6 +32,8 @@ class Dataset:
         self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         if np.any(~np.isfinite(self.rows)):
             raise ContractError("dataset rows contain non-finite values")
+        if self.seq_len is not None and self.seq_len < 1:
+            raise ContractError(f"seq_len must be at least 1, got {self.seq_len}")
         if self.seq_len is not None and self.rows.shape[0] % self.seq_len != 0:
             raise ContractError("row count is not a multiple of seq_len")
 

@@ -8,16 +8,6 @@ chosen once and relied on by the rest of the package:
 dirichlet (dim K)
     T(pi) = log pi,  eta = alpha - 1.  Flat layout: (K,).
 
-gaussian_diag (dim d)
-    T(x) = (x, x^2) elementwise, eta = (m / v, -1 / (2 v)).
-    Flat layout: (2 d,), first block then second.
-
-gaussian_dense (dim d)
-    T(x) = (x, x x^T),  eta = (P m, -P / 2) with P the precision.
-    Flat layout: (d + d*d,), matrix block row-major.  The matrix block is
-    stored full rather than half-vectorized; functions of it symmetrize
-    internally, which makes grad(A) match entrywise finite differences.
-
 normal_wishart (dim d)
     Over (mu, Lam) with density N(mu | m, (kappa Lam)^-1) W(Lam | W, nu).
     T = (Lam mu, -mu^T Lam mu / 2, -Lam / 2, log|Lam| / 2) and
@@ -38,8 +28,6 @@ from . import linalg
 from .errors import ContractError, InvalidParameterError
 
 DIRICHLET = "dirichlet"
-GAUSSIAN_DIAG = "gaussian_diag"
-GAUSSIAN_DENSE = "gaussian_dense"
 NORMAL_WISHART = "normal_wishart"
 
 
@@ -59,14 +47,6 @@ class NaturalParamVector:
 @dataclass(frozen=True)
 class DirichletParam:
     alpha: np.ndarray
-
-
-@dataclass(frozen=True)
-class GaussianParam:
-    """cov is a (d,) variance vector or a (d, d) SPD matrix."""
-
-    mean: np.ndarray
-    cov: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -111,10 +91,6 @@ def split_normal_wishart(values, d):
     return e1, e2, e3, e4
 
 
-def _split_gaussian_dense(values, d):
-    return values[:d], values[d:].reshape(d, d)
-
-
 # ---------------------------------------------------------------------------
 # standard <-> natural
 
@@ -127,23 +103,6 @@ def to_natural_vector(param):
         _require(alpha.ndim == 1 and alpha.size >= 1, "dirichlet needs >= 1 entry")
         _require(np.all(alpha > 0), "dirichlet concentration must be positive")
         return NaturalParamVector(DIRICHLET, alpha.size, alpha - 1.0)
-
-    if isinstance(param, GaussianParam):
-        mean = np.asarray(param.mean, dtype=float)
-        cov = np.asarray(param.cov, dtype=float)
-        d = mean.size
-        if cov.ndim == 1:
-            _require(cov.shape == (d,), "variance vector shape mismatch")
-            _require(np.all(cov > 0), "variances must be positive")
-            prec = 1.0 / cov
-            vals = np.concatenate([prec * mean, -0.5 * prec])
-            return NaturalParamVector(GAUSSIAN_DIAG, d, vals)
-        _require(cov.shape == (d, d), "covariance shape mismatch")
-        chol = _spd_or_none(cov)
-        _require(chol is not None, "covariance must be SPD")
-        prec = linalg.inv_from_chol(chol)
-        vals = np.concatenate([prec @ mean, (-0.5 * prec).ravel()])
-        return NaturalParamVector(GAUSSIAN_DENSE, d, vals)
 
     if isinstance(param, NormalWishartParam):
         m = np.asarray(param.mean, dtype=float)
@@ -171,18 +130,6 @@ def to_standard(nat):
     v, d = nat.values, nat.dim
     if nat.family == DIRICHLET:
         return DirichletParam(alpha=v + 1.0)
-    if nat.family == GAUSSIAN_DIAG:
-        prec = -2.0 * v[d:]
-        _require(np.all(prec > 0), "gaussian precision must be positive")
-        var = 1.0 / prec
-        return GaussianParam(mean=v[:d] * var, cov=var)
-    if nat.family == GAUSSIAN_DENSE:
-        h, j = _split_gaussian_dense(v, d)
-        prec = -2.0 * linalg.symmetrize(j)
-        chol = _spd_or_none(prec)
-        _require(chol is not None, "gaussian precision must be SPD")
-        cov = linalg.inv_from_chol(chol)
-        return GaussianParam(mean=cov @ h, cov=cov)
     if nat.family == NORMAL_WISHART:
         e1, e2, e3, e4 = split_normal_wishart(v, d)
         kappa = float(e2[0])
@@ -234,22 +181,6 @@ def log_partition(nat):
         alpha = v + 1.0
         _require(np.all(alpha > 0), "dirichlet domain violated")
         return float(np.sum(special.gammaln(alpha)) - special.gammaln(alpha.sum()))
-    if nat.family == GAUSSIAN_DIAG:
-        prec = -2.0 * v[d:]
-        _require(np.all(prec > 0), "gaussian domain violated")
-        mean = v[:d] / prec
-        return float(
-            0.5 * np.sum(mean * v[:d]) - 0.5 * np.sum(np.log(prec)) + 0.5 * d * np.log(2 * np.pi)
-        )
-    if nat.family == GAUSSIAN_DENSE:
-        h, j = _split_gaussian_dense(v, d)
-        prec = -2.0 * linalg.symmetrize(j)
-        chol = _spd_or_none(prec)
-        _require(chol is not None, "gaussian domain violated")
-        mean = linalg.chol_solve(chol, h)
-        return float(
-            0.5 * h @ mean - 0.5 * linalg.logdet_from_chol(chol) + 0.5 * d * np.log(2 * np.pi)
-        )
     if nat.family == NORMAL_WISHART:
         p = to_standard(nat)
         chol_w = np.linalg.cholesky(linalg.symmetrize(p.scale))
@@ -271,10 +202,6 @@ def to_mean(nat):
     p = to_standard(nat)
     if nat.family == DIRICHLET:
         vals = special.digamma(p.alpha) - special.digamma(p.alpha.sum())
-    elif nat.family == GAUSSIAN_DIAG:
-        vals = np.concatenate([p.mean, p.cov + p.mean**2])
-    elif nat.family == GAUSSIAN_DENSE:
-        vals = np.concatenate([p.mean, (p.cov + np.outer(p.mean, p.mean)).ravel()])
     elif nat.family == NORMAL_WISHART:
         e_lam = p.dof * p.scale
         e_lam_mu = e_lam @ p.mean
@@ -289,82 +216,6 @@ def to_mean(nat):
     else:
         raise ContractError(f"unknown family {nat.family}")
     return NaturalParamVector(nat.family, d, np.asarray(vals, dtype=float), coords="mean")
-
-
-def _inv_digamma(y, tol=1e-13, iters=60):
-    y = np.asarray(y, dtype=float)
-    x = np.where(y >= -2.22, np.exp(y) + 0.5, -1.0 / (y - special.digamma(1.0)))
-    for _ in range(iters):
-        step = (special.digamma(x) - y) / special.polygamma(1, x)
-        x_new = np.maximum(x - step, 1e-12)
-        if np.max(np.abs(x_new - x)) < tol:
-            return x_new
-        x = x_new
-    return x
-
-
-def from_mean(mean):
-    """Invert to_mean; Newton solves for the Dirichlet and Wishart dof."""
-    _check_coords(mean, "mean")
-    v, d = mean.values, mean.dim
-    if mean.family == DIRICHLET:
-        alpha = _inv_digamma(v - v.mean() + special.digamma(1.0))  # rough start
-        for _ in range(200):
-            alpha_new = _inv_digamma(special.digamma(alpha.sum()) + v)
-            if np.max(np.abs(alpha_new - alpha)) < 1e-13:
-                alpha = alpha_new
-                break
-            alpha = alpha_new
-        return to_natural_vector(DirichletParam(alpha=alpha))
-    if mean.family == GAUSSIAN_DIAG:
-        m = v[:d]
-        var = v[d:] - m**2
-        _require(np.all(var > 0), "second moments not consistent with a gaussian")
-        return to_natural_vector(GaussianParam(mean=m, cov=var))
-    if mean.family == GAUSSIAN_DENSE:
-        m, second = _split_gaussian_dense(v, d)
-        cov = linalg.symmetrize(second) - np.outer(m, m)
-        return to_natural_vector(GaussianParam(mean=m, cov=cov))
-    if mean.family == NORMAL_WISHART:
-        g1, g2, g3, g4 = split_normal_wishart(v, d)
-        e_lam = -2.0 * linalg.symmetrize(g3)
-        chol = _spd_or_none(e_lam)
-        _require(chol is not None, "E[Lam] must be SPD")
-        m = linalg.chol_solve(chol, g1)
-        resid = -2.0 * float(g2[0]) - m @ e_lam @ m
-        _require(resid > 0, "quadratic moment not consistent with kappa > 0")
-        kappa = d / resid
-        logdet_elam = linalg.logdet_from_chol(chol)
-        target = 2.0 * float(g4[0])
-
-        def f_and_fprime(nu):
-            i = np.arange(1, d + 1)
-            val = (
-                np.sum(special.digamma(0.5 * (nu + 1 - i)))
-                + d * np.log(2.0)
-                + logdet_elam
-                - d * np.log(nu)
-                - target
-            )
-            grad = 0.5 * np.sum(special.polygamma(1, 0.5 * (nu + 1 - i))) - d / nu
-            return val, grad
-
-        nu = float(d + 1.0)
-        for _ in range(100):
-            val, grad = f_and_fprime(nu)
-            step = val / grad
-            nu_new = nu - step
-            if nu_new <= d - 1 + 1e-9:
-                nu_new = 0.5 * (nu + d - 1)
-            if abs(nu_new - nu) < 1e-12 * max(1.0, nu):
-                nu = nu_new
-                break
-            nu = nu_new
-        scale = e_lam / nu
-        return to_natural_vector(
-            NormalWishartParam(mean=m, kappa=kappa, scale=scale, dof=nu)
-        )
-    raise ContractError(f"unknown family {mean.family}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +238,6 @@ def sample(nat, rng):
     p = to_standard(nat)
     if nat.family == DIRICHLET:
         return rng.dirichlet(p.alpha)
-    if nat.family == GAUSSIAN_DIAG:
-        return p.mean + np.sqrt(p.cov) * rng.standard_normal(nat.dim)
-    if nat.family == GAUSSIAN_DENSE:
-        chol = linalg.cholesky_spd(p.cov, "gaussian covariance")
-        return p.mean + chol @ rng.standard_normal(nat.dim)
     if nat.family == NORMAL_WISHART:
         d = nat.dim
         chol_w = linalg.cholesky_spd(p.scale, "wishart scale")

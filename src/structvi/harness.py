@@ -517,6 +517,13 @@ def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
 # Metrics log
 
 
+def metrics_row(iteration, seconds=0.0, **columns):
+    """One metrics-log row; every column not given is NaN."""
+    row = dict.fromkeys(METRICS_COLUMNS, np.nan)
+    row.update(iteration=iteration, seconds=seconds, **columns)
+    return row
+
+
 def format_metrics_row(row):
     return " ".join(repr(float(row[c])) if c != "iteration" else str(int(row[c])) for c in METRICS_COLUMNS)
 
@@ -541,7 +548,7 @@ def read_metrics(path):
     return rows
 
 
-def _metrics_row(state, splits, cfg, iteration, seconds):
+def _structured_metrics_row(state, splits, cfg, iteration, seconds):
     # Common random numbers across evaluations: every point on a training
     # curve shares its noise draws, so the curve tracks parameter movement
     # rather than fresh estimator noise.  Each point stays unbiased.
@@ -554,23 +561,21 @@ def _metrics_row(state, splits, cfg, iteration, seconds):
             return np.nan
         return per_datum_bound(state, rows, seq_len=seq_len, seed=eval_seed)
 
-    row = {
-        "iteration": iteration,
-        "train_bound": bound_on(train_rows),
-        "val_bound": bound_on(val_rows),
-        "test_bound": bound_on(test_rows),
-        "imputation_mse": imputation_mse(
+    row = metrics_row(
+        iteration,
+        seconds if cfg.timing else 0.0,
+        train_bound=bound_on(train_rows),
+        val_bound=bound_on(val_rows),
+        test_bound=bound_on(test_rows),
+    )
+    if test_rows is not None and test_rows.shape[0]:
+        row["imputation_mse"] = imputation_mse(
             state, test_rows, seq_len=seq_len, seed=eval_seed
         )
-        if test_rows is not None and test_rows.shape[0]
-        else np.nan,
-        "tau_mae": np.nan,
-        "seconds": seconds if cfg.timing else 0.0,
-    }
-    if cfg.model_kind == "latent-lds" and test_rows is not None and test_rows.shape[0]:
-        row["tau_mae"] = tau_ahead_mae(
-            state, _as_sequences(test_rows, cfg.seq_len), tau=1
-        )
+        if cfg.model_kind == "latent-lds":
+            row["tau_mae"] = tau_ahead_mae(
+                state, _as_sequences(test_rows, cfg.seq_len), tau=1
+            )
     return row
 
 
@@ -669,16 +674,10 @@ def load_state(path):
     if arrays["iteration"].shape != ():
         raise ParseError(f"{path}: iteration must be a scalar array")
     iteration = int(arrays["iteration"])
+    override = None
     if meta.get("prior_fixed") == "1":
-        template = _fixed_prior_template(meta["prior_kind"], cfg)
-        override = template.with_param_vector(arrays["theta_pgm"])
-        state = init_state(cfg, data_dim, prior_override=override)
-        state.net = state.net.with_phi_vector(arrays["phi"])
-        if "theta_nn" in arrays:
-            state.decoder = nnet.set_param_vector(state.decoder, arrays["theta_nn"])
-        state.iteration = iteration
-        return state, cfg
-    state = init_state(cfg, data_dim)
+        override = _fixed_prior_template(meta["prior_kind"], cfg)
+    state = init_state(cfg, data_dim, prior_override=override)
     state.net = state.net.with_phi_vector(arrays["phi"])
     if "theta_nn" in arrays:
         state.decoder = nnet.set_param_vector(state.decoder, arrays["theta_nn"])
@@ -737,7 +736,7 @@ def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
     state = init_state(cfg, ds.dim, prior_override=prior_override)
     splits = _eval_splits(ds, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
-    metrics = [_metrics_row(state, splits, cfg, 0, 0.0)]
+    metrics = [_structured_metrics_row(state, splits, cfg, 0, 0.0)]
     start = time.perf_counter()
     # Each train_step evaluates the bound at its input state, so that state is
     # the newest one known to be sound; it is what a failing run checkpoints.
@@ -754,7 +753,9 @@ def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
             state = new_state
             if it % cfg.eval_interval == 0 or it == cfg.n_iters:
                 metrics.append(
-                    _metrics_row(state, splits, cfg, it, time.perf_counter() - start)
+                    _structured_metrics_row(
+                        state, splits, cfg, it, time.perf_counter() - start
+                    )
                 )
     except FAILURE_KINDS:
         if out_dir:
@@ -812,17 +813,8 @@ def train_vae(cfg, ds=None, out_dir=None):
         )
         encoder = nnet.set_param_vector(encoder, vec)
         if it % cfg.eval_interval == 0 or it == cfg.n_iters:
-            metrics.append(
-                {
-                    "iteration": it,
-                    "train_bound": np.nan,
-                    "val_bound": np.nan,
-                    "test_bound": test_bound(it),
-                    "imputation_mse": np.nan,
-                    "tau_mae": np.nan,
-                    "seconds": (time.perf_counter() - start) if cfg.timing else 0.0,
-                }
-            )
+            seconds = (time.perf_counter() - start) if cfg.timing else 0.0
+            metrics.append(metrics_row(it, seconds, test_bound=test_bound(it)))
 
     def saver(path):
         checkpoint.save(
@@ -853,18 +845,8 @@ def train_vb_gmm(cfg, ds=None, out_dir=None):
         if test_rows is not None and test_rows.shape[0]
         else np.nan
     )
-    metrics = [
-        {
-            "iteration": i + 1,
-            "train_bound": e / rows.shape[0],
-            "val_bound": np.nan,
-            "test_bound": test_score if i + 1 == len(res.elbos) else np.nan,
-            "imputation_mse": np.nan,
-            "tau_mae": np.nan,
-            "seconds": 0.0,
-        }
-        for i, e in enumerate(res.elbos)
-    ]
+    metrics = [metrics_row(i + 1, train_bound=e / rows.shape[0]) for i, e in enumerate(res.elbos)]
+    metrics[-1]["test_bound"] = test_score
 
     def saver(path):
         checkpoint.save(
@@ -887,15 +869,7 @@ def train_lds_em(cfg, ds=None, out_dir=None):
     seqs = _as_sequences(ds.rows[ds.train_idx], cfg.seq_len)
     params, logliks = baselines.lds_em_fit(seqs, d=cfg.latent_dim, n_iter=cfg.n_iters)
     metrics = [
-        {
-            "iteration": i + 1,
-            "train_bound": ll / (seqs.shape[0] * cfg.seq_len),
-            "val_bound": np.nan,
-            "test_bound": np.nan,
-            "imputation_mse": np.nan,
-            "tau_mae": np.nan,
-            "seconds": 0.0,
-        }
+        metrics_row(i + 1, train_bound=ll / (seqs.shape[0] * cfg.seq_len))
         for i, ll in enumerate(logliks)
     ]
     if ds.test_idx is not None and ds.test_idx.size:

@@ -166,9 +166,3 @@ def set_param_vector(net, vec):
         pos += l.bias.size
         layers.append(Layer(weight=w, bias=b, activation=l.activation))
     return Mlp(layers=layers, head=net.head)
-
-
-def reparam_sample(mean, var, rng):
-    """Location-scale draw; the noise is returned for fixed-noise replay."""
-    eps = rng.standard_normal(np.shape(mean))
-    return mean + np.sqrt(var) * eps, eps

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from structvi import data
-from structvi.errors import ParseError
+from structvi.errors import ContractError, ParseError
+
+
+class TestDataset:
+    @pytest.mark.parametrize("seq_len", [0, -3])
+    def test_nonpositive_seq_len_is_contract_error(self, seq_len):
+        with pytest.raises(ContractError, match="seq_len must be at least 1"):
+            data.Dataset(rows=np.zeros((9, 2)), seq_len=seq_len)
 
 
 class TestPinwheel:

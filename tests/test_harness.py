@@ -492,6 +492,49 @@ def test_checkpoint_round_trip_fixed_prior(tmp_path):
     assert checkpoint_scores(res.state, rows) == checkpoint_scores(loaded, rows)
 
 
+def optimizer_arrays(state):
+    arrays = {}
+    for name in ("opt_nn", "opt_phi", "opt_pgm"):
+        if getattr(state, name) is not None:
+            arrays[name] = getattr(state, name).accum
+    if state.van is not None:
+        arrays["van_mu"], arrays["van_sigma2"] = state.van.mu, state.van.sigma2
+    if state.theta_posterior is not None:
+        arrays["theta_mu"] = state.theta_posterior.mu
+        arrays["theta_sigma2"] = state.theta_posterior.sigma2
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "optimizer,theta_nn,restored",
+    [
+        ("adagrad", "point", ["opt_nn", "opt_phi"]),
+        ("van", "point", ["van_mu", "van_sigma2"]),
+        ("adagrad", "bayes", ["opt_phi", "theta_mu", "theta_sigma2"]),
+    ],
+    ids=["adagrad", "van", "bayes"],
+)
+def test_fixed_prior_checkpoint_keeps_optimizer_state(tmp_path, optimizer, theta_nn, restored):
+    ds = blob_dataset(n=120, seed=10)
+    std_prior = models.GaussianMixture(
+        logits=np.zeros(1), means=np.zeros((1, 2)), chol_raw=np.zeros((1, 3))
+    )
+    cfg = harness.TrainConfig(
+        n_components=1, hidden=(4,), n_iters=10, seed=10, eval_interval=10,
+        optimizer=optimizer, theta_nn=theta_nn, timing=False,
+    )
+    res = harness.train_structured(cfg, ds=ds, prior_override=std_prior)
+    path = str(tmp_path / "run.ckpt")
+    harness.save_state(path, res.state, cfg)
+    loaded, _ = harness.load_state(path)
+    saved, back = optimizer_arrays(res.state), optimizer_arrays(loaded)
+    assert sorted(back) == sorted(saved)
+    for name in restored:
+        assert np.any(saved[name] != 0), name
+    for name in saved:
+        np.testing.assert_array_equal(back[name], saved[name], err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # Metrics log
 

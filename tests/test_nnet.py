@@ -131,13 +131,6 @@ class TestShapesAndSampling:
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(v1, v2)
 
-    def test_reparam_identity(self):
-        rng = np.random.default_rng(9)
-        mean = rng.standard_normal((5, 2))
-        var = rng.uniform(0.1, 2.0, size=(5, 2))
-        draw, eps = nnet.reparam_sample(mean, var, np.random.default_rng(10))
-        np.testing.assert_allclose(draw, mean + np.sqrt(var) * eps, rtol=1e-15)
-
     def test_param_vector_round_trip(self):
         rng = np.random.default_rng(11)
         net, _, _ = random_net(rng)
