@@ -14,7 +14,9 @@ Each estimate runs one encoder pass and one structured-factor pass (mixture
 scores or a forward filter) through ``net.prepare``, and every draw comes from
 that record.  With gradients, the pathwise, entropy and log-normalizer
 adjoints on the encoder outputs are summed before one encoder backward pass;
-without them no backward pass runs at all.  The mixture-versus-dynamics
+without them no backward pass runs at all.  The log normalizer's adjoints
+enter through the network's pathwise adjoint, so for the dynamics one filter
+reverse sweep serves both.  The mixture-versus-dynamics
 decisions live on the network classes in ``infnet``.
 
 Per-datum terms are scaled by n_total over the batch size so every estimate
@@ -66,11 +68,12 @@ class GradBundle:
     bound: BoundEstimate
 
 
-def _prepared(model, net, batch, n_total, block=False):
+def _prepared(model, net, batch, n_total, block=False, prep=None):
     """Checked batch, its prepared record, and the n_total / units scale.
 
     A ``block`` batch is (n_seq, T, data_dim); n_total None means the batch
-    is the whole data set.
+    is the whole data set.  ``prep`` is ``net.prepare(batch)`` when the
+    caller has it.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != (3 if block else 2) or 0 in batch.shape[:-1]:
@@ -82,7 +85,7 @@ def _prepared(model, net, batch, n_total, block=False):
     n_total = units if n_total is None else n_total
     if n_total < units:
         raise ContractError("n_total must cover at least the batch")
-    return batch, net.prepare(batch), n_total / units
+    return batch, net.prepare(batch) if prep is None else prep, n_total / units
 
 
 def _term(name, fn):
@@ -141,13 +144,13 @@ def _assemble(model, net, batch, prep, drawn, scale, want_grads):
     # factor densities, and the recognition entropy through x at fixed (m, v).
     g_x = pri_dx - fac_dx
     g_x[net.lead_rows :] += dec_dx + diff / v
-    d_m, d_v, d_factor = net.pathwise_vjp(prep, drawn, scale * g_x)
-    # The entropy's direct dependence on (m, v) and the log normalizer join
-    # the pathwise adjoints, so the encoder runs one backward pass.
-    lz_m, lz_v, lz_factor = net.log_z_vjp(prep)
-    d_m = d_m + scale * (lz_m - diff / v)
-    d_v = d_v + scale * (lz_v + 0.5 / v - 0.5 * diff**2 / v**2)
-    phi = net.phi_grad(prep, d_m, d_v, d_factor + scale * (lz_factor - fac_dphi))
+    # The log normalizer's adjoints ride along with the pathwise ones (one
+    # reverse sweep for the dynamics); the entropy's direct dependence on
+    # (m, v) joins them, so the encoder runs one backward pass.
+    d_m, d_v, d_factor = net.pathwise_vjp(prep, drawn, scale * g_x, scale)
+    d_m = d_m - scale * diff / v
+    d_v = d_v + scale * (0.5 / v - 0.5 * diff**2 / v**2)
+    phi = net.phi_grad(prep, d_m, d_v, d_factor - scale * fac_dphi)
 
     blocks = {
         "grad_theta_nn": scale * dec_dtheta,
@@ -198,10 +201,10 @@ def bound_estimate(model, net, batch, rng, n_total, n_samples=1):
     ])
 
 
-def block_bound_estimate(model, net, seqs, rng, n_samples=1):
+def block_bound_estimate(model, net, seqs, rng, n_samples=1, prep=None):
     """Sum over a (n_seq, T, data_dim) block of each sequence's bound
     estimate, averaged over n_samples draws; one encoder pass and one filter
-    serve the whole block.
+    serve the whole block, and ``prep`` is that pass when the caller has it.
 
     The noise is one (n_seq, n_samples, T+1, d) normal block: the stream
     that ``bound_estimate(..., n_total=1, n_samples)`` on each sequence in
@@ -209,7 +212,7 @@ def block_bound_estimate(model, net, seqs, rng, n_samples=1):
     """
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
-    seqs, prep, scale = _prepared(model, net, seqs, None, block=True)
+    seqs, prep, scale = _prepared(model, net, seqs, None, block=True, prep=prep)
     n_seq, t_len = seqs.shape[:2]
     eps = rng.standard_normal((n_seq, n_samples, t_len + net.lead_rows, net.latent_dim))
     return _mean_estimate([

@@ -17,6 +17,7 @@ whole file.
 """
 
 import dataclasses
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -241,8 +242,10 @@ def init_state(cfg, data_dim, prior_override=None):
     elif cfg.optimizer == "adagrad":
         opt_nn = updates.AdagradState.zeros(n_nn)
         opt_phi = updates.AdagradState.zeros(n_phi)
-        if pgm_point is not None and prior_override is None:
-            opt_pgm = updates.AdagradState.zeros(pgm_point.param_vector().size)
+    # VAN's search distribution covers [theta_nn, phi]; a learned point prior
+    # steps by adagrad under it, as under adagrad itself.
+    if cfg.optimizer != "sgd" and pgm_point is not None and prior_override is None:
+        opt_pgm = updates.AdagradState.zeros(pgm_point.param_vector().size)
     return TrainState(
         kind=cfg.model_kind,
         net=net,
@@ -311,11 +314,15 @@ def train_step(state, cfg, batch, n_total, rng):
             model = models.GenerativeModel(decoder=dec, prior=prior)
             b = bound.bound_gradients(model, net, batch, rng, n_total)
             stash["bundle"] = b
-            return -np.concatenate([b.grad_theta_nn, b.grad_phi])
+            stash["grad"] = -np.concatenate([b.grad_theta_nn, b.grad_phi])
+            return stash["grad"]
 
-        van = updates.van_step(
-            state.van, neg_grad, lambda v: np.zeros_like(v), cfg.beta3, rng
-        )
+        def curvature(vec):
+            # Reparameterization estimate E[f''] ~ f'(phi*) (phi* - mu) / sigma2,
+            # from the gradient that neg_grad just took at this same phi*.
+            return stash["grad"] * (vec - state.van.mu) / state.van.sigma2
+
+        van = updates.van_step(state.van, neg_grad, curvature, cfg.beta3, rng)
         bundle = stash["bundle"]
         state = dataclasses.replace(
             state,
@@ -397,17 +404,20 @@ def _as_sequences(rows, seq_len):
     return rows.reshape(-1, seq_len, rows.shape[-1])
 
 
-def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2):
+def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2, prep=None):
     """Average per-row bound estimate under the evaluation-point parameters.
 
     A dynamics model sums the estimates of the rows' sequences, all in one
-    ``bound.block_bound_estimate`` call.
+    ``bound.block_bound_estimate`` call; ``prep`` is the network's prepared
+    block of those sequences when the caller has it.
     """
     rng = np.random.default_rng(seed)
     model = models.GenerativeModel(decoder=eval_decoder(state), prior=eval_prior(state))
     if state.kind == "latent-lds":
         seqs = _as_sequences(rows, seq_len)
-        est = bound.block_bound_estimate(model, state.net, seqs, rng, n_samples=n_samples)
+        est = bound.block_bound_estimate(
+            model, state.net, seqs, rng, n_samples=n_samples, prep=prep
+        )
     else:
         est = bound.bound_estimate(
             model, state.net, rows, rng, n_total=rows.shape[0], n_samples=n_samples
@@ -458,13 +468,14 @@ def imputation_mse(state, rows, seq_len=0, fraction=0.2, seed=0):
     return float(np.mean((recon[mask] - rows[mask]) ** 2))
 
 
-def tau_ahead_mae(state, seqs, tau):
+def tau_ahead_mae(state, seqs, tau, prep=None):
     """Forecast error: filter the posterior, roll the generative mean, decode.
 
     The filtered mean at time t uses observations up to t only; the prior
     dynamics propagate it tau steps; the decoder emits the prediction.  The
     average runs over sequences, valid origins, and observed coordinates.
-    All sequences go through one filter and one decoder pass.
+    All sequences go through one filter and one decoder pass; ``prep`` is
+    the network's prepared block of ``seqs`` when the caller has it.
     """
     if state.kind != "latent-lds":
         raise ContractError("tau-ahead forecasting needs a dynamics model")
@@ -474,7 +485,7 @@ def tau_ahead_mae(state, seqs, tau):
     t_len = seqs.shape[1]
     if not 0 <= tau < t_len:
         raise ContractError("tau must lie in [0, T)")
-    record = state.net.prepare(seqs).record
+    record = (state.net.prepare(seqs) if prep is None else prep).record
     pred = models.forecast_means(record.mu_filt[:, 1:], eval_prior(state).trans, tau)
     mean, _, _ = nnet.forward(eval_decoder(state), pred.reshape(-1, pred.shape[-1]))
     return float(np.mean(np.abs(seqs[:, tau:] - mean.reshape(seqs[:, tau:].shape))))
@@ -484,10 +495,19 @@ def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
     """Run the requested evaluation tasks on the dataset's test split."""
     out = {}
     test_rows = ds.rows[ds.test_idx] if ds.test_idx is not None else ds.rows
+
+    @functools.cache
+    def test_block():
+        # ``bound`` and every tau of ``tau-ahead`` read the same unmasked
+        # test sequences, and ``prepare`` is deterministic: one pass serves.
+        seqs = _as_sequences(test_rows, ds.seq_len or 0)
+        return seqs, state.net.prepare(seqs)
+
     for task in tasks:
         if task == "bound":
+            prep = test_block()[1] if state.kind == "latent-lds" else None
             out["bound"] = per_datum_bound(
-                state, test_rows, seq_len=ds.seq_len or 0, seed=seed
+                state, test_rows, seq_len=ds.seq_len or 0, seed=seed, prep=prep
             )
         elif task == "imputation":
             out["imputation_mse"] = imputation_mse(
@@ -496,8 +516,8 @@ def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
         elif task == "tau-ahead":
             if state.kind != "latent-lds" or not ds.seq_len:
                 raise ContractError("tau-ahead forecasting needs a dynamics model")
-            seqs = _as_sequences(test_rows, ds.seq_len)
-            out["tau_mae"] = {t: tau_ahead_mae(state, seqs, t) for t in taus}
+            seqs, prep = test_block()
+            out["tau_mae"] = {t: tau_ahead_mae(state, seqs, t, prep) for t in taus}
         elif task == "sample-dump":
             model = models.GenerativeModel(
                 decoder=eval_decoder(state), prior=eval_prior(state)

@@ -11,12 +11,21 @@ from that record the network exposes
     forward filter for the dynamics),
   * exact joint draws (``draw``) and their replay at fixed noise (``replay``),
   * hand-written adjoints of the log normalizer and of the sampling map on
-    (m, v) and the factor parameters (``log_z_vjp``, ``pathwise_vjp``), and
+    (m, v) and the factor parameters (``log_z_vjp``, ``pathwise_vjp``; the
+    latter adds a weighted copy of the former, so a gradient step needs one
+    call), and
   * ``phi_grad``: one encoder backward pass for summed (m, v) adjoints.
 
 A dynamics network also prepares a (B, T, D) block of sequences: one encoder
 pass over its B*T rows and one filter batched over the block, from which it
 draws and replays; its adjoints take one sequence.
+
+The dynamics factor keeps a Python loop over time only where a step needs
+the previous step's result: the filter's covariance and mean recursions,
+the draw's x_t = offset_t + J_t x_{t+1} and its adjoint, and the filter
+reverse sweep's two carried adjoints.  Everything else (log normalizer
+terms, smoother gains and conditional factors, draw offsets, per-step
+adjoints) is one numpy call stacked over (..., T, d, d).
 
 Parameter vectors are laid out as [encoder parameters, structured-factor
 parameters], the factor part ordered as in the underlying ``models`` class.
@@ -137,10 +146,14 @@ class GmmInferenceNet(ProductNet):
         rec = prep.record
         return gmm_log_z_factor_grads(self.mixture, prep.m, prep.v, rec.resp, rec.chol)
 
-    def pathwise_vjp(self, prep, drawn, grad_x):
-        return gmm_pathwise_factor_vjp(
+    def pathwise_vjp(self, prep, drawn, grad_x, log_z_weight=0.0):
+        out = gmm_pathwise_factor_vjp(
             self.mixture, prep.m, prep.v, drawn.z_star, drawn.eps, grad_x
         )
+        if log_z_weight:
+            lz = self.log_z_vjp(prep)
+            out = tuple(p + log_z_weight * g for p, g in zip(out, lz))
+        return out
 
 
 @dataclass
@@ -179,9 +192,9 @@ class LdsInferenceNet(ProductNet):
     def log_z_vjp(self, prep):
         return lds_log_z_factor_grads(self.dynamics, prep.record)
 
-    def pathwise_vjp(self, prep, drawn, grad_x):
+    def pathwise_vjp(self, prep, drawn, grad_x, log_z_weight=0.0):
         return lds_pathwise_factor_vjp(
-            self.dynamics, prep.record, drawn.x_star, drawn.eps, grad_x
+            self.dynamics, prep.record, drawn.x_star, drawn.eps, grad_x, log_z_weight
         )
 
 
@@ -383,6 +396,14 @@ class FilterRecord:
     every array a leading B axis and ``log_z`` one value per sequence.
     Per-step arrays are indexed 0..T-1 for step t = index + 1; filtered
     moments carry an extra row for the initial state.
+
+    ``smoother`` is filled by the record's first draw (see
+    ``_smoother_factors``) with ``(dyn, gain, pred_inv, chol)``, each stacked
+    over time behind the record's block axis: the smoother gains J_t of x_t
+    on x_{t+1} (T, d, d), the inverse predicted covariances they use
+    (T, d, d), and (T+1, d, d) Cholesky factors whose rows 0..T-1 factor x_t's
+    conditional covariance given x_{t+1} and whose row T factors the last
+    filtered covariance.
     """
 
     m: np.ndarray          # (T, d) pseudo-observation means
@@ -396,7 +417,7 @@ class FilterRecord:
     mu_filt: np.ndarray    # (T+1, d)
     p_filt: np.ndarray     # (T+1, d, d)
     log_z: object          # float; (B,) for a block
-    smoother: Optional[tuple] = None  # filled by the first draw, see _smoother_factors
+    smoother: Optional[tuple] = None
 
 
 def _mv(mat, vec):
@@ -404,12 +425,18 @@ def _mv(mat, vec):
     return (mat @ vec[..., None])[..., 0]
 
 
+def _t(mats):
+    """Transpose of each matrix in a stack."""
+    return np.swapaxes(mats, -1, -2)
+
+
 def lds_filter(dyn, m, v):
     """Kalman forward pass over one (T, d) sequence or a (B, T, d) block.
 
-    Each step's covariances, Cholesky factor, inverse and gain are computed
-    once, batched over the block.  The log normalizer accumulates per-step
-    prediction-error terms for each sequence.
+    The loop carries the two recursions, each step batched over the block:
+    covariance (predicted covariance, innovation factor, its inverse, gain,
+    filtered covariance) and mean.  The log normalizer's per-step
+    prediction-error terms then follow in one call stacked over time.
     """
     lead, (t_len, d) = m.shape[:-2], m.shape[-2:]
     a = dyn.trans
@@ -417,31 +444,30 @@ def lds_filter(dyn, m, v):
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(dyn.init_cov))):
         raise InvalidParameterError("dynamics covariances contain non-finite entries")
     mu_pred, resid = np.zeros(lead + (t_len, d)), np.zeros(lead + (t_len, d))
-    p_pred, chol_s, s_inv, gain = (np.zeros(lead + (t_len, d, d)) for _ in range(4))
+    p_pred, chol_s, s_inv, gain, v_diag = (
+        np.zeros(lead + (t_len, d, d)) for _ in range(5)
+    )
     mu_filt = np.zeros(lead + (t_len + 1, d))
     p_filt = np.zeros(lead + (t_len + 1, d, d))
     mu_filt[..., 0, :] = dyn.init_mean
     p_filt[..., 0, :, :] = dyn.init_cov
-    log_z = np.zeros(lead)
     idx = np.arange(d)
+    v_diag[..., idx, idx] = v
     for t in range(t_len):
-        mp = mu_filt[..., t, :] @ a.T
-        pp = a @ p_filt[..., t, :, :] @ a.T + q
-        s = pp.copy()
-        s[..., idx, idx] += v[..., t, :]
-        chol = _guarded_chol(s, "innovation covariance")
-        e = m[..., t, :] - mp
-        sol = np.linalg.solve(chol, e[..., None])[..., 0]
-        log_z += -0.5 * (
-            d * LOG_2PI + linalg.logdet_from_chol(chol) + np.sum(sol**2, axis=-1)
-        )
-        si = linalg.inv_from_chol(chol)
-        k = pp @ si
-        mu_filt[..., t + 1, :] = mp + _mv(k, e)
+        p_pred[..., t, :, :] = pp = a @ p_filt[..., t, :, :] @ a.T + q
+        chol = _guarded_chol(pp + v_diag[..., t, :, :], "innovation covariance")
+        chol_s[..., t, :, :] = chol
+        s_inv[..., t, :, :] = si = linalg.inv_from_chol(chol)
+        gain[..., t, :, :] = k = pp @ si
         p_filt[..., t + 1, :, :] = pp - k @ pp
-        mu_pred[..., t, :], resid[..., t, :] = mp, e
-        p_pred[..., t, :, :], chol_s[..., t, :, :] = pp, chol
-        s_inv[..., t, :, :], gain[..., t, :, :] = si, k
+        mu_pred[..., t, :] = mp = mu_filt[..., t, :] @ a.T
+        resid[..., t, :] = e = m[..., t, :] - mp
+        mu_filt[..., t + 1, :] = mp + _mv(k, e)
+    sol = np.linalg.solve(chol_s, resid[..., None])[..., 0]
+    log_z = -0.5 * np.sum(
+        d * LOG_2PI + linalg.logdet_from_chol(chol_s) + np.sum(sol**2, axis=-1),
+        axis=-1,
+    )
     return FilterRecord(
         m=m, v=v, mu_pred=mu_pred, p_pred=p_pred, chol_s=chol_s, s_inv=s_inv,
         resid=resid, gain=gain, mu_filt=mu_filt, p_filt=p_filt,
@@ -450,22 +476,24 @@ def lds_filter(dyn, m, v):
 
 
 def _smoother_factors(dyn, record):
-    """Per step t: the gain J of x_t on x_{t+1}, the inverse predicted
-    covariance it uses and the Cholesky factor of x_t's conditional; then the
-    factor of the last filtered covariance.  Each is batched over a block.
-    Computed on a record's first draw and shared with its pathwise adjoint;
-    passes that never draw never compute them."""
+    """(gain, pred_inv, chol) of ``FilterRecord.smoother``, each one call
+    stacked over time and block.  Computed on a record's first draw and
+    shared with its pathwise adjoint; passes that never draw never compute
+    them."""
     if record.smoother is None or record.smoother[0] is not dyn:
-        steps = []
-        for t in range(record.m.shape[-2]):
-            p_filt = record.p_filt[..., t, :, :]
-            pp1 = record.p_pred[..., t, :, :]
-            pp1_inv = np.linalg.inv(pp1)
-            j = p_filt @ dyn.trans.T @ pp1_inv
-            cov = p_filt - j @ pp1 @ np.swapaxes(j, -1, -2)
-            steps.append((j, pp1_inv, linalg.cholesky_spd(cov, "conditional covariance")))
-        chol_t = linalg.cholesky_spd(record.p_filt[..., -1, :, :], "filtered covariance")
-        record.smoother = (dyn, steps, chol_t)
+        p_filt = record.p_filt[..., :-1, :, :]
+        pp1 = record.p_pred
+        pp1_inv = np.linalg.inv(pp1)
+        j = p_filt @ dyn.trans.T @ pp1_inv
+        cov = p_filt - j @ pp1 @ _t(j)
+        chol = np.concatenate(
+            [
+                linalg.cholesky_spd(cov, "conditional covariance"),
+                linalg.cholesky_spd(record.p_filt[..., -1:, :, :], "filtered covariance"),
+            ],
+            axis=-3,
+        )
+        record.smoother = (dyn, j, pp1_inv, chol)
     return record.smoother[1:]
 
 
@@ -474,69 +502,71 @@ def lds_reconstruct(dyn, record, eps):
 
     ``eps`` has shape (..., T+1, d), where ``...`` ends with the record's
     block axis, if any; row t is consumed for x_t.  Returns latents with the
-    initial state in row 0.
+    initial state in row 0.  The offsets mu_filt - J mu_pred + chol eps are
+    one stacked call; the loop keeps only x_t = offset_t + J_t x_{t+1}.
     """
     t_len = record.m.shape[-2]
-    steps, chol_t = _smoother_factors(dyn, record)
-    x = np.zeros(eps.shape)
-    x[..., t_len, :] = record.mu_filt[..., t_len, :] + _mv(chol_t, eps[..., t_len, :])
+    j, _, chol = _smoother_factors(dyn, record)
+    x = record.mu_filt + _mv(chol, eps)
+    x[..., :t_len, :] -= _mv(j, record.mu_pred)
     for t in range(t_len - 1, -1, -1):
-        j, _, chol = steps[t]
-        back = x[..., t + 1, :] - record.mu_pred[..., t, :]
-        x[..., t, :] = record.mu_filt[..., t, :] + _mv(j, back) + _mv(chol, eps[..., t, :])
+        x[..., t, :] += _mv(j[..., t, :, :], x[..., t + 1, :])
     return x
 
 
-def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e):
-    """Reverse sweep of a single-sequence forward filter with externally
-    injected adjoints.
+def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
+    """Reverse sweep of a single-sequence forward filter.
 
-    Returns gradients for (m, v) and the dynamics parameter vector.
+    Carries the externally injected adjoints of the filtered moments
+    (``ext_mf``, ``ext_pf``, (T+1, ...)) and predicted moments (``ext_mp``,
+    ``ext_pp``, (T, ...)) plus ``log_z_weight`` times those of the log
+    normalizer back to (m, v) and the dynamics parameter vector.  The sweep
+    is linear in what it carries, so one pass serves any such sum.
+
+    With K the gain, e the residual and se = S^-1 e, one step reverses to
+        mu_pred adjoint = c_mp + (I - K)^T mf_c
+        p_pred adjoint  = c_pp + (I - K)^T (pf_c (I - K) + mf_c se^T)
+    where (mf_c, pf_c) are the adjoints of the step's filtered moments and
+    c_mp, c_pp gather the injected adjoints; the loop carries only those
+    two, and every other adjoint follows stacked over time.
     """
     t_len, d = record.m.shape
     a = dyn.trans
-    d_m = np.zeros_like(record.m)
-    d_v = np.zeros_like(record.v)
-    a_b = np.zeros_like(a)
-    q_b = np.zeros((d, d))
-    mf_c = ext_mf[t_len].copy()
-    pf_c = ext_pf[t_len].copy()
+    k_gain, s_inv = record.gain, record.s_inv
+    se = _mv(s_inv, record.resid)
+    # log Z = sum_t -0.5 (log|S_t| + e_t^T S_t^-1 e_t) + const
+    e_lz = -log_z_weight * se
+    s_lz = -0.5 * log_z_weight * (s_inv - se[:, :, None] * se[:, None, :])
+    c_mp = ext_mp - e_lz
+    c_pp = ext_pp + s_lz
+    i_k = np.eye(d) - k_gain
+    i_kt = _t(i_k)
+    mf_in, pf_in = np.zeros((t_len, d)), np.zeros((t_len, d, d))
+    mp_b, pp_b = np.zeros((t_len, d)), np.zeros((t_len, d, d))
+    mf_c, pf_c = ext_mf[t_len], ext_pf[t_len]
     for t in range(t_len - 1, -1, -1):
-        s_inv = record.s_inv[t]
-        pp = record.p_pred[t]
-        k_gain = record.gain[t]
-        e_b = ext_e[t].copy()
-        s_b = ext_s[t].copy()
-        mp_b = ext_mp[t].copy()
-        pp_b = ext_pp[t].copy()
-        # mu_filt = mu_pred + K e
-        mp_b += mf_c
-        k_b = np.outer(mf_c, record.resid[t])
-        e_b += k_gain.T @ mf_c
-        # p_filt = p_pred - K p_pred
-        pp_b += pf_c - k_gain.T @ pf_c
-        k_b += -pf_c @ pp.T
-        # K = p_pred s_inv
-        pp_b += k_b @ s_inv
-        s_b += -s_inv @ pp.T @ k_b @ s_inv
-        # s = p_pred + diag(v)
-        pp_b += s_b
-        d_v[t] += np.diagonal(s_b)
-        # e = m - mu_pred
-        d_m[t] += e_b
-        mp_b += -e_b
-        # mu_pred = A mu_filt[t], p_pred = A p_filt[t] A^T + Q
-        prev_mf = record.mu_filt[t]
-        prev_pf = record.p_filt[t]
-        a_b += np.outer(mp_b, prev_mf)
-        a_b += pp_b @ a @ prev_pf.T + pp_b.T @ a @ prev_pf
-        q_b += pp_b
-        mf_c = a.T @ mp_b + ext_mf[t]
-        pf_c = a.T @ pp_b @ a + ext_pf[t]
+        mf_in[t], pf_in[t] = mf_c, pf_c
+        mp_b[t] = c_mp[t] + i_kt[t] @ mf_c
+        pp_b[t] = c_pp[t] + i_kt[t] @ (pf_c @ i_k[t] + mf_c[:, None] * se[t])
+        mf_c = a.T @ mp_b[t] + ext_mf[t]
+        pf_c = a.T @ pp_b[t] @ a + ext_pf[t]
+    kt = _t(k_gain)
+    # e = m - mu_pred;  S = p_pred + diag(v)
+    d_m = e_lz + _mv(kt, mf_in)
+    s_b = s_lz + kt @ (pf_in @ k_gain - mf_in[:, :, None] * se[:, None, :])
+    d_v = np.diagonal(s_b, axis1=-2, axis2=-1).copy()
+    # mu_pred = A mu_filt[t];  p_pred = A p_filt[t] A^T + Q
+    prev_mf, prev_pf = record.mu_filt[:t_len], record.p_filt[:t_len]
+    a_b = np.sum(
+        mp_b[:, :, None] * prev_mf[:, None, :]
+        + pp_b @ a @ _t(prev_pf)
+        + _t(pp_b) @ a @ prev_pf,
+        axis=0,
+    )
     d_dyn = np.concatenate(
         [
             a_b.ravel(),
-            linalg.tril_raw_vjp(dyn.noise_raw, d, q_b),
+            linalg.tril_raw_vjp(dyn.noise_raw, d, pp_b.sum(axis=0)),
             mf_c,
             linalg.tril_raw_vjp(dyn.init_raw, d, pf_c),
         ]
@@ -544,68 +574,53 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e):
     return d_m, d_v, d_dyn
 
 
-def _zero_ext(t_len, d):
-    return (
-        np.zeros((t_len + 1, d)),
-        np.zeros((t_len + 1, d, d)),
-        np.zeros((t_len, d)),
-        np.zeros((t_len, d, d)),
-        np.zeros((t_len, d, d)),
-        np.zeros((t_len, d)),
-    )
-
-
 def lds_log_z_factor_grads(dyn, record):
     """Gradients of a single-sequence filter's log normalizer wrt (m, v) and
     the dynamics."""
     t_len, d = record.m.shape
-    ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e = _zero_ext(t_len, d)
-    for t in range(t_len):
-        se = record.s_inv[t] @ record.resid[t]
-        ext_s[t] = -0.5 * (record.s_inv[t] - np.outer(se, se))
-        ext_e[t] = -se
-    return _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e)
+    return _filter_reverse(
+        dyn, record, np.zeros((t_len + 1, d)), np.zeros((t_len + 1, d, d)),
+        np.zeros((t_len, d)), np.zeros((t_len, d, d)), 1.0,
+    )
 
 
-def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x):
-    """Adjoint of the single-sequence backward-sampling map at fixed noise.
+def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x, log_z_weight=0.0):
+    """Adjoint of the single-sequence backward-sampling map at fixed noise,
+    plus ``log_z_weight`` times the log normalizer's gradient.
 
-    ``x`` is the draw ``lds_reconstruct(dyn, record, eps)``.  Reverses the
-    sampling recursion in execution-reverse order, then pushes the
-    accumulated filtered/predicted adjoints through the filter reverse sweep.
+    ``x`` is the draw ``lds_reconstruct(dyn, record, eps)``.  The loop
+    carries only the sampling recursion's adjoint, xbar_{t+1} += J_t^T xbar_t;
+    the adjoints of the smoother factors follow stacked over time, and one
+    filter reverse sweep pushes them, with the log normalizer's, back to
+    (m, v) and the dynamics.
     """
     t_len, d = record.m.shape
     a = dyn.trans
-    ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e = _zero_ext(t_len, d)
+    j, pp1_inv, chol = _smoother_factors(dyn, record)
+    jt = _t(j)
     x_bar = np.array(grad_x, dtype=float, copy=True)
-    a_b = np.zeros_like(a)
-    steps, chol_t = _smoother_factors(dyn, record)
+    back = np.zeros((t_len, d))
     for t in range(t_len):
-        j, pp1_inv, chol = steps[t]
-        pp1 = record.p_pred[t]
-        xb = x_bar[t]
-        cov_b = linalg.cholesky_vjp(chol, np.outer(xb, eps[t]))
-        # cov = p_filt - J pp1 J^T
-        ext_pf[t] += cov_b
-        j_b = -(cov_b + cov_b.T) @ j @ pp1
-        pp1_b = -j.T @ cov_b @ j
-        # c = mu_filt + J (x[t+1] - mu_pred)
-        ext_mf[t] += xb
-        back = j.T @ xb
-        x_bar[t + 1] += back
-        ext_mp[t] += -back
-        j_b += np.outer(xb, x[t + 1] - record.mu_pred[t])
-        # J = p_filt A^T pp1_inv
-        ext_pf[t] += j_b @ pp1_inv.T @ a
-        a_b += pp1_inv @ j_b.T @ record.p_filt[t]
-        pp1_inv_b = a @ record.p_filt[t] @ j_b
-        pp1_b += -pp1_inv @ pp1_inv_b @ pp1_inv
-        ext_pp[t] += pp1_b
-    # terminal draw x_T = mu_filt[T] + chol(p_filt[T]) eps[T]
-    ext_mf[t_len] += x_bar[t_len]
-    ext_pf[t_len] += linalg.cholesky_vjp(chol_t, np.outer(x_bar[t_len], eps[t_len]))
+        back[t] = jt[t] @ x_bar[t]
+        x_bar[t + 1] += back[t]
+    xb = x_bar[:t_len]
+    # x_t = c_t + chol_t eps_t; row T's chol factors p_filt[T] itself
+    ext_pf = linalg.cholesky_vjp(chol, x_bar[:, :, None] * eps[:, None, :])
+    cov_b = ext_pf[:t_len].copy()
+    # cov = p_filt - J pp1 J^T
+    pp1 = record.p_pred
+    j_b = -(cov_b + _t(cov_b)) @ j @ pp1
+    pp1_b = -jt @ cov_b @ j
+    # c = mu_filt + J (x[t+1] - mu_pred)
+    j_b += xb[:, :, None] * (x[1:] - record.mu_pred)[:, None, :]
+    # J = p_filt A^T pp1_inv
+    p_filt = record.p_filt[:t_len]
+    ext_pf[:t_len] += j_b @ _t(pp1_inv) @ a
+    a_b = np.sum(pp1_inv @ _t(j_b) @ p_filt, axis=0)
+    pp1_b -= pp1_inv @ (a @ p_filt @ j_b) @ pp1_inv
+    # c's mean terms: mu_filt[t] (all rows, T included) and -J mu_pred
     d_m, d_v, d_dyn = _filter_reverse(
-        dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e
+        dyn, record, x_bar, ext_pf, -back, pp1_b, log_z_weight
     )
     d_dyn[: d * d] += a_b.ravel()
     return d_m, d_v, d_dyn

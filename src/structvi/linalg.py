@@ -31,19 +31,33 @@ def symmetrize(a):
 
 
 def cholesky_spd(mat, what="matrix"):
-    """Lower Cholesky factor with trace-scaled jitter retries."""
+    """Lower Cholesky factor with trace-scaled jitter retries.
+
+    A stack is factored in one call.  If that fails, each matrix is factored
+    on its own and only those that fail are retried with their own jitter,
+    so one bad matrix leaves the factors of the rest of the stack unchanged.
+    """
     mat = symmetrize(np.asarray(mat, dtype=float))
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        pass
     d = mat.shape[-1]
-    jitter = JITTER_SCALE * np.trace(mat, axis1=-2, axis2=-1) / d
-    eye = np.eye(d)
+    flat = mat.reshape(-1, d, d)
+    out = np.empty_like(flat)
+    for i, one in enumerate(flat):
+        out[i] = _jittered_cholesky(one, what)
+    return out.reshape(mat.shape)
+
+
+def _jittered_cholesky(mat, what):
+    d = mat.shape[-1]
+    jitter = JITTER_SCALE * np.trace(mat) / d
     for attempt in range(MAX_JITTER_TRIES + 1):
         try:
             return np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
-            bump = jitter * (10.0**attempt)
-            if np.ndim(bump) > 0:
-                bump = bump[..., None, None]
-            mat = mat + bump * eye
+            mat = mat + jitter * (10.0**attempt) * np.eye(d)
     raise NumericalError(f"cholesky failed for {what} after jitter retries")
 
 
@@ -88,10 +102,6 @@ def inv_from_chol(chol):
 
 def logdet_from_chol(chol):
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-
-
-def inv_spd(mat, what="matrix"):
-    return inv_from_chol(cholesky_spd(mat, what))
 
 
 def tril_size(d):

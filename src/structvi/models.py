@@ -180,13 +180,29 @@ def forecast_means(filtered, trans, tau):
     return pred
 
 
-def _gaussian_logpdf(x, mean, cov):
+def _gaussian_logpdf(x, mean, chol):
     d = x.shape[-1]
-    chol = linalg.cholesky_spd(cov)
     v = solve_triangular(chol, (x - mean).T, lower=True)
     return -0.5 * np.sum(v**2, axis=0) - 0.5 * (
         linalg.logdet_from_chol(chol) + d * LOG_2PI
     )
+
+
+def _dynamics_log_prior(prior, x):
+    """Log density of a dynamics latent array, and the (2, d, d) Cholesky
+    factors of the initial and transition-noise covariances, factored in one
+    call so the gradients can share them."""
+    d = prior.dim
+    if x.shape[-2] < 2:
+        raise ContractError("dynamics prior needs at least one transition")
+    chols = linalg.cholesky_spd(
+        np.stack([prior.init_cov, prior.noise_cov]), "dynamics covariance"
+    )
+    init = x[..., :1, :].reshape(-1, d)
+    val = float(_gaussian_logpdf(init, prior.init_mean, chols[0]).sum())
+    resid = (x[..., 1:, :] - x[..., :-1, :] @ prior.trans.T).reshape(-1, d)
+    val += float(_gaussian_logpdf(resid, np.zeros(d), chols[1]).sum())
+    return val, chols
 
 
 def log_prior(prior, x):
@@ -200,14 +216,7 @@ def log_prior(prior, x):
     if isinstance(prior, GaussianMixture):
         return float(prior.log_density(x).sum())
     if isinstance(prior, LinearDynamics):
-        d = prior.dim
-        if x.shape[-2] < 2:
-            raise ContractError("dynamics prior needs at least one transition")
-        init = x[..., :1, :].reshape(-1, d)
-        val = float(_gaussian_logpdf(init, prior.init_mean, prior.init_cov).sum())
-        resid = (x[..., 1:, :] - x[..., :-1, :] @ prior.trans.T).reshape(-1, d)
-        val += float(_gaussian_logpdf(resid, np.zeros(d), prior.noise_cov).sum())
-        return val
+        return _dynamics_log_prior(prior, x)[0]
     raise ContractError(f"unknown prior type {type(prior).__name__}")
 
 
@@ -238,10 +247,9 @@ def _mixture_grads(prior, x, scores=None):
     return grad_x, grad_params
 
 
-def _dynamics_grads(prior, x):
+def _dynamics_grads(prior, x, chols):
     d = prior.dim
-    q_prec = linalg.inv_spd(prior.noise_cov, "transition noise")
-    s0_prec = linalg.inv_spd(prior.init_cov, "initial covariance")
+    s0_prec, q_prec = linalg.inv_from_chol(chols)
     resid = x[1:] - x[:-1] @ prior.trans.T
     u0 = x[0] - prior.init_mean
     pe = resid @ q_prec.T
@@ -274,9 +282,11 @@ def log_prior_with_grads(prior, x):
         scores = prior.scores(x)
         val = float(logsumexp(scores, axis=1).sum())
         grad_x, grad_params = _mixture_grads(prior, x, scores=scores)
+    elif isinstance(prior, LinearDynamics):
+        val, chols = _dynamics_log_prior(prior, x)
+        grad_x, grad_params = _dynamics_grads(prior, x, chols)
     else:
-        val = log_prior(prior, x)
-        grad_x, grad_params = _dynamics_grads(prior, x)
+        raise ContractError(f"unknown prior type {type(prior).__name__}")
     return val, grad_x, grad_params
 
 

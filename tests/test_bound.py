@@ -403,15 +403,26 @@ def test_decoder_width_mismatch_is_contract_error(case):
 
 
 def test_gradient_step_inverts_each_innovation_once(monkeypatch):
-    """T=20, d=2: the filter's 20 innovation inverses serve the log-Z and
-    pathwise reverse sweeps; the prior and factor densities add 2 each."""
+    """T=20, d=2: the filter's 20 innovation inverses serve the one reverse
+    sweep; the prior and factor densities add 1 each, both covariances in
+    one stacked call."""
     rng = np.random.default_rng(43)
     model, net, y = lds_case(rng, t_len=20, d=2, data_dim=3)
     calls = []
     inv = linalg.inv_from_chol
     monkeypatch.setattr(linalg, "inv_from_chol", lambda c: calls.append(1) or inv(c))
     bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=20)
-    assert len(calls) == 24
+    assert len(calls) == 22
+
+
+def test_gradient_step_runs_one_filter_reverse_sweep(monkeypatch):
+    """The log-Z adjoints join the pathwise ones before a single sweep."""
+    model, net, y = lds_case(np.random.default_rng(47), t_len=6, d=2, data_dim=3)
+    calls = []
+    sweep = infnet._filter_reverse
+    monkeypatch.setattr(infnet, "_filter_reverse", lambda *a: calls.append(1) or sweep(*a))
+    bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=6)
+    assert len(calls) == 1
 
 
 def test_mixture_gradient_step_factors_combined_covariance_once(monkeypatch):

@@ -386,6 +386,19 @@ def test_bayes_decoder_and_van_smoke():
     assert all(np.isfinite(row["train_bound"]) for row in res.metrics)
 
 
+def test_van_search_variance_contracts_on_a_dynamics_run():
+    ds = seq_dataset(n_seq=12, seed=17)
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(8,), seq_len=10,
+        optimizer="van", n_iters=20, seed=17, eval_interval=20, timing=False,
+    )
+    res = harness.train_structured(cfg, ds=ds)
+    sigma2 = res.state.van.sigma2
+    assert np.all(sigma2 <= harness.VAN_INIT_SIGMA2)
+    assert np.median(sigma2) < harness.VAN_INIT_SIGMA2
+    assert all(np.isfinite(row["train_bound"]) for row in res.metrics)
+
+
 def test_full_run_determinism(tmp_path):
     ds = blob_dataset(n=200, seed=6)
     cfg = harness.TrainConfig(
@@ -813,8 +826,27 @@ def test_lds_evaluate_runs_one_filter_per_task(monkeypatch, n_seq):
     lds_filter = infnet.lds_filter
     monkeypatch.setattr(infnet, "lds_filter", lambda *a: calls.append(1) or lds_filter(*a))
     out = harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert np.isfinite(out["bound"]) and np.isfinite(out["tau_mae"][1])
+
+
+def test_lds_evaluate_shares_one_test_block_across_bound_and_taus(monkeypatch):
+    ds = seq_dataset(n_seq=12, seed=16)
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(8,), seed=16, seq_len=10,
+        timing=False,
+    )
+    state = harness.init_state(cfg, ds.dim)
+    seqs = ds.rows[ds.test_idx].reshape(-1, 10, ds.dim)
+    want_bound = harness.per_datum_bound(state, ds.rows[ds.test_idx], seq_len=10, seed=4)
+    want_tau = {t: harness.tau_ahead_mae(state, seqs, t) for t in (1, 2, 5)}
+    calls = []
+    lds_filter = infnet.lds_filter
+    monkeypatch.setattr(infnet, "lds_filter", lambda *a: calls.append(1) or lds_filter(*a))
+    out = harness.evaluate(state, ds, ("bound", "tau-ahead"), seed=4, taus=(1, 2, 5))
+    assert len(calls) == 1
+    assert out["bound"] == want_bound
+    assert out["tau_mae"] == want_tau
 
 
 @pytest.mark.parametrize("seq_len", [0, 7])

@@ -16,6 +16,8 @@ from scipy.integrate import trapezoid
 from structvi import infnet, linalg, models, nnet
 from structvi.errors import ContractError, InvalidParameterError
 
+import lds_reference
+
 
 def make_gmm_net(rng, k=2, d=1, data_dim=2, hidden=(4,)):
     net = infnet.init_gmm_net(k, d, data_dim, hidden=hidden, rng=rng)
@@ -394,7 +396,7 @@ class TestLdsSampling:
         drawn = net.draw(prep, np.random.default_rng(29))
         net.pathwise_vjp(prep, drawn, rng.standard_normal(drawn.x_star.shape))
         net.replay(prep, None, drawn.eps)
-        assert calls == ["conditional covariance"] * 5 + ["filtered covariance"]
+        assert calls == ["conditional covariance", "filtered covariance"]
 
 
 class TestLdsGradients:
@@ -539,3 +541,72 @@ class TestMixtureFactors:
         )
         net.log_z_vjp(prep)
         assert calls == []
+
+
+class TestLdsStackedParity:
+    """The time-stacked dynamics factor against the per-step loops kept in
+    ``lds_reference``, at rtol 1e-12."""
+
+    CASES = [(t_len, d) for t_len in (1, 2, 20) for d in (1, 3)]
+    FIELDS = ("mu_pred", "p_pred", "chol_s", "s_inv", "resid", "gain", "mu_filt", "p_filt")
+
+    @staticmethod
+    def case(seed, t_len, d, lead=()):
+        rng = np.random.default_rng(seed)
+        dyn = make_lds_net(rng, d=d, data_dim=2).dynamics
+        m = rng.standard_normal(lead + (t_len, d))
+        v = np.exp(0.5 * rng.standard_normal(lead + (t_len, d)))
+        return rng, dyn, m, v
+
+    @staticmethod
+    def close(got, want, what):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13, err_msg=what)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("t_len,d", CASES)
+    def test_filter_and_draw_match_the_step_loops(self, t_len, d, lead):
+        rng, dyn, m, v = self.case(50 + t_len + d, t_len, d, lead)
+        got = infnet.lds_filter(dyn, m, v)
+        want = lds_reference.lds_filter(dyn, m, v)
+        for name in self.FIELDS:
+            self.close(getattr(got, name), getattr(want, name), name)
+        self.close(got.log_z, want.log_z, "log_z")
+        assert np.shape(got.log_z) == np.shape(want.log_z)
+        eps = rng.standard_normal(lead + (t_len + 1, d))
+        self.close(
+            infnet.lds_reconstruct(dyn, got, eps),
+            lds_reference.lds_reconstruct(dyn, want, eps),
+            "draw",
+        )
+
+    @pytest.mark.parametrize("t_len,d", CASES)
+    def test_adjoints_match_the_step_loops(self, t_len, d):
+        rng, dyn, m, v = self.case(60 + t_len + d, t_len, d)
+        got = infnet.lds_filter(dyn, m, v)
+        want = lds_reference.lds_filter(dyn, m, v)
+        eps = rng.standard_normal((t_len + 1, d))
+        x = infnet.lds_reconstruct(dyn, got, eps)
+        grad_x = rng.standard_normal(x.shape)
+        pairs = [
+            (infnet.lds_log_z_factor_grads(dyn, got),
+             lds_reference.lds_log_z_factor_grads(dyn, want)),
+            (infnet.lds_pathwise_factor_vjp(dyn, got, x, eps, grad_x),
+             lds_reference.lds_pathwise_factor_vjp(dyn, want, x, eps, grad_x)),
+        ]
+        for which, (g, w) in zip(("log_z", "pathwise"), pairs):
+            for name, a, b in zip(("d_m", "d_v", "d_dyn"), g, w):
+                self.close(a, b, f"{which} {name}")
+
+    @pytest.mark.parametrize("t_len,d", CASES)
+    def test_one_sweep_is_the_sum_of_the_two(self, t_len, d):
+        rng, dyn, m, v = self.case(70 + t_len + d, t_len, d)
+        record = infnet.lds_filter(dyn, m, v)
+        eps = rng.standard_normal((t_len + 1, d))
+        x = infnet.lds_reconstruct(dyn, record, eps)
+        grad_x = rng.standard_normal(x.shape)
+        weight = 2.5
+        fused = infnet.lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x, weight)
+        pathwise = infnet.lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x)
+        log_z = infnet.lds_log_z_factor_grads(dyn, record)
+        for name, f, p, g in zip(("d_m", "d_v", "d_dyn"), fused, pathwise, log_z):
+            self.close(f, p + weight * g, name)

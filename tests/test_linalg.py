@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from structvi import linalg
+from structvi.errors import NumericalError
 
 
 class TestLogsumexp:
@@ -36,3 +37,25 @@ class TestLogsumexp:
         out = linalg.logsumexp(x, keepdims=True)
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(special.logsumexp(x), rel=1e-12)
+
+
+class TestCholeskySpd:
+    SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD, fails unjittered
+    SPD = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+    def test_jitter_touches_only_the_failing_matrix(self):
+        stacked = linalg.cholesky_spd(np.stack([self.SINGULAR, self.SPD]))
+        np.testing.assert_array_equal(stacked[1], linalg.cholesky_spd(self.SPD))
+        np.testing.assert_array_equal(stacked[0], linalg.cholesky_spd(self.SINGULAR))
+
+    def test_single_matrix_takes_its_first_trace_scaled_retry(self):
+        jitter = linalg.JITTER_SCALE * np.trace(self.SINGULAR) / 2
+        want = np.linalg.cholesky(self.SINGULAR + jitter * np.eye(2))
+        np.testing.assert_array_equal(linalg.cholesky_spd(self.SINGULAR), want)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_raises_when_the_retries_run_out(self, stack):
+        indefinite = np.diag([1.0, -1.0])  # zero trace, so zero jitter
+        mat = np.stack([self.SPD, indefinite]) if stack else indefinite
+        with pytest.raises(NumericalError, match="test matrix"):
+            linalg.cholesky_spd(mat, "test matrix")
