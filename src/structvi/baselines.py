@@ -2,25 +2,25 @@
 
 Two reference models live here: batch variational-Bayes EM for a conjugate
 Gaussian mixture, built on the same exponential-family machinery as the
-structured model, and maximum-likelihood EM for a linear dynamical system
-with its own Kalman smoother.  Both exist to be compared against, so each
+structured model, and maximum-likelihood EM for a linear dynamical system,
+filtered and smoothed by the Gaussian-chain code in ``infnet`` that the
+structured dynamics model uses.  Both exist to be compared against, so each
 exposes an honest held-out score: the mixture reports its exact posterior
 predictive density, the dynamical system its filtered multi-step forecasts.
 
 The LDS filter and smoother take one (T, D) sequence or an (n_seq, T, D)
-block.  With fixed parameters the covariances, innovation factors and gains
-do not depend on the observations, so each time step computes them once for
-the whole block: means carry the block's leading axis, covariances are shared
-(T, d, d) arrays, and log-likelihoods are block totals.
+block.  The constant emission noise goes to ``infnet.kalman_filter`` as a
+broadcast (T, D, D) array, so the covariances, innovation factors and gains
+are computed once for the whole block: means carry the block's leading axis,
+covariances are shared (T, d, d) arrays, and log-likelihoods are block totals.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import gammaln, logsumexp
 
-from . import expfam, linalg, models, updates
+from . import expfam, infnet, linalg, models, updates
 from .errors import ContractError
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -184,36 +184,13 @@ def lds_em_init(seqs, d, seed=0):
 def lds_em_filter(params, y):
     """Kalman filter for a sequence or block; returns means, covs, predictions
     and the log-likelihood, shaped as the module docstring says."""
-    y = np.asarray(y, dtype=float)
-    block = y if y.ndim == 3 else np.atleast_2d(y)[None]
-    n_seq, t_len, obs_dim = block.shape
-    d = params.trans.shape[0]
-    a, c = params.trans, params.emit
-    xf = np.empty((n_seq, t_len, d))
-    pf = np.empty((t_len, d, d))
-    xp = np.empty((n_seq, t_len, d))
-    pp = np.empty((t_len, d, d))
-    loglik = 0.0
-    for t in range(t_len):
-        if t == 0:
-            xp[:, t] = params.init_mean
-            pp[t] = params.init_cov
-        else:
-            xp[:, t] = xf[:, t - 1] @ a.T
-            pp[t] = a @ pf[t - 1] @ a.T + params.trans_cov
-        s = c @ pp[t] @ c.T + params.emit_cov
-        chol = linalg.cholesky_spd(linalg.symmetrize(s))
-        e = block[:, t] - xp[:, t] @ c.T
-        sol = solve_triangular(chol, e.T, lower=True)
-        loglik += -0.5 * (
-            n_seq * (obs_dim * LOG_2PI + linalg.logdet_from_chol(chol)) + np.sum(sol * sol)
-        )
-        gain = cho_solve((chol, True), c @ pp[t]).T
-        xf[:, t] = xp[:, t] + e @ gain.T
-        pf[t] = linalg.symmetrize((np.eye(d) - gain @ c) @ pp[t])
-    if y.ndim < 3:
-        xf, xp = xf[0], xp[0]
-    return xf, pf, xp, pp, float(loglik)
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    r = np.broadcast_to(params.emit_cov, (y.shape[-2],) + params.emit_cov.shape)
+    out = infnet.kalman_filter(
+        params.trans, params.trans_cov, params.init_mean, params.init_cov, y, params.emit, r
+    )
+    loglik = float(np.sum(out["log_z"]))
+    return out["mu_filt"], out["p_filt"], out["mu_pred"], out["p_pred"], loglik
 
 
 def lds_em_smooth(params, y):
@@ -221,17 +198,16 @@ def lds_em_smooth(params, y):
     gains and covariances are computed once per step and shared by a block."""
     xf, pf, xp, pp, loglik = lds_em_filter(params, y)
     t_len, d = pf.shape[:2]
-    a = params.trans
-    xs = np.empty_like(xf)
-    ps = np.empty_like(pf)
-    cross = np.empty((t_len - 1, d, d))
-    xs[..., -1, :] = xf[..., -1, :]
-    ps[-1] = pf[-1]
-    for t in range(t_len - 2, -1, -1):
-        j = pf[t] @ a.T @ np.linalg.inv(pp[t + 1])
-        xs[..., t, :] = xf[..., t, :] + (xs[..., t + 1, :] - xp[..., t + 1, :]) @ j.T
-        ps[t] = linalg.symmetrize(pf[t] + j @ (ps[t + 1] - pp[t + 1]) @ j.T)
-        cross[t] = ps[t + 1] @ j.T
+    j, _, cond = infnet.rts_gains(params.trans, pf[:-1], pp[1:])
+    # x_t = xf_t + J_t (x_{t+1} - xp_{t+1}) and P_t = cond_t + J_t P_{t+1} J_t^T,
+    # the latter as vec P_t = vec cond_t + (J_t kron J_t) vec P_{t+1}
+    xs = xf.copy()
+    xs[..., :-1, :] -= np.einsum("tij,...tj->...ti", j, xp[..., 1:, :])
+    infnet.backward_chain(xs, j)
+    kron = np.einsum("tik,tjl->tijkl", j, j).reshape(t_len - 1, d * d, d * d)
+    ps = np.concatenate([cond, pf[-1:]]).reshape(t_len, d * d)
+    ps = linalg.symmetrize(infnet.backward_chain(ps, kron).reshape(t_len, d, d))
+    cross = ps[1:] @ np.swapaxes(j, -1, -2)
     return SmoothedMoments(mean=xs, cov=ps, cross=cross, loglik=loglik)
 
 

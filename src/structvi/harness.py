@@ -573,29 +573,33 @@ def _structured_metrics_row(state, splits, cfg, iteration, seconds):
     # curve shares its noise draws, so the curve tracks parameter movement
     # rather than fresh estimator noise.  Each point stays unbiased.
     train_rows, val_rows, test_rows = splits
-    seq_len = cfg.seq_len if cfg.model_kind == "latent-lds" else 0
+    is_lds = cfg.model_kind == "latent-lds"
+    seq_len = cfg.seq_len if is_lds else 0
     eval_seed = cfg.seed * 1_000_003 + 17
+    has_test = test_rows is not None and test_rows.shape[0] > 0
+    # The test bound and the tau-ahead error read the same unmasked test
+    # sequences, and ``prepare`` is deterministic: one pass serves both.
+    test_seqs = _as_sequences(test_rows, seq_len) if is_lds and has_test else None
+    test_prep = state.net.prepare(test_seqs) if test_seqs is not None else None
 
-    def bound_on(rows):
+    def bound_on(rows, prep=None):
         if rows is None or rows.shape[0] == 0:
             return np.nan
-        return per_datum_bound(state, rows, seq_len=seq_len, seed=eval_seed)
+        return per_datum_bound(state, rows, seq_len=seq_len, seed=eval_seed, prep=prep)
 
     row = metrics_row(
         iteration,
         seconds if cfg.timing else 0.0,
         train_bound=bound_on(train_rows),
         val_bound=bound_on(val_rows),
-        test_bound=bound_on(test_rows),
+        test_bound=bound_on(test_rows, test_prep),
     )
-    if test_rows is not None and test_rows.shape[0]:
+    if has_test:
         row["imputation_mse"] = imputation_mse(
             state, test_rows, seq_len=seq_len, seed=eval_seed
         )
-        if cfg.model_kind == "latent-lds":
-            row["tau_mae"] = tau_ahead_mae(
-                state, _as_sequences(test_rows, cfg.seq_len), tau=1
-            )
+        if is_lds:
+            row["tau_mae"] = tau_ahead_mae(state, test_seqs, tau=1, prep=test_prep)
     return row
 
 

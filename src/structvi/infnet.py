@@ -20,6 +20,12 @@ A dynamics network also prepares a (B, T, D) block of sequences: one encoder
 pass over its B*T rows and one filter batched over the block, from which it
 draws and replays; its adjoints take one sequence.
 
+The package's one Kalman filter, ``kalman_filter``, takes a dense emission:
+the dynamics factor runs it with identity emission on the pseudo-observations
+(m_t, diag v_t), and ``baselines``' LDS-EM on its observations.  Both share
+the RTS gains and backward recursion.  The filter reverse sweep and the
+adjoints assume the identity emission.
+
 The dynamics factor keeps a Python loop over time only where a step needs
 the previous step's result: the filter's covariance and mean recursions,
 the draw's x_t = offset_t + J_t x_{t+1} and its adjoint, and the filter
@@ -390,12 +396,13 @@ def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
 
 @dataclass
 class FilterRecord:
-    """Forward filter pass over pseudo-observations (m_t, diag(v_t)).
+    """``kalman_filter`` pass over pseudo-observations (m_t, diag(v_t)) with
+    identity emission, as ``lds_filter`` runs it.
 
     Shapes are for one sequence; a filter run on a (B, T, d) block gives
     every array a leading B axis and ``log_z`` one value per sequence.
     Per-step arrays are indexed 0..T-1 for step t = index + 1; filtered
-    moments carry an extra row for the initial state.
+    moments carry an extra row 0 for the unobserved initial state x_0.
 
     ``smoother`` is filled by the record's first draw (see
     ``_smoother_factors``) with ``(dyn, gain, pred_inv, chol)``, each stacked
@@ -430,49 +437,84 @@ def _t(mats):
     return np.swapaxes(mats, -1, -2)
 
 
-def lds_filter(dyn, m, v):
-    """Kalman forward pass over one (T, d) sequence or a (B, T, d) block.
+def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
+    """Kalman forward pass for y_t = emit x_t + r_t, r_t ~ N(0, obs_cov[..., t]),
+    from x_1's predicted moments (mu1, p1), with x_{t+1} = trans x_t + noise.
 
-    The loop carries the two recursions, each step batched over the block:
-    covariance (predicted covariance, innovation factor, its inverse, gain,
-    filtered covariance) and mean.  The log normalizer's per-step
-    prediction-error terms then follow in one call stacked over time.
+    Means take the leading axes of ``y`` (..., T, D); covariances, innovation
+    factors and gains those of ``obs_cov`` (..., T, D, D), so a noise shared by
+    a block, passed as a broadcast (T, D, D) view, gives shared covariances.
+    The loop carries the covariance and mean recursions; the log normalizer's
+    prediction-error terms follow stacked.  Returns the ``FilterRecord``
+    fields as a dict of T-row arrays (row t for step t + 1), ``log_z`` one
+    value per sequence.
     """
-    lead, (t_len, d) = m.shape[:-2], m.shape[-2:]
-    a = dyn.trans
-    q = dyn.noise_cov
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(dyn.init_cov))):
-        raise InvalidParameterError("dynamics covariances contain non-finite entries")
-    mu_pred, resid = np.zeros(lead + (t_len, d)), np.zeros(lead + (t_len, d))
-    p_pred, chol_s, s_inv, gain, v_diag = (
-        np.zeros(lead + (t_len, d, d)) for _ in range(5)
-    )
-    mu_filt = np.zeros(lead + (t_len + 1, d))
-    p_filt = np.zeros(lead + (t_len + 1, d, d))
-    mu_filt[..., 0, :] = dyn.init_mean
-    p_filt[..., 0, :, :] = dyn.init_cov
-    idx = np.arange(d)
-    v_diag[..., idx, idx] = v
+    t_len, obs_dim = y.shape[-2:]
+    d = trans.shape[0]
+    means, covs = y.shape[:-1], obs_cov.shape[:-2]
+    mu_pred, mu_filt, resid = (np.zeros(means + (n,)) for n in (d, d, obs_dim))
+    p_pred, p_filt, gain = (np.zeros(covs + (d, n)) for n in (d, d, obs_dim))
+    chol_s, s_inv = (np.zeros(covs + (obs_dim, obs_dim)) for _ in range(2))
+    mp, pp = mu1, p1
     for t in range(t_len):
-        p_pred[..., t, :, :] = pp = a @ p_filt[..., t, :, :] @ a.T + q
-        chol = _guarded_chol(pp + v_diag[..., t, :, :], "innovation covariance")
-        chol_s[..., t, :, :] = chol
+        mu_pred[..., t, :], p_pred[..., t, :, :] = mp, pp
+        s = emit @ pp @ emit.T + obs_cov[..., t, :, :]
+        chol_s[..., t, :, :] = chol = _guarded_chol(s, "innovation covariance")
         s_inv[..., t, :, :] = si = linalg.inv_from_chol(chol)
-        gain[..., t, :, :] = k = pp @ si
-        p_filt[..., t + 1, :, :] = pp - k @ pp
-        mu_pred[..., t, :] = mp = mu_filt[..., t, :] @ a.T
-        resid[..., t, :] = e = m[..., t, :] - mp
-        mu_filt[..., t + 1, :] = mp + _mv(k, e)
-    sol = np.linalg.solve(chol_s, resid[..., None])[..., 0]
-    log_z = -0.5 * np.sum(
-        d * LOG_2PI + linalg.logdet_from_chol(chol_s) + np.sum(sol**2, axis=-1),
-        axis=-1,
+        gain[..., t, :, :] = k = pp @ emit.T @ si
+        resid[..., t, :] = e = y[..., t, :] - mp @ emit.T
+        mu_filt[..., t, :] = mf = mp + _mv(k, e)
+        p_filt[..., t, :, :] = pf = pp - k @ emit @ pp
+        mp, pp = mf @ trans.T, trans @ pf @ trans.T + noise_cov
+    quad = np.sum(resid * _mv(s_inv, resid), axis=-1)
+    log_z = -0.5 * np.sum(obs_dim * LOG_2PI + linalg.logdet_from_chol(chol_s) + quad, axis=-1)
+    return dict(
+        mu_pred=mu_pred, p_pred=p_pred, chol_s=chol_s, s_inv=s_inv, resid=resid,
+        gain=gain, mu_filt=mu_filt, p_filt=p_filt, log_z=log_z,
     )
-    return FilterRecord(
-        m=m, v=v, mu_pred=mu_pred, p_pred=p_pred, chol_s=chol_s, s_inv=s_inv,
-        resid=resid, gain=gain, mu_filt=mu_filt, p_filt=p_filt,
-        log_z=log_z if lead else float(log_z),
-    )
+
+
+def lds_filter(dyn, m, v):
+    """The model's forward pass over one (T, d) sequence or a (B, T, d) block:
+    ``kalman_filter`` with identity emission and observation noise diag(v_t),
+    started from the prediction of x_1 from the unobserved initial state x_0,
+    whose moments the record keeps as its filtered row 0."""
+    a, q, p0 = dyn.trans, dyn.noise_cov, dyn.init_cov
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p0))):
+        raise InvalidParameterError("dynamics covariances contain non-finite entries")
+    lead, d = m.shape[:-2], m.shape[-1]
+    v_diag = np.zeros(v.shape + (d,))
+    v_diag[..., np.arange(d), np.arange(d)] = v
+    out = kalman_filter(a, q, dyn.init_mean @ a.T, a @ p0 @ a.T + q, m, np.eye(d), v_diag)
+    for key, first in (("mu_filt", dyn.init_mean), ("p_filt", p0)):
+        head = np.broadcast_to(first, lead + (1,) + first.shape)
+        out[key] = np.concatenate([head, out[key]], axis=-1 - first.ndim)
+    if not lead:
+        out["log_z"] = float(out["log_z"])
+    return FilterRecord(m=m, v=v, **out)
+
+
+def rts_gains(trans, p_filt, p_pred_next):
+    """Rauch-Tung-Striebel gains, stacked over time: for filtered covariances
+    P_t and the predicted covariances P_{t+1|t} of the next step, returns
+    J_t = P_t A^T P_{t+1|t}^-1 (the gain of x_t on x_{t+1}), the inverses
+    P_{t+1|t}^-1 it uses, and x_t's covariance given x_{t+1},
+    P_t - J_t P_{t+1|t} J_t^T."""
+    pred_inv = np.linalg.inv(p_pred_next)
+    j = p_filt @ trans.T @ pred_inv
+    return j, pred_inv, p_filt - j @ p_pred_next @ _t(j)
+
+
+def backward_chain(x, j):
+    """x_t = x_t + J_t x_{t+1} backward over time, in place.
+
+    ``x`` is (..., R, k) with its last row final, ``j`` the (..., R-1, k, k)
+    gains; returns ``x``.  The draw and the RTS smoother's means and (as
+    vec P_t with gains J_t kron J_t) covariances all take this form.
+    """
+    for t in range(j.shape[-3] - 1, -1, -1):
+        x[..., t, :] += _mv(j[..., t, :, :], x[..., t + 1, :])
+    return x
 
 
 def _smoother_factors(dyn, record):
@@ -481,11 +523,7 @@ def _smoother_factors(dyn, record):
     shared with its pathwise adjoint; passes that never draw never compute
     them."""
     if record.smoother is None or record.smoother[0] is not dyn:
-        p_filt = record.p_filt[..., :-1, :, :]
-        pp1 = record.p_pred
-        pp1_inv = np.linalg.inv(pp1)
-        j = p_filt @ dyn.trans.T @ pp1_inv
-        cov = p_filt - j @ pp1 @ _t(j)
+        j, pp1_inv, cov = rts_gains(dyn.trans, record.p_filt[..., :-1, :, :], record.p_pred)
         chol = np.concatenate(
             [
                 linalg.cholesky_spd(cov, "conditional covariance"),
@@ -509,13 +547,12 @@ def lds_reconstruct(dyn, record, eps):
     j, _, chol = _smoother_factors(dyn, record)
     x = record.mu_filt + _mv(chol, eps)
     x[..., :t_len, :] -= _mv(j, record.mu_pred)
-    for t in range(t_len - 1, -1, -1):
-        x[..., t, :] += _mv(j[..., t, :, :], x[..., t + 1, :])
-    return x
+    return backward_chain(x, j)
 
 
 def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
-    """Reverse sweep of a single-sequence forward filter.
+    """Reverse sweep of a single-sequence ``lds_filter`` pass, whose emission
+    is the identity (``kalman_filter`` with emit = I).
 
     Carries the externally injected adjoints of the filtered moments
     (``ext_mf``, ``ext_pf``, (T+1, ...)) and predicted moments (``ext_mp``,

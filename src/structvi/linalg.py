@@ -61,43 +61,16 @@ def _jittered_cholesky(mat, what):
     raise NumericalError(f"cholesky failed for {what} after jitter retries")
 
 
-def solve_lower(chol, b):
-    """Solve L y = b by substitution, batched; b has matrix-stack shape."""
-    d = chol.shape[-1]
-    xs = []
-    for i in range(d):
-        acc = b[..., i, :]
-        for j in range(i):
-            acc = acc - chol[..., i, j, None] * xs[j]
-        xs.append(acc / chol[..., i, i, None])
-    return np.stack(xs, axis=-2)
-
-
-def solve_upper_t(chol, b):
-    """Solve L^T x = b by substitution given the lower factor."""
-    d = chol.shape[-1]
-    xs = [None] * d
-    for i in reversed(range(d)):
-        acc = b[..., i, :]
-        for j in range(i + 1, d):
-            acc = acc - chol[..., j, i, None] * xs[j]
-        xs[i] = acc / chol[..., i, i, None]
-    return np.stack(xs, axis=-2)
-
-
 def chol_solve(chol, b):
-    """Solve (L L^T) x = b given the lower factor."""
-    b = np.asarray(b, dtype=float)
-    vector = b.ndim == chol.ndim - 1
-    if vector:
-        b = b[..., None]
-    x = solve_upper_t(chol, solve_lower(chol, b))
-    return x[..., 0] if vector else x
+    """Solve (L L^T) X = B for a stack of right-hand-side matrices B, given
+    the lower factors."""
+    return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, b))
 
 
 def inv_from_chol(chol):
-    d = chol.shape[-1]
-    return chol_solve(chol, np.broadcast_to(np.eye(d), chol.shape))
+    """(L L^T)^-1 = L^-T L^-1 given the lower factor, batched over a stack."""
+    l_inv = np.linalg.inv(chol)
+    return np.swapaxes(l_inv, -1, -2) @ l_inv
 
 
 def logdet_from_chol(chol):
@@ -166,7 +139,7 @@ def cholesky_vjp(chol, grad_chol):
     p = np.tril(p)
     idx = np.arange(d)
     p[..., idx, idx] *= 0.5
-    lt_inv = solve_lower(chol, np.broadcast_to(np.eye(d), chol.shape))
+    lt_inv = np.linalg.inv(chol)
     w = np.swapaxes(lt_inv, -1, -2) @ p @ lt_inv
     return symmetrize(w)
 

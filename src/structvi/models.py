@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from . import expfam, linalg, nnet, updates
@@ -182,7 +181,7 @@ def forecast_means(filtered, trans, tau):
 
 def _gaussian_logpdf(x, mean, chol):
     d = x.shape[-1]
-    v = solve_triangular(chol, (x - mean).T, lower=True)
+    v = np.linalg.solve(chol, (x - mean).T)
     return -0.5 * np.sum(v**2, axis=0) - 0.5 * (
         linalg.logdet_from_chol(chol) + d * LOG_2PI
     )
@@ -190,14 +189,12 @@ def _gaussian_logpdf(x, mean, chol):
 
 def _dynamics_log_prior(prior, x):
     """Log density of a dynamics latent array, and the (2, d, d) Cholesky
-    factors of the initial and transition-noise covariances, factored in one
-    call so the gradients can share them."""
+    factors of the initial and transition-noise covariances, read from their
+    stored raw vectors in one call so the gradients can share them."""
     d = prior.dim
     if x.shape[-2] < 2:
         raise ContractError("dynamics prior needs at least one transition")
-    chols = linalg.cholesky_spd(
-        np.stack([prior.init_cov, prior.noise_cov]), "dynamics covariance"
-    )
+    chols = linalg.tril_from_raw(np.stack([prior.init_raw, prior.noise_raw]), d)
     init = x[..., :1, :].reshape(-1, d)
     val = float(_gaussian_logpdf(init, prior.init_mean, chols[0]).sum())
     resid = (x[..., 1:, :] - x[..., :-1, :] @ prior.trans.T).reshape(-1, d)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from structvi import baselines, expfam, linalg, updates
+from structvi import baselines, expfam, infnet, linalg, models, updates
 from structvi.errors import ContractError
 
 
@@ -328,6 +328,53 @@ def test_em_iteration_smooths_block_once(monkeypatch):
         count(module, name)
     baselines.lds_em_fit(seqs, d=2, n_iter=1, init=params)
     assert calls == {"lds_em_smooth": 1, "lds_em_filter": 1, "cholesky_spd": 7}
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_em_filter_equals_model_filter_on_pseudo_observations(lead):
+    """Initial-state indexing of the two callers of ``infnet.kalman_filter``.
+
+    The model's chain starts at an unobserved x_0 and the record keeps it as
+    row 0; EM's first state x_1 is observed.  With emission I, R = diag(v),
+    and x_1's predicted moments as EM's initial ones, EM's rows are the
+    model's rows 1..T, and the log-likelihood is the model's log Z.
+    """
+    rng = np.random.default_rng(53)
+    d, t_len = 2, 6
+    dyn = models.LinearDynamics(
+        trans=0.6 * np.eye(d) + 0.2 * rng.standard_normal((d, d)),
+        noise_raw=0.3 * rng.standard_normal(linalg.tril_size(d)),
+        init_mean=rng.standard_normal(d),
+        init_raw=0.3 * rng.standard_normal(linalg.tril_size(d)),
+    )
+    a, q = dyn.trans, dyn.noise_cov
+    v_one = np.exp(0.5 * rng.standard_normal(d))
+    m = rng.standard_normal(lead + (t_len, d))
+    params = baselines.LdsEmParams(
+        trans=a, trans_cov=q, emit=np.eye(d), emit_cov=np.diag(v_one),
+        init_mean=a @ dyn.init_mean, init_cov=a @ dyn.init_cov @ a.T + q,
+    )
+    xf, pf, xp, pp, loglik = baselines.lds_em_filter(params, m)
+    rec = infnet.lds_filter(dyn, m, np.broadcast_to(v_one, m.shape))
+    np.testing.assert_allclose(xf, rec.mu_filt[..., 1:, :], rtol=1e-12)
+    np.testing.assert_allclose(xp, rec.mu_pred, rtol=1e-12)
+    for got, want in ((pf, rec.p_filt[..., 1:, :, :]), (pp, rec.p_pred)):
+        np.testing.assert_allclose(np.broadcast_to(got, want.shape), want, rtol=1e-12)
+    assert loglik == pytest.approx(float(np.sum(rec.log_z)), rel=1e-12)
+
+
+def test_em_filter_and_smoother_run_one_chain_core(monkeypatch):
+    rng = np.random.default_rng(59)
+    params = random_lds_params(rng, 2, 3)
+    seqs = simulate(params, rng, 4, 6)
+    calls = []
+    core = infnet.kalman_filter
+    monkeypatch.setattr(infnet, "kalman_filter", lambda *a: calls.append(1) or core(*a))
+    baselines.lds_em_filter(params, seqs)
+    baselines.lds_em_filter(params, seqs[0])
+    assert len(calls) == 2
+    baselines.lds_em_smooth(params, seqs)
+    assert len(calls) == 3
 
 
 def test_lds_em_contract_errors_keep_their_type():

@@ -425,6 +425,18 @@ def test_gradient_step_runs_one_filter_reverse_sweep(monkeypatch):
     assert len(calls) == 1
 
 
+def test_filter_and_gradient_step_run_one_chain_core(monkeypatch):
+    model, net, y = lds_case(np.random.default_rng(48), t_len=6, d=2, data_dim=3)
+    calls = []
+    core = infnet.kalman_filter
+    monkeypatch.setattr(infnet, "kalman_filter", lambda *a: calls.append(1) or core(*a))
+    m, v = infnet.encode(net, y)
+    infnet.lds_filter(net.dynamics, m, v)
+    assert len(calls) == 1
+    bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=6)
+    assert len(calls) == 2
+
+
 def test_mixture_gradient_step_factors_combined_covariance_once(monkeypatch):
     model, net, y = gmm_case(np.random.default_rng(44))
     calls = []

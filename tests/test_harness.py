@@ -830,6 +830,28 @@ def test_lds_evaluate_runs_one_filter_per_task(monkeypatch, n_seq):
     assert np.isfinite(out["bound"]) and np.isfinite(out["tau_mae"][1])
 
 
+def test_lds_metrics_row_filters_the_test_block_once(monkeypatch):
+    """Train, val, test bound with tau-ahead on one prepared block, masked
+    imputation: 4 filter passes, and the same figures as separate calls."""
+    ds = seq_dataset(n_seq=12, seed=17)
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(8,), seed=17, seq_len=10,
+        timing=False,
+    )
+    state = harness.init_state(cfg, ds.dim)
+    splits = harness._eval_splits(ds, cfg)
+    seed = cfg.seed * 1_000_003 + 17
+    want_bound = harness.per_datum_bound(state, splits[2], seq_len=10, seed=seed)
+    want_tau = harness.tau_ahead_mae(state, splits[2].reshape(-1, 10, ds.dim), tau=1)
+    calls = []
+    lds_filter = infnet.lds_filter
+    monkeypatch.setattr(infnet, "lds_filter", lambda *a: calls.append(1) or lds_filter(*a))
+    row = harness._structured_metrics_row(state, splits, cfg, 0, 0.0)
+    assert len(calls) == 4
+    assert row["test_bound"] == want_bound
+    assert row["tau_mae"] == want_tau
+
+
 def test_lds_evaluate_shares_one_test_block_across_bound_and_taus(monkeypatch):
     ds = seq_dataset(n_seq=12, seed=16)
     cfg = harness.TrainConfig(

@@ -131,6 +131,17 @@ class TestLogPrior:
                 ) / (2 * h)
             np.testing.assert_allclose(grad_p, fd_p, rtol=1e-4, atol=1e-6)
 
+    def test_dynamics_prior_reads_its_stored_factors(self, monkeypatch):
+        """The covariances are stored as raw Cholesky factors: nothing to factor."""
+        lds = random_lds(np.random.default_rng(6), 2)
+        x = np.random.default_rng(7).standard_normal((3, 5, 2))
+        calls = []
+        chol = linalg.cholesky_spd
+        monkeypatch.setattr(linalg, "cholesky_spd", lambda *a: calls.append(1) or chol(*a))
+        models.log_prior_with_grads(lds, x[0])
+        models.log_prior(lds, x)
+        assert calls == []
+
 
 class TestExpectedLogPrior:
     def test_concentrated_posterior_hits_point_value(self):
