@@ -44,12 +44,10 @@ def expected_component_loglik(q, y):
     statistics and the posterior's mean coordinates.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    n, d = y.shape
-    out = np.empty((n, q.n_components))
-    for j, comp in enumerate(q.components):
-        m1, m2, m3, m4 = expfam.split_normal_wishart(expfam.to_mean(comp).values, d)
-        out[:, j] = y @ m1 + m2[0] + np.einsum("ni,il,nl->n", y, m3, y) + m4[0]
-    return out - 0.5 * d * LOG_2PI
+    d = y.shape[1]
+    m1, m2, m3, m4 = expfam.split_normal_wishart(expfam.to_mean(q.components).values, d)
+    quad = np.einsum("ni,kil,nl->nk", y, m3, y)
+    return y @ m1.T + m2[:, 0] + quad + m4[:, 0] - 0.5 * d * LOG_2PI
 
 
 def vb_gmm_responsibilities(q, y):
@@ -93,12 +91,13 @@ def vb_gmm_fit(y, k, n_iter=100, prior=None, seed=0):
 
 
 def _student_logpdf(y, mean, prec, dof):
-    """Multivariate t with a precision-form scale matrix."""
-    d = mean.size
+    """(n, k) log densities of multivariate t components with precision-form
+    scale matrices (k, d, d) and per-component dof (k,)."""
+    d = mean.shape[-1]
     chol = np.linalg.cholesky(linalg.symmetrize(np.linalg.inv(prec)))
-    sol = np.linalg.solve(chol, (y - mean).T).T
-    delta = np.sum(sol**2, axis=1)
-    logdet_prec = -2.0 * np.sum(np.log(np.diag(chol)))
+    sol = np.linalg.solve(chol, np.swapaxes(y[None, :, :] - mean[:, None, :], -1, -2))
+    delta = np.sum(sol**2, axis=-2).T
+    logdet_prec = -linalg.logdet_from_chol(chol)
     return (
         gammaln(0.5 * (dof + d))
         - gammaln(0.5 * dof)
@@ -114,15 +113,12 @@ def vb_gmm_predictive_logpdf(q, y):
     d = y.shape[1]
     alpha = expfam.to_standard(q.weights).alpha
     log_w = np.log(alpha) - np.log(alpha.sum())
-    cols = []
-    for j, comp in enumerate(q.components):
-        p = expfam.to_standard(comp)
-        dof = p.dof + 1.0 - d
-        if dof <= 0:
-            raise ContractError("posterior dof too small for a proper predictive")
-        prec = (dof * p.kappa / (1.0 + p.kappa)) * p.scale
-        cols.append(log_w[j] + _student_logpdf(y, p.mean, prec, dof))
-    return logsumexp(np.stack(cols, axis=1), axis=1)
+    p = expfam.to_standard(q.components)
+    dof = p.dof + 1.0 - d
+    if np.any(dof <= 0):
+        raise ContractError("posterior dof too small for a proper predictive")
+    prec = (dof * p.kappa / (1.0 + p.kappa))[:, None, None] * p.scale
+    return logsumexp(log_w + _student_logpdf(y, p.mean, prec, dof), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ normal_wishart (dim d)
 Mean coordinates are E[T] in the identical layout, so ``kl_divergence``
 reduces to the bregman form A(p) - A(q) - <p - q, E_q[T]> for any pair
 within one family.
+
+A Normal-Wishart value array may carry leading axes, one member per index:
+a (K, d*d + d + 2) array is K members, and every map here converts, checks,
+scores or samples the whole stack in one call.  A stack is in the domain when
+every member is.  ``log_partition`` and ``kl_divergence`` return a Python
+float for a single member and one value per member for a stack.
 """
 
 from dataclasses import dataclass, replace
@@ -33,7 +39,11 @@ NORMAL_WISHART = "normal_wishart"
 
 @dataclass(frozen=True)
 class NaturalParamVector:
-    """Flat coordinate vector tagged with family, dimension, and coordinate kind."""
+    """Coordinate array tagged with family, dimension, and coordinate kind.
+
+    ``values`` is one member's flat layout, or for the Normal-Wishart a stack
+    of them along leading axes.
+    """
 
     family: str
     dim: int
@@ -73,21 +83,18 @@ def _spd_or_none(mat):
 # packing helpers
 
 def pack_normal_wishart(e1, e2, e3, e4):
-    return np.concatenate(
-        [
-            np.asarray(e1, dtype=float).ravel(),
-            np.atleast_1d(np.asarray(e2, dtype=float)),
-            np.asarray(e3, dtype=float).ravel(),
-            np.atleast_1d(np.asarray(e4, dtype=float)),
-        ]
-    )
+    """Concatenate the blocks along the last axis, behind ``e1``'s leading axes."""
+    e1 = np.asarray(e1, dtype=float)
+    lead = e1.shape[:-1]
+    rest = [np.reshape(np.asarray(e, dtype=float), lead + (-1,)) for e in (e2, e3, e4)]
+    return np.concatenate([e1] + rest, axis=-1)
 
 
 def split_normal_wishart(values, d):
-    e1 = values[:d]
-    e2 = values[d : d + 1]
-    e3 = values[d + 1 : d + 1 + d * d].reshape(d, d)
-    e4 = values[d + 1 + d * d :]
+    e1 = values[..., :d]
+    e2 = values[..., d : d + 1]
+    e3 = values[..., d + 1 : d + 1 + d * d].reshape(values.shape[:-1] + (d, d))
+    e4 = values[..., d + 1 + d * d :]
     return e1, e2, e3, e4
 
 
@@ -124,97 +131,95 @@ def to_natural_vector(param):
     raise ContractError(f"unknown parameter type {type(param).__name__}")
 
 
+def _nw_standard(values, d):
+    """(mean, kappa, Cholesky factor of inv(W), dof) of every member, after
+    the domain checks; one factorization covers the whole stack."""
+    e1, e2, e3, e4 = split_normal_wishart(values, d)
+    kappa = e2[..., 0]
+    _require(np.all(kappa > 0), "kappa must be positive")
+    mean = e1 / kappa[..., None]
+    outer = mean[..., :, None] * mean[..., None, :]
+    winv = linalg.symmetrize(e3) - kappa[..., None, None] * outer
+    chol = _spd_or_none(winv)
+    _require(chol is not None, "inverse scale must be SPD")
+    dof = e4[..., 0] + d
+    _require(np.all(dof > d - 1), "dof must exceed dim - 1")
+    return mean, kappa, chol, dof
+
+
+def _check_natural(nat):
+    if nat.coords != "natural":
+        raise ContractError(f"expected natural coordinates, got {nat.coords}")
+    if nat.family not in (DIRICHLET, NORMAL_WISHART):
+        raise ContractError(f"unknown family {nat.family}")
+
+
 def to_standard(nat):
     """Natural coordinates back to the standard parameterization."""
-    _check_coords(nat, "natural")
-    v, d = nat.values, nat.dim
+    _check_natural(nat)
     if nat.family == DIRICHLET:
-        return DirichletParam(alpha=v + 1.0)
-    if nat.family == NORMAL_WISHART:
-        e1, e2, e3, e4 = split_normal_wishart(v, d)
-        kappa = float(e2[0])
-        _require(kappa > 0, "kappa must be positive")
-        m = e1 / kappa
-        winv = linalg.symmetrize(e3) - kappa * np.outer(m, m)
-        chol = _spd_or_none(winv)
-        _require(chol is not None, "inverse scale must be SPD")
-        nu = float(e4[0]) + d
-        _require(nu > d - 1, "dof must exceed dim - 1")
-        return NormalWishartParam(
-            mean=m, kappa=kappa, scale=linalg.inv_from_chol(chol), dof=nu
-        )
-    raise ContractError(f"unknown family {nat.family}")
+        return DirichletParam(alpha=nat.values + 1.0)
+    mean, kappa, chol, dof = _nw_standard(nat.values, nat.dim)
+    return NormalWishartParam(mean, kappa, linalg.inv_from_chol(chol), dof)
 
 
 def in_natural_domain(nat):
-    """True when the coordinates describe a normalizable member."""
-    try:
-        to_standard(nat)
-    except InvalidParameterError:
-        return False
+    """True when the coordinates describe a normalizable member; for a stack,
+    when every member does."""
+    _check_natural(nat)
     if nat.family == DIRICHLET:
         return bool(np.all(nat.values > -1.0))
+    try:
+        _nw_standard(nat.values, nat.dim)
+    except InvalidParameterError:
+        return False
     return True
-
-
-def _check_coords(nat, want):
-    if nat.coords != want:
-        raise ContractError(f"expected {want} coordinates, got {nat.coords}")
 
 
 # ---------------------------------------------------------------------------
 # log partition and moment maps
 
-def _multigammaln_half(nu, d):
-    return special.multigammaln(0.5 * nu, d)
-
-
 def _multidigamma_half(nu, d):
     i = np.arange(1, d + 1)
-    return 0.5 * np.sum(special.digamma(0.5 * (nu + 1 - i)))
+    return 0.5 * np.sum(special.digamma(0.5 * (nu[..., None] + 1 - i)), axis=-1)
 
 
 def log_partition(nat):
-    _check_coords(nat, "natural")
+    _check_natural(nat)
     v, d = nat.values, nat.dim
     if nat.family == DIRICHLET:
         alpha = v + 1.0
         _require(np.all(alpha > 0), "dirichlet domain violated")
         return float(np.sum(special.gammaln(alpha)) - special.gammaln(alpha.sum()))
-    if nat.family == NORMAL_WISHART:
-        p = to_standard(nat)
-        chol_w = np.linalg.cholesky(linalg.symmetrize(p.scale))
-        logdet_w = linalg.logdet_from_chol(chol_w)
-        return float(
-            -0.5 * d * np.log(p.kappa)
-            + 0.5 * d * np.log(2 * np.pi)
-            + 0.5 * p.dof * d * np.log(2.0)
-            + 0.5 * p.dof * logdet_w
-            + _multigammaln_half(p.dof, d)
-        )
-    raise ContractError(f"unknown family {nat.family}")
+    _, kappa, chol, dof = _nw_standard(v, d)
+    val = (
+        -0.5 * d * np.log(kappa)
+        + 0.5 * d * np.log(2 * np.pi)
+        + 0.5 * dof * d * np.log(2.0)
+        - 0.5 * dof * linalg.logdet_from_chol(chol)  # log|W| = -log|inv(W)|
+        + special.multigammaln(0.5 * dof, d)
+    )
+    return float(val) if v.ndim == 1 else val
 
 
 def to_mean(nat):
-    """Mean coordinates E[T] in the family's flat layout."""
-    _check_coords(nat, "natural")
+    """Mean coordinates E[T] in the family's layout."""
+    _check_natural(nat)
     d = nat.dim
-    p = to_standard(nat)
     if nat.family == DIRICHLET:
-        vals = special.digamma(p.alpha) - special.digamma(p.alpha.sum())
-    elif nat.family == NORMAL_WISHART:
-        e_lam = p.dof * p.scale
-        e_lam_mu = e_lam @ p.mean
-        e_quad = -0.5 * (p.mean @ e_lam @ p.mean + d / p.kappa)
-        chol_w = np.linalg.cholesky(linalg.symmetrize(p.scale))
+        alpha = nat.values + 1.0
+        vals = special.digamma(alpha) - special.digamma(alpha.sum())
+    else:
+        mean, kappa, chol, dof = _nw_standard(nat.values, d)
+        e_lam = dof[..., None, None] * linalg.inv_from_chol(chol)
+        e_lam_mu = (e_lam @ mean[..., None])[..., 0]
+        e_quad = -0.5 * (np.sum(mean * e_lam_mu, axis=-1) + d / kappa)
         e_logdet = (
-            2.0 * _multidigamma_half(p.dof, d)
+            2.0 * _multidigamma_half(dof, d)
             + d * np.log(2.0)
-            + linalg.logdet_from_chol(chol_w)
+            - linalg.logdet_from_chol(chol)
         )
         vals = pack_normal_wishart(e_lam_mu, e_quad, -0.5 * e_lam, 0.5 * e_logdet)
-    else:
-        raise ContractError(f"unknown family {nat.family}")
     return NaturalParamVector(nat.family, d, np.asarray(vals, dtype=float), coords="mean")
 
 
@@ -222,32 +227,38 @@ def to_mean(nat):
 # divergences and sampling
 
 def kl_divergence(q, p):
-    """KL(q || p) within one family via the bregman form of A."""
-    if q.family != p.family or q.dim != p.dim:
-        raise ContractError("kl_divergence needs matching families and dims")
-    _check_coords(q, "natural")
-    _check_coords(p, "natural")
+    """KL(q || p) within one family via the bregman form of A; member by
+    member for two stacks of one shape."""
+    if q.family != p.family or q.dim != p.dim or q.values.shape != p.values.shape:
+        raise ContractError("kl_divergence needs matching families, dims and shapes")
+    _check_natural(q)
+    _check_natural(p)
     mean_q = to_mean(q).values
-    kl = log_partition(p) - log_partition(q) - float((p.values - q.values) @ mean_q)
-    return max(kl, 0.0) if kl > -1e-9 else kl
+    kl = log_partition(p) - log_partition(q) - np.sum((p.values - q.values) * mean_q, -1)
+    kl = np.where(kl > -1e-9, np.maximum(kl, 0.0), kl)
+    return float(kl) if q.values.ndim == 1 else kl
 
 
 def sample(nat, rng):
-    """One draw; the Normal-Wishart returns a (mean, precision) pair."""
-    _check_coords(nat, "natural")
-    p = to_standard(nat)
+    """One draw; the Normal-Wishart returns a (mean, precision) pair, stacked
+    for a stack.  The precision is the Bartlett construction L B B^T L^T, with
+    L the Cholesky factor of W, drawn in three blocks over the whole stack:
+    B's chi-square diagonals, B's normals below them, then the mean normals.
+    """
+    _check_natural(nat)
     if nat.family == DIRICHLET:
-        return rng.dirichlet(p.alpha)
-    if nat.family == NORMAL_WISHART:
-        d = nat.dim
-        chol_w = linalg.cholesky_spd(p.scale, "wishart scale")
-        bart = np.zeros((d, d))
-        for i in range(d):
-            bart[i, i] = np.sqrt(rng.chisquare(p.dof - i))
-            bart[i, :i] = rng.standard_normal(i)
-        factor = chol_w @ bart  # lam = factor factor^T
-        lam = factor @ factor.T
-        z = rng.standard_normal(d)
-        mu = p.mean + np.linalg.solve(factor.T, z) / np.sqrt(p.kappa)
-        return mu, lam
-    raise ContractError(f"unknown family {nat.family}")
+        return rng.dirichlet(nat.values + 1.0)
+    d = nat.dim
+    mean, kappa, chol_winv, dof = _nw_standard(nat.values, d)
+    chol_w = linalg.cholesky_spd(linalg.inv_from_chol(chol_winv), "wishart scale")
+    bart = np.zeros(dof.shape + (d, d))
+    idx = np.arange(d)
+    bart[..., idx, idx] = np.sqrt(rng.chisquare(dof[..., None] - idx))
+    if d > 1:
+        rr, cc = np.tril_indices(d, -1)
+        bart[..., rr, cc] = rng.standard_normal(dof.shape + (rr.size,))
+    factor = chol_w @ bart  # lam = factor factor^T
+    lam = factor @ np.swapaxes(factor, -1, -2)
+    z = rng.standard_normal(dof.shape + (d,))
+    shift = np.linalg.solve(np.swapaxes(factor, -1, -2), z[..., None])[..., 0]
+    return mean + shift / np.sqrt(kappa)[..., None], lam

@@ -183,7 +183,7 @@ class TrainState:
 
 def _mixture_from_params(weights, means, covs):
     logits = np.log(np.maximum(weights, 1e-300))
-    raw = np.stack([linalg.raw_from_spd(c) for c in covs])
+    raw = linalg.raw_from_spd(covs)
     return models.GaussianMixture(logits=logits, means=np.asarray(means), chol_raw=raw)
 
 
@@ -428,14 +428,13 @@ def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2, prep=None):
 def gmm_posterior_mean_latent(net, y):
     """E[x | y] under the structured posterior, responsibilities folded in."""
     prep = net.prepare(y)
-    n = y.shape[0]
-    cols = []
-    for j in range(net.mixture.n_components):
-        mean_j, _ = infnet.gmm_conditional(
-            net.mixture, prep.m, prep.v, np.full(n, j, dtype=int)
-        )
-        cols.append(mean_j)
-    return np.einsum("nk,knd->nd", prep.record.resp, np.stack(cols))
+    n, k = prep.record.resp.shape
+    # every (component, row) pair, component-major
+    mean, _ = infnet.gmm_conditional(
+        net.mixture, np.tile(prep.m, (k, 1)), np.tile(prep.v, (k, 1)),
+        np.repeat(np.arange(k), n),
+    )
+    return np.einsum("nk,knd->nd", prep.record.resp, mean.reshape(k, n, -1))
 
 
 def lds_posterior_mean_latent(net, seqs):
@@ -702,7 +701,16 @@ def load_state(path):
     if meta.get("prior_fixed") == "1":
         override = _fixed_prior_template(meta["prior_kind"], cfg)
     state = init_state(cfg, data_dim, prior_override=override)
-    state.net = state.net.with_phi_vector(arrays["phi"])
+
+    def sized(name, template):
+        if arrays[name].shape != template.shape:
+            raise ParseError(
+                f"{path}: {name} has shape {arrays[name].shape}, the configured "
+                f"state needs {template.shape}"
+            )
+        return arrays[name]
+
+    state.net = state.net.with_phi_vector(sized("phi", state.net.phi_vector()))
     if "theta_nn" in arrays:
         state.decoder = nnet.set_param_vector(state.decoder, arrays["theta_nn"])
     if state.theta_posterior is not None:
@@ -712,9 +720,13 @@ def load_state(path):
             sigma2=arrays["theta_sigma2"],
         )
     if state.pgm_posterior is not None:
-        state.pgm_posterior = state.pgm_posterior.with_flat_values(arrays["lambda"])
+        state.pgm_posterior = state.pgm_posterior.with_flat_values(
+            sized("lambda", state.pgm_posterior.flat_values())
+        )
     if state.pgm_point is not None:
-        state.pgm_point = state.pgm_point.with_param_vector(arrays["theta_pgm"])
+        state.pgm_point = state.pgm_point.with_param_vector(
+            sized("theta_pgm", state.pgm_point.param_vector())
+        )
     if state.van is not None:
         state.van = updates.VanState(mu=arrays["van_mu"], sigma2=arrays["van_sigma2"])
     for name in ("nn", "phi", "pgm"):

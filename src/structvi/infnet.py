@@ -355,7 +355,7 @@ def gmm_log_z_factor_grads(mixture, m, v, resp, chol):
         - resp[:, :, None, None] * sinv
     )
     d_v = np.sum(g[:, :, idx, idx], axis=1)
-    d_raw = linalg.tril_raw_vjp(mixture.chol_raw, d, g.sum(axis=0))
+    d_raw = linalg.tril_raw_vjp(mixture.chols, g.sum(axis=0))
     d_logits = resp.sum(axis=0) - n * mixture.weights
     d_factor = np.concatenate([d_logits, d_means.ravel(), d_raw.ravel()])
     return d_m, d_v, d_factor
@@ -385,7 +385,7 @@ def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
     np.add.at(d_means, z, np.einsum("nij,nj->ni", pk, b_b))
     g_cov = np.zeros((k, d, d))
     np.add.at(g_cov, z, -np.einsum("nij,njl,nlm->nim", pk, pk_b, pk))
-    d_raw = linalg.tril_raw_vjp(mixture.chol_raw, d, g_cov)
+    d_raw = linalg.tril_raw_vjp(mixture.chols, g_cov)
     d_factor = np.concatenate([np.zeros(k), d_means.ravel(), d_raw.ravel()])
     return d_m, d_v, d_factor
 
@@ -600,12 +600,13 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
         + _t(pp_b) @ a @ prev_pf,
         axis=0,
     )
+    init_chol, noise_chol = linalg.tril_from_raw(np.stack([dyn.init_raw, dyn.noise_raw]), d)
     d_dyn = np.concatenate(
         [
             a_b.ravel(),
-            linalg.tril_raw_vjp(dyn.noise_raw, d, pp_b.sum(axis=0)),
+            linalg.tril_raw_vjp(noise_chol, pp_b.sum(axis=0)),
             mf_c,
-            linalg.tril_raw_vjp(dyn.init_raw, d, pf_c),
+            linalg.tril_raw_vjp(init_chol, pf_c),
         ]
     )
     return d_m, d_v, d_dyn
@@ -680,30 +681,10 @@ def gmm_log_z(net, y):
     return log_z, record.resp
 
 
-def posterior_sample(net, y, rng):
-    """Exact joint draw with its noise; RNG order as in the net's ``draw``."""
-    return net.draw(net.prepare(y), rng)
-
-
 def grad_log_z(net, y):
     """Gradient of the log normalizer in the network's phi layout."""
     prep = net.prepare(y)
     return net.phi_grad(prep, *net.log_z_vjp(prep))
 
 
-def pathwise_grad(net, y, z, eps, grad_x):
-    """Phi-layout adjoint of x*(phi) at fixed indicators (None for dynamics)
-    and noise."""
-    prep = net.prepare(y)
-    drawn = net.replay(prep, z, eps)
-    return net.phi_grad(prep, *net.pathwise_vjp(prep, drawn, grad_x))
-
-
-def lds_pathwise_grad(net, y, eps, grad_x):
-    """Phi-layout adjoint of the sequence draw at fixed noise."""
-    return pathwise_grad(net, y, None, eps, grad_x)
-
-
 lds_log_z = posterior_log_z
-gmm_sample = lds_sample = posterior_sample
-gmm_pathwise_grad = pathwise_grad

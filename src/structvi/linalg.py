@@ -110,13 +110,14 @@ def spd_from_raw(raw, d):
     return chol @ np.swapaxes(chol, -1, -2)
 
 
-def tril_raw_vjp(raw, d, grad_mat):
-    """Pull a full-matrix adjoint of M = L L^T back to the raw vector.
+def tril_raw_vjp(chol, grad_mat):
+    """Pull a full-matrix adjoint of M = L L^T back to the raw vector of L.
 
+    ``chol`` is the factor L, ``tril_from_raw`` of that raw vector.
     ``grad_mat`` is the derivative of a scalar with respect to every entry of
     M treated independently (so symmetric in value for symmetric functions).
     """
-    chol = tril_from_raw(raw, d)
+    d = chol.shape[-1]
     grad_chol = (grad_mat + np.swapaxes(grad_mat, -1, -2)) @ chol
     rows, cols, diag_slots, idx = _tril_cache(d)
     out = grad_chol[..., rows, cols].copy()

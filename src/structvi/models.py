@@ -224,7 +224,8 @@ def _mixture_grads(prior, x, scores=None):
     resp = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
     w = prior.weights
 
-    prec = linalg.inv_from_chol(prior.chols)
+    chols = prior.chols
+    prec = linalg.inv_from_chol(chols)
     u = x[:, None, :] - prior.means[None, :, :]
     pu = np.einsum("kde,nke->nkd", prec, u)
     if isinstance(prior, StudentMixture):
@@ -239,13 +240,12 @@ def _mixture_grads(prior, x, scores=None):
     grad_means = np.einsum("nk,nkd->kd", rw, pu)
     scatter = np.einsum("nk,nki,nkl->kil", rw, pu, pu)
     g_cov = 0.5 * (scatter - resp.sum(axis=0)[:, None, None] * prec)
-    grad_raw = linalg.tril_raw_vjp(prior.chol_raw, d, g_cov)
+    grad_raw = linalg.tril_raw_vjp(chols, g_cov)
     grad_params = np.concatenate([grad_logits, grad_means.ravel(), grad_raw.ravel()])
     return grad_x, grad_params
 
 
 def _dynamics_grads(prior, x, chols):
-    d = prior.dim
     s0_prec, q_prec = linalg.inv_from_chol(chols)
     resid = x[1:] - x[:-1] @ prior.trans.T
     u0 = x[0] - prior.init_mean
@@ -264,9 +264,9 @@ def _dynamics_grads(prior, x, chols):
     grad_params = np.concatenate(
         [
             grad_trans.ravel(),
-            linalg.tril_raw_vjp(prior.noise_raw, d, g_q),
+            linalg.tril_raw_vjp(chols[1], g_q),
             grad_mu0,
-            linalg.tril_raw_vjp(prior.init_raw, d, g_s0),
+            linalg.tril_raw_vjp(chols[0], g_s0),
         ]
     )
     return grad_x, grad_params
@@ -305,22 +305,15 @@ def expected_log_prior(q, x, z):
     scatters = np.einsum("nj,ni,nl->jil", resp, x, x)
 
     e_log_w = expfam.to_mean(q.weights).values
-    val = float(counts @ e_log_w) - 0.5 * n * d * LOG_2PI
-    grad_blocks = [counts]
-    for j in range(k):
-        m1, m2, m3, m4 = expfam.split_normal_wishart(
-            expfam.to_mean(q.components[j]).values, d
-        )
-        val += float(
-            sums[j] @ m1
-            + counts[j] * m2[0]
-            + np.sum(scatters[j] * m3)
-            + counts[j] * m4[0]
-        )
-        grad_blocks.append(
-            expfam.pack_normal_wishart(sums[j], counts[j], scatters[j], counts[j])
-        )
-    return val, np.concatenate(grad_blocks)
+    m1, m2, m3, m4 = expfam.split_normal_wishart(expfam.to_mean(q.components).values, d)
+    val = float(
+        counts @ e_log_w
+        + np.sum(sums * m1)
+        + counts @ (m2[:, 0] + m4[:, 0])
+        + np.sum(scatters * m3)
+    ) - 0.5 * n * d * LOG_2PI
+    stats = expfam.pack_normal_wishart(sums, counts, scatters, counts)
+    return val, np.concatenate([counts, stats.ravel()])
 
 
 def _decoder_fit(decoder, x, y):

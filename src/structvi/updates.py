@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expfam, linalg
+from . import expfam
 from .errors import ContractError, InvalidParameterError
 
 NG_MAX_HALVINGS = 10
@@ -29,10 +29,15 @@ NG_MAX_HALVINGS = 10
 
 @dataclass(frozen=True)
 class PgmPosterior:
-    """Dirichlet block over weights plus one Normal-Wishart block per component."""
+    """Dirichlet block over the K weights plus every component's
+    Normal-Wishart block, stacked as one (K, d*d + d + 2) natural array.
+
+    The flat layout is the Dirichlet block, then the component blocks in
+    order.
+    """
 
     weights: expfam.NaturalParamVector
-    components: list
+    components: expfam.NaturalParamVector
 
     @property
     def n_components(self):
@@ -40,27 +45,23 @@ class PgmPosterior:
 
     @property
     def dim(self):
-        return self.components[0].dim
+        return self.components.dim
 
     def flat_values(self):
-        return np.concatenate(
-            [self.weights.values] + [c.values for c in self.components]
-        )
+        return np.concatenate([self.weights.values, self.components.values.ravel()])
 
     def with_flat_values(self, flat):
-        k, d = self.n_components, self.dim
-        block = d * d + d + 2
-        weights = self.weights.replace_values(flat[:k])
-        comps = [
-            self.components[j].replace_values(flat[k + j * block : k + (j + 1) * block])
-            for j in range(k)
-        ]
-        return PgmPosterior(weights=weights, components=comps)
+        k, shape = self.n_components, self.components.values.shape
+        n = k + shape[0] * shape[1]
+        if np.shape(flat) != (n,):
+            raise ContractError(f"posterior vector has shape {np.shape(flat)}, not ({n},)")
+        return PgmPosterior(
+            weights=self.weights.replace_values(flat[:k]),
+            components=self.components.replace_values(flat[k:].reshape(shape)),
+        )
 
     def in_domain(self):
-        return expfam.in_natural_domain(self.weights) and all(
-            expfam.in_natural_domain(c) for c in self.components
-        )
+        return all(expfam.in_natural_domain(b) for b in (self.weights, self.components))
 
 
 def default_gmm_prior(k, d, alpha0=1.0, kappa0=0.1, m0=None, w0=None, nu0=None):
@@ -72,7 +73,8 @@ def default_gmm_prior(k, d, alpha0=1.0, kappa0=0.1, m0=None, w0=None, nu0=None):
     comp = expfam.to_natural_vector(
         expfam.NormalWishartParam(mean=m0, kappa=kappa0, scale=w0, dof=nu0)
     )
-    return PgmPosterior(weights=weights, components=[comp] * k)
+    comps = comp.replace_values(np.tile(comp.values, (k, 1)))
+    return PgmPosterior(weights=weights, components=comps)
 
 
 def responsibilities_matrix(z, k, n):
@@ -107,12 +109,8 @@ def conjugate_gmm_message(prior, x_star, z_star, n_total):
     scatters = scale * np.einsum("nj,ni,nl->jil", resp, x, x)
 
     weights = prior.weights.replace_values(prior.weights.values + counts)
-    comps = []
-    for j in range(k):
-        stats = expfam.pack_normal_wishart(
-            sums[j], counts[j], scatters[j], counts[j]
-        )
-        comps.append(prior.components[j].replace_values(prior.components[j].values + stats))
+    stats = expfam.pack_normal_wishart(sums, counts, scatters, counts)
+    comps = prior.components.replace_values(prior.components.values + stats)
     return PgmPosterior(weights=weights, components=comps)
 
 
@@ -141,49 +139,21 @@ def natural_gradient_step(q, message, beta1):
 def posterior_mean_params(q):
     """Plug-in point parameters: E[pi], E[mu_k], and E[Lam_k]^-1."""
     alpha = expfam.to_standard(q.weights).alpha
-    weights = alpha / alpha.sum()
-    means, covs = [], []
-    for c in q.components:
-        p = expfam.to_standard(c)
-        means.append(p.mean)
-        covs.append(np.linalg.inv(p.dof * p.scale))
-    return weights, np.array(means), np.array(covs)
+    p = expfam.to_standard(q.components)
+    return alpha / alpha.sum(), p.mean, np.linalg.inv(p.dof[:, None, None] * p.scale)
 
 
 def sample_gmm_params(q, rng):
-    """Draw (pi, means, covariances) from the posterior.
-
-    The precision draws use the Bartlett construction batched across
-    components; each marginal matches ``expfam.sample`` exactly.
-    """
+    """Draw (pi, means, covariances) from the posterior: the weights, then
+    every component's (mean, precision) in one ``expfam.sample`` call."""
     pi = expfam.sample(q.weights, rng)
-    k = len(q.components)
-    d = q.components[0].dim
-    kappa = np.empty(k)
-    dof = np.empty(k)
-    mean = np.empty((k, d))
-    scale = np.empty((k, d, d))
-    for j, c in enumerate(q.components):
-        p = expfam.to_standard(c)
-        kappa[j], dof[j], mean[j], scale[j] = p.kappa, p.dof, p.mean, p.scale
-    chol_w = linalg.cholesky_spd(scale, "wishart scale")
-    bart = np.zeros((k, d, d))
-    idx = np.arange(d)
-    bart[:, idx, idx] = np.sqrt(rng.chisquare(dof[:, None] - idx[None, :]))
-    if d > 1:
-        rr, cc = np.tril_indices(d, -1)
-        bart[:, rr, cc] = rng.standard_normal((k, rr.size))
-    factor = chol_w @ bart  # lam = factor factor^T
-    lam = factor @ np.swapaxes(factor, -1, -2)
-    z = rng.standard_normal((k, d))
-    shift = np.linalg.solve(np.swapaxes(factor, -1, -2), z[..., None])[..., 0]
-    means = mean + shift / np.sqrt(kappa)[:, None]
+    means, lam = expfam.sample(q.components, rng)
     return pi, means, np.linalg.inv(lam)
 
 
 def kl_to_prior(q, prior):
-    return expfam.kl_divergence(q.weights, prior.weights) + sum(
-        expfam.kl_divergence(c, p) for c, p in zip(q.components, prior.components)
+    return expfam.kl_divergence(q.weights, prior.weights) + float(
+        np.sum(expfam.kl_divergence(q.components, prior.components))
     )
 
 

@@ -148,9 +148,9 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_s, ext_e):
     d_dyn = np.concatenate(
         [
             a_b.ravel(),
-            linalg.tril_raw_vjp(dyn.noise_raw, d, q_b),
+            linalg.tril_raw_vjp(linalg.tril_from_raw(dyn.noise_raw, d), q_b),
             mf_c,
-            linalg.tril_raw_vjp(dyn.init_raw, d, pf_c),
+            linalg.tril_raw_vjp(linalg.tril_from_raw(dyn.init_raw, d), pf_c),
         ]
     )
     return d_m, d_v, d_dyn

@@ -361,9 +361,9 @@ def test_criterion_04_full_batch_unit_step_equals_conjugate_posterior():
                     )
                 )
             )
-        direct = updates.PgmPosterior(weights=direct_weights, components=direct_comps)
+        direct = np.concatenate([direct_weights.values] + [c.values for c in direct_comps])
         np.testing.assert_allclose(
-            post.flat_values(), direct.flat_values(), rtol=0, atol=1e-10
+            post.flat_values(), direct, rtol=0, atol=1e-10
         )
 
 

@@ -24,7 +24,8 @@ def test_vb_gmm_k1_recovers_conjugate_posterior():
     n, d = 40, 2
     y = rng.standard_normal((n, d)) + np.array([0.7, -0.4])
     res = baselines.vb_gmm_fit(y, k=1, n_iter=3)
-    comp = expfam.to_standard(res.posterior.components[0])
+    comps = res.posterior.components
+    comp = expfam.to_standard(comps.replace_values(comps.values[0]))
     alpha = expfam.to_standard(res.posterior.weights).alpha
 
     kappa0, alpha0, nu0 = 0.1, 1.0, d + 2.0
@@ -44,9 +45,7 @@ def test_vb_gmm_separated_blobs_hard_responsibilities():
     y = blob_data(rng, [(-8.0, 0.0), (8.0, 0.0)], 60)
     res = baselines.vb_gmm_fit(y, k=2, n_iter=25, seed=4)
     assert np.all(res.responsibilities.max(axis=1) > 0.999)
-    means = np.array(
-        [expfam.to_standard(c).mean for c in res.posterior.components]
-    )
+    means = expfam.to_standard(res.posterior.components).mean
     found = means[np.argsort(means[:, 0])]
     np.testing.assert_allclose(found[:, 0], [-8.0, 8.0], atol=0.3)
 

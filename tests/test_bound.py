@@ -126,7 +126,7 @@ def test_estimate_matches_manual_sample_replay():
     rng = np.random.default_rng(9)
     totals = []
     for _ in range(3):
-        s = infnet.gmm_sample(net, y, rng)
+        s = net.draw(net.prepare(y), rng)
         totals.append(bound.bound_with_noise(model, net, y, s.z_star, s.eps, n_total=12).total)
     assert est.total == pytest.approx(np.mean(totals), abs=1e-12)
 

@@ -261,6 +261,66 @@ class TestDomainChecks:
         assert expfam.in_natural_domain(nat)
 
 
+class TestStacks:
+    """A (K, block) Normal-Wishart stack against K single-member calls."""
+
+    @staticmethod
+    def stack(members):
+        return members[0].replace_values(np.stack([m.values for m in members]))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_matches_member_calls(self, k, d):
+        rng = np.random.default_rng(60 + 10 * k + d)
+        qs = [expfam.to_natural_vector(random_normal_wishart(rng, d)) for _ in range(k)]
+        ps = [expfam.to_natural_vector(random_normal_wishart(rng, d)) for _ in range(k)]
+        q, p = self.stack(qs), self.stack(ps)
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+        got = expfam.to_standard(q)
+        for j, member in enumerate(qs):
+            want = expfam.to_standard(member)
+            for field in ("mean", "kappa", "scale", "dof"):
+                close(getattr(got, field)[j], getattr(want, field))
+        close(expfam.to_mean(q).values, np.stack([expfam.to_mean(m).values for m in qs]))
+        close(expfam.log_partition(q), [expfam.log_partition(m) for m in qs])
+        close(
+            expfam.kl_divergence(q, p),
+            [expfam.kl_divergence(a, b) for a, b in zip(qs, ps)],
+        )
+        assert expfam.in_natural_domain(q)
+        assert all(expfam.in_natural_domain(m) for m in qs)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("defect", ["kappa", "scale", "dof"])
+    def test_one_invalid_member_puts_the_stack_out_of_domain(self, d, defect):
+        rng = np.random.default_rng(80 + d)
+        members = [expfam.to_natural_vector(random_normal_wishart(rng, d)) for _ in range(3)]
+        vals = self.stack(members).values.copy()
+        if defect == "kappa":
+            vals[1, d] = -1.0
+        elif defect == "scale":
+            vals[1, d + 1 : d + 1 + d * d] *= -1.0
+        else:
+            vals[1, -1] = -2.0
+        bad = members[0].replace_values(vals)
+        assert not expfam.in_natural_domain(bad)
+        with pytest.raises(InvalidParameterError):
+            expfam.to_standard(bad)
+
+    def test_single_member_maps_factor_once(self, monkeypatch):
+        nat = expfam.to_natural_vector(random_normal_wishart(np.random.default_rng(71), 2))
+        calls = []
+        chol = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda *a: calls.append(1) or chol(*a))
+        expfam.to_mean(nat)
+        assert len(calls) == 1
+        expfam.log_partition(nat)
+        assert len(calls) == 2
+
+
 class TestSpecialFunctions:
     """The gamma-family special functions the module leans on."""
 

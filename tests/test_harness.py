@@ -488,6 +488,30 @@ def test_checkpoint_non_scalar_iteration_is_parse_error(tmp_path):
         harness.load_state(path)
 
 
+@pytest.mark.parametrize(
+    "kind,name,extra",
+    [
+        ("latent-gmm", "lambda", -1),
+        ("latent-gmm", "lambda", 5),
+        ("latent-lds", "theta_pgm", -1),
+        ("latent-gmm", "phi", -1),
+        ("latent-tmm", "theta_pgm", 2),
+    ],
+)
+def test_checkpoint_vector_of_wrong_length_is_parse_error(tmp_path, kind, name, extra):
+    cfg = harness.TrainConfig(
+        model_kind=kind, n_components=2, hidden=(4,), seq_len=5, timing=False
+    )
+    path = str(tmp_path / "run.ckpt")
+    harness.save_state(path, harness.init_state(cfg, 2), cfg)
+    arrays, meta = checkpoint.load(path)
+    size = arrays[name].size
+    arrays[name] = np.resize(arrays[name], size + extra)
+    checkpoint.save(path, arrays, meta)
+    with pytest.raises(ParseError, match=rf"{name} .*\({size + extra},\).*\({size},\)"):
+        harness.load_state(path)
+
+
 def test_checkpoint_round_trip_fixed_prior(tmp_path):
     ds = blob_dataset(n=120, seed=10)
     std_prior = models.GaussianMixture(

@@ -28,6 +28,14 @@ def make_gmm_net(rng, k=2, d=1, data_dim=2, hidden=(4,)):
     return net
 
 
+def pathwise_grad(net, y, z, eps, grad_x):
+    """Phi-layout adjoint of the draw x*(phi) at fixed indicators (None for
+    dynamics) and noise, from one prepared pass."""
+    prep = net.prepare(y)
+    drawn = net.replay(prep, z, eps)
+    return net.phi_grad(prep, *net.pathwise_vjp(prep, drawn, grad_x))
+
+
 def make_lds_net(rng, d=1, data_dim=3, hidden=(4,)):
     net = infnet.init_lds_net(d, data_dim, hidden=hidden, rng=rng)
     dyn = net.dynamics
@@ -197,7 +205,7 @@ class TestGmmSampling:
         net = make_gmm_net(rng, k=3, d=1, data_dim=2)
         y = np.array([[0.3, -0.5]])
         n = 100_000
-        sample = infnet.gmm_sample(net, np.repeat(y, n, 0), np.random.default_rng(10))
+        sample = net.draw(net.prepare(np.repeat(y, n, 0)), np.random.default_rng(10))
         _, resp = infnet.gmm_log_z(net, y)
         counts = np.bincount(sample.z_star, minlength=3)
         result = stats.chisquare(counts, f_exp=n * resp[0])
@@ -207,7 +215,7 @@ class TestGmmSampling:
         rng = np.random.default_rng(11)
         net = make_gmm_net(rng, k=2, d=2, data_dim=3)
         y = rng.standard_normal((6, 3))
-        sample = infnet.gmm_sample(net, y, np.random.default_rng(12))
+        sample = net.draw(net.prepare(y), np.random.default_rng(12))
         m, v = infnet.encode(net, y)
         x = infnet.gmm_reconstruct(net.mixture, m, v, sample.z_star, sample.eps)
         np.testing.assert_array_equal(x, sample.x_star)
@@ -270,7 +278,7 @@ class TestGmmGradients:
                 m, v = infnet.encode(n, y)
                 return float(np.sum(c * infnet.gmm_reconstruct(n.mixture, m, v, z, eps)))
 
-            grad = infnet.gmm_pathwise_grad(net, y, z, eps, c)
+            grad = pathwise_grad(net, y, z, eps, c)
             phi = net.phi_vector()
             h = 1e-5
             for i in range(phi.size):
@@ -366,14 +374,14 @@ class TestLdsSampling:
         net.dynamics.trans = np.eye(1)
         net.dynamics.noise_raw = linalg.raw_from_spd(1e-12 * np.eye(1))
         y = rng.standard_normal((4, 2))
-        sample = infnet.lds_sample(net, y, np.random.default_rng(23))
+        sample = net.draw(net.prepare(y), np.random.default_rng(23))
         assert np.max(np.abs(sample.x_star - sample.x_star[1])) < 1e-3
 
     def test_sample_reconstructs_from_noise(self):
         rng = np.random.default_rng(24)
         net = make_lds_net(rng, d=2, data_dim=3)
         y = rng.standard_normal((4, 3))
-        sample = infnet.lds_sample(net, y, np.random.default_rng(25))
+        sample = net.draw(net.prepare(y), np.random.default_rng(25))
         m, v = infnet.encode(net, y)
         record = infnet.lds_filter(net.dynamics, m, v)
         x = infnet.lds_reconstruct(net.dynamics, record, sample.eps)
@@ -438,7 +446,7 @@ class TestLdsGradients:
                 record = infnet.lds_filter(n.dynamics, m, v)
                 return float(np.sum(c * infnet.lds_reconstruct(n.dynamics, record, eps)))
 
-            grad = infnet.lds_pathwise_grad(net, y, eps, c)
+            grad = pathwise_grad(net, y, None, eps, c)
             phi = net.phi_vector()
             h = 1e-5
             for i in range(phi.size):

@@ -132,13 +132,17 @@ class TestLogPrior:
             np.testing.assert_allclose(grad_p, fd_p, rtol=1e-4, atol=1e-6)
 
     def test_dynamics_prior_reads_its_stored_factors(self, monkeypatch):
-        """The covariances are stored as raw Cholesky factors: nothing to factor."""
+        """The covariances are stored as raw Cholesky factors: nothing to factor,
+        and the gradients reuse the factors the value built."""
         lds = random_lds(np.random.default_rng(6), 2)
         x = np.random.default_rng(7).standard_normal((3, 5, 2))
-        calls = []
+        calls, builds = [], []
         chol = linalg.cholesky_spd
+        tril = linalg.tril_from_raw
         monkeypatch.setattr(linalg, "cholesky_spd", lambda *a: calls.append(1) or chol(*a))
+        monkeypatch.setattr(linalg, "tril_from_raw", lambda *a: builds.append(1) or tril(*a))
         models.log_prior_with_grads(lds, x[0])
+        assert len(builds) == 1
         models.log_prior(lds, x)
         assert calls == []
 
@@ -166,7 +170,7 @@ class TestExpectedLogPrior:
             weights=expfam.to_natural_vector(
                 expfam.DirichletParam(alpha=np.array([3e8, 1e8]))
             ),
-            components=comps,
+            components=comps[0].replace_values(np.stack([c.values for c in comps])),
         )
         x = rng.standard_normal((6, d))
         z = rng.integers(0, k, size=6)
@@ -189,7 +193,7 @@ class TestExpectedLogPrior:
         post = q.with_flat_values(grad)
         for j in range(1, k):
             np.testing.assert_allclose(
-                post.components[j].values, post.components[0].values, rtol=1e-12
+                post.components.values[j], post.components.values[0], rtol=1e-12
             )
 
     def test_monte_carlo_over_theta_draws(self):
@@ -217,7 +221,7 @@ class TestExpectedLogPrior:
         lam = np.empty((n_draws, k))
         mu = np.empty((n_draws, k))
         for j in range(k):
-            p = expfam.to_standard(q.components[j])
+            p = expfam.to_standard(q.components.replace_values(q.components.values[j]))
             w1 = float(p.scale[0, 0])
             lam[:, j] = rng.gamma(p.dof / 2.0, 2.0 * w1, size=n_draws)
             mu[:, j] = p.mean[0] + rng.standard_normal(n_draws) / np.sqrt(

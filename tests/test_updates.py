@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from structvi import expfam, updates
-from structvi.errors import InvalidParameterError
+from structvi.errors import ContractError, InvalidParameterError
 
 
 def direct_gmm_posterior(prior, x, resp):
@@ -60,7 +60,7 @@ class TestConjugateMessage:
         oracle = direct_gmm_posterior(spec, x, resp)
         alpha = expfam.to_standard(post.weights).alpha
         for j in range(self.k):
-            comp = expfam.to_standard(post.components[j])
+            comp = expfam.to_standard(post.components.replace_values(post.components.values[j]))
             np.testing.assert_allclose(alpha[j], oracle[j]["alpha"], rtol=1e-10)
             np.testing.assert_allclose(comp.kappa, oracle[j]["kappa"], rtol=1e-10)
             np.testing.assert_allclose(comp.mean, oracle[j]["m"], rtol=1e-10, atol=1e-12)
@@ -83,7 +83,7 @@ class TestConjugateMessage:
         post = updates.natural_gradient_step(self.prior, msg, beta1=1.0)
         for j in (1, 2):
             np.testing.assert_allclose(
-                post.components[j].values, self.prior.components[j].values, rtol=1e-13
+                post.components.values[j], self.prior.components.values[j], rtol=1e-13
             )
 
     def test_uniform_responsibilities_give_identical_blocks(self):
@@ -92,7 +92,7 @@ class TestConjugateMessage:
         msg = updates.conjugate_gmm_message(self.prior, x, resp, n_total=8)
         for j in range(1, self.k):
             np.testing.assert_allclose(
-                msg.components[j].values, msg.components[0].values, rtol=1e-13
+                msg.components.values[j], msg.components.values[0], rtol=1e-13
             )
 
     def test_minibatch_scaling(self):
@@ -135,7 +135,7 @@ class TestNaturalGradientStep:
         prior = updates.default_gmm_prior(2, 1)
         bad = updates.PgmPosterior(
             weights=prior.weights.replace_values(np.full(2, -5e4)),
-            components=[c.replace_values(c.values) for c in prior.components],
+            components=prior.components,
         )
         with pytest.raises(InvalidParameterError):
             updates.natural_gradient_step(prior, bad, beta1=1.0)
@@ -145,7 +145,7 @@ class TestNaturalGradientStep:
         prior = updates.default_gmm_prior(2, 1)
         mild = updates.PgmPosterior(
             weights=prior.weights.replace_values(np.full(2, -50.0)),
-            components=[c.replace_values(c.values) for c in prior.components],
+            components=prior.components,
         )
         out = updates.natural_gradient_step(prior, mild, beta1=1.0)
         assert out.in_domain()
@@ -160,10 +160,48 @@ class TestNaturalGradientStep:
             q = updates.natural_gradient_step(q, msg, beta1=0.3)
             alpha = expfam.to_standard(q.weights).alpha
             assert np.all(alpha > 0)
-            for c in q.components:
-                p = expfam.to_standard(c)
+            for v in q.components.values:
+                p = expfam.to_standard(q.components.replace_values(v))
                 assert p.kappa > 0 and p.dof > 2 - 1
                 np.linalg.cholesky(p.scale)
+
+
+class TestStackedPosterior:
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize(
+        "name,want",
+        [
+            ("natural_gradient_step", 1),
+            ("sample_gmm_params", 2),
+            ("kl_to_prior", 3),
+            ("posterior_mean_params", 1),
+        ],
+    )
+    def test_cholesky_calls_do_not_grow_with_k(self, monkeypatch, k, name, want):
+        """All K scale matrices are factored in one call."""
+        rng = np.random.default_rng(8)
+        prior = updates.default_gmm_prior(k, 2)
+        x = rng.standard_normal((30, 2))
+        msg = updates.conjugate_gmm_message(prior, x, rng.integers(0, k, 30), n_total=100)
+        q = updates.natural_gradient_step(prior, msg, beta1=0.5)
+        args = {
+            "natural_gradient_step": (q, msg, 0.5),
+            "sample_gmm_params": (q, rng),
+            "kl_to_prior": (q, prior),
+            "posterior_mean_params": (q,),
+        }[name]
+        calls = []
+        chol = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda *a: calls.append(1) or chol(*a))
+        getattr(updates, name)(*args)
+        assert len(calls) == want
+
+    def test_wrong_length_flat_vector_is_contract_error(self):
+        prior = updates.default_gmm_prior(3, 2)
+        flat = prior.flat_values()
+        for bad in (flat[:-1], np.append(flat, 0.0)):
+            with pytest.raises(ContractError):
+                prior.with_flat_values(bad)
 
 
 class TestEuclideanSteps:
