@@ -694,45 +694,52 @@ def load_state(path):
         raise ParseError(f"{path}: not a training checkpoint")
     cfg = config_from_text(meta["config"], path=path)
     data_dim = int(meta["data_dim"])
-    if arrays["iteration"].shape != ():
-        raise ParseError(f"{path}: iteration must be a scalar array")
-    iteration = int(arrays["iteration"])
+
+    def read(name, like):
+        """The checkpoint's ``name``, which must have the shape of ``like``."""
+        if name not in arrays:
+            raise ParseError(
+                f"{path}: {name} is missing, the configured state needs shape {np.shape(like)}"
+            )
+        if arrays[name].shape != np.shape(like):
+            raise ParseError(
+                f"{path}: {name} has shape {arrays[name].shape}, the configured "
+                f"state needs {np.shape(like)}"
+            )
+        return arrays[name]
+
+    iteration = int(read("iteration", 0.0))
     override = None
     if meta.get("prior_fixed") == "1":
         override = _fixed_prior_template(meta["prior_kind"], cfg)
     state = init_state(cfg, data_dim, prior_override=override)
 
-    def sized(name, template):
-        if arrays[name].shape != template.shape:
-            raise ParseError(
-                f"{path}: {name} has shape {arrays[name].shape}, the configured "
-                f"state needs {template.shape}"
-            )
-        return arrays[name]
-
-    state.net = state.net.with_phi_vector(sized("phi", state.net.phi_vector()))
-    if "theta_nn" in arrays:
-        state.decoder = nnet.set_param_vector(state.decoder, arrays["theta_nn"])
+    state.net = state.net.with_phi_vector(read("phi", state.net.phi_vector()))
     if state.theta_posterior is not None:
+        post = state.theta_posterior
         state.theta_posterior = dataclasses.replace(
-            state.theta_posterior,
-            mu=arrays["theta_mu"],
-            sigma2=arrays["theta_sigma2"],
+            post, mu=read("theta_mu", post.mu), sigma2=read("theta_sigma2", post.sigma2)
         )
+    else:
+        theta_nn = read("theta_nn", nnet.param_vector(state.decoder))
+        state.decoder = nnet.set_param_vector(state.decoder, theta_nn)
     if state.pgm_posterior is not None:
         state.pgm_posterior = state.pgm_posterior.with_flat_values(
-            sized("lambda", state.pgm_posterior.flat_values())
+            read("lambda", state.pgm_posterior.flat_values())
         )
     if state.pgm_point is not None:
         state.pgm_point = state.pgm_point.with_param_vector(
-            sized("theta_pgm", state.pgm_point.param_vector())
+            read("theta_pgm", state.pgm_point.param_vector())
         )
     if state.van is not None:
-        state.van = updates.VanState(mu=arrays["van_mu"], sigma2=arrays["van_sigma2"])
+        state.van = updates.VanState(
+            mu=read("van_mu", state.van.mu), sigma2=read("van_sigma2", state.van.sigma2)
+        )
     for name in ("nn", "phi", "pgm"):
-        key = f"adagrad_{name}"
-        if key in arrays:
-            setattr(state, f"opt_{name}", updates.AdagradState(accum=arrays[key]))
+        opt = getattr(state, f"opt_{name}")
+        if opt is not None:
+            accum = read(f"adagrad_{name}", opt.accum)
+            setattr(state, f"opt_{name}", updates.AdagradState(accum=accum))
     state.iteration = iteration
     return state, cfg
 

@@ -26,12 +26,15 @@ the dynamics factor runs it with identity emission on the pseudo-observations
 the RTS gains and backward recursion.  The filter reverse sweep and the
 adjoints assume the identity emission.
 
-The dynamics factor keeps a Python loop over time only where a step needs
-the previous step's result: the filter's covariance and mean recursions,
-the draw's x_t = offset_t + J_t x_{t+1} and its adjoint, and the filter
-reverse sweep's two carried adjoints.  Everything else (log normalizer
-terms, smoother gains and conditional factors, draw offsets, per-step
-adjoints) is one numpy call stacked over (..., T, d, d).
+The dynamics factor has one Python loop over time with a nonlinear body:
+the filter's covariance recursion (predicted covariance, innovation, its
+inverse, gain, filtered covariance).  Every linear recursion over time runs
+through ``backward_chain``: the filter means, the draw's
+x_t = offset_t + J_t x_{t+1} and its adjoint, the filter reverse sweep's
+carried adjoints, and the RTS smoother's means and covariances.  Everything
+else (innovation factors, log normalizer terms, smoother gains and
+conditional factors, draw offsets, per-step adjoints) is one numpy call
+stacked over (..., T, d, d).
 
 Parameter vectors are laid out as [encoder parameters, structured-factor
 parameters], the factor part ordered as in the underlying ``models`` class.
@@ -444,28 +447,46 @@ def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
     Means take the leading axes of ``y`` (..., T, D); covariances, innovation
     factors and gains those of ``obs_cov`` (..., T, D, D), so a noise shared by
     a block, passed as a broadcast (T, D, D) view, gives shared covariances.
-    The loop carries the covariance and mean recursions; the log normalizer's
-    prediction-error terms follow stacked.  Returns the ``FilterRecord``
-    fields as a dict of T-row arrays (row t for step t + 1), ``log_z`` one
-    value per sequence.
+
+    The loop carries the covariance recursion only: predicted covariance,
+    innovation S_t, one inverse of S_t, gain K_t and filtered covariance.
+    After it, one guarded Cholesky call over the stack of S_t gives the
+    factors, their log-determinants and the non-finite/SPD check, and the
+    means are the linear chain mu_{t+1|t} = A (I - K_t C) mu_{t|t-1} + A K_t y_t,
+    one ``backward_chain`` call on time-reversed views.  An S_t that is
+    exactly singular falls back to the inverse of its jittered factor; one
+    that inverts keeps its own inverse in the gain even where its factor
+    needs jitter, which then reaches only the log-determinant.  Returns the
+    ``FilterRecord`` fields as a dict of T-row arrays (row t for step t + 1),
+    ``log_z`` one value per sequence.
     """
     t_len, obs_dim = y.shape[-2:]
     d = trans.shape[0]
-    means, covs = y.shape[:-1], obs_cov.shape[:-2]
-    mu_pred, mu_filt, resid = (np.zeros(means + (n,)) for n in (d, d, obs_dim))
+    covs = obs_cov.shape[:-2]
     p_pred, p_filt, gain = (np.zeros(covs + (d, n)) for n in (d, d, obs_dim))
-    chol_s, s_inv = (np.zeros(covs + (obs_dim, obs_dim)) for _ in range(2))
-    mp, pp = mu1, p1
+    s, s_inv = (np.zeros(covs + (obs_dim, obs_dim)) for _ in range(2))
+    pp = p1
     for t in range(t_len):
-        mu_pred[..., t, :], p_pred[..., t, :, :] = mp, pp
-        s = emit @ pp @ emit.T + obs_cov[..., t, :, :]
-        chol_s[..., t, :, :] = chol = _guarded_chol(s, "innovation covariance")
-        s_inv[..., t, :, :] = si = linalg.inv_from_chol(chol)
-        gain[..., t, :, :] = k = pp @ emit.T @ si
-        resid[..., t, :] = e = y[..., t, :] - mp @ emit.T
-        mu_filt[..., t, :] = mf = mp + _mv(k, e)
-        p_filt[..., t, :, :] = pf = pp - k @ emit @ pp
-        mp, pp = mf @ trans.T, trans @ pf @ trans.T + noise_cov
+        p_pred[..., t, :, :] = pp
+        pc = pp @ emit.T
+        s[..., t, :, :] = st = emit @ pc + obs_cov[..., t, :, :]
+        try:
+            si = np.linalg.inv(st)
+        except np.linalg.LinAlgError:
+            si = linalg.inv_from_chol(_guarded_chol(st, "innovation covariance"))
+        s_inv[..., t, :, :] = si
+        gain[..., t, :, :] = k = pc @ si
+        p_filt[..., t, :, :] = pf = pp - k @ _t(pc)
+        pp = trans @ pf @ trans.T + noise_cov
+    chol_s = _guarded_chol(s, "innovation covariance")
+    mu_pred = np.empty(y.shape[:-1] + (d,))
+    mu_pred[..., 0, :] = mu1
+    k_prev = gain[..., :-1, :, :]
+    mu_pred[..., 1:, :] = _mv(trans @ k_prev, y[..., :-1, :])
+    chain = trans @ (np.eye(d) - k_prev @ emit)
+    backward_chain(mu_pred[..., ::-1, :], chain[..., ::-1, :, :])
+    resid = y - mu_pred @ emit.T
+    mu_filt = mu_pred + _mv(gain, resid)
     quad = np.sum(resid * _mv(s_inv, resid), axis=-1)
     log_z = -0.5 * np.sum(obs_dim * LOG_2PI + linalg.logdet_from_chol(chol_s) + quad, axis=-1)
     return dict(
@@ -509,11 +530,15 @@ def backward_chain(x, j):
     """x_t = x_t + J_t x_{t+1} backward over time, in place.
 
     ``x`` is (..., R, k) with its last row final, ``j`` the (..., R-1, k, k)
-    gains; returns ``x``.  The draw and the RTS smoother's means and (as
-    vec P_t with gains J_t kron J_t) covariances all take this form.
+    gains; returns ``x``.  Every linear recursion over time takes this form:
+    the filter means and the draw's adjoint (as forward chains, on
+    time-reversed views), the draw, the filter reverse sweep, and the RTS
+    smoother's means and (as vec P_t with gains J_t kron J_t) covariances.
     """
-    for t in range(j.shape[-3] - 1, -1, -1):
-        x[..., t, :] += _mv(j[..., t, :, :], x[..., t + 1, :])
+    cols = np.moveaxis(x, -2, 0)[..., None]
+    gains = np.moveaxis(j, -3, 0)
+    for t in range(gains.shape[0] - 1, -1, -1):
+        cols[t] += gains[t] @ cols[t + 1]
     return x
 
 
@@ -560,12 +585,18 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
     normalizer back to (m, v) and the dynamics parameter vector.  The sweep
     is linear in what it carries, so one pass serves any such sum.
 
-    With K the gain, e the residual and se = S^-1 e, one step reverses to
-        mu_pred adjoint = c_mp + (I - K)^T mf_c
-        p_pred adjoint  = c_pp + (I - K)^T (pf_c (I - K) + mf_c se^T)
-    where (mf_c, pf_c) are the adjoints of the step's filtered moments and
-    c_mp, c_pp gather the injected adjoints; the loop carries only those
-    two, and every other adjoint follows stacked over time.
+    With K_t the gain, e_t the residual and se_t = S_t^-1 e_t, step t
+    reverses to
+        mu_pred adjoint = c_mp + (I - K_t)^T u_{t+1}
+        p_pred adjoint  = c_pp + (I - K_t)^T (w_{t+1} (I - K_t) + u_{t+1} se_t^T)
+    where (u_r, w_r) are the adjoints of filtered row r and c_mp, c_pp
+    gather the injected adjoints.  With G_t = A^T (I - K_t)^T and
+    b_t = A^T se_t, the carried adjoints form one linear chain
+        u_t = ext_mf[t] + A^T c_mp[t] + G_t u_{t+1}
+        w_t = ext_pf[t] + A^T c_pp[t] A + G_t u_{t+1} b_t^T + G_t w_{t+1} G_t^T
+    on [u_t, vec w_t], run as one ``backward_chain`` call whose per-step gain
+    [[G_t, 0], [G_t kron b_t, G_t kron G_t]] is (d + d^2) x (d + d^2); every
+    other adjoint follows stacked over time.
     """
     t_len, d = record.m.shape
     a = dyn.trans
@@ -578,15 +609,19 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
     c_pp = ext_pp + s_lz
     i_k = np.eye(d) - k_gain
     i_kt = _t(i_k)
-    mf_in, pf_in = np.zeros((t_len, d)), np.zeros((t_len, d, d))
-    mp_b, pp_b = np.zeros((t_len, d)), np.zeros((t_len, d, d))
-    mf_c, pf_c = ext_mf[t_len], ext_pf[t_len]
-    for t in range(t_len - 1, -1, -1):
-        mf_in[t], pf_in[t] = mf_c, pf_c
-        mp_b[t] = c_mp[t] + i_kt[t] @ mf_c
-        pp_b[t] = c_pp[t] + i_kt[t] @ (pf_c @ i_k[t] + mf_c[:, None] * se[t])
-        mf_c = a.T @ mp_b[t] + ext_mf[t]
-        pf_c = a.T @ pp_b[t] @ a + ext_pf[t]
+    g = a.T @ i_kt
+    chain_gain = np.zeros((t_len, d + d * d, d + d * d))
+    chain_gain[:, :d, :d] = g
+    chain_gain[:, d:, :d] = np.einsum("tik,tj->tijk", g, se @ a).reshape(t_len, d * d, d)
+    chain_gain[:, d:, d:] = np.einsum("tik,tjl->tijkl", g, g).reshape(t_len, d * d, d * d)
+    carry = np.concatenate([ext_mf, ext_pf.reshape(t_len + 1, d * d)], axis=1)
+    carry[:t_len, :d] += c_mp @ a
+    carry[:t_len, d:] += (a.T @ c_pp @ a).reshape(t_len, d * d)
+    backward_chain(carry, chain_gain)
+    mf_c, pf_c = carry[0, :d], carry[0, d:].reshape(d, d)
+    mf_in, pf_in = carry[1:, :d], carry[1:, d:].reshape(t_len, d, d)
+    mp_b = c_mp + _mv(i_kt, mf_in)
+    pp_b = c_pp + i_kt @ (pf_in @ i_k + mf_in[:, :, None] * se[:, None, :])
     kt = _t(k_gain)
     # e = m - mu_pred;  S = p_pred + diag(v)
     d_m = e_lz + _mv(kt, mf_in)
@@ -626,22 +661,20 @@ def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x, log_z_weight=0.0):
     """Adjoint of the single-sequence backward-sampling map at fixed noise,
     plus ``log_z_weight`` times the log normalizer's gradient.
 
-    ``x`` is the draw ``lds_reconstruct(dyn, record, eps)``.  The loop
-    carries only the sampling recursion's adjoint, xbar_{t+1} += J_t^T xbar_t;
-    the adjoints of the smoother factors follow stacked over time, and one
-    filter reverse sweep pushes them, with the log normalizer's, back to
-    (m, v) and the dynamics.
+    ``x`` is the draw ``lds_reconstruct(dyn, record, eps)``.  The sampling
+    recursion's adjoint, xbar_{t+1} += J_t^T xbar_t, is one ``backward_chain``
+    call on time-reversed views; the adjoints of the smoother factors follow
+    stacked over time, and one filter reverse sweep pushes them, with the
+    log normalizer's, back to (m, v) and the dynamics.
     """
     t_len, d = record.m.shape
     a = dyn.trans
     j, pp1_inv, chol = _smoother_factors(dyn, record)
     jt = _t(j)
     x_bar = np.array(grad_x, dtype=float, copy=True)
-    back = np.zeros((t_len, d))
-    for t in range(t_len):
-        back[t] = jt[t] @ x_bar[t]
-        x_bar[t + 1] += back[t]
+    backward_chain(x_bar[::-1], jt[::-1])
     xb = x_bar[:t_len]
+    back = _mv(jt, xb)
     # x_t = c_t + chol_t eps_t; row T's chol factors p_filt[T] itself
     ext_pf = linalg.cholesky_vjp(chol, x_bar[:, :, None] * eps[:, None, :])
     cov_b = ext_pf[:t_len].copy()

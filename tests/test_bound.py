@@ -403,16 +403,23 @@ def test_decoder_width_mismatch_is_contract_error(case):
 
 
 def test_gradient_step_inverts_each_innovation_once(monkeypatch):
-    """T=20, d=2: the filter's 20 innovation inverses serve the one reverse
-    sweep; the prior and factor densities add 1 each, both covariances in
-    one stacked call."""
+    """T=20, d=2: the filter inverts each innovation inside its loop and
+    factors all 20 in one stacked call; the reverse sweep inverts nothing.
+    The prior and factor densities add 1 ``inv_from_chol`` call each, both
+    covariances in one stacked call."""
     rng = np.random.default_rng(43)
     model, net, y = lds_case(rng, t_len=20, d=2, data_dim=3)
-    calls = []
-    inv = linalg.inv_from_chol
-    monkeypatch.setattr(linalg, "inv_from_chol", lambda c: calls.append(1) or inv(c))
+    factored, inverted = [], []
+    chol, inv = linalg.cholesky_spd, linalg.inv_from_chol
+    monkeypatch.setattr(
+        linalg, "cholesky_spd",
+        lambda mat, what="matrix": factored.append((what, np.shape(mat))) or chol(mat, what),
+    )
+    monkeypatch.setattr(linalg, "inv_from_chol", lambda c: inverted.append(1) or inv(c))
     bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=20)
-    assert len(calls) == 22
+    innovations = [shape for what, shape in factored if what == "innovation covariance"]
+    assert innovations == [(20, 2, 2)]
+    assert len(inverted) == 2
 
 
 def test_gradient_step_runs_one_filter_reverse_sweep(monkeypatch):
@@ -423,6 +430,16 @@ def test_gradient_step_runs_one_filter_reverse_sweep(monkeypatch):
     monkeypatch.setattr(infnet, "_filter_reverse", lambda *a: calls.append(1) or sweep(*a))
     bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=6)
     assert len(calls) == 1
+
+
+def test_gradient_step_runs_every_linear_chain_through_backward_chain(monkeypatch):
+    """Filter means, draw, draw adjoint and reverse sweep: four chains."""
+    model, net, y = lds_case(np.random.default_rng(49), t_len=6, d=2, data_dim=3)
+    calls = []
+    chain = infnet.backward_chain
+    monkeypatch.setattr(infnet, "backward_chain", lambda *a: calls.append(1) or chain(*a))
+    bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=6)
+    assert len(calls) == 4
 
 
 def test_filter_and_gradient_step_run_one_chain_core(monkeypatch):

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, config file plus flag precedence."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import structvi
 from structvi import cli, data, harness
 
 
@@ -273,3 +276,20 @@ def test_bad_config_value_exits_nonzero(tmp_path, capsys):
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit):
         run_cli(["no-such-command"])
+
+
+def test_package_import_leaves_scipy_linalg_and_stats_unloaded():
+    """Either submodule alone raises the benchmark's peak resident memory by
+    more than its 10% bound; the package needs neither."""
+    code = (
+        "import sys, structvi.cli, structvi.harness, structvi.baselines; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'linalg'], ['scipy', 'stats'])))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(structvi.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"

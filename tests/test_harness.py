@@ -512,6 +512,40 @@ def test_checkpoint_vector_of_wrong_length_is_parse_error(tmp_path, kind, name, 
         harness.load_state(path)
 
 
+@pytest.mark.parametrize(
+    "optimizer,theta_nn,name,extra",
+    [
+        ("adagrad", "point", "lambda", None),
+        ("adagrad", "point", "iteration", None),
+        ("adagrad", "point", "theta_nn", None),
+        ("adagrad", "point", "theta_nn", 1),
+        ("adagrad", "point", "adagrad_phi", None),
+        ("adagrad", "point", "adagrad_nn", -1),
+        ("adagrad", "bayes", "theta_mu", 1),
+        ("van", "point", "van_mu", -1),
+        ("van", "point", "van_sigma2", None),
+    ],
+)
+def test_checkpoint_missing_or_resized_array_is_parse_error(
+    tmp_path, optimizer, theta_nn, name, extra
+):
+    """Every array the configured state needs is read through one check;
+    ``extra`` None deletes the array, otherwise resizes it by ``extra``."""
+    cfg = harness.TrainConfig(
+        n_components=2, hidden=(4,), optimizer=optimizer, theta_nn=theta_nn, timing=False
+    )
+    path = str(tmp_path / "run.ckpt")
+    harness.save_state(path, harness.init_state(cfg, 2), cfg)
+    arrays, meta = checkpoint.load(path)
+    if extra is None:
+        del arrays[name]
+    else:
+        arrays[name] = np.resize(arrays[name], arrays[name].size + extra)
+    checkpoint.save(path, arrays, meta)
+    with pytest.raises(ParseError, match=rf"{name} (is missing|has shape)"):
+        harness.load_state(path)
+
+
 def test_checkpoint_round_trip_fixed_prior(tmp_path):
     ds = blob_dataset(n=120, seed=10)
     std_prior = models.GaussianMixture(

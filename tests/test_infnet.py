@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import trapezoid
 
-from structvi import infnet, linalg, models, nnet
+from structvi import baselines, infnet, linalg, models, nnet
 from structvi.errors import ContractError, InvalidParameterError
 
 import lds_reference
@@ -618,3 +618,59 @@ class TestLdsStackedParity:
         log_z = infnet.lds_log_z_factor_grads(dyn, record)
         for name, f, p, g in zip(("d_m", "d_v", "d_dyn"), fused, pathwise, log_z):
             self.close(f, p + weight * g, name)
+
+
+class TestChainCore:
+    """``kalman_filter``'s failure paths through both of its callers, and
+    ``backward_chain`` run forward on time-reversed views."""
+
+    # S = [[1, 1], [1, 1]] + diag(r) at every step: zero dynamics and a
+    # rank-one process noise, so each innovation is the noise plus diag(r)
+    FAULTS = {
+        "nan": ([np.nan, 0.0], InvalidParameterError),
+        "indefinite": ([-3.0, 0.0], InvalidParameterError),
+        "singular": ([0.0, 0.0], None),
+    }
+
+    @staticmethod
+    def run_filter(caller, r, t_len=4):
+        rng = np.random.default_rng(31)
+        rank_one = np.array([[1.0, 1.0], [1.0, 1.0]])
+        if caller == "em":
+            params = baselines.LdsEmParams(
+                trans=np.zeros((2, 2)), trans_cov=rank_one, emit=np.eye(2),
+                emit_cov=np.diag(r), init_mean=np.zeros(2), init_cov=rank_one,
+            )
+            return baselines.lds_em_filter(params, rng.standard_normal((3, t_len, 2)))
+        dyn = models.LinearDynamics(
+            trans=np.zeros((2, 2)), noise_raw=np.array([0.0, 1.0, -np.inf]),
+            init_mean=np.zeros(2), init_raw=np.zeros(3),
+        )
+        lead = (3,) if caller == "block" else ()
+        v = np.broadcast_to(np.asarray(r), lead + (t_len, 2))
+        record = infnet.lds_filter(dyn, rng.standard_normal(lead + (t_len, 2)), v)
+        return [getattr(record, name) for name in (*TestLdsStackedParity.FIELDS, "log_z")]
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("caller", ["sequence", "block", "em"])
+    def test_innovation_faults(self, caller, fault):
+        r, error = self.FAULTS[fault]
+        if error is not None:
+            with pytest.raises(error):
+                self.run_filter(caller, r)
+            return
+        for out in self.run_filter(caller, r):
+            assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("t_len", [1, 2, 9])
+    def test_reversed_backward_chain_is_a_forward_loop(self, t_len, lead):
+        rng = np.random.default_rng(32 + t_len)
+        x = rng.standard_normal(lead + (t_len, 3))
+        j = rng.standard_normal(lead + (t_len - 1, 3, 3))
+        want = x.copy()
+        for t in range(t_len - 1):
+            want[..., t + 1, :] += np.einsum("...ij,...j->...i", j[..., t, :, :], want[..., t, :])
+        got = x.copy()
+        infnet.backward_chain(got[..., ::-1, :], j[..., ::-1, :, :])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
