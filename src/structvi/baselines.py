@@ -9,13 +9,18 @@ exposes an honest held-out score: the mixture reports its exact posterior
 predictive density, the dynamical system its filtered multi-step forecasts.
 
 The LDS filter and smoother take one (T, D) sequence or an (n_seq, T, D)
-block.  The constant emission noise goes to ``infnet.kalman_filter`` as a
-broadcast (T, D, D) array, so the covariances, innovation factors and gains
-are computed once for the whole block: means carry the block's leading axis,
-covariances are shared (T, d, d) arrays, and log-likelihoods are block totals.
+block.  For a time-invariant LDS the filter covariances, innovation factors
+and gains, and the smoother's gains and covariances, depend only on the
+parameters and T.  ``LdsEmParams`` computes them once per parameter set and
+length (``infnet.kalman_covariances`` with the constant emission noise as a
+broadcast (T, D, D) array, the smoother's part on first use) and keeps them
+read-only, so a filter call runs only the mean pass ``infnet.kalman_means``
+and a smooth call adds only the smoothed-mean chain.  Means carry the
+block's leading axis, covariances are shared (T, d, d) arrays, and
+log-likelihoods are block totals.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -127,12 +132,66 @@ def vb_gmm_predictive_logpdf(q, y):
 
 @dataclass(frozen=True)
 class LdsEmParams:
+    """LDS parameters, stored as read-only float copies.
+
+    The observation-free part of filtering and smoothing is computed once per
+    parameter set and sequence length and kept, read-only, on the instance
+    (outside the dataclass fields).  The arrays cannot change, so neither can
+    what was computed from them; ``dataclasses.replace`` and copies build a
+    new instance with its own memo.
+    """
+
     trans: np.ndarray  # (d, d)
     trans_cov: np.ndarray  # (d, d)
     emit: np.ndarray  # (D, d)
     emit_cov: np.ndarray  # (D, D)
     init_mean: np.ndarray  # (d,)
     init_cov: np.ndarray  # (d, d)
+
+    def __post_init__(self):
+        for f in fields(self):
+            arr = np.array(getattr(self, f.name), dtype=float)
+            object.__setattr__(self, f.name, _read_only(arr))
+        object.__setattr__(self, "_by_length", {})
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _covariances(params, t_len):
+    """The filter's covariance pass for length t_len, memoized on params."""
+    memo = params._by_length
+    if t_len not in memo:
+        r = np.broadcast_to(params.emit_cov, (t_len,) + params.emit_cov.shape)
+        cov = infnet.kalman_covariances(
+            params.trans, params.trans_cov, params.init_cov, params.emit, r
+        )
+        memo[t_len] = {k: _read_only(v) for k, v in cov.items()}
+    return memo[t_len]
+
+
+def _smoother_covariances(params, t_len):
+    """RTS gains J_t, smoothed covariances P_t and lag-one covariances for
+    length t_len, added to the memoized covariance pass on first use."""
+    cov = _covariances(params, t_len)
+    if "smooth_gain" not in cov:
+        pf, d = cov["p_filt"], params.trans.shape[0]
+        j, _, cond = infnet.rts_gains(params.trans, pf[:-1], cov["p_pred"][1:])
+        # P_t = cond_t + J_t P_{t+1} J_t^T as
+        # vec P_t = vec cond_t + (J_t kron J_t) vec P_{t+1}
+        kron = np.einsum("tik,tjl->tijkl", j, j).reshape(t_len - 1, d * d, d * d)
+        ps = np.concatenate([cond, pf[-1:]]).reshape(t_len, d * d)
+        ps = linalg.symmetrize(infnet.backward_chain(ps, kron).reshape(t_len, d, d))
+        cross = ps[1:] @ np.swapaxes(j, -1, -2)
+        cov.update(
+            smooth_gain=_read_only(j), smooth_cov=_read_only(ps), smooth_cross=_read_only(cross)
+        )
+    return cov
 
 
 @dataclass(frozen=True)
@@ -145,10 +204,19 @@ class SmoothedMoments:
     loglik: float
 
 
-def _checked_sequences(seqs, min_len=1):
+def _checked_sequences(seqs, obs_dim=None, min_len=1, block=True):
+    """seqs as a float (n_seq, T, D) block, or with ``block=False`` also one
+    (T, D) sequence, with T >= min_len, finite rows and, given obs_dim,
+    D = obs_dim; raises ContractError otherwise."""
     seqs = np.asarray(seqs, dtype=float)
-    if seqs.ndim != 3 or seqs.shape[0] < 1 or seqs.shape[1] < min_len:
-        raise ContractError(f"need (n_seq >= 1, T >= {min_len}, obs_dim) sequences")
+    ndims = (3,) if block else (2, 3)
+    if seqs.ndim not in ndims or min(seqs.shape[:-1]) < 1 or seqs.shape[-2] < min_len:
+        lead = "n_seq >= 1, " if block else "[n_seq >= 1,] "
+        raise ContractError(f"need ({lead}T >= {min_len}, obs_dim) sequences")
+    if obs_dim is not None and seqs.shape[-1] != obs_dim:
+        raise ContractError(
+            f"sequences have {seqs.shape[-1]} observed coordinates, the parameters {obs_dim}"
+        )
     if not np.all(np.isfinite(seqs)):
         raise ContractError("sequence rows contain non-finite values")
     return seqs
@@ -179,32 +247,29 @@ def lds_em_init(seqs, d, seed=0):
 
 def lds_em_filter(params, y):
     """Kalman filter for a sequence or block; returns means, covs, predictions
-    and the log-likelihood, shaped as the module docstring says."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    r = np.broadcast_to(params.emit_cov, (y.shape[-2],) + params.emit_cov.shape)
-    out = infnet.kalman_filter(
-        params.trans, params.trans_cov, params.init_mean, params.init_cov, y, params.emit, r
-    )
+    and the log-likelihood, shaped as the module docstring says.  The
+    covariances are the read-only ones shared by every call on ``params``
+    at this length."""
+    y = _checked_sequences(y, params.emit.shape[0], block=False)
+    cov = _covariances(params, y.shape[-2])
+    out = infnet.kalman_means(cov, params.trans, params.init_mean, y, params.emit)
     loglik = float(np.sum(out["log_z"]))
-    return out["mu_filt"], out["p_filt"], out["mu_pred"], out["p_pred"], loglik
+    return out["mu_filt"], cov["p_filt"], out["mu_pred"], cov["p_pred"], loglik
 
 
 def lds_em_smooth(params, y):
-    """Rauch-Tung-Striebel pass with the lag-one covariances EM needs; the
-    gains and covariances are computed once per step and shared by a block."""
+    """Rauch-Tung-Striebel pass with the lag-one covariances EM needs: the
+    filter, then the smoothed-mean chain x_t = xf_t + J_t (x_{t+1} - xp_{t+1})
+    through the memoized gains; ``cov`` and ``cross`` are shared read-only."""
     xf, pf, xp, pp, loglik = lds_em_filter(params, y)
-    t_len, d = pf.shape[:2]
-    j, _, cond = infnet.rts_gains(params.trans, pf[:-1], pp[1:])
-    # x_t = xf_t + J_t (x_{t+1} - xp_{t+1}) and P_t = cond_t + J_t P_{t+1} J_t^T,
-    # the latter as vec P_t = vec cond_t + (J_t kron J_t) vec P_{t+1}
+    cov = _smoother_covariances(params, pf.shape[0])
+    j = cov["smooth_gain"]
     xs = xf.copy()
     xs[..., :-1, :] -= np.einsum("tij,...tj->...ti", j, xp[..., 1:, :])
     infnet.backward_chain(xs, j)
-    kron = np.einsum("tik,tjl->tijkl", j, j).reshape(t_len - 1, d * d, d * d)
-    ps = np.concatenate([cond, pf[-1:]]).reshape(t_len, d * d)
-    ps = linalg.symmetrize(infnet.backward_chain(ps, kron).reshape(t_len, d, d))
-    cross = ps[1:] @ np.swapaxes(j, -1, -2)
-    return SmoothedMoments(mean=xs, cov=ps, cross=cross, loglik=loglik)
+    return SmoothedMoments(
+        mean=xs, cov=cov["smooth_cov"], cross=cov["smooth_cross"], loglik=loglik
+    )
 
 
 def lds_em_fit(seqs, d, n_iter=50, init=None):

@@ -20,14 +20,19 @@ A dynamics network also prepares a (B, T, D) block of sequences: one encoder
 pass over its B*T rows and one filter batched over the block, from which it
 draws and replays; its adjoints take one sequence.
 
-The package's one Kalman filter, ``kalman_filter``, takes a dense emission:
-the dynamics factor runs it with identity emission on the pseudo-observations
-(m_t, diag v_t), and ``baselines``' LDS-EM on its observations.  Both share
-the RTS gains and backward recursion.  The filter reverse sweep and the
-adjoints assume the identity emission.
+The package's one Kalman filter, ``kalman_filter``, takes a dense emission.
+It is two passes: ``kalman_covariances``, which reads no observation (the
+covariances, gains, innovation factors and their log-determinants), then
+``kalman_means``, which runs the observations through them.  The dynamics
+factor's ``lds_filter`` runs both passes each time, with identity emission on
+the pseudo-observations (m_t, diag v_t), because its covariances depend on
+the encoder variances v.  ``baselines``' LDS-EM runs the covariance pass once
+per parameter set and length and a mean pass per call.  Both share the RTS
+gains and backward recursion.  The filter reverse sweep and the adjoints
+assume the identity emission.
 
 The dynamics factor has one Python loop over time with a nonlinear body:
-the filter's covariance recursion (predicted covariance, innovation, its
+the covariance pass's recursion (predicted covariance, innovation, its
 inverse, gain, filtered covariance).  Every linear recursion over time runs
 through ``backward_chain``: the filter means, the draw's
 x_t = offset_t + J_t x_{t+1} and its adjoint, the filter reverse sweep's
@@ -440,27 +445,24 @@ def _t(mats):
     return np.swapaxes(mats, -1, -2)
 
 
-def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
-    """Kalman forward pass for y_t = emit x_t + r_t, r_t ~ N(0, obs_cov[..., t]),
-    from x_1's predicted moments (mu1, p1), with x_{t+1} = trans x_t + noise.
+def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
+    """The observation-free half of the Kalman forward pass for
+    y_t = emit x_t + r_t, r_t ~ N(0, obs_cov[..., t]), from x_1's predicted
+    covariance p1, with x_{t+1} = trans x_t + noise.
 
-    Means take the leading axes of ``y`` (..., T, D); covariances, innovation
-    factors and gains those of ``obs_cov`` (..., T, D, D), so a noise shared by
-    a block, passed as a broadcast (T, D, D) view, gives shared covariances.
-
-    The loop carries the covariance recursion only: predicted covariance,
-    innovation S_t, one inverse of S_t, gain K_t and filtered covariance.
-    After it, one guarded Cholesky call over the stack of S_t gives the
-    factors, their log-determinants and the non-finite/SPD check, and the
-    means are the linear chain mu_{t+1|t} = A (I - K_t C) mu_{t|t-1} + A K_t y_t,
-    one ``backward_chain`` call on time-reversed views.  An S_t that is
-    exactly singular falls back to the inverse of its jittered factor; one
-    that inverts keeps its own inverse in the gain even where its factor
-    needs jitter, which then reaches only the log-determinant.  Returns the
-    ``FilterRecord`` fields as a dict of T-row arrays (row t for step t + 1),
-    ``log_z`` one value per sequence.
+    Everything here takes the leading axes of ``obs_cov`` (..., T, D, D), so a
+    noise shared by a block, passed as a broadcast (T, D, D) view, gives
+    shared covariances.  The loop carries the covariance recursion only:
+    predicted covariance, innovation S_t, one inverse of S_t, gain K_t and
+    filtered covariance.  After it, one guarded Cholesky call over the stack
+    of S_t gives the factors, their log-determinants and the non-finite/SPD
+    check.  An S_t that is exactly singular falls back to the inverse of its
+    jittered factor; one that inverts keeps its own inverse in the gain even
+    where its factor needs jitter, which then reaches only the
+    log-determinant.  Returns ``p_pred``, ``chol_s``, ``s_inv``, ``gain``,
+    ``p_filt`` (T-row stacks, row t for step t + 1) and ``logdet_s`` as a dict.
     """
-    t_len, obs_dim = y.shape[-2:]
+    t_len, obs_dim = obs_cov.shape[-3], obs_cov.shape[-1]
     d = trans.shape[0]
     covs = obs_cov.shape[:-2]
     p_pred, p_filt, gain = (np.zeros(covs + (d, n)) for n in (d, d, obs_dim))
@@ -479,6 +481,23 @@ def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
         p_filt[..., t, :, :] = pf = pp - k @ _t(pc)
         pp = trans @ pf @ trans.T + noise_cov
     chol_s = _guarded_chol(s, "innovation covariance")
+    return dict(
+        p_pred=p_pred, chol_s=chol_s, s_inv=s_inv, gain=gain, p_filt=p_filt,
+        logdet_s=linalg.logdet_from_chol(chol_s),
+    )
+
+
+def kalman_means(cov, trans, mu1, y, emit):
+    """The data half of the Kalman forward pass: given ``kalman_covariances``'
+    dict ``cov`` and x_1's predicted mean mu1, the means of the observations
+    y (..., T, D), which may carry leading axes that ``cov`` broadcasts over.
+
+    The predicted means are the linear chain
+    mu_{t+1|t} = A (I - K_t C) mu_{t|t-1} + A K_t y_t, one ``backward_chain``
+    call on time-reversed views.  Returns ``mu_pred``, ``resid``, ``mu_filt``
+    and ``log_z`` (one value per sequence) as a dict.
+    """
+    gain, d = cov["gain"], trans.shape[0]
     mu_pred = np.empty(y.shape[:-1] + (d,))
     mu_pred[..., 0, :] = mu1
     k_prev = gain[..., :-1, :, :]
@@ -487,12 +506,24 @@ def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
     backward_chain(mu_pred[..., ::-1, :], chain[..., ::-1, :, :])
     resid = y - mu_pred @ emit.T
     mu_filt = mu_pred + _mv(gain, resid)
-    quad = np.sum(resid * _mv(s_inv, resid), axis=-1)
-    log_z = -0.5 * np.sum(obs_dim * LOG_2PI + linalg.logdet_from_chol(chol_s) + quad, axis=-1)
-    return dict(
-        mu_pred=mu_pred, p_pred=p_pred, chol_s=chol_s, s_inv=s_inv, resid=resid,
-        gain=gain, mu_filt=mu_filt, p_filt=p_filt, log_z=log_z,
-    )
+    quad = np.sum(resid * _mv(cov["s_inv"], resid), axis=-1)
+    log_z = -0.5 * np.sum(y.shape[-1] * LOG_2PI + cov["logdet_s"] + quad, axis=-1)
+    return dict(mu_pred=mu_pred, resid=resid, mu_filt=mu_filt, log_z=log_z)
+
+
+def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
+    """Kalman forward pass from x_1's predicted moments (mu1, p1): the
+    covariance pass ``kalman_covariances`` then the mean pass
+    ``kalman_means``.  Means take the leading axes of ``y`` (..., T, D),
+    covariances those of ``obs_cov`` (..., T, D, D).  ``lds_filter`` runs
+    both passes on every call, since its noise comes from the encoder.
+    Returns the ``FilterRecord`` fields as a dict of T-row arrays (row t for
+    step t + 1), ``log_z`` one value per sequence.
+    """
+    cov = kalman_covariances(trans, noise_cov, p1, emit, obs_cov)
+    out = dict(cov, **kalman_means(cov, trans, mu1, y, emit))
+    del out["logdet_s"]
+    return out
 
 
 def lds_filter(dyn, m, v):

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -366,14 +369,72 @@ def test_em_filter_and_smoother_run_one_chain_core(monkeypatch):
     rng = np.random.default_rng(59)
     params = random_lds_params(rng, 2, 3)
     seqs = simulate(params, rng, 4, 6)
-    calls = []
-    core = infnet.kalman_filter
-    monkeypatch.setattr(infnet, "kalman_filter", lambda *a: calls.append(1) or core(*a))
+    calls = {}
+    for name in ("kalman_covariances", "kalman_means"):
+        core = getattr(infnet, name)
+
+        def counted(*args, _name=name, _core=core):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _core(*args)
+
+        monkeypatch.setattr(infnet, name, counted)
     baselines.lds_em_filter(params, seqs)
     baselines.lds_em_filter(params, seqs[0])
-    assert len(calls) == 2
     baselines.lds_em_smooth(params, seqs)
-    assert len(calls) == 3
+    assert calls == {"kalman_covariances": 1, "kalman_means": 3}
+    baselines.lds_em_filter(params, seqs[:, :4])
+    assert calls == {"kalman_covariances": 2, "kalman_means": 4}
+    baselines.lds_em_smooth(dataclasses.replace(params), seqs)
+    assert calls == {"kalman_covariances": 3, "kalman_means": 5}
+
+
+def fresh_copy(params):
+    return baselines.LdsEmParams(
+        **{f.name: getattr(params, f.name).copy() for f in dataclasses.fields(params)}
+    )
+
+
+def assert_same_outputs(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_warm_memo_outputs_equal_fresh_params():
+    rng = np.random.default_rng(61)
+    params = random_lds_params(rng, 2, 3)
+    seqs = simulate(params, rng, 4, 7)
+    for y in (seqs, seqs[1], seqs[:, :5], seqs[2, :5], seqs, seqs[1]):
+        for entry, fields in (
+            (baselines.lds_em_filter, lambda out: out),
+            (baselines.lds_em_smooth, lambda sm: (sm.mean, sm.cov, sm.cross, sm.loglik)),
+        ):
+            assert_same_outputs(fields(entry(params, y)), fields(entry(fresh_copy(params), y)))
+    assert sorted(params._by_length) == [5, 7]
+
+
+def test_memo_and_params_are_read_only():
+    rng = np.random.default_rng(67)
+    source = random_lds_params(rng, 2, 3)
+    seqs = simulate(source, rng, 3, 6)
+    trans = source.trans.copy()
+    params = dataclasses.replace(source, trans=trans)
+    want = baselines.lds_em_smooth(fresh_copy(params), seqs)
+    trans[0, 0] += 1.0
+    for name in ("trans", "emit_cov"):
+        with pytest.raises(ValueError):
+            getattr(params, name)[0, 0] = 0.0
+    _, pf, _, pp, _ = baselines.lds_em_filter(params, seqs)
+    sm = baselines.lds_em_smooth(params, seqs)
+    for shared in (pf, pp, sm.cov, sm.cross):
+        with pytest.raises(ValueError):
+            shared[0, 0, 0] = 0.0
+    assert_same_outputs((sm.mean, sm.cov, sm.cross), (want.mean, want.cov, want.cross))
+    for dup in (copy.copy(params), copy.deepcopy(params)):
+        assert dup._by_length == {}
+        assert not dup.trans.flags.writeable
+        assert_same_outputs(
+            baselines.lds_em_filter(dup, seqs), baselines.lds_em_filter(params, seqs)
+        )
 
 
 def test_lds_em_contract_errors_keep_their_type():
@@ -388,3 +449,23 @@ def test_lds_em_contract_errors_keep_their_type():
     bad[1, 2, 0] = np.nan
     with pytest.raises(ContractError, match="non-finite values"):
         baselines.lds_em_fit(bad, d=1, n_iter=2)
+    for y in (bad, bad[1]):
+        for entry in (baselines.lds_em_filter, baselines.lds_em_smooth):
+            with pytest.raises(ContractError, match="non-finite values"):
+                entry(params, y)
+    wide = np.concatenate([seqs, seqs[..., :1]], axis=-1)
+    for entry in (
+        lambda y: baselines.lds_em_filter(params, y),
+        lambda y: baselines.lds_em_smooth(params, y),
+        lambda y: baselines.lds_em_loglik(params, y),
+        lambda y: baselines.lds_em_tau_mae(params, y, tau=1),
+        lambda y: baselines.lds_em_fit(y, d=1, n_iter=1, init=params),
+    ):
+        with pytest.raises(ContractError, match="observed coordinates"):
+            entry(wide)
+    for entry in (baselines.lds_em_filter, baselines.lds_em_smooth):
+        with pytest.raises(ContractError, match="observed coordinates"):
+            entry(params, wide[0])
+        with pytest.raises(ContractError, match="sequences"):
+            entry(params, seqs[0, 0])
+    assert params._by_length == {}

@@ -756,6 +756,23 @@ def test_lds_em_metrics_per_row_with_test_scores():
     assert last["tau_mae"] == baselines.lds_em_tau_mae(params, test_seqs, 1)
 
 
+def test_lds_em_fit_runs_one_covariance_pass_per_parameter_set(monkeypatch):
+    """k EM iterations filter k parameter sets; the fitted one is filtered
+    once more, and its test log-likelihood and tau-MAE share that pass."""
+    ds = seq_dataset(seed=17)
+    n_iters = 3
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, n_iters=n_iters, seed=17, seq_len=10,
+        timing=False,
+    )
+    calls = []
+    core = infnet.kalman_covariances
+    monkeypatch.setattr(infnet, "kalman_covariances", lambda *a: calls.append(1) or core(*a))
+    res = harness.train_lds_em(cfg, ds=ds)
+    assert np.isfinite(res.metrics[-1]["test_bound"]) and np.isfinite(res.metrics[-1]["tau_mae"])
+    assert len(calls) == n_iters + 1
+
+
 def test_vae_trainer_improves(tmp_path):
     ds = blob_dataset(n=240, seed=15)
     cfg = harness.TrainConfig(
