@@ -18,6 +18,13 @@ read-only, so a filter call runs only the mean pass ``infnet.kalman_means``
 and a smooth call adds only the smoothed-mean chain.  Means carry the
 block's leading axis, covariances are shared (T, d, d) arrays, and
 log-likelihoods are block totals.
+
+Because the block shares its parameters, its work runs as matrix products:
+the mean chains and the products with the shared gain stacks run as one
+product per time step over all sequences (``infnet.backward_chain`` and
+``infnet._mv`` on shared stacks), and EM's sufficient statistics are
+matmuls over the (n_seq * T) rows of the block, the second moments one
+time-major batched product.
 """
 
 from dataclasses import dataclass, fields
@@ -265,7 +272,7 @@ def lds_em_smooth(params, y):
     cov = _smoother_covariances(params, pf.shape[0])
     j = cov["smooth_gain"]
     xs = xf.copy()
-    xs[..., :-1, :] -= np.einsum("tij,...tj->...ti", j, xp[..., 1:, :])
+    xs[..., :-1, :] -= infnet._mv(j, xp[..., 1:, :])
     infnet.backward_chain(xs, j)
     return SmoothedMoments(
         mean=xs, cov=cov["smooth_cov"], cross=cov["smooth_cross"], loglik=loglik
@@ -275,23 +282,36 @@ def lds_em_smooth(params, y):
 def lds_em_fit(seqs, d, n_iter=50, init=None):
     """Batch EM over whole sequences; marginal likelihood is nondecreasing.
 
-    Each iteration smooths the block in one call; the shared covariances
-    enter the sufficient statistics once per sequence.
+    ``d`` must be a positive integer, equal to ``init``'s latent dimension
+    when ``init`` is given, and ``n_iter`` non-negative.  Each iteration
+    smooths the block in one call; the shared covariances enter the
+    sufficient statistics once per sequence.
     """
-    seqs = _checked_sequences(seqs, min_len=2)
-    n_seq, t_len, _ = seqs.shape
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ContractError(f"latent dimension must be a positive integer, got {d!r}")
+    if init is not None and init.trans.shape[0] != d:
+        raise ContractError(
+            f"init has latent dimension {init.trans.shape[0]}, the fit asks for {d}"
+        )
+    if not isinstance(n_iter, (int, np.integer)) or n_iter < 0:
+        raise ContractError(f"n_iter must be a non-negative integer, got {n_iter!r}")
+    seqs = _checked_sequences(seqs, None if init is None else init.emit.shape[0], min_len=2)
+    n_seq, t_len, obs_dim = seqs.shape
     params = lds_em_init(seqs, d) if init is None else init
-    syy = np.einsum("nti,ntj->ij", seqs, seqs)
+    flat = seqs.reshape(n_seq * t_len, obs_dim)
+    syy = flat.T @ flat
     logliks = []
     for _ in range(n_iter):
         sm = lds_em_smooth(params, seqs)
         xs = sm.mean
         logliks.append(sm.loglik)
-        second = n_seq * sm.cov + np.einsum("nti,ntj->tij", xs, xs)
-        s10 = n_seq * sm.cross.sum(axis=0) + np.einsum(
-            "nti,ntj->ij", xs[:, 1:], xs[:, :-1]
+        d = params.trans.shape[0]
+        by_time = np.moveaxis(xs, 1, 0)
+        second = n_seq * sm.cov + np.swapaxes(by_time, -1, -2) @ by_time
+        s10 = n_seq * sm.cross.sum(axis=0) + (
+            xs[:, 1:].reshape(-1, d).T @ xs[:, :-1].reshape(-1, d)
         )
-        syx = np.einsum("nti,ntj->ij", seqs, xs)
+        syx = flat.T @ xs.reshape(n_seq * t_len, d)
         init_mean = xs[:, 0].sum(axis=0) / n_seq
 
         trans = s10 @ np.linalg.inv(second[:-1].sum(axis=0))

@@ -436,7 +436,19 @@ class FilterRecord:
 
 
 def _mv(mat, vec):
-    """Matrix-vector products over matching leading axes."""
+    """Matrix-vector products over matching leading axes.
+
+    A (T, a, b) stack shared by a (..., T, b) block runs as T products on a
+    time-major view: the block's leading axes fold into one axis N first
+    (so none of them can broadcast against T), the block is read as
+    (T, N, b), and each step is one (N, b) @ (b, a) product.  Stacks with
+    their own leading axes (per sequence), and single sequences, take one
+    matrix-vector product per (..., T) entry.
+    """
+    if mat.ndim == 3 and vec.ndim > 2:
+        rows = np.moveaxis(vec.reshape((-1,) + vec.shape[-2:]), 1, 0)
+        out = np.moveaxis(rows @ _t(mat), 0, 1)
+        return out.reshape(vec.shape[:-2] + out.shape[-2:])
     return (mat @ vec[..., None])[..., 0]
 
 
@@ -565,11 +577,27 @@ def backward_chain(x, j):
     the filter means and the draw's adjoint (as forward chains, on
     time-reversed views), the draw, the filter reverse sweep, and the RTS
     smoother's means and (as vec P_t with gains J_t kron J_t) covariances.
+
+    The loop runs on one of two views of ``x``.  Gains without leading axes,
+    (R-1, k, k), are shared by the whole block: every leading axis of ``x``
+    folds into one column axis N, so ``x`` is viewed as (R, k, N) and each
+    step is one (k, k) @ (k, N) product.  Gains with leading axes (per
+    sequence) keep one (..., k, 1) column per sequence, broadcast against
+    those axes.  Where the fold cannot be a view of ``x`` (its leading axes
+    are strided unevenly), the loop runs on a folded copy that is written
+    back, so ``x`` is updated in place either way.
     """
-    cols = np.moveaxis(x, -2, 0)[..., None]
-    gains = np.moveaxis(j, -3, 0)
+    copied = False
+    if j.ndim == 3:
+        folded = x.reshape((-1,) + x.shape[-2:])
+        copied = not np.may_share_memory(folded, x)
+        cols, gains = folded.transpose(1, 2, 0), j
+    else:
+        cols, gains = np.moveaxis(x, -2, 0)[..., None], np.moveaxis(j, -3, 0)
     for t in range(gains.shape[0] - 1, -1, -1):
         cols[t] += gains[t] @ cols[t + 1]
+    if copied:
+        x[...] = folded.reshape(x.shape)
     return x
 
 

@@ -469,3 +469,90 @@ def test_lds_em_contract_errors_keep_their_type():
         with pytest.raises(ContractError, match="sequences"):
             entry(params, seqs[0, 0])
     assert params._by_length == {}
+
+
+def test_lds_em_fit_rejects_bad_sizes_before_any_work(monkeypatch):
+    rng = np.random.default_rng(53)
+    params = random_lds_params(rng, 2, 3)
+    seqs = simulate(params, rng, 3, 5)
+    work = []
+    for name in ("lds_em_init", "lds_em_smooth"):
+        monkeypatch.setattr(baselines, name, lambda *a, **k: work.append(a))
+    for kwargs, match in (
+        (dict(d=0), "positive integer"),
+        (dict(d=-1), "positive integer"),
+        (dict(d=1.5), "positive integer"),
+        (dict(d=1, init=params), "latent dimension 2"),
+        (dict(d=2, n_iter=-1), "non-negative"),
+        (dict(d=2, n_iter=-1, init=params), "non-negative"),
+    ):
+        with pytest.raises(ContractError, match=match):
+            baselines.lds_em_fit(seqs, **kwargs)
+    assert work == []
+    assert params._by_length == {}
+
+
+def einsum_em_fit(seqs, params, n_iter):
+    """EM with the M-step's statistics written as per-element einsums."""
+    n_seq, t_len, _ = seqs.shape
+    logliks = []
+    for _ in range(n_iter):
+        sm = baselines.lds_em_smooth(params, seqs)
+        xs = sm.mean
+        logliks.append(sm.loglik)
+        second = n_seq * sm.cov + np.einsum("nti,ntj->tij", xs, xs)
+        s10 = n_seq * sm.cross.sum(axis=0) + np.einsum("nti,ntj->ij", xs[:, 1:], xs[:, :-1])
+        syx = np.einsum("nti,ntj->ij", seqs, xs)
+        syy = np.einsum("nti,ntj->ij", seqs, seqs)
+        init_mean = xs[:, 0].sum(axis=0) / n_seq
+        trans = s10 @ np.linalg.inv(second[:-1].sum(axis=0))
+        emit = syx @ np.linalg.inv(second.sum(axis=0))
+        params = baselines.LdsEmParams(
+            trans=trans,
+            trans_cov=linalg.symmetrize(
+                (second[1:].sum(axis=0) - trans @ s10.T) / (n_seq * (t_len - 1))
+            ),
+            emit=emit,
+            emit_cov=linalg.symmetrize((syy - emit @ syx.T) / (n_seq * t_len)),
+            init_mean=init_mean,
+            init_cov=linalg.symmetrize(second[0] / n_seq - np.outer(init_mean, init_mean)),
+        )
+    return params, np.asarray(logliks)
+
+
+def test_em_at_latent_dim_four_matches_references_and_reruns_bit_exact():
+    rng = np.random.default_rng(59)
+    d, obs_dim, t_len = 4, 6, 7
+    truth = random_lds_params(rng, d, obs_dim)
+    seqs = simulate(truth, rng, 5, t_len)
+    start = baselines.lds_em_init(seqs, d)
+    got, got_ll = baselines.lds_em_fit(seqs, d=d, n_iter=3)
+    want, want_ll = einsum_em_fit(seqs, start, 3)
+    np.testing.assert_allclose(got_ll, want_ll, rtol=1e-12)
+    for f in dataclasses.fields(got):
+        # relative to each array's largest entry: emit_cov = (syy - emit syx^T) / (n T)
+        # cancels to entries near 1e-3 of it, where the summation order shows
+        ref = getattr(want, f.name)
+        np.testing.assert_allclose(
+            getattr(got, f.name), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=f.name
+        )
+    again, again_ll = baselines.lds_em_fit(seqs, d=d, n_iter=3)
+    assert np.array_equal(again_ll, got_ll)
+    assert_same_outputs(
+        [getattr(again, f.name) for f in dataclasses.fields(got)],
+        [getattr(got, f.name) for f in dataclasses.fields(got)],
+    )
+    for params in (truth, got):
+        sm = baselines.lds_em_smooth(params, seqs)
+        total = 0.0
+        for n, y in enumerate(seqs):
+            post_mean, post_cov, loglik = dense_lds_oracle(params, y)
+            total += loglik
+            np.testing.assert_allclose(sm.mean[n], post_mean, atol=1e-8)
+            for t in range(t_len):
+                blk = post_cov[t * d : (t + 1) * d, t * d : (t + 1) * d]
+                np.testing.assert_allclose(sm.cov[t], blk, atol=1e-8)
+            for t in range(t_len - 1):
+                blk = post_cov[(t + 1) * d : (t + 2) * d, t * d : (t + 1) * d]
+                np.testing.assert_allclose(sm.cross[t], blk, atol=1e-8)
+        assert sm.loglik == pytest.approx(total, abs=1e-8)

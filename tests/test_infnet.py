@@ -674,3 +674,55 @@ class TestChainCore:
         got = x.copy()
         infnet.backward_chain(got[..., ::-1, :], j[..., ::-1, :, :])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    # R = 6 rows of k = 3: leads (3,) and (6,) have a size equal to k and to R
+    R_ROWS, K_COLS = 6, 3
+    # each layout maps x's shape to (base shape, selector): x = base[selector]
+    LAYOUTS = {
+        "contiguous": lambda shape: (shape, ...),
+        "reversed": lambda shape: (shape, ...),
+        "strided": lambda shape: (shape[:1] + (2 * shape[1],) + shape[2:], np.s_[:, ::2]),
+        "uneven": lambda shape: (shape[:1] + (shape[1] + 1,) + shape[2:], np.s_[:, :-1]),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4), (3,), (6,)])
+    def test_shared_gains_fold_every_leading_axis(self, lead, layout):
+        """Gains without leading axes against x with any leading axes, in
+        place: "strided" and "uneven" views are not contiguous, and for lead
+        (3, 4) the "uneven" one cannot fold into one axis without a copy."""
+        rng = np.random.default_rng(33 + len(lead) + sum(lead))
+        r, k = self.R_ROWS, self.K_COLS
+        base_shape, sel = self.LAYOUTS[layout](lead + (r, k))
+        base = rng.standard_normal(base_shape)
+        before = base.copy()
+        x = base[sel]
+        j = 0.5 * rng.standard_normal((r - 1, k, k))
+        want = x.copy()
+        if layout == "reversed":
+            for t in range(r - 1):
+                want[..., t + 1, :] += np.einsum("ij,...j->...i", j[t], want[..., t, :])
+            infnet.backward_chain(x[..., ::-1, :], j[::-1])
+        else:
+            for t in range(r - 2, -1, -1):
+                want[..., t, :] += np.einsum("ij,...j->...i", j[t], want[..., t + 1, :])
+            assert infnet.backward_chain(x, j) is x
+        np.testing.assert_allclose(x, want, rtol=1e-12, atol=0)
+        outside = np.ones(base.shape, dtype=bool)
+        outside[sel] = False
+        assert np.array_equal(base[outside], before[outside])
+
+    @pytest.mark.parametrize("lead", [(), (2,), (5, 3)])
+    def test_mv_shared_and_per_sequence_stacks(self, lead):
+        """T = 5, so lead (5, 3) would broadcast against T if not folded."""
+        rng = np.random.default_rng(34 + len(lead))
+        t_len, a, b = 5, 2, 4
+        vec = rng.standard_normal(lead + (t_len, b))
+        for mats in (
+            rng.standard_normal((t_len, a, b)),
+            rng.standard_normal(lead + (t_len, a, b)),
+        ):
+            np.testing.assert_allclose(
+                infnet._mv(mats, vec), np.einsum("...tij,...tj->...ti", mats, vec),
+                rtol=1e-12, atol=0,
+            )
