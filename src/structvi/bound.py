@@ -24,7 +24,10 @@ targets the full-data bound.  Mixture-structured batches are row arrays;
 a dynamics-structured batch is one (T, data_dim) sequence, and the unit of
 batching is then the whole sequence.  ``block_bound_estimate`` evaluates a
 (n_seq, T, data_dim) block of sequences with one prepared pass and returns
-the sum of their estimates.
+the sum of their estimates.  Its samples are one draw stacked ahead of the
+block axis: one reconstruction, one decoder pass and one density call serve
+them all, the Monte Carlo terms average over the sample axis, and the exact
+log normalizer enters once.
 """
 
 from dataclasses import dataclass
@@ -73,7 +76,7 @@ def _prepared(model, net, batch, n_total, block=False, prep=None):
 
     A ``block`` batch is (n_seq, T, data_dim); n_total None means the batch
     is the whole data set.  ``prep`` is ``net.prepare(batch)`` when the
-    caller has it.
+    caller has it, and must cover the batch's rows.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != (3 if block else 2) or 0 in batch.shape[:-1]:
@@ -85,7 +88,7 @@ def _prepared(model, net, batch, n_total, block=False, prep=None):
     n_total = units if n_total is None else n_total
     if n_total < units:
         raise ContractError("n_total must cover at least the batch")
-    return batch, net.prepare(batch) if prep is None else prep, n_total / units
+    return batch, net.prepared(batch, prep), n_total / units
 
 
 def _term(name, fn):
@@ -108,21 +111,29 @@ def _term(name, fn):
 
 def _assemble(model, net, batch, prep, drawn, scale, want_grads):
     """Estimate at one draw, plus every gradient block when ``want_grads``;
-    without gradients no backward pass runs."""
+    without gradients no backward pass runs.
+
+    A draw may stack samples ahead of the batch's own axes (a block's
+    (n_samples, n_seq, T+1, d)); the Monte Carlo terms then average over
+    them.  Gradients take a single sample.
+    """
     x = drawn.x_star
     x_rows = x[..., net.lead_rows :, :]
     m, v = prep.m, prep.v
+    n_draws = x_rows.size // m.size
     decode = models.decode_loglik if want_grads else models.decode_loglik_value
     density = models.log_prior_with_grads if want_grads else models.log_prior
-    # A sequence block decodes as one stack of rows.
+    # A sequence block, every sample of it, decodes as one stack of rows.
     flat = lambda a: a.reshape(-1, a.shape[-1])
-    dec = _term("decoder_term", lambda: decode(model.decoder, flat(x_rows), flat(batch)))
+    y_rows = np.broadcast_to(batch, x_rows.shape[:-1] + batch.shape[-1:])
+    dec = _term("decoder_term", lambda: decode(model.decoder, flat(x_rows), flat(y_rows)))
     pri = _term("prior_term", lambda: density(model.prior, x))
     fac = _term("pgm_factor_term", lambda: density(net.factor, x))
     terms = (dec, pri, fac)  # with gradients each is (value, *gradients)
-    dec_val, pri_val, fac_val = (t[0] for t in terms) if want_grads else terms
+    values = [t[0] for t in terms] if want_grads else terms
+    dec_val, pri_val, fac_val = (val / n_draws for val in values)
     diff = x_rows - m
-    ent_logq = float(np.sum(-0.5 * (LOG_2PI + np.log(v)) - 0.5 * diff**2 / v))
+    ent_logq = float(np.sum(-0.5 * (LOG_2PI + np.log(v)) - 0.5 * diff**2 / v)) / n_draws
     for name, val in (("dnn_entropy_term", -ent_logq), ("log_z_term", prep.log_z)):
         if not np.isfinite(val):
             raise NumericalError(f"{name} is not finite")
@@ -208,17 +219,17 @@ def block_bound_estimate(model, net, seqs, rng, n_samples=1, prep=None):
 
     The noise is one (n_seq, n_samples, T+1, d) normal block: the stream
     that ``bound_estimate(..., n_total=1, n_samples)`` on each sequence in
-    turn consumes, so the two agree to rounding.
+    turn consumes, so the two agree to rounding.  It is replayed as one
+    (n_samples, n_seq, T+1, d) draw and scored by one ``_assemble`` call:
+    the Monte Carlo terms average over the samples, and log Z enters once.
     """
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
     seqs, prep, scale = _prepared(model, net, seqs, None, block=True, prep=prep)
     n_seq, t_len = seqs.shape[:2]
     eps = rng.standard_normal((n_seq, n_samples, t_len + net.lead_rows, net.latent_dim))
-    return _mean_estimate([
-        _assemble(model, net, seqs, prep, net.replay(prep, None, eps[:, s]), scale, want_grads=False)
-        for s in range(n_samples)
-    ])
+    drawn = net.replay(prep, None, eps.swapaxes(0, 1))
+    return _assemble(model, net, seqs, prep, drawn, scale, want_grads=False)
 
 
 def gradients_with_noise(model, net, batch, z, eps, n_total):

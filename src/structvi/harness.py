@@ -17,7 +17,6 @@ whole file.
 """
 
 import dataclasses
-import functools
 import os
 import time
 from dataclasses import dataclass
@@ -45,6 +44,7 @@ METRICS_COLUMNS = (
 
 EVAL_ROW_CAP = 512
 EVAL_SEQ_CAP = 8
+IMPUTATION_FRACTION = 0.2  # share of entries masked by the imputation task
 VAN_INIT_SIGMA2 = 1e-2
 
 
@@ -404,6 +404,19 @@ def _as_sequences(rows, seq_len):
     return rows.reshape(-1, seq_len, rows.shape[-1])
 
 
+def _sequence_preps(state, seq_len, *rows):
+    """Prepared passes of the whole sequences in each of ``rows``, all
+    through one ``prepare_blocks`` filter; None for an absent or empty one.
+    ``prepare`` is deterministic, so one pass serves every task that reads
+    its block."""
+    present = [i for i, r in enumerate(rows) if r is not None and r.shape[0]]
+    out = [None] * len(rows)
+    blocks = [_as_sequences(rows[i], seq_len) for i in present]
+    for i, prep in zip(present, state.net.prepare_blocks(blocks) if blocks else ()):
+        out[i] = prep
+    return out
+
+
 def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2, prep=None):
     """Average per-row bound estimate under the evaluation-point parameters.
 
@@ -425,9 +438,11 @@ def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2, prep=None):
     return est.total / rows.shape[0]
 
 
-def gmm_posterior_mean_latent(net, y):
-    """E[x | y] under the structured posterior, responsibilities folded in."""
-    prep = net.prepare(y)
+def gmm_posterior_mean_latent(net, y, prep=None):
+    """E[x | y] under the structured posterior, responsibilities folded in;
+    ``prep`` is the network's prepared pass over ``y`` when the caller has
+    it."""
+    prep = net.prepared(y, prep)
     n, k = prep.record.resp.shape
     # every (component, row) pair, component-major
     mean, _ = infnet.gmm_conditional(
@@ -437,32 +452,40 @@ def gmm_posterior_mean_latent(net, y):
     return np.einsum("nk,knd->nd", prep.record.resp, mean.reshape(k, n, -1))
 
 
-def lds_posterior_mean_latent(net, seqs):
+def lds_posterior_mean_latent(net, seqs, prep=None):
     """Smoothed latent means of one (T, D) sequence or a (B, T, D) block; the
-    zero-noise reconstruction is exactly them."""
-    prep = net.prepare(seqs)
+    zero-noise reconstruction is exactly them.  ``prep`` is the network's
+    prepared pass over ``seqs`` when the caller has it, and must cover
+    them."""
+    prep = net.prepared(seqs, prep)
     *lead, t_len, d = prep.m.shape
     return net.replay(prep, None, np.zeros((*lead, t_len + 1, d))).x_star
 
 
-def imputation_mse(state, rows, seq_len=0, fraction=0.2, seed=0):
+def _masked(rows, fraction, seed):
+    """The imputation mask over ``rows``, and the rows with it zeroed."""
+    mask = np.random.default_rng(seed).random(rows.shape) < fraction
+    return mask, np.where(mask, 0.0, rows)
+
+
+def imputation_mse(state, rows, seq_len=0, fraction=IMPUTATION_FRACTION, seed=0, prep=None):
     """Mask a random fraction of entries, reconstruct from the posterior mean.
 
     A dynamics model smooths all the rows' sequences in one pass and decodes
-    them as one stack of rows.
+    them as one stack of rows.  ``prep`` is the network's prepared pass over
+    the masked rows (``_masked(rows, fraction, seed)``, as whole sequences
+    for a dynamics model) when the caller has it.
     """
     rows = np.asarray(rows, dtype=float)
     is_lds = state.kind == "latent-lds"
     seq_shape = _as_sequences(rows, seq_len).shape if is_lds else None
-    rng = np.random.default_rng(seed)
-    mask = rng.random(rows.shape) < fraction
+    mask, filled = _masked(rows, fraction, seed)
     if not mask.any():
         return 0.0
-    filled = np.where(mask, 0.0, rows)
     if is_lds:
-        latent = lds_posterior_mean_latent(state.net, filled.reshape(seq_shape))[:, 1:]
+        latent = lds_posterior_mean_latent(state.net, filled.reshape(seq_shape), prep)[:, 1:]
     else:
-        latent = gmm_posterior_mean_latent(state.net, filled)
+        latent = gmm_posterior_mean_latent(state.net, filled, prep)
     recon, _, _ = nnet.forward(eval_decoder(state), latent.reshape(-1, latent.shape[-1]))
     return float(np.mean((recon[mask] - rows[mask]) ** 2))
 
@@ -474,7 +497,8 @@ def tau_ahead_mae(state, seqs, tau, prep=None):
     dynamics propagate it tau steps; the decoder emits the prediction.  The
     average runs over sequences, valid origins, and observed coordinates.
     All sequences go through one filter and one decoder pass; ``prep`` is
-    the network's prepared block of ``seqs`` when the caller has it.
+    the network's prepared block of ``seqs`` when the caller has it, and
+    must cover them.
     """
     if state.kind != "latent-lds":
         raise ContractError("tau-ahead forecasting needs a dynamics model")
@@ -484,39 +508,47 @@ def tau_ahead_mae(state, seqs, tau, prep=None):
     t_len = seqs.shape[1]
     if not 0 <= tau < t_len:
         raise ContractError("tau must lie in [0, T)")
-    record = (state.net.prepare(seqs) if prep is None else prep).record
+    record = state.net.prepared(seqs, prep).record
     pred = models.forecast_means(record.mu_filt[:, 1:], eval_prior(state).trans, tau)
     mean, _, _ = nnet.forward(eval_decoder(state), pred.reshape(-1, pred.shape[-1]))
     return float(np.mean(np.abs(seqs[:, tau:] - mean.reshape(seqs[:, tau:].shape))))
 
 
 def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
-    """Run the requested evaluation tasks on the dataset's test split."""
+    """Run the requested evaluation tasks on the dataset's test split.
+
+    A dynamics model prepares every sequence block the tasks read through
+    one filter: the test block, which ``bound`` and every tau of
+    ``tau-ahead`` share, and the masked test block of ``imputation``.
+    """
     out = {}
     test_rows = ds.rows[ds.test_idx] if ds.test_idx is not None else ds.rows
-
-    @functools.cache
-    def test_block():
-        # ``bound`` and every tau of ``tau-ahead`` read the same unmasked
-        # test sequences, and ``prepare`` is deterministic: one pass serves.
-        seqs = _as_sequences(test_rows, ds.seq_len or 0)
-        return seqs, state.net.prepare(seqs)
+    seq_len = ds.seq_len or 0
+    test_prep = masked_prep = None
+    if "tau-ahead" in tasks:
+        if state.kind != "latent-lds":
+            raise ContractError("tau-ahead forecasting needs a dynamics model")
+        if not seq_len:
+            raise ContractError("tau-ahead forecasting needs the data set's sequence length")
+    if state.kind == "latent-lds":
+        test_prep, masked_prep = _sequence_preps(
+            state, seq_len,
+            test_rows if "bound" in tasks or "tau-ahead" in tasks else None,
+            _masked(test_rows, IMPUTATION_FRACTION, seed)[1] if "imputation" in tasks else None,
+        )
 
     for task in tasks:
         if task == "bound":
-            prep = test_block()[1] if state.kind == "latent-lds" else None
             out["bound"] = per_datum_bound(
-                state, test_rows, seq_len=ds.seq_len or 0, seed=seed, prep=prep
+                state, test_rows, seq_len=seq_len, seed=seed, prep=test_prep
             )
         elif task == "imputation":
             out["imputation_mse"] = imputation_mse(
-                state, test_rows, seq_len=ds.seq_len or 0, seed=seed
+                state, test_rows, seq_len=seq_len, seed=seed, prep=masked_prep
             )
         elif task == "tau-ahead":
-            if state.kind != "latent-lds" or not ds.seq_len:
-                raise ContractError("tau-ahead forecasting needs a dynamics model")
-            seqs, prep = test_block()
-            out["tau_mae"] = {t: tau_ahead_mae(state, seqs, t, prep) for t in taus}
+            seqs = _as_sequences(test_rows, seq_len)
+            out["tau_mae"] = {t: tau_ahead_mae(state, seqs, t, test_prep) for t in taus}
         elif task == "sample-dump":
             model = models.GenerativeModel(
                 decoder=eval_decoder(state), prior=eval_prior(state)
@@ -576,12 +608,16 @@ def _structured_metrics_row(state, splits, cfg, iteration, seconds):
     seq_len = cfg.seq_len if is_lds else 0
     eval_seed = cfg.seed * 1_000_003 + 17
     has_test = test_rows is not None and test_rows.shape[0] > 0
-    # The test bound and the tau-ahead error read the same unmasked test
-    # sequences, and ``prepare`` is deterministic: one pass serves both.
-    test_seqs = _as_sequences(test_rows, seq_len) if is_lds and has_test else None
-    test_prep = state.net.prepare(test_seqs) if test_seqs is not None else None
+    # A dynamics model prepares the train cap, val, test and masked test
+    # blocks through one filter; the test bound and the tau-ahead error
+    # share the test block's pass.
+    preps = [None] * 4
+    if is_lds:
+        masked = _masked(test_rows, IMPUTATION_FRACTION, eval_seed)[1] if has_test else None
+        preps = _sequence_preps(state, seq_len, train_rows, val_rows, test_rows, masked)
+    train_prep, val_prep, test_prep, masked_prep = preps
 
-    def bound_on(rows, prep=None):
+    def bound_on(rows, prep):
         if rows is None or rows.shape[0] == 0:
             return np.nan
         return per_datum_bound(state, rows, seq_len=seq_len, seed=eval_seed, prep=prep)
@@ -589,15 +625,16 @@ def _structured_metrics_row(state, splits, cfg, iteration, seconds):
     row = metrics_row(
         iteration,
         seconds if cfg.timing else 0.0,
-        train_bound=bound_on(train_rows),
-        val_bound=bound_on(val_rows),
+        train_bound=bound_on(train_rows, train_prep),
+        val_bound=bound_on(val_rows, val_prep),
         test_bound=bound_on(test_rows, test_prep),
     )
     if has_test:
         row["imputation_mse"] = imputation_mse(
-            state, test_rows, seq_len=seq_len, seed=eval_seed
+            state, test_rows, seq_len=seq_len, seed=eval_seed, prep=masked_prep
         )
         if is_lds:
+            test_seqs = _as_sequences(test_rows, seq_len)
             row["tau_mae"] = tau_ahead_mae(state, test_seqs, tau=1, prep=test_prep)
     return row
 

@@ -18,7 +18,9 @@ from that record the network exposes
 
 A dynamics network also prepares a (B, T, D) block of sequences: one encoder
 pass over its B*T rows and one filter batched over the block, from which it
-draws and replays; its adjoints take one sequence.
+draws and replays; its adjoints take one sequence.  ``prepare_blocks`` runs
+several such blocks through one filter, each with its own encoder pass and
+its slice of the record.
 
 The package's one Kalman filter, ``kalman_filter``, takes a dense emission.
 It is two passes: ``kalman_covariances``, which reads no observation (the
@@ -49,7 +51,7 @@ differentiated; pathwise derivatives flow only through the Gaussian
 conditional at fixed indicators.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -108,6 +110,17 @@ class ProductNet:
     def prepare(self, y):
         m, v, tape = _encode_with_tape(self, y)
         return PreparedBatch(m, v, tape, *self._factor_pass(m, v))
+
+    def prepared(self, y, prep=None):
+        """``prep`` when the caller has it, else ``prepare(y)``; a given
+        ``prep`` must cover the rows of ``y`` (its m leads with y's shape)."""
+        if prep is None:
+            return self.prepare(y)
+        if prep.m.shape[:-1] != np.shape(y)[:-1]:
+            raise ContractError(
+                f"prep covers rows {prep.m.shape[:-1]}, the batch has {np.shape(y)[:-1]}"
+            )
+        return prep
 
     def phi_grad(self, prep, d_m, d_v, d_factor):
         """One encoder backward pass for summed (m, v) adjoints."""
@@ -193,6 +206,26 @@ class LdsInferenceNet(ProductNet):
     def _factor_pass(self, m, v):
         record = lds_filter(self.dynamics, m, v)
         return float(np.sum(record.log_z)), record
+
+    def prepare_blocks(self, blocks):
+        """``prepare`` of each (n_i, T, D) block in ``blocks``, with one filter
+        for them all.
+
+        Each block keeps its own encoder pass, so its m, v and tape are those
+        of ``prepare`` on it alone.  The filter runs once on the concatenated
+        (m, v), and each block reads its slice of the record and sums its
+        own log normalizer.
+        """
+        ms, vs, tapes = zip(*(_encode_with_tape(self, b) for b in blocks))
+        if any(m.ndim != 3 or m.shape[1:] != ms[0].shape[1:] for m in ms):
+            raise ContractError("stacked blocks are (n_i, T, data_dim) arrays of one T")
+        record = lds_filter(self.dynamics, np.concatenate(ms), np.concatenate(vs))
+        stops = np.cumsum([m.shape[0] for m in ms])
+        out = []
+        for m, v, tape, stop in zip(ms, vs, tapes, stops):
+            part = record.block(slice(stop - m.shape[0], stop))
+            out.append(PreparedBatch(m, v, tape, float(np.sum(part.log_z)), part))
+        return out
 
     def draw(self, prep, rng):
         """One ([B,] T+1, d) normal block."""
@@ -408,7 +441,8 @@ class FilterRecord:
     identity emission, as ``lds_filter`` runs it.
 
     Shapes are for one sequence; a filter run on a (B, T, d) block gives
-    every array a leading B axis and ``log_z`` one value per sequence.
+    every array a leading B axis and ``log_z`` one value per sequence, so
+    ``block`` slices a block record on its first axis.
     Per-step arrays are indexed 0..T-1 for step t = index + 1; filtered
     moments carry an extra row 0 for the unobserved initial state x_0.
 
@@ -433,6 +467,14 @@ class FilterRecord:
     p_filt: np.ndarray     # (T+1, d, d)
     log_z: object          # float; (B,) for a block
     smoother: Optional[tuple] = None
+
+    def block(self, rows):
+        """The record of a block record's sequences ``rows`` (a slice): every
+        field but ``smoother``, which the slice computes afresh, sliced on
+        its first axis."""
+        return FilterRecord(
+            **{f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "smoother"}
+        )
 
 
 def _mv(mat, vec):

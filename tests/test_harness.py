@@ -901,13 +901,14 @@ def test_lds_evaluate_runs_one_filter_per_task(monkeypatch, n_seq):
     lds_filter = infnet.lds_filter
     monkeypatch.setattr(infnet, "lds_filter", lambda *a: calls.append(1) or lds_filter(*a))
     out = harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert np.isfinite(out["bound"]) and np.isfinite(out["tau_mae"][1])
 
 
 def test_lds_metrics_row_filters_the_test_block_once(monkeypatch):
-    """Train, val, test bound with tau-ahead on one prepared block, masked
-    imputation: 4 filter passes, and the same figures as separate calls."""
+    """Train, val, test bound with tau-ahead, and masked imputation: one
+    filter pass over all four blocks, and the same figures as separate
+    calls."""
     ds = seq_dataset(n_seq=12, seed=17)
     cfg = harness.TrainConfig(
         model_kind="latent-lds", latent_dim=2, hidden=(8,), seed=17, seq_len=10,
@@ -922,7 +923,7 @@ def test_lds_metrics_row_filters_the_test_block_once(monkeypatch):
     lds_filter = infnet.lds_filter
     monkeypatch.setattr(infnet, "lds_filter", lambda *a: calls.append(1) or lds_filter(*a))
     row = harness._structured_metrics_row(state, splits, cfg, 0, 0.0)
-    assert len(calls) == 4
+    assert len(calls) == 1
     assert row["test_bound"] == want_bound
     assert row["tau_mae"] == want_tau
 
@@ -964,3 +965,74 @@ def test_malformed_sequence_input_is_contract_error(seq_len):
     for task in ("bound", "imputation"):
         with pytest.raises(ContractError, match="whole sequences"):
             harness.evaluate(state, bad, (task,))
+
+
+def test_lds_evaluate_tasks_equal_their_entry_points():
+    """Every task subset, with its blocks stacked through one filter, gives
+    exactly what the task's own entry point gives."""
+    state, ds = lds_eval_state()
+    rows = ds.rows[ds.test_idx]
+    seqs = rows.reshape(-1, 10, ds.dim)
+    want = {
+        "bound": harness.per_datum_bound(state, rows, seq_len=10, seed=6),
+        "imputation_mse": harness.imputation_mse(state, rows, seq_len=10, seed=6),
+        "tau_mae": {t: harness.tau_ahead_mae(state, seqs, t) for t in (1, 4)},
+    }
+    keys = {"bound": "bound", "imputation": "imputation_mse", "tau-ahead": "tau_mae"}
+    for tasks in (("bound",), ("imputation",), ("tau-ahead",), ("bound", "imputation", "tau-ahead")):
+        out = harness.evaluate(state, ds, tasks, seed=6, taus=(1, 4))
+        assert out == {keys[t]: want[keys[t]] for t in tasks}, tasks
+
+
+@pytest.mark.parametrize("val", ["absent", "no rows"])
+def test_lds_metrics_row_with_an_empty_val_split(val):
+    state, ds = lds_eval_state()
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(8,), seed=14, seq_len=10,
+        timing=False,
+    )
+    train, _, test = harness._eval_splits(ds, cfg)
+    splits = (train, None if val == "absent" else test[:0], test)
+    row = harness._structured_metrics_row(state, splits, cfg, 0, 0.0)
+    seed = cfg.seed * 1_000_003 + 17
+    assert np.isnan(row["val_bound"])
+    assert row["train_bound"] == harness.per_datum_bound(state, train, seq_len=10, seed=seed)
+    assert row["test_bound"] == harness.per_datum_bound(state, test, seq_len=10, seed=seed)
+    assert row["imputation_mse"] == harness.imputation_mse(state, test, seq_len=10, seed=seed)
+    assert row["tau_mae"] == harness.tau_ahead_mae(state, test.reshape(-1, 10, ds.dim), tau=1)
+
+
+@pytest.mark.parametrize("other", ["one sequence short", "shorter sequences"])
+def test_a_prep_of_another_block_is_contract_error(other):
+    state, ds = lds_eval_state()
+    rows = ds.rows[ds.test_idx]
+    seqs = rows.reshape(-1, 10, ds.dim)
+    prep = state.net.prepare(seqs[:-1] if other == "one sequence short" else seqs[:, :-1])
+    with pytest.raises(ContractError, match="prep"):
+        harness.per_datum_bound(state, rows, seq_len=10, prep=prep)
+    with pytest.raises(ContractError, match="prep"):
+        harness.tau_ahead_mae(state, seqs, 1, prep=prep)
+    with pytest.raises(ContractError, match="prep"):
+        harness.imputation_mse(state, rows, seq_len=10, prep=prep)
+
+
+def test_mixture_imputation_rejects_a_prep_of_other_rows():
+    ds = blob_dataset(seed=9)
+    cfg = harness.TrainConfig(n_components=3, latent_dim=2, hidden=(4,), seed=9, timing=False)
+    state = harness.init_state(cfg, ds.dim)
+    rows = ds.rows[ds.test_idx]
+    with pytest.raises(ContractError, match="prep"):
+        harness.imputation_mse(state, rows, prep=state.net.prepare(rows[:-1]))
+
+
+def test_tau_ahead_without_a_sequence_length_names_it():
+    state, ds = lds_eval_state()
+    with pytest.raises(ContractError, match="sequence length"):
+        harness.evaluate(state, dataclasses.replace(ds, seq_len=None), ("tau-ahead",))
+
+
+def test_imputation_with_nothing_masked_is_zero():
+    state, ds = lds_eval_state()
+    rows = ds.rows[ds.test_idx]
+    assert not (np.random.default_rng(0).random(rows.shape) < 1e-9).any()
+    assert harness.imputation_mse(state, rows, seq_len=10, fraction=1e-9) == 0.0

@@ -520,6 +520,61 @@ class TestLdsBlock:
                         amap[b] @ amap[b].T, post_cov, rtol=0, atol=1e-8, err_msg=where
                     )
 
+    RECORD_FIELDS = ("m", "v", "mu_pred", "p_pred", "chol_s", "s_inv", "resid", "gain",
+                     "mu_filt", "p_filt", "log_z")
+
+    def test_stacked_blocks_equal_separate_prepares(self, monkeypatch):
+        """Blocks of 1, 3 and 8 sequences through one filter: each block's
+        record slice, log Z, (m, v) and encoder tape are those of its own
+        ``prepare``, bit for bit."""
+        rng = np.random.default_rng(44)
+        net = make_lds_net(rng, d=2, data_dim=3, hidden=(5,))
+        blocks = [rng.standard_normal((n, 6, 3)) for n in (1, 3, 8)]
+        calls = []
+        lds_filter = infnet.lds_filter
+        monkeypatch.setattr(infnet, "lds_filter", lambda *a: calls.append(1) or lds_filter(*a))
+        stacked = net.prepare_blocks(blocks)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for y, got in zip(blocks, stacked):
+            want = net.prepare(y)
+            for name in self.RECORD_FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(got.record, name), getattr(want.record, name), err_msg=name
+                )
+            assert got.log_z == want.log_z
+            np.testing.assert_array_equal(got.m, want.m)
+            np.testing.assert_array_equal(got.v, want.v)
+            # the encoder's backward pass reads the block as rows
+            d_m, d_v = rng.standard_normal((2, y.shape[0] * y.shape[1], 2))
+            d_factor = rng.standard_normal(net.dynamics.param_vector().size)
+            np.testing.assert_array_equal(
+                net.phi_grad(got, d_m, d_v, d_factor), net.phi_grad(want, d_m, d_v, d_factor)
+            )
+
+    def test_one_stacked_block_is_prepare(self):
+        rng = np.random.default_rng(45)
+        net = make_lds_net(rng, d=2, data_dim=3)
+        y = rng.standard_normal((4, 5, 3))
+        (got,), want = net.prepare_blocks([y]), net.prepare(y)
+        for name in self.RECORD_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(got.record, name), getattr(want.record, name), err_msg=name
+            )
+        assert got.log_z == want.log_z
+        eps = rng.standard_normal((4, 6, 2))
+        np.testing.assert_array_equal(
+            net.replay(got, None, eps).x_star, net.replay(want, None, eps).x_star
+        )
+
+    def test_stacked_blocks_share_one_length(self):
+        rng = np.random.default_rng(46)
+        net = make_lds_net(rng, d=2, data_dim=3)
+        for bad in ([rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 4, 3))],
+                    [rng.standard_normal((5, 3))]):
+            with pytest.raises(ContractError, match="one T"):
+                net.prepare_blocks(bad)
+
     def test_filter_keeps_the_innovation_inverse(self):
         rng = np.random.default_rng(43)
         net = make_lds_net(rng, d=2, data_dim=3)
