@@ -30,10 +30,10 @@ time-major batched product.
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import expfam, infnet, linalg, models, updates
 from .errors import ContractError
+from .linalg import logsumexp
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -110,6 +110,7 @@ def _student_logpdf(y, mean, prec, dof):
     sol = np.linalg.solve(chol, np.swapaxes(y[None, :, :] - mean[:, None, :], -1, -2))
     delta = np.sum(sol**2, axis=-2).T
     logdet_prec = -linalg.logdet_from_chol(chol)
+    gammaln = expfam.scipy_special().gammaln
     return (
         gammaln(0.5 * (dof + d))
         - gammaln(0.5 * dof)

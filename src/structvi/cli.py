@@ -132,9 +132,11 @@ def _load_for_eval(args):
 
 
 def _cmd_eval(args):
-    state, _, ds = _load_for_eval(args)
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
+    if "sample-dump" in tasks and not args.samples_out:
+        raise ContractError("sample-dump needs --samples-out")
     taus = tuple(int(t) for t in args.taus.split(",") if t.strip())
+    state, _, ds = _load_for_eval(args)
     out = harness.evaluate(
         state, ds, tasks, seed=args.seed, taus=taus, n_draws=args.n_draws
     )
@@ -144,8 +146,6 @@ def _cmd_eval(args):
     for tau, val in sorted(out.get("tau_mae", {}).items()):
         print(f"tau_mae[{tau}] {val!r}")
     if "samples" in out:
-        if not args.samples_out:
-            raise ContractError("sample-dump needs --samples-out")
         draw = out["samples"]
         y = draw.y.reshape(-1, ds.dim)
         comp = (

@@ -149,13 +149,16 @@ def logsumexp(x, axis=None, keepdims=False):
     """Max-shifted log-sum-exp; a lean stand-in for the scipy version.
 
     The scipy implementation dominates profiles when called per minibatch on
-    small arrays, so the hot paths use this one.  All -inf rows return -inf.
-    With ``axis=None`` and ``keepdims=False`` the result is a Python float.
+    small arrays, so the hot paths use this one.  All -inf rows return -inf,
+    silently as in scipy.  With ``axis=None`` and ``keepdims=False`` the
+    result is a Python float.
     """
     x = np.asarray(x, dtype=float)
     m = np.max(x, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
+    s = np.sum(np.exp(x - m), axis=axis, keepdims=True)
+    # A zero sum is an all -inf row: its log is -inf, without the warning.
+    out = np.log(s, out=np.full_like(s, -np.inf), where=s != 0.0) + m
     if keepdims:
         return out
     return np.squeeze(out, axis=axis) if axis is not None else out.item()

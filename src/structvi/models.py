@@ -7,11 +7,11 @@ dynamics classes store covariances through unconstrained Cholesky vectors so
 the same objects can serve as point parameters inside inference networks.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import expfam, linalg, nnet, updates
 from .errors import ContractError
@@ -116,8 +116,8 @@ class StudentMixture(GaussianMixture):
         g = self.dof
         chols = self.chols
         const = (
-            gammaln((g + d) / 2.0)
-            - gammaln(g / 2.0)
+            math.lgamma((g + d) / 2.0)
+            - math.lgamma(g / 2.0)
             - 0.5 * d * np.log(g * np.pi)
         )
         u = x[:, None, :] - self.means[None, :, :]

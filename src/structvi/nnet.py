@@ -5,12 +5,18 @@ holds exactly what the backward pass needs and nothing else.  The final
 linear layer feeds a Gaussian head: the first half of its outputs is the
 mean, the second half passes through softplus and is floored/capped to keep
 downstream log-densities finite.
+
+The tape keeps the variance half's softplus, not its raw outputs: the cap
+test reads it directly, and the softplus derivative follows from it as
+sigmoid(z) = 1 - exp(-softplus(z)), the identity the softplus hidden layers
+use.  So the backward evaluates no second softplus and needs no sigmoid
+from ``scipy.special``, which stays unloaded on every path but the
+conjugate families' (see ``expfam``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError
 
@@ -46,11 +52,12 @@ class Mlp:
 
 @dataclass
 class GradTape:
-    """Per-call record: input, post-activation values, raw head outputs."""
+    """Per-call record: input, post-activation values, and the softplus of
+    the raw variance half (before floor and cap)."""
 
     x: np.ndarray
     post: list
-    raw: np.ndarray
+    var_softplus: np.ndarray
     squeeze: bool
 
 
@@ -96,8 +103,12 @@ def forward(net, x):
     raw = h @ last.weight.T + last.bias
     d = net.head.dim
     mean = raw[:, :d]
-    var = np.minimum(_softplus(raw[:, d:]) + net.head.var_floor, net.head.var_cap)
-    tape = GradTape(x=x[None, :] if squeeze else x, post=post, raw=raw, squeeze=squeeze)
+    var_softplus = _softplus(raw[:, d:])
+    var = np.minimum(var_softplus + net.head.var_floor, net.head.var_cap)
+    tape = GradTape(
+        x=x[None, :] if squeeze else x, post=post, var_softplus=var_softplus,
+        squeeze=squeeze,
+    )
     if squeeze:
         return mean[0], var[0], tape
     return mean, var, tape
@@ -112,10 +123,10 @@ def backward(net, tape, dmean, dvar):
     """
     dmean = np.atleast_2d(np.asarray(dmean, dtype=float))
     dvar = np.atleast_2d(np.asarray(dvar, dtype=float))
-    d = net.head.dim
-    raw_var = tape.raw[:, d:]
-    capped = _softplus(raw_var) + net.head.var_floor >= net.head.var_cap
-    draw = np.concatenate([dmean, dvar * expit(raw_var) * ~capped], axis=1)
+    sp = tape.var_softplus
+    capped = sp + net.head.var_floor >= net.head.var_cap
+    # sigmoid(z) = 1 - exp(-softplus(z)), as for a softplus hidden layer
+    draw = np.concatenate([dmean, dvar * -np.expm1(-sp) * ~capped], axis=1)
 
     grads = [None] * len(net.layers)
     upstream = draw

@@ -287,7 +287,9 @@ def test_fd_gmm_gradient_blocks(student, d, data_dim):
     check_fd_blocks(model, net, y, z, eps, n_total=7)
 
 
-@pytest.mark.parametrize("d,data_dim,t_len", [(1, 2, 4), (2, 3, 3)], ids=["d1", "d2"])
+@pytest.mark.parametrize(
+    "d,data_dim,t_len", [(1, 2, 4), (2, 3, 3), (4, 3, 3)], ids=["d1", "d2", "d4"]
+)
 def test_fd_lds_gradient_blocks(d, data_dim, t_len):
     rng = np.random.default_rng(17)
     model, net, y = lds_case(rng, t_len=t_len, d=d, data_dim=data_dim)

@@ -225,6 +225,34 @@ def test_eval_and_dump_plots(tmp_path, capsys):
     assert curves[-1]["iteration"] == 4
 
 
+def test_sample_dump_without_samples_out_fails_before_loading(
+    tmp_path, capsys, monkeypatch
+):
+    dataset = make_pinwheel_file(tmp_path)
+    out_dir = str(tmp_path / "run")
+    run_cli(
+        [
+            "train", "--dataset", dataset, "--n-components", "2",
+            "--hidden", "4", "--n-iters", "3", "--eval-interval", "3",
+            "--timing", "0", "--out-dir", out_dir,
+        ]
+    )
+    capsys.readouterr()
+    loads = []
+    monkeypatch.setattr(harness, "load_state", lambda *a: loads.append(a))
+    code = run_cli(
+        [
+            "eval", "--checkpoint", os.path.join(out_dir, "structured.ckpt"),
+            "--tasks", "bound,sample-dump",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--samples-out" in captured.err
+    assert loads == []
+
+
 def test_eval_task_mismatch_exits_nonzero(tmp_path, capsys):
     dataset = make_pinwheel_file(tmp_path)
     out_dir = str(tmp_path / "run")
@@ -278,18 +306,79 @@ def test_unknown_subcommand_usage_error():
         run_cli(["no-such-command"])
 
 
-def test_package_import_leaves_scipy_linalg_and_stats_unloaded():
-    """Either submodule alone raises the benchmark's peak resident memory by
-    more than its 10% bound; the package needs neither."""
-    code = (
-        "import sys, structvi.cli, structvi.harness, structvi.baselines; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'linalg'], ['scipy', 'stats'])))"
-    )
+def run_fresh(code):
+    """Stdout of ``code`` run in a fresh interpreter with this package on its
+    path, so ``sys.modules`` holds only what the code itself imported."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(structvi.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_package_import_leaves_scipy_linalg_stats_and_special_unloaded():
+    """Each of these submodules alone raises the benchmark's peak resident
+    memory by more than its 10% bound; importing the package loads none."""
+    code = (
+        "import sys, structvi.cli, structvi.harness, structvi.baselines; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'linalg'], ['scipy', 'stats'], ['scipy', 'special'])))"
+    )
+    assert run_fresh(code) == "[]"
+
+
+# Tiny data sets built inside the fresh interpreter; each run ends by
+# printing whether scipy.special was loaded.
+SEQ_DATA = (
+    "import sys\n"
+    "from structvi import data, harness\n"
+    "ds = data.dot_sequences(n_seq=12, t_len=10, width_d=3, seed=0, noise_std=0.05)\n"
+    "ds, _, _ = data.standardize(data.split(ds, train_frac=0.7, seed=0))\n"
+)
+PINWHEEL_DATA = (
+    "import sys\n"
+    "from structvi import data, harness\n"
+    "ds = data.pinwheel(n_per_arm=30, arms=3, seed=0)\n"
+    "ds, _, _ = data.standardize(data.split(ds, train_frac=0.7, seed=0))\n"
+)
+SPECIAL_LOADED = "print('scipy.special' in sys.modules)\n"
+
+
+def test_dynamics_training_and_evaluation_leave_scipy_special_unloaded():
+    code = SEQ_DATA + (
+        "cfg = harness.TrainConfig(model_kind='latent-lds', latent_dim=2, hidden=(8,),\n"
+        "    n_iters=4, seed=1, seq_len=10, eval_interval=4, timing=False)\n"
+        "res = harness.train_structured(cfg, ds=ds)\n"
+        "harness.evaluate(res.state, ds, ['bound', 'imputation', 'tau-ahead'], taus=(1, 3))\n"
+    )
+    assert run_fresh(code + SPECIAL_LOADED) == "False"
+
+
+def test_lds_em_fit_leaves_scipy_special_unloaded():
+    code = SEQ_DATA + (
+        "cfg = harness.TrainConfig(model_kind='latent-lds', latent_dim=2, n_iters=4,\n"
+        "    seed=1, seq_len=10, timing=False)\n"
+        "harness.train_lds_em(cfg, ds=ds)\n"
+    )
+    assert run_fresh(code + SPECIAL_LOADED) == "False"
+
+
+def test_structured_mixture_training_leaves_scipy_special_unloaded():
+    code = PINWHEEL_DATA + (
+        "cfg = harness.TrainConfig(n_components=3, hidden=(4,), n_iters=4,\n"
+        "    eval_interval=4, seed=1, timing=False)\n"
+        "harness.train_structured(cfg, ds=ds)\n"
+    )
+    assert run_fresh(code + SPECIAL_LOADED) == "False"
+
+
+def test_vb_gmm_fit_loads_scipy_special_on_first_use():
+    code = PINWHEEL_DATA + (
+        "import math\n"
+        "cfg = harness.TrainConfig(n_components=3, n_iters=5, seed=1, timing=False)\n"
+        "row = harness.train_vb_gmm(cfg, ds=ds).metrics[-1]\n"
+        "print(all(math.isfinite(row[k]) for k in ('train_bound', 'test_bound')))\n"
+    )
+    assert run_fresh(code + SPECIAL_LOADED).split() == ["True", "True"]

@@ -610,7 +610,7 @@ class TestLdsStackedParity:
     """The time-stacked dynamics factor against the per-step loops kept in
     ``lds_reference``, at rtol 1e-12."""
 
-    CASES = [(t_len, d) for t_len in (1, 2, 20) for d in (1, 3)]
+    CASES = [(t_len, d) for t_len in (1, 2, 20) for d in (1, 3, 4)]
     FIELDS = ("mu_pred", "p_pred", "chol_s", "s_inv", "resid", "gain", "mu_filt", "p_filt")
 
     @staticmethod

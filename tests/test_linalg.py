@@ -1,5 +1,7 @@
 """Batched small linear-algebra helpers, checked against scipy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -31,6 +33,17 @@ class TestLogsumexp:
         ref = special.logsumexp(x, axis=axis, keepdims=keepdims)
         assert out.shape == ref.shape
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_all_neg_inf_is_silent(self, axis, keepdims):
+        x = np.full((3, 4), -np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = linalg.logsumexp(x, axis=axis, keepdims=keepdims)
+        ref = special.logsumexp(x, axis=axis, keepdims=keepdims)
+        assert np.shape(out) == np.shape(ref)
+        assert np.all(np.asarray(out) == -np.inf)
 
     def test_axis_none_keepdims_keeps_shape(self):
         x = np.random.default_rng(2).normal(size=(3, 4))

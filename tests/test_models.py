@@ -8,7 +8,7 @@ posterior draws, central finite differences, and closed forms inlined here.
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from structvi import linalg, models, nnet, updates
 
@@ -62,6 +62,34 @@ class TestLogPrior:
         x = rng.standard_normal((10, 2))
         assert models.log_prior(tmix, x) == pytest.approx(
             models.log_prior(mix, x), abs=1e-3
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("dof", [0.5, 2.5, 5.0, 40.0, 1e4, 1e6])
+    def test_student_component_densities_match_gammaln_form(self, d, dof):
+        """The normalizer differences two log-gammas near dof/2 log(dof/2),
+        each exact to a few ulp, so besides rtol 1e-14 the check allows 4 ulp
+        of their size: 4e-14 at dof 40, 5e-9 at dof 1e6."""
+        rng = np.random.default_rng(d)
+        mix = random_mixture(rng, 3, d)
+        tmix = models.StudentMixture(
+            logits=mix.logits, means=mix.means, chol_raw=mix.chol_raw, dof=dof
+        )
+        x = 3.0 * rng.standard_normal((8, d))
+        chols = tmix.chols
+        v = np.linalg.solve(chols, (x[:, None, :] - tmix.means)[..., None])[..., 0]
+        delta = np.sum(v**2, axis=-1)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=-2, axis2=-1)), axis=-1)
+        want = (
+            special.gammaln((dof + d) / 2.0)
+            - special.gammaln(dof / 2.0)
+            - 0.5 * d * np.log(dof * np.pi)
+            - 0.5 * logdet
+            - 0.5 * (dof + d) * np.log1p(delta / dof)
+        )
+        ulps = 4.0 * np.finfo(float).eps * abs(special.gammaln((dof + d) / 2.0))
+        np.testing.assert_allclose(
+            tmix.component_log_densities(x), want, rtol=1e-14, atol=ulps
         )
 
     def test_lds_matches_dense_joint_gaussian(self):

@@ -6,6 +6,7 @@ functional of (mean, var) with step 1e-6.
 
 import numpy as np
 import pytest
+from scipy import special
 
 from structvi import nnet
 
@@ -113,6 +114,35 @@ class TestGaussianHead:
         net, n_in, _ = random_net(rng)
         _, var, _ = nnet.forward(net, 100 * rng.standard_normal((50, n_in)))
         assert np.all(var >= 1e-6) and np.all(var <= 1e6)
+
+
+    def test_variance_adjoint_is_the_sigmoid_of_the_raw_output(self):
+        """With no hidden layer and a [0; I] weight, the input gradient is the
+        adjoint of the raw variance half: dvar * expit(raw), zero where the
+        variance is capped."""
+        rng = np.random.default_rng(6)
+        d = 7
+        net = nnet.init_mlp([d, 2 * d], [], rng)
+        net.layers[0].weight = np.vstack([np.zeros((d, d)), np.eye(d)])
+        raw = np.vstack(
+            [
+                [-800.0, -40.0, -1e-3, 0.0, 1e-3, 40.0, 800.0],
+                np.full(d, -1000.0),  # at the floor
+                np.full(d, 2e6),  # at the cap
+                [2e6, -900.0, 3.0, -3.0, 5e6, 0.5, -60.0],
+                5.0 * rng.standard_normal((20, d)),
+            ]
+        )
+        dmean = rng.standard_normal(raw.shape)
+        dvar = rng.standard_normal(raw.shape)
+        _, var, tape = nnet.forward(net, raw)
+        capped = var >= nnet.VAR_CAP
+        assert np.all(var[1] == nnet.VAR_FLOOR) and np.all(capped[2])
+        want = dvar * special.expit(raw) * ~capped
+        with np.errstate(all="raise"):
+            _, dx = nnet.backward(net, tape, dmean, dvar)
+        np.testing.assert_allclose(dx, want, rtol=1e-14, atol=0.0)
+        assert np.all(dx[capped] == 0.0)
 
 
 class TestShapesAndSampling:
