@@ -17,7 +17,8 @@ adjoints on the encoder outputs are summed before one encoder backward pass;
 without them no backward pass runs at all.  The log normalizer's adjoints
 enter through the network's pathwise adjoint, so for the dynamics one filter
 reverse sweep serves both.  The mixture-versus-dynamics
-decisions live on the network classes in ``infnet``.
+decisions live on the network classes in ``infnet`` and the prior classes in
+``models``.
 
 Per-datum terms are scaled by n_total over the batch size so every estimate
 targets the full-data bound.  Mixture-structured batches are row arrays;
@@ -200,12 +201,13 @@ def _mean_estimate(ests):
     return BoundEstimate(**{name: mean(name) for name in ("total", *TERM_NAMES)})
 
 
-def bound_estimate(model, net, batch, rng, n_total, n_samples=1):
+def bound_estimate(model, net, batch, rng, n_total, n_samples=1, prep=None):
     """Single-draw bound estimate; n_samples above one averages fresh draws
-    from one prepared batch."""
+    from one prepared batch, and ``prep`` is that batch's prepared pass when
+    the caller has it."""
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
-    batch, prep, scale = _prepared(model, net, batch, n_total)
+    batch, prep, scale = _prepared(model, net, batch, n_total, prep=prep)
     return _mean_estimate([
         _assemble(model, net, batch, prep, net.draw(prep, rng), scale, want_grads=False)
         for _ in range(n_samples)

@@ -78,7 +78,11 @@ def save(path, arrays, meta=None):
 
 def load(path):
     """Read a checkpoint back as (arrays, meta)."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    with fh:
         if _read_exact(fh, len(MAGIC), path) != MAGIC:
             raise ParseError(f"{path}: not a checkpoint file")
         version = _read_u32(fh, path)

@@ -135,7 +135,10 @@ def _cmd_eval(args):
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
     if "sample-dump" in tasks and not args.samples_out:
         raise ContractError("sample-dump needs --samples-out")
-    taus = tuple(int(t) for t in args.taus.split(",") if t.strip())
+    try:
+        taus = tuple(int(t) for t in args.taus.split(",") if t.strip())
+    except ValueError:
+        raise ParseError(f"--taus takes comma-separated integers, not {args.taus!r}") from None
     state, _, ds = _load_for_eval(args)
     out = harness.evaluate(
         state, ds, tasks, seed=args.seed, taus=taus, n_draws=args.n_draws

@@ -8,6 +8,9 @@ draws point generative parameters, takes one posterior sample with its
 gradient bundle, and steps every block.  Baseline trainers for the plain
 variational autoencoder, variational-Bayes mixture EM, and dynamical-system
 EM live alongside so comparisons share data handling and metrics format.
+Priors score and draw themselves and networks give posterior means, so the
+harness holds no per-family code; ``_units`` alone decides whether a model's
+data units are rows or whole sequences.
 
 Metrics logs are delimited text, one row per evaluation, header first.  All
 randomness flows from the config seed through dedicated generators, so a rerun
@@ -16,6 +19,7 @@ be zeroed by the config's timing switch when that guarantee must extend to the
 whole file.
 """
 
+import copy
 import dataclasses
 import os
 import time
@@ -209,19 +213,9 @@ def init_state(cfg, data_dim, prior_override=None):
         pgm_prior = updates.default_gmm_prior(k, d)
         pgm_posterior = pgm_prior
     elif cfg.model_kind == "latent-tmm":
-        pgm_point = models.StudentMixture(
-            logits=net.mixture.logits.copy(),
-            means=net.mixture.means.copy(),
-            chol_raw=net.mixture.chol_raw.copy(),
-            dof=cfg.dof,
-        )
+        pgm_point = models.StudentMixture(**dataclasses.asdict(net.factor), dof=cfg.dof)
     else:
-        pgm_point = models.LinearDynamics(
-            trans=net.dynamics.trans.copy(),
-            noise_raw=net.dynamics.noise_raw.copy(),
-            init_mean=net.dynamics.init_mean.copy(),
-            init_raw=net.dynamics.init_raw.copy(),
-        )
+        pgm_point = copy.deepcopy(net.factor)
 
     theta_posterior = None
     if cfg.theta_nn == "bayes":
@@ -404,14 +398,24 @@ def _as_sequences(rows, seq_len):
     return rows.reshape(-1, seq_len, rows.shape[-1])
 
 
-def _sequence_preps(state, seq_len, *rows):
-    """Prepared passes of the whole sequences in each of ``rows``, all
-    through one ``prepare_blocks`` filter; None for an absent or empty one.
-    ``prepare`` is deterministic, so one pass serves every task that reads
-    its block."""
+def _units(kind, rows, seq_len):
+    """The data units of a ``kind`` model: whole (n_seq, seq_len, dim)
+    sequences for dynamics, which ``rows`` must hold, and the (n, dim) rows
+    themselves for a mixture.  Every rows-versus-sequences decision of the
+    harness reads this."""
+    if kind == "latent-lds":
+        return _as_sequences(rows, seq_len)
+    return np.asarray(rows, dtype=float)
+
+
+def _shared_preps(state, seq_len, *rows):
+    """The network's prepared pass over the units of each of ``rows``, None
+    for an absent or empty one; a dynamics network runs them all through one
+    filter.  ``prepare`` is deterministic, so one pass serves every task that
+    reads its block."""
     present = [i for i, r in enumerate(rows) if r is not None and r.shape[0]]
     out = [None] * len(rows)
-    blocks = [_as_sequences(rows[i], seq_len) for i in present]
+    blocks = [_units(state.kind, rows[i], seq_len) for i in present]
     for i, prep in zip(present, state.net.prepare_blocks(blocks) if blocks else ()):
         out[i] = prep
     return out
@@ -421,45 +425,22 @@ def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2, prep=None):
     """Average per-row bound estimate under the evaluation-point parameters.
 
     A dynamics model sums the estimates of the rows' sequences, all in one
-    ``bound.block_bound_estimate`` call; ``prep`` is the network's prepared
-    block of those sequences when the caller has it.
+    ``bound.block_bound_estimate`` call.  ``prep`` is the network's prepared
+    pass over the rows' units when the caller has it.
     """
     rng = np.random.default_rng(seed)
     model = models.GenerativeModel(decoder=eval_decoder(state), prior=eval_prior(state))
-    if state.kind == "latent-lds":
-        seqs = _as_sequences(rows, seq_len)
+    units = _units(state.kind, rows, seq_len)
+    if units.ndim == 3:
         est = bound.block_bound_estimate(
-            model, state.net, seqs, rng, n_samples=n_samples, prep=prep
+            model, state.net, units, rng, n_samples=n_samples, prep=prep
         )
     else:
         est = bound.bound_estimate(
-            model, state.net, rows, rng, n_total=rows.shape[0], n_samples=n_samples
+            model, state.net, units, rng, n_total=units.shape[0], n_samples=n_samples,
+            prep=prep,
         )
     return est.total / rows.shape[0]
-
-
-def gmm_posterior_mean_latent(net, y, prep=None):
-    """E[x | y] under the structured posterior, responsibilities folded in;
-    ``prep`` is the network's prepared pass over ``y`` when the caller has
-    it."""
-    prep = net.prepared(y, prep)
-    n, k = prep.record.resp.shape
-    # every (component, row) pair, component-major
-    mean, _ = infnet.gmm_conditional(
-        net.mixture, np.tile(prep.m, (k, 1)), np.tile(prep.v, (k, 1)),
-        np.repeat(np.arange(k), n),
-    )
-    return np.einsum("nk,knd->nd", prep.record.resp, mean.reshape(k, n, -1))
-
-
-def lds_posterior_mean_latent(net, seqs, prep=None):
-    """Smoothed latent means of one (T, D) sequence or a (B, T, D) block; the
-    zero-noise reconstruction is exactly them.  ``prep`` is the network's
-    prepared pass over ``seqs`` when the caller has it, and must cover
-    them."""
-    prep = net.prepared(seqs, prep)
-    *lead, t_len, d = prep.m.shape
-    return net.replay(prep, None, np.zeros((*lead, t_len + 1, d))).x_star
 
 
 def _masked(rows, fraction, seed):
@@ -473,19 +454,16 @@ def imputation_mse(state, rows, seq_len=0, fraction=IMPUTATION_FRACTION, seed=0,
 
     A dynamics model smooths all the rows' sequences in one pass and decodes
     them as one stack of rows.  ``prep`` is the network's prepared pass over
-    the masked rows (``_masked(rows, fraction, seed)``, as whole sequences
-    for a dynamics model) when the caller has it.
+    the units of the masked rows (``_masked(rows, fraction, seed)``) when the
+    caller has it.
     """
     rows = np.asarray(rows, dtype=float)
-    is_lds = state.kind == "latent-lds"
-    seq_shape = _as_sequences(rows, seq_len).shape if is_lds else None
+    shape = _units(state.kind, rows, seq_len).shape
     mask, filled = _masked(rows, fraction, seed)
     if not mask.any():
         return 0.0
-    if is_lds:
-        latent = lds_posterior_mean_latent(state.net, filled.reshape(seq_shape), prep)[:, 1:]
-    else:
-        latent = gmm_posterior_mean_latent(state.net, filled, prep)
+    prep = state.net.prepared(filled.reshape(shape), prep)
+    latent = state.net.posterior_mean(prep)[..., state.net.lead_rows :, :]
     recon, _, _ = nnet.forward(eval_decoder(state), latent.reshape(-1, latent.shape[-1]))
     return float(np.mean((recon[mask] - rows[mask]) ** 2))
 
@@ -517,25 +495,23 @@ def tau_ahead_mae(state, seqs, tau, prep=None):
 def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
     """Run the requested evaluation tasks on the dataset's test split.
 
-    A dynamics model prepares every sequence block the tasks read through
-    one filter: the test block, which ``bound`` and every tau of
-    ``tau-ahead`` share, and the masked test block of ``imputation``.
+    Every block the tasks read is prepared once: the test block, which
+    ``bound`` and every tau of ``tau-ahead`` share, and the masked test block
+    of ``imputation``; a dynamics model prepares both through one filter.
     """
     out = {}
     test_rows = ds.rows[ds.test_idx] if ds.test_idx is not None else ds.rows
     seq_len = ds.seq_len or 0
-    test_prep = masked_prep = None
     if "tau-ahead" in tasks:
         if state.kind != "latent-lds":
             raise ContractError("tau-ahead forecasting needs a dynamics model")
         if not seq_len:
             raise ContractError("tau-ahead forecasting needs the data set's sequence length")
-    if state.kind == "latent-lds":
-        test_prep, masked_prep = _sequence_preps(
-            state, seq_len,
-            test_rows if "bound" in tasks or "tau-ahead" in tasks else None,
-            _masked(test_rows, IMPUTATION_FRACTION, seed)[1] if "imputation" in tasks else None,
-        )
+    test_prep, masked_prep = _shared_preps(
+        state, seq_len,
+        test_rows if "bound" in tasks or "tau-ahead" in tasks else None,
+        _masked(test_rows, IMPUTATION_FRACTION, seed)[1] if "imputation" in tasks else None,
+    )
 
     for task in tasks:
         if task == "bound":
@@ -554,10 +530,7 @@ def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
                 decoder=eval_decoder(state), prior=eval_prior(state)
             )
             out["samples"] = models.generate(
-                model,
-                np.random.default_rng(seed),
-                n_draws,
-                seq_len=ds.seq_len if state.kind == "latent-lds" else None,
+                model, np.random.default_rng(seed), n_draws, seq_len=ds.seq_len
             )
         else:
             raise ContractError(f"unknown evaluation task {task!r}")
@@ -604,18 +577,16 @@ def _structured_metrics_row(state, splits, cfg, iteration, seconds):
     # curve shares its noise draws, so the curve tracks parameter movement
     # rather than fresh estimator noise.  Each point stays unbiased.
     train_rows, val_rows, test_rows = splits
-    is_lds = cfg.model_kind == "latent-lds"
-    seq_len = cfg.seq_len if is_lds else 0
+    seq_len = cfg.seq_len
     eval_seed = cfg.seed * 1_000_003 + 17
     has_test = test_rows is not None and test_rows.shape[0] > 0
-    # A dynamics model prepares the train cap, val, test and masked test
-    # blocks through one filter; the test bound and the tau-ahead error
-    # share the test block's pass.
-    preps = [None] * 4
-    if is_lds:
-        masked = _masked(test_rows, IMPUTATION_FRACTION, eval_seed)[1] if has_test else None
-        preps = _sequence_preps(state, seq_len, train_rows, val_rows, test_rows, masked)
-    train_prep, val_prep, test_prep, masked_prep = preps
+    # The train cap, val, test and masked test blocks are prepared once (by a
+    # dynamics model through one filter); the test bound and the tau-ahead
+    # error share the test block's pass.
+    masked = _masked(test_rows, IMPUTATION_FRACTION, eval_seed)[1] if has_test else None
+    train_prep, val_prep, test_prep, masked_prep = _shared_preps(
+        state, seq_len, train_rows, val_rows, test_rows, masked
+    )
 
     def bound_on(rows, prep):
         if rows is None or rows.shape[0] == 0:
@@ -633,7 +604,7 @@ def _structured_metrics_row(state, splits, cfg, iteration, seconds):
         row["imputation_mse"] = imputation_mse(
             state, test_rows, seq_len=seq_len, seed=eval_seed, prep=masked_prep
         )
-        if is_lds:
+        if state.kind == "latent-lds":
             test_seqs = _as_sequences(test_rows, seq_len)
             row["tau_mae"] = tau_ahead_mae(state, test_seqs, tau=1, prep=test_prep)
     return row
@@ -647,8 +618,11 @@ def load_dataset(cfg):
     """Load, split, and standardize the configured dataset."""
     if not cfg.dataset:
         raise ContractError("config has no dataset path")
-    with open(cfg.dataset, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
+    try:
+        with open(cfg.dataset, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+    except OSError as exc:
+        raise ParseError(f"{cfg.dataset}: {exc}") from None
     has_labels = bool(header) and header[-1] == "label"
     ds = data.load_delimited(cfg.dataset, has_labels=has_labels)
     if cfg.seq_len:
@@ -659,23 +633,19 @@ def load_dataset(cfg):
 
 
 def _eval_splits(ds, cfg):
+    """Train, val and test rows for the metrics log: each split's first
+    EVAL_ROW_CAP rows, or its first EVAL_SEQ_CAP sequences in data-set order
+    when the units are sequences."""
+    units = _units(cfg.model_kind, ds.rows, cfg.seq_len)
+
     def cap(idx):
         if idx is None or idx.size == 0:
             return None
-        if cfg.model_kind == "latent-lds":
-            seq_ids = np.unique(idx // cfg.seq_len)[:EVAL_SEQ_CAP]
-            take = (seq_ids[:, None] * cfg.seq_len + np.arange(cfg.seq_len)).ravel()
-            return ds.rows[take]
-        return ds.rows[idx[:EVAL_ROW_CAP]]
+        if units.ndim == 2:
+            return units[idx[:EVAL_ROW_CAP]]
+        return units[np.unique(idx // cfg.seq_len)[:EVAL_SEQ_CAP]].reshape(-1, ds.dim)
 
     return cap(ds.train_idx), cap(ds.val_idx), cap(ds.test_idx)
-
-
-def _train_units(ds, cfg):
-    rows = ds.rows[ds.train_idx]
-    if cfg.model_kind == "latent-lds":
-        return _as_sequences(rows, cfg.seq_len)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +781,7 @@ def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
         ds = load_dataset(cfg)
     if ds.train_idx is None:
         raise ContractError("dataset must be split before training")
-    units = _train_units(ds, cfg)
+    units = _units(cfg.model_kind, ds.rows[ds.train_idx], cfg.seq_len)
     n_total = units.shape[0]
     state = init_state(cfg, ds.dim, prior_override=prior_override)
     splits = _eval_splits(ds, cfg)
@@ -823,7 +793,7 @@ def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
     good = state
     try:
         for it in range(1, cfg.n_iters + 1):
-            if cfg.model_kind == "latent-lds":
+            if units.ndim == 3:  # one whole sequence per step
                 batch = units[rng.integers(0, n_total)]
             else:
                 take = min(cfg.batch_size, n_total)
@@ -999,17 +969,12 @@ def dump_plot_data(state, ds, out_dir, n_draws=2000, metrics=None, seed=0):
     os.makedirs(out_dir, exist_ok=True)
     prior = eval_prior(state)
     model = models.GenerativeModel(decoder=eval_decoder(state), prior=prior)
-    rng = np.random.default_rng(seed)
-    if state.kind == "latent-lds":
-        draw = models.generate(model, rng, n_draws, seq_len=ds.seq_len)
-        samples = draw.y.reshape(-1, ds.dim)
-        comp = np.zeros(samples.shape[0])
-        weight = np.ones(samples.shape[0])
-    else:
-        draw = models.generate(model, rng, n_draws)
-        samples = draw.y
-        comp = draw.labels.astype(float)
-        weight = prior.weights[draw.labels]
+    draw = models.generate(model, np.random.default_rng(seed), n_draws, seq_len=ds.seq_len)
+    samples = draw.y.reshape(-1, ds.dim)
+    # A draw without labels (dynamics) is one component of weight 1.
+    comp, weight = np.zeros(samples.shape[0]), np.ones(samples.shape[0])
+    if draw.labels is not None:
+        comp, weight = draw.labels.astype(float), prior.weights[draw.labels]
 
     rows = ds.rows
     labels = ds.labels if ds.labels is not None else np.full(rows.shape[0], -1)

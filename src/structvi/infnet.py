@@ -16,11 +16,15 @@ from that record the network exposes
     call), and
   * ``phi_grad``: one encoder backward pass for summed (m, v) adjoints.
 
+Each network also gives ``posterior_mean``, the latents' posterior mean from
+a prepared pass; ``ProductNet`` reads ``lead_rows`` from the factor and holds
+the one check that a prior belongs to the factor's family.
+
 A dynamics network also prepares a (B, T, D) block of sequences: one encoder
 pass over its B*T rows and one filter batched over the block, from which it
-draws and replays; its adjoints take one sequence.  ``prepare_blocks`` runs
-several such blocks through one filter, each with its own encoder pass and
-its slice of the record.
+draws and replays; its adjoints take one sequence.  ``prepare_blocks``
+prepares several blocks; the dynamics network runs them through one filter,
+each with its own encoder pass and its slice of the record.
 
 The package's one Kalman filter, ``kalman_filter``, takes a dense emission.
 It is two passes: ``kalman_covariances``, which reads no observation (the
@@ -122,6 +126,22 @@ class ProductNet:
             )
         return prep
 
+    @property
+    def lead_rows(self):
+        """Latent rows ahead of the first observed row, as the factor has."""
+        return self.factor.lead_rows
+
+    def batch_units(self, prior, batch):
+        """Units (rows or sequences) in ``batch``, under a ``prior`` that
+        must be of the factor's family."""
+        if not isinstance(prior, type(self.factor)):
+            raise ContractError(f"a {type(prior).__name__} prior does not fit a {type(self.factor).__name__} factor")
+        return self._units(batch)
+
+    def prepare_blocks(self, blocks):
+        """``prepare`` of each block in ``blocks``."""
+        return [self.prepare(b) for b in blocks]
+
     def phi_grad(self, prep, d_m, d_v, d_factor):
         """One encoder backward pass for summed (m, v) adjoints."""
         enc_grad, _ = nnet.backward(self.encoder, prep.tape, d_m, d_v)
@@ -132,15 +152,12 @@ class ProductNet:
 class GmmInferenceNet(ProductNet):
     mixture: models.GaussianMixture
     encoder: nnet.Mlp
-    lead_rows = 0  # latent rows before the first observed row
 
     @property
     def factor(self):
         return self.mixture
 
-    def batch_units(self, prior, batch):
-        if not isinstance(prior, models.GaussianMixture):
-            raise ContractError("a mixture posterior needs a mixture prior")
+    def _units(self, batch):
         if batch.ndim != 2:
             raise ContractError("a mixture posterior takes rows, not sequence blocks")
         return batch.shape[0]
@@ -169,6 +186,16 @@ class GmmInferenceNet(ProductNet):
         x = gmm_reconstruct(self.mixture, prep.m, prep.v, z, eps)
         return PosteriorSample(x_star=x, z_star=z, eps=eps, log_z=prep.log_z)
 
+    def posterior_mean(self, prep):
+        """E[x | y] of the prepared rows, responsibilities folded in."""
+        n, k = prep.record.resp.shape
+        # every (component, row) pair, component-major
+        mean, _ = gmm_conditional(
+            self.mixture, np.tile(prep.m, (k, 1)), np.tile(prep.v, (k, 1)),
+            np.repeat(np.arange(k), n),
+        )
+        return np.einsum("nk,knd->nd", prep.record.resp, mean.reshape(k, n, -1))
+
     def log_z_vjp(self, prep):
         rec = prep.record
         return gmm_log_z_factor_grads(self.mixture, prep.m, prep.v, rec.resp, rec.chol)
@@ -187,15 +214,12 @@ class GmmInferenceNet(ProductNet):
 class LdsInferenceNet(ProductNet):
     dynamics: models.LinearDynamics
     encoder: nnet.Mlp
-    lead_rows = 1  # the initial state
 
     @property
     def factor(self):
         return self.dynamics
 
-    def batch_units(self, prior, batch):
-        if not isinstance(prior, models.LinearDynamics):
-            raise ContractError("a dynamics posterior needs a dynamics prior")
+    def _units(self, batch):
         return batch.shape[0] if batch.ndim == 3 else 1
 
     def checked_indicators(self, z, n):
@@ -235,6 +259,12 @@ class LdsInferenceNet(ProductNet):
     def replay(self, prep, z, eps):
         x = lds_reconstruct(self.dynamics, prep.record, eps)
         return PosteriorSample(x_star=x, z_star=None, eps=eps, log_z=prep.log_z)
+
+    def posterior_mean(self, prep):
+        """Smoothed latent means of the prepared sequence or block, initial
+        state in row 0: the zero-noise reconstruction is exactly them."""
+        *lead, t_len, d = prep.m.shape
+        return self.replay(prep, None, np.zeros((*lead, t_len + 1, d))).x_star
 
     def log_z_vjp(self, prep):
         return lds_log_z_factor_grads(self.dynamics, prep.record)

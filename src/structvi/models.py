@@ -5,6 +5,12 @@ linear dynamics), a Gaussian decoder likelihood, the expected log prior under
 a conjugate hyperparameter posterior, and ancestral sampling.  The mixture and
 dynamics classes store covariances through unconstrained Cholesky vectors so
 the same objects can serve as point parameters inside inference networks.
+
+Each prior class owns its density (``log_prior``, ``log_prior_with_grads``),
+its latent draw (``sample``) and ``lead_rows``, the latent rows ahead of the
+first observed one (the dynamics' initial state).  ``StudentMixture``
+overrides only its density kernel, gradient tail weight and draw rescaling.
+The module functions of the same names, and ``generate``, take any prior.
 """
 
 import math
@@ -27,6 +33,7 @@ class GaussianMixture:
     logits: np.ndarray          # (k,)
     means: np.ndarray           # (k, d)
     chol_raw: np.ndarray        # (k, d(d+1)/2)
+    lead_rows = 0  # rows are independent; every latent row is observed
 
     @property
     def n_components(self):
@@ -55,15 +62,18 @@ class GaussianMixture:
         return self.logits - logsumexp(self.logits)
 
     def component_log_densities(self, x):
-        """(n, k) matrix of per-component Gaussian log densities."""
+        """(n, k) matrix of per-component log densities."""
         x = np.atleast_2d(x)
-        n, d = x.shape
         chols = self.chols
         u = x[:, None, :] - self.means[None, :, :]
         v = np.linalg.solve(chols, u[..., None])[..., 0]
-        quad = np.sum(v**2, axis=-1)
         logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=-2, axis2=-1)), axis=-1)
-        return -0.5 * (quad + logdet[None, :] + d * LOG_2PI)
+        return self._log_kernel(np.sum(v**2, axis=-1), logdet[None, :], x.shape[1])
+
+    def _log_kernel(self, quad, logdet, d):
+        """Component log densities from the squared Mahalanobis distances
+        ``quad`` and the covariance log-determinants."""
+        return -0.5 * (quad + logdet + d * LOG_2PI)
 
     def scores(self, x):
         return self.component_log_densities(x) + self.log_weights()
@@ -72,14 +82,49 @@ class GaussianMixture:
         """Per-datum mixture log density, shape (n,)."""
         return logsumexp(self.scores(x), axis=1)
 
-    def responsibilities(self, x):
-        s = self.scores(x)
-        return np.exp(s - logsumexp(s, axis=1, keepdims=True))
-
     def joint_log_density(self, x, z):
         """Sum of log p(x_n, z_n) at hard labels."""
         s = self.scores(np.atleast_2d(x))
         return float(s[np.arange(s.shape[0]), np.asarray(z, dtype=int)].sum())
+
+    def log_prior(self, x):
+        """Log density of (n, d) latent rows, labels marginalized, summed."""
+        return float(self.log_density(x).sum())
+
+    def log_prior_with_grads(self, x):
+        """(value, gradient wrt x, gradient wrt the parameter vector)."""
+        scores = self.scores(x)
+        val = float(logsumexp(scores, axis=1).sum())
+        resp = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+        chols = self.chols
+        prec = linalg.inv_from_chol(chols)
+        u = x[:, None, :] - self.means[None, :, :]
+        pu = np.einsum("kde,nke->nkd", prec, u)
+        rw = resp * self._tail_weights(u, pu)
+        grad_x = -np.einsum("nk,nkd->nd", rw, pu)
+        grad_logits = resp.sum(axis=0) - x.shape[0] * self.weights
+        grad_means = np.einsum("nk,nkd->kd", rw, pu)
+        scatter = np.einsum("nk,nki,nkl->kil", rw, pu, pu)
+        g_cov = 0.5 * (scatter - resp.sum(axis=0)[:, None, None] * prec)
+        grad_raw = linalg.tril_raw_vjp(chols, g_cov)
+        grad_params = np.concatenate([grad_logits, grad_means.ravel(), grad_raw.ravel()])
+        return val, grad_x, grad_params
+
+    def _tail_weights(self, u, pu):
+        """(n, k) gradient weights of the offsets u, with pu = precision @ u."""
+        return 1.0
+
+    def sample(self, rng, n, seq_len=None):
+        """(n, d) latent rows and their component labels.  Rows are
+        independent, so ``seq_len`` plays no part."""
+        z = rng.choice(self.n_components, size=n, p=self.weights)
+        eps = rng.standard_normal((n, self.dim))
+        x = self.means[z] + np.einsum("nij,nj->ni", self.chols[z], eps)
+        return self._rescaled(x, z, rng), z
+
+    def _rescaled(self, x, z, rng):
+        """The Gaussian draw ``x`` at labels ``z`` turned into the family's."""
+        return x
 
     def param_vector(self):
         return np.concatenate(
@@ -110,21 +155,21 @@ class StudentMixture(GaussianMixture):
 
     dof: float = 5.0
 
-    def component_log_densities(self, x):
-        x = np.atleast_2d(x)
-        n, d = x.shape
+    def _log_kernel(self, quad, logdet, d):
         g = self.dof
-        chols = self.chols
-        const = (
-            math.lgamma((g + d) / 2.0)
-            - math.lgamma(g / 2.0)
-            - 0.5 * d * np.log(g * np.pi)
-        )
-        u = x[:, None, :] - self.means[None, :, :]
-        v = np.linalg.solve(chols, u[..., None])[..., 0]
-        delta = np.sum(v**2, axis=-1)
-        logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=-2, axis2=-1)), axis=-1)
-        return const - 0.5 * logdet[None, :] - 0.5 * (g + d) * np.log1p(delta / g)
+        const = math.lgamma((g + d) / 2.0) - math.lgamma(g / 2.0) - 0.5 * d * np.log(g * np.pi)
+        return const - 0.5 * logdet - 0.5 * (g + d) * np.log1p(quad / g)
+
+    def _tail_weights(self, u, pu):
+        g, d = self.dof, self.dim
+        delta = np.sum(u * pu, axis=2)
+        return (g + d) / (g + delta)
+
+    def _rescaled(self, x, z, rng):
+        """A Student-t draw: the Gaussian offset scaled by sqrt(dof / chi2)."""
+        return self.means[z] + (x - self.means[z]) * np.sqrt(
+            self.dof / rng.chisquare(self.dof, size=x.shape[0])
+        )[:, None]
 
     def _extra_fields(self):
         return {"dof": self.dof}
@@ -138,6 +183,7 @@ class LinearDynamics:
     noise_raw: np.ndarray       # (d(d+1)/2,)
     init_mean: np.ndarray       # (d,)
     init_raw: np.ndarray        # (d(d+1)/2,)
+    lead_rows = 1  # the unobserved initial state x_0
 
     @property
     def dim(self):
@@ -150,6 +196,69 @@ class LinearDynamics:
     @property
     def init_cov(self):
         return linalg.spd_from_raw(self.init_raw, self.dim)
+
+    def _log_prior_parts(self, x):
+        """Log density of a latent array, its transition residuals, and the
+        (2, d, d) Cholesky factors of the initial and transition-noise
+        covariances, read from their stored raw vectors in one call so the
+        gradients can share them."""
+        d = self.dim
+        if x.shape[-2] < 2:
+            raise ContractError("dynamics prior needs at least one transition")
+        chols = linalg.tril_from_raw(np.stack([self.init_raw, self.noise_raw]), d)
+        init = x[..., :1, :].reshape(-1, d)
+        val = float(_gaussian_logpdf(init, self.init_mean, chols[0]).sum())
+        resid = x[..., 1:, :] - x[..., :-1, :] @ self.trans.T
+        val += float(_gaussian_logpdf(resid.reshape(-1, d), np.zeros(d), chols[1]).sum())
+        return val, resid, chols
+
+    def log_prior(self, x):
+        """Log density of one (T + 1, d) latent sequence, row 0 the initial
+        state, or of a (..., T + 1, d) block of them, summed over the block."""
+        return self._log_prior_parts(x)[0]
+
+    def log_prior_with_grads(self, x):
+        """(value, gradient wrt x, gradient wrt the parameter vector) for a
+        sequence or a block of them: the x gradient takes the block's shape
+        and the parameter gradient sums over its sequences."""
+        val, resid, chols = self._log_prior_parts(x)
+        d = self.dim
+        s0_prec, q_prec = linalg.inv_from_chol(chols)
+        pe = resid @ q_prec.T
+        w0 = (x[..., 0, :] - self.init_mean) @ s0_prec.T
+
+        grad_x = np.zeros_like(x)
+        grad_x[..., 0, :] = -w0
+        grad_x[..., 1:, :] -= pe
+        grad_x[..., :-1, :] += pe @ self.trans
+
+        # The parameter gradients sum over every step of every sequence.
+        pe, prev, w0 = pe.reshape(-1, d), x[..., :-1, :].reshape(-1, d), w0.reshape(-1, d)
+        g_q = 0.5 * (pe.T @ pe - pe.shape[0] * q_prec)
+        g_s0 = 0.5 * (w0.T @ w0 - w0.shape[0] * s0_prec)
+        grad_params = np.concatenate(
+            [
+                (pe.T @ prev).ravel(),
+                linalg.tril_raw_vjp(chols[1], g_q),
+                w0.sum(axis=0),
+                linalg.tril_raw_vjp(chols[0], g_s0),
+            ]
+        )
+        return val, grad_x, grad_params
+
+    def sample(self, rng, n, seq_len):
+        """(n, seq_len + 1, d) latent sequences, row 0 the initial state,
+        and no labels."""
+        if not seq_len:
+            raise ContractError("seq_len is required for a dynamics prior")
+        d = self.dim
+        x = np.zeros((n, seq_len + 1, d))
+        l0 = linalg.cholesky_spd(self.init_cov)
+        lq = linalg.cholesky_spd(self.noise_cov)
+        x[:, 0] = self.init_mean + rng.standard_normal((n, d)) @ l0.T
+        for t in range(1, seq_len + 1):
+            x[:, t] = x[:, t - 1] @ self.trans.T + rng.standard_normal((n, d)) @ lq.T
+        return x, None
 
     def param_vector(self):
         return np.concatenate(
@@ -187,104 +296,15 @@ def _gaussian_logpdf(x, mean, chol):
     )
 
 
-def _dynamics_log_prior(prior, x):
-    """Log density of a dynamics latent array, and the (2, d, d) Cholesky
-    factors of the initial and transition-noise covariances, read from their
-    stored raw vectors in one call so the gradients can share them."""
-    d = prior.dim
-    if x.shape[-2] < 2:
-        raise ContractError("dynamics prior needs at least one transition")
-    chols = linalg.tril_from_raw(np.stack([prior.init_raw, prior.noise_raw]), d)
-    init = x[..., :1, :].reshape(-1, d)
-    val = float(_gaussian_logpdf(init, prior.init_mean, chols[0]).sum())
-    resid = (x[..., 1:, :] - x[..., :-1, :] @ prior.trans.T).reshape(-1, d)
-    val += float(_gaussian_logpdf(resid, np.zeros(d), chols[1]).sum())
-    return val, chols
-
-
 def log_prior(prior, x):
-    """Log density of the latent array under the prior, summed over rows.
-
-    For mixtures ``x`` is (n, d) and labels are marginalized.  For linear
-    dynamics ``x`` is (T + 1, d) with row 0 holding the initial state, or a
-    (B, T + 1, d) block of such sequences, summed over the block.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(prior, GaussianMixture):
-        return float(prior.log_density(x).sum())
-    if isinstance(prior, LinearDynamics):
-        return _dynamics_log_prior(prior, x)[0]
-    raise ContractError(f"unknown prior type {type(prior).__name__}")
-
-
-def _mixture_grads(prior, x, scores=None):
-    k, d = prior.n_components, prior.dim
-    if scores is None:
-        scores = prior.scores(x)
-    resp = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
-    w = prior.weights
-
-    chols = prior.chols
-    prec = linalg.inv_from_chol(chols)
-    u = x[:, None, :] - prior.means[None, :, :]
-    pu = np.einsum("kde,nke->nkd", prec, u)
-    if isinstance(prior, StudentMixture):
-        g = prior.dof
-        delta = np.sum(u * pu, axis=2)
-        tail = (g + d) / (g + delta)
-    else:
-        tail = np.ones_like(resp)
-    rw = resp * tail
-    grad_x = -np.einsum("nk,nkd->nd", rw, pu)
-    grad_logits = resp.sum(axis=0) - x.shape[0] * w
-    grad_means = np.einsum("nk,nkd->kd", rw, pu)
-    scatter = np.einsum("nk,nki,nkl->kil", rw, pu, pu)
-    g_cov = 0.5 * (scatter - resp.sum(axis=0)[:, None, None] * prec)
-    grad_raw = linalg.tril_raw_vjp(chols, g_cov)
-    grad_params = np.concatenate([grad_logits, grad_means.ravel(), grad_raw.ravel()])
-    return grad_x, grad_params
-
-
-def _dynamics_grads(prior, x, chols):
-    s0_prec, q_prec = linalg.inv_from_chol(chols)
-    resid = x[1:] - x[:-1] @ prior.trans.T
-    u0 = x[0] - prior.init_mean
-    pe = resid @ q_prec.T
-    t_len = resid.shape[0]
-
-    grad_x = np.zeros_like(x)
-    grad_x[0] = -s0_prec @ u0
-    grad_x[1:] -= pe
-    grad_x[:-1] += pe @ prior.trans
-
-    grad_trans = pe.T @ x[:-1]
-    g_q = 0.5 * (pe.T @ pe - t_len * q_prec)
-    grad_mu0 = s0_prec @ u0
-    g_s0 = 0.5 * (np.outer(grad_mu0, grad_mu0) - s0_prec)
-    grad_params = np.concatenate(
-        [
-            grad_trans.ravel(),
-            linalg.tril_raw_vjp(chols[1], g_q),
-            grad_mu0,
-            linalg.tril_raw_vjp(chols[0], g_s0),
-        ]
-    )
-    return grad_x, grad_params
+    """Log density of the latent array under ``prior``, summed over rows
+    (see the prior class's ``log_prior``)."""
+    return prior.log_prior(np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 def log_prior_with_grads(prior, x):
     """(value, gradient wrt x, gradient wrt the prior's parameter vector)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(prior, GaussianMixture):
-        scores = prior.scores(x)
-        val = float(logsumexp(scores, axis=1).sum())
-        grad_x, grad_params = _mixture_grads(prior, x, scores=scores)
-    elif isinstance(prior, LinearDynamics):
-        val, chols = _dynamics_log_prior(prior, x)
-        grad_x, grad_params = _dynamics_grads(prior, x, chols)
-    else:
-        raise ContractError(f"unknown prior type {type(prior).__name__}")
-    return val, grad_x, grad_params
+    return prior.log_prior_with_grads(np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 def expected_log_prior(q, x, z):
@@ -368,29 +388,10 @@ def _decode_sample(decoder, x, rng):
 
 
 def generate(model, rng, n, seq_len=None):
-    """Ancestral draw of n observations (or n sequences of length seq_len)."""
-    prior = model.prior
-    if isinstance(prior, LinearDynamics):
-        if seq_len is None:
-            raise ContractError("seq_len is required for a dynamics prior")
-        d = prior.dim
-        x = np.zeros((n, seq_len + 1, d))
-        l0 = linalg.cholesky_spd(prior.init_cov)
-        lq = linalg.cholesky_spd(prior.noise_cov)
-        x[:, 0] = prior.init_mean + rng.standard_normal((n, d)) @ l0.T
-        for t in range(1, seq_len + 1):
-            x[:, t] = x[:, t - 1] @ prior.trans.T + rng.standard_normal((n, d)) @ lq.T
-        flat = x[:, 1:].reshape(n * seq_len, d)
-        y = _decode_sample(model.decoder, flat, rng)
-        return Draw(y=y.reshape(n, seq_len, -1), x=x, labels=None)
-
-    k, d = prior.n_components, prior.dim
-    z = rng.choice(k, size=n, p=prior.weights)
-    eps = rng.standard_normal((n, d))
-    x = prior.means[z] + np.einsum("nij,nj->ni", prior.chols[z], eps)
-    if isinstance(prior, StudentMixture):
-        x = prior.means[z] + (x - prior.means[z]) * np.sqrt(
-            prior.dof / rng.chisquare(prior.dof, size=n)
-        )[:, None]
-    y = _decode_sample(model.decoder, x, rng)
-    return Draw(y=y, x=x, labels=z)
+    """Ancestral draw of n observations, or of n sequences of length seq_len
+    for a dynamics prior: the prior's latents, then one decoder pass over
+    their observed rows."""
+    x, labels = model.prior.sample(rng, n, seq_len)
+    obs = x[..., model.prior.lead_rows :, :]
+    y = _decode_sample(model.decoder, obs.reshape(-1, obs.shape[-1]), rng)
+    return Draw(y=y.reshape(obs.shape[:-1] + y.shape[-1:]), x=x, labels=labels)

@@ -301,6 +301,22 @@ def test_bad_config_value_exits_nonzero(tmp_path, capsys):
     assert "model kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["eval", "--checkpoint", "{tmp}/nothere.ckpt"], "nothere.ckpt"),
+        (["eval", "--checkpoint", "{tmp}/nothere.ckpt", "--taus", "1,x"], "--taus"),
+        (["train", "--dataset", "{tmp}/nothere.txt", "--out-dir", "{tmp}"], "nothere.txt"),
+    ],
+    ids=["missing-checkpoint", "bad-taus", "missing-dataset"],
+)
+def test_bad_input_exits_nonzero_without_traceback(tmp_path, capsys, args, names):
+    code = run_cli([a.format(tmp=tmp_path) for a in args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and names in err
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit):
         run_cli(["no-such-command"])

@@ -427,8 +427,10 @@ def test_divergence_checkpoints_last_good_state(tmp_path):
         eval_interval=40,
         timing=False,
     )
-    with pytest.raises((NumericalError, InvalidParameterError)):
-        harness.train_structured(cfg, ds=ds, out_dir=str(tmp_path))
+    # The step sizes overflow the covariance factors on purpose.
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises((NumericalError, InvalidParameterError)):
+            harness.train_structured(cfg, ds=ds, out_dir=str(tmp_path))
     state, _ = harness.load_state(str(tmp_path / "structured.ckpt"))
     rows = ds.rows[ds.test_idx]
     assert np.isfinite(harness.per_datum_bound(state, rows, seed=1))
@@ -818,6 +820,61 @@ def test_dump_plot_data_counts_and_determinism(tmp_path):
             assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("kind", ["latent-lds", "latent-tmm"])
+def test_dump_plot_data_and_sample_dump_on_lds_and_tmm(tmp_path, kind):
+    """The plot table holds the sample-dump draw at the same seed: one row
+    per observation (n_draws sequences of T rows for dynamics), the draw's
+    component and its prior weight (0 and 1 for dynamics), and a rerun
+    writes the same bytes."""
+    is_lds = kind == "latent-lds"
+    ds = seq_dataset(seed=18) if is_lds else blob_dataset(n=150, seed=18)
+    cfg = harness.TrainConfig(
+        model_kind=kind, n_components=2, latent_dim=2, hidden=(4,), n_iters=10,
+        seed=18, seq_len=10 if is_lds else 0, eval_interval=10, timing=False,
+    )
+    res = harness.train_structured(cfg, ds=ds)
+    n_draws = 7
+    paths = [
+        harness.dump_plot_data(
+            res.state, ds, str(tmp_path / name), n_draws=n_draws, metrics=res.metrics, seed=3
+        )
+        for name in "ab"
+    ]
+    with open(paths[0]["samples"]) as fh:
+        lines = fh.read().splitlines()
+    coords = ["pc0", "pc1"] if ds.dim > 2 else ["x0", "x1"]
+    assert lines[0].split() == coords + ["component", "weight"]
+    table = np.array([[float(v) for v in line.split()] for line in lines[1:]])
+    assert table.shape == (n_draws * (10 if is_lds else 1), 4)
+    with open(paths[0]["data"]) as fh:
+        assert len(fh.read().splitlines()) == ds.n_rows + 1
+    for key in paths[0]:
+        with open(paths[0][key], "rb") as fa, open(paths[1][key], "rb") as fb:
+            assert fa.read() == fb.read()
+
+    draws = [
+        harness.evaluate(res.state, ds, ["sample-dump"], seed=3, n_draws=n_draws)["samples"]
+        for _ in range(2)
+    ]
+    for name in ("y", "x", "labels"):
+        assert np.array_equal(getattr(draws[0], name), getattr(draws[1], name))
+    draw = draws[0]
+    y = draw.y.reshape(-1, ds.dim)
+    if ds.dim > 2:
+        mean, basis = harness.pca_basis(ds.rows)
+        y = (y - mean) @ basis
+    assert np.array_equal(table[:, :2], y)
+    comp, weight = table[:, 2], table[:, 3]
+    if is_lds:
+        assert draw.y.shape == (n_draws, 10, ds.dim)
+        assert draw.x.shape == (n_draws, 11, 2) and draw.labels is None
+        assert np.all(comp == 0) and np.all(weight == 1)
+    else:
+        assert draw.y.shape == (n_draws, ds.dim) and draw.x.shape == (n_draws, 2)
+        assert np.array_equal(comp, draw.labels)
+        assert np.array_equal(weight, harness.eval_prior(res.state).weights[draw.labels])
+
+
 def test_dump_plot_data_pca_for_high_dim(tmp_path):
     rng = np.random.default_rng(17)
     rows = rng.standard_normal((120, 2)) @ rng.standard_normal((2, 5)) + 0.05 * rng.standard_normal((120, 5))
@@ -872,7 +929,7 @@ def test_lds_eval_matches_per_sequence_reference():
     mask = np.random.default_rng(5).random(rows.shape) < 0.2
     filled = np.where(mask, 0.0, rows).reshape(seqs.shape)
     recon = np.concatenate([
-        nnet.forward(model.decoder, harness.lds_posterior_mean_latent(state.net, seq)[1:])[0]
+        nnet.forward(model.decoder, state.net.posterior_mean(state.net.prepare(seq))[1:])[0]
         for seq in filled
     ])
     want = np.mean((recon[mask] - rows[mask]) ** 2)

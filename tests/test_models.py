@@ -159,6 +159,19 @@ class TestLogPrior:
                 ) / (2 * h)
             np.testing.assert_allclose(grad_p, fd_p, rtol=1e-4, atol=1e-6)
 
+    def test_dynamics_block_gradients_sum_per_sequence(self):
+        """On a (B, T+1, d) block the x gradient stacks each sequence's, and
+        the value and parameter gradient are the sums of theirs."""
+        rng = np.random.default_rng(8)
+        for d in (1, 3):
+            lds = random_lds(rng, d)
+            x = rng.standard_normal((3, 6, d))
+            val, grad_x, grad_p = models.log_prior_with_grads(lds, x)
+            parts = [models.log_prior_with_grads(lds, seq) for seq in x]
+            assert val == pytest.approx(sum(p[0] for p in parts), rel=1e-12)
+            np.testing.assert_allclose(grad_x, np.stack([p[1] for p in parts]), rtol=1e-12)
+            np.testing.assert_allclose(grad_p, np.sum([p[2] for p in parts], axis=0), rtol=1e-12)
+
     def test_dynamics_prior_reads_its_stored_factors(self, monkeypatch):
         """The covariances are stored as raw Cholesky factors: nothing to factor,
         and the gradients reuse the factors the value built."""
