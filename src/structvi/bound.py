@@ -20,15 +20,16 @@ reverse sweep serves both.  The mixture-versus-dynamics
 decisions live on the network classes in ``infnet`` and the prior classes in
 ``models``.
 
-Per-datum terms are scaled by n_total over the batch size so every estimate
-targets the full-data bound.  Mixture-structured batches are row arrays;
-a dynamics-structured batch is one (T, data_dim) sequence, and the unit of
-batching is then the whole sequence.  ``block_bound_estimate`` evaluates a
-(n_seq, T, data_dim) block of sequences with one prepared pass and returns
-the sum of their estimates.  Its samples are one draw stacked ahead of the
-block axis: one reconstruction, one decoder pass and one density call serve
-them all, the Monte Carlo terms average over the sample axis, and the exact
-log normalizer enters once.
+Per-datum terms are scaled by n_total over the batch's units so every
+estimate targets the full-data bound.  A mixture's units are rows; a
+dynamics model's unit is a whole sequence, and its batch is one
+(T, data_dim) sequence or a (n_seq, T, data_dim) block.  ``bound_estimate``
+takes any of them and all its samples from one stacked ``net.draw``, the
+sample axis ahead of the batch's own axes: one reconstruction, one decoder
+pass and one call per density serve every sample, the Monte Carlo terms
+average over the sample axis, and the exact log normalizer enters once.
+``bound_gradients`` scores one unstacked draw of rows or one sequence with
+gradients; the dynamics adjoints take no block.
 """
 
 from dataclasses import dataclass
@@ -72,26 +73,6 @@ class GradBundle:
     bound: BoundEstimate
 
 
-def _prepared(model, net, batch, n_total, block=False, prep=None):
-    """Checked batch, its prepared record, and the n_total / units scale.
-
-    A ``block`` batch is (n_seq, T, data_dim); n_total None means the batch
-    is the whole data set.  ``prep`` is ``net.prepare(batch)`` when the
-    caller has it, and must cover the batch's rows.
-    """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != (3 if block else 2) or 0 in batch.shape[:-1]:
-        shape = "(n_seq, T, data_dim)" if block else "(rows, data_dim)"
-        raise ContractError(f"a batch is a nonempty {shape} array")
-    units = net.batch_units(model.prior, batch)
-    if model.prior.dim != net.latent_dim:
-        raise ContractError("prior and posterior latent dimensions differ")
-    n_total = units if n_total is None else n_total
-    if n_total < units:
-        raise ContractError("n_total must cover at least the batch")
-    return batch, net.prepared(batch, prep), n_total / units
-
-
 def _term(name, fn):
     """Evaluate one bound term, translating any numeric failure to its name.
 
@@ -114,17 +95,20 @@ def _assemble(model, net, batch, prep, drawn, scale, want_grads):
     """Estimate at one draw, plus every gradient block when ``want_grads``;
     without gradients no backward pass runs.
 
-    A draw may stack samples ahead of the batch's own axes (a block's
-    (n_samples, n_seq, T+1, d)); the Monte Carlo terms then average over
-    them.  Gradients take a single sample.
+    A draw may stack samples ahead of the batch's own axes, as
+    ``net.draw(prep, rng, n_samples)`` gives them; the Monte Carlo terms then
+    average over them.  Gradients take one unstacked draw of rows or of one
+    sequence.
     """
+    if want_grads and batch.ndim == 3:
+        raise ContractError("gradients take rows or one (T, data_dim) sequence, not a block")
     x = drawn.x_star
     x_rows = x[..., net.lead_rows :, :]
     m, v = prep.m, prep.v
     n_draws = x_rows.size // m.size
     decode = models.decode_loglik if want_grads else models.decode_loglik_value
     density = models.log_prior_with_grads if want_grads else models.log_prior
-    # A sequence block, every sample of it, decodes as one stack of rows.
+    # Every sample, and every sequence of a block, decodes as one stack of rows.
     flat = lambda a: a.reshape(-1, a.shape[-1])
     y_rows = np.broadcast_to(batch, x_rows.shape[:-1] + batch.shape[-1:])
     dec = _term("decoder_term", lambda: decode(model.decoder, flat(x_rows), flat(y_rows)))
@@ -175,13 +159,32 @@ def _assemble(model, net, batch, prep, drawn, scale, want_grads):
     return GradBundle(sample=drawn, bound=est, **blocks)
 
 
-def _replayed(model, net, batch, z, eps, n_total):
-    batch, prep, scale = _prepared(model, net, batch, n_total)
-    z = net.checked_indicators(z, batch.shape[0])
+def _estimate(model, net, units, n_total, prep, draw, want_grads):
+    """The estimator behind every entry point: the checked units' prepared
+    pass (``prep`` when the caller has it, covering the units), the draw
+    ``draw(prep)`` from it, and its ``_assemble`` score at the n_total / units
+    scale; n_total None means the units are the whole data set."""
+    units = np.asarray(units, dtype=float)
+    if units.ndim not in (2, 3) or 0 in units.shape[:-1]:
+        raise ContractError("a batch is a nonempty (rows, data_dim) or (n_seq, T, data_dim) array")
+    n_units = net.batch_units(model.prior, units)
+    if model.prior.dim != net.latent_dim:
+        raise ContractError("prior and posterior latent dimensions differ")
+    n_total = n_units if n_total is None else n_total
+    if n_total < n_units:
+        raise ContractError("n_total must cover at least the batch")
+    prep = net.prepared(units, prep)
+    return _assemble(model, net, units, prep, draw(prep), n_total / n_units, want_grads)
+
+
+def _replay(net, batch, z, eps):
+    """The draw at fixed indicators and noise, checked against the batch."""
+    *lead, rows, _ = np.shape(batch)
+    z = net.checked_indicators(z, rows)
     eps = np.asarray(eps, dtype=float)
-    if eps.shape != (batch.shape[0] + net.lead_rows, net.latent_dim):
+    if eps.shape != (*lead, rows + net.lead_rows, net.latent_dim):
         raise ContractError("noise must be one latent vector per latent row")
-    return batch, prep, net.replay(prep, z, eps), scale
+    return lambda prep: net.replay(prep, z, eps)
 
 
 def bound_with_noise(model, net, batch, z, eps, n_total):
@@ -190,57 +193,24 @@ def bound_with_noise(model, net, batch, z, eps, n_total):
     This is the finite-difference-friendly entry point: with (z, eps) held,
     the estimate is a smooth function of every parameter block.
     """
-    replayed = _replayed(model, net, batch, z, eps, n_total)
-    return _assemble(model, net, *replayed, want_grads=False)
-
-
-def _mean_estimate(ests):
-    if len(ests) == 1:
-        return ests[0]
-    mean = lambda name: float(np.mean([getattr(e, name) for e in ests]))
-    return BoundEstimate(**{name: mean(name) for name in ("total", *TERM_NAMES)})
-
-
-def bound_estimate(model, net, batch, rng, n_total, n_samples=1, prep=None):
-    """Single-draw bound estimate; n_samples above one averages fresh draws
-    from one prepared batch, and ``prep`` is that batch's prepared pass when
-    the caller has it."""
-    if n_samples < 1:
-        raise ContractError("n_samples must be positive")
-    batch, prep, scale = _prepared(model, net, batch, n_total, prep=prep)
-    return _mean_estimate([
-        _assemble(model, net, batch, prep, net.draw(prep, rng), scale, want_grads=False)
-        for _ in range(n_samples)
-    ])
-
-
-def block_bound_estimate(model, net, seqs, rng, n_samples=1, prep=None):
-    """Sum over a (n_seq, T, data_dim) block of each sequence's bound
-    estimate, averaged over n_samples draws; one encoder pass and one filter
-    serve the whole block, and ``prep`` is that pass when the caller has it.
-
-    The noise is one (n_seq, n_samples, T+1, d) normal block: the stream
-    that ``bound_estimate(..., n_total=1, n_samples)`` on each sequence in
-    turn consumes, so the two agree to rounding.  It is replayed as one
-    (n_samples, n_seq, T+1, d) draw and scored by one ``_assemble`` call:
-    the Monte Carlo terms average over the samples, and log Z enters once.
-    """
-    if n_samples < 1:
-        raise ContractError("n_samples must be positive")
-    seqs, prep, scale = _prepared(model, net, seqs, None, block=True, prep=prep)
-    n_seq, t_len = seqs.shape[:2]
-    eps = rng.standard_normal((n_seq, n_samples, t_len + net.lead_rows, net.latent_dim))
-    drawn = net.replay(prep, None, eps.swapaxes(0, 1))
-    return _assemble(model, net, seqs, prep, drawn, scale, want_grads=False)
+    return _estimate(model, net, batch, n_total, None, _replay(net, batch, z, eps), False)
 
 
 def gradients_with_noise(model, net, batch, z, eps, n_total):
     """Gradient bundle for a replayed draw; shares noise with the bound."""
-    replayed = _replayed(model, net, batch, z, eps, n_total)
-    return _assemble(model, net, *replayed, want_grads=True)
+    return _estimate(model, net, batch, n_total, None, _replay(net, batch, z, eps), True)
+
+
+def bound_estimate(model, net, units, rng, n_total=None, n_samples=1, prep=None):
+    """Bound estimate of mixture rows, one (T, data_dim) sequence or a
+    (n_seq, T, data_dim) block (the sum of its sequences' estimates), averaged
+    over ``n_samples`` draws stacked into one."""
+    if n_samples < 1:
+        raise ContractError("n_samples must be positive")
+    draw = lambda p: net.draw(p, rng, n_samples)
+    return _estimate(model, net, units, n_total, prep, draw, False)
 
 
 def bound_gradients(model, net, batch, rng, n_total):
-    """One-draw gradient bundle for a training step."""
-    batch, prep, scale = _prepared(model, net, batch, n_total)
-    return _assemble(model, net, batch, prep, net.draw(prep, rng), scale, want_grads=True)
+    """One-draw gradient bundle for a training step on rows or one sequence."""
+    return _estimate(model, net, batch, n_total, None, lambda p: net.draw(p, rng), True)

@@ -424,22 +424,16 @@ def _shared_preps(state, seq_len, *rows):
 def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2, prep=None):
     """Average per-row bound estimate under the evaluation-point parameters.
 
-    A dynamics model sums the estimates of the rows' sequences, all in one
-    ``bound.block_bound_estimate`` call.  ``prep`` is the network's prepared
-    pass over the rows' units when the caller has it.
+    One ``bound.bound_estimate`` call scores the rows' units (rows, or every
+    sequence of a dynamics model as one block) with all ``n_samples`` draws
+    stacked.  ``prep`` is the network's prepared pass over the units when the
+    caller has it.
     """
-    rng = np.random.default_rng(seed)
     model = models.GenerativeModel(decoder=eval_decoder(state), prior=eval_prior(state))
-    units = _units(state.kind, rows, seq_len)
-    if units.ndim == 3:
-        est = bound.block_bound_estimate(
-            model, state.net, units, rng, n_samples=n_samples, prep=prep
-        )
-    else:
-        est = bound.bound_estimate(
-            model, state.net, units, rng, n_total=units.shape[0], n_samples=n_samples,
-            prep=prep,
-        )
+    est = bound.bound_estimate(
+        model, state.net, _units(state.kind, rows, seq_len), np.random.default_rng(seed),
+        n_samples=n_samples, prep=prep,
+    )
     return est.total / rows.shape[0]
 
 
@@ -679,6 +673,9 @@ def save_state(path, state, cfg):
         "prior_kind": type(state.pgm_point).__name__ if state.prior_fixed else "",
         "format": "structvi-train-state",
     }
+    if state.prior_fixed:  # hyperparameters outside the vector, such as dof
+        extra = state.pgm_point._extra_fields()
+        meta.update({f"prior.{k}": repr(float(v)) for k, v in extra.items()})
     checkpoint.save(path, arrays, meta)
 
 
@@ -718,7 +715,13 @@ def load_state(path):
     iteration = int(read("iteration", 0.0))
     override = None
     if meta.get("prior_fixed") == "1":
-        override = _fixed_prior_template(meta["prior_kind"], cfg)
+        template = _fixed_prior_template(meta["prior_kind"], cfg)
+        extra = {k: v for k, v in meta.items() if k.startswith("prior.")}
+        try:
+            fields = {k.removeprefix("prior."): float(v) for k, v in extra.items()}
+            override = dataclasses.replace(template, **fields)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad fixed-prior metadata {extra}: {exc}") from exc
     state = init_state(cfg, data_dim, prior_override=override)
 
     state.net = state.net.with_phi_vector(read("phi", state.net.phi_vector()))

@@ -9,7 +9,8 @@ from that record the network exposes
 
   * the log normalizer of the product (closed form for the mixture, a
     forward filter for the dynamics),
-  * exact joint draws (``draw``) and their replay at fixed noise (``replay``),
+  * exact joint draws (``draw``), one or ``n_samples`` stacked ahead of the
+    batch axes, and their replay at fixed noise (``replay``),
   * hand-written adjoints of the log normalizer and of the sampling map on
     (m, v) and the factor parameters (``log_z_vjp``, ``pathwise_vjp``; the
     latter adds a weighted copy of the former, so a gradient step needs one
@@ -175,16 +176,23 @@ class GmmInferenceNet(ProductNet):
         log_z, _, resp = aggregate_scores(gmm_scores(self.mixture, m, v, chol))
         return log_z, MixtureRecord(resp=resp, chol=chol)
 
-    def draw(self, prep, rng):
-        """Indicators from one uniform block, then one normal block for eps."""
+    def draw(self, prep, rng, n_samples=None):
+        """Per sample, indicators from one uniform block, then one normal
+        block for eps; ``n_samples`` stacks the samples ahead of the rows."""
         cum = np.cumsum(prep.record.resp, axis=1)
-        u = rng.random((cum.shape[0], 1))
-        z = np.minimum((u > cum).sum(axis=1), cum.shape[1] - 1)
-        return self.replay(prep, z, rng.standard_normal(prep.m.shape))
+        z, eps = [], []
+        for _ in range(n_samples or 1):
+            u = rng.random((cum.shape[0], 1))
+            z.append(np.minimum((u > cum).sum(axis=1), cum.shape[1] - 1))
+            eps.append(rng.standard_normal(prep.m.shape))
+        stack = np.stack if n_samples else (lambda draws: draws[0])
+        return self.replay(prep, stack(z), stack(eps))
 
     def replay(self, prep, z, eps):
-        x = gmm_reconstruct(self.mixture, prep.m, prep.v, z, eps)
-        return PosteriorSample(x_star=x, z_star=z, eps=eps, log_z=prep.log_z)
+        """One ``gmm_reconstruct`` over every row of every stacked sample."""
+        rows = lambda a: np.broadcast_to(a, eps.shape).reshape(-1, eps.shape[-1])
+        x = gmm_reconstruct(self.mixture, rows(prep.m), rows(prep.v), np.ravel(z), rows(eps))
+        return PosteriorSample(x_star=x.reshape(eps.shape), z_star=z, eps=eps, log_z=prep.log_z)
 
     def posterior_mean(self, prep):
         """E[x | y] of the prepared rows, responsibilities folded in."""
@@ -251,10 +259,13 @@ class LdsInferenceNet(ProductNet):
             out.append(PreparedBatch(m, v, tape, float(np.sum(part.log_z)), part))
         return out
 
-    def draw(self, prep, rng):
-        """One ([B,] T+1, d) normal block."""
+    def draw(self, prep, rng, n_samples=None):
+        """One ([B,] T+1, d) normal block; ``n_samples`` draws one
+        ([B,] S, T+1, d) block and moves its sample axis to the front, which
+        for one sequence is S successive draws."""
         *lead, t_len, d = prep.m.shape
-        return self.replay(prep, None, rng.standard_normal((*lead, t_len + 1, d)))
+        eps = np.moveaxis(rng.standard_normal((*lead, n_samples or 1, t_len + 1, d)), -3, 0)
+        return self.replay(prep, None, eps if n_samples else eps[0])
 
     def replay(self, prep, z, eps):
         x = lds_reconstruct(self.dynamics, prep.record, eps)

@@ -88,8 +88,9 @@ class GaussianMixture:
         return float(s[np.arange(s.shape[0]), np.asarray(z, dtype=int)].sum())
 
     def log_prior(self, x):
-        """Log density of (n, d) latent rows, labels marginalized, summed."""
-        return float(self.log_density(x).sum())
+        """Log density of (n, d) latent rows, labels marginalized, summed; a
+        stacked (S, n, d) draw reads as S*n rows."""
+        return float(self.log_density(x.reshape(-1, self.dim)).sum())
 
     def log_prior_with_grads(self, x):
         """(value, gradient wrt x, gradient wrt the parameter vector)."""
@@ -277,6 +278,9 @@ class LinearDynamics:
         i += d
         init_raw = vec[i : i + s].copy()
         return LinearDynamics(trans, noise_raw, init_mean, init_raw)
+
+    def _extra_fields(self):
+        return {}
 
 
 def forecast_means(filtered, trans, tau):

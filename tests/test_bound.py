@@ -356,13 +356,15 @@ def test_contract_checks():
     with pytest.raises(ContractError):
         bound.bound_estimate(mismatched, net, y, np.random.default_rng(0), n_total=10)
     with pytest.raises(ContractError):
-        bound.bound_estimate(lds_model, lds_net, seq[None, :, :], np.random.default_rng(0), n_total=5)
+        bound.bound_gradients(lds_model, lds_net, seq[None, :, :], np.random.default_rng(0), n_total=5)
 
 
 @pytest.mark.parametrize(
-    "case,factor_pass", [(gmm_case, "gmm_scores"), (lds_case, "lds_filter")], ids=["gmm", "lds"]
+    "case,factor_pass,reconstruct",
+    [(gmm_case, "gmm_scores", "gmm_reconstruct"), (lds_case, "lds_filter", "lds_reconstruct")],
+    ids=["gmm", "lds"],
 )
-def test_one_encoder_and_factor_pass_per_estimate(monkeypatch, case, factor_pass):
+def test_one_encoder_and_factor_pass_per_estimate(monkeypatch, case, factor_pass, reconstruct):
     model, net, y = case(np.random.default_rng(37))
     calls = {}
 
@@ -380,15 +382,18 @@ def test_one_encoder_and_factor_pass_per_estimate(monkeypatch, case, factor_pass
         (nnet, "backward"),
         (infnet, "gmm_scores"),
         (infnet, "lds_filter"),
+        (infnet, "gmm_reconstruct"),
+        (infnet, "lds_reconstruct"),
     ):
         count(module, name)
 
     bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=10)
-    assert calls == {factor_pass: 1, "forward": 2, "backward": 2}
+    assert calls == {factor_pass: 1, reconstruct: 1, "forward": 2, "backward": 2}
 
+    # Both samples are one stacked draw: one reconstruction, one decoder pass.
     calls.clear()
     bound.bound_estimate(model, net, y, np.random.default_rng(0), n_total=10, n_samples=2)
-    assert calls == {factor_pass: 1, "forward": 3}
+    assert calls == {factor_pass: 1, reconstruct: 1, "forward": 2}
 
 
 @pytest.mark.parametrize("case", [gmm_case, lds_case], ids=["gmm", "lds"])
@@ -473,7 +478,7 @@ def block_case(rng, n_seq=3, t_len=5, d=2, data_dim=3):
 @pytest.mark.parametrize("n_samples", [1, 3])
 def test_block_estimate_is_the_sum_of_sequence_estimates(n_samples):
     model, net, seqs = block_case(np.random.default_rng(45))
-    got = bound.block_bound_estimate(model, net, seqs, np.random.default_rng(7), n_samples)
+    got = bound.bound_estimate(model, net, seqs, np.random.default_rng(7), n_samples=n_samples)
     rng = np.random.default_rng(7)
     singles = [
         bound.bound_estimate(model, net, seq, rng, n_total=1, n_samples=n_samples)
@@ -489,7 +494,7 @@ def test_block_estimate_is_the_mean_of_per_sample_estimates(n_samples):
     """The one stacked draw against a loop that scores each sample of the
     same noise block on its own and averages the estimates."""
     model, net, seqs = block_case(np.random.default_rng(49), n_seq=4, d=2)
-    got = bound.block_bound_estimate(model, net, seqs, np.random.default_rng(8), n_samples)
+    got = bound.bound_estimate(model, net, seqs, np.random.default_rng(8), n_samples=n_samples)
     prep = net.prepare(seqs)
     eps = np.random.default_rng(8).standard_normal((4, n_samples, 6, 2))
     ests = [
@@ -516,18 +521,19 @@ def test_block_estimate_runs_one_encoder_and_filter_pass(monkeypatch):
 
     for module, name in ((nnet, "forward"), (nnet, "backward"), (infnet, "lds_filter")):
         count(module, name)
-    bound.block_bound_estimate(model, net, seqs, np.random.default_rng(0), n_samples=2)
+    bound.bound_estimate(model, net, seqs, np.random.default_rng(0), n_samples=2)
     assert calls == {"lds_filter": 1, "forward": 2}
 
 
 def test_block_estimate_contract_checks():
     rng = np.random.default_rng(47)
     model, net, seqs = block_case(rng)
-    for bad in (seqs[0], seqs[:0], seqs[:, :0]):
+    # One (T, data_dim) sequence is a valid batch; a rank-4 array is not.
+    for bad in (seqs[None], seqs[:0], seqs[:, :0]):
         with pytest.raises(ContractError, match="n_seq, T, data_dim"):
-            bound.block_bound_estimate(model, net, bad, rng)
+            bound.bound_estimate(model, net, bad, rng)
     with pytest.raises(ContractError, match="n_samples"):
-        bound.block_bound_estimate(model, net, seqs, rng, n_samples=0)
+        bound.bound_estimate(model, net, seqs, rng, n_samples=0)
     gmm_model, gmm_net, _ = gmm_case(rng)
     with pytest.raises(ContractError, match="sequence blocks"):
-        bound.block_bound_estimate(gmm_model, gmm_net, seqs, rng)
+        bound.bound_estimate(gmm_model, gmm_net, seqs, rng)

@@ -548,8 +548,22 @@ def test_checkpoint_missing_or_resized_array_is_parse_error(
         harness.load_state(path)
 
 
+def fixed_prior_round_trip(tmp_path, cfg, ds, fixed, seq_len=0):
+    """Train under the fixed prior ``fixed``, save, load, and check the loaded
+    state keeps the prior and scores the test rows as the trained one does."""
+    res = harness.train_structured(cfg, ds=ds, prior_override=fixed)
+    path = str(tmp_path / "run.ckpt")
+    harness.save_state(path, res.state, cfg)
+    loaded, _ = harness.load_state(path)
+    assert type(loaded.pgm_point) is type(fixed)
+    np.testing.assert_array_equal(loaded.pgm_point.param_vector(), fixed.param_vector())
+    rows = ds.rows[ds.test_idx]
+    assert checkpoint_scores(res.state, rows, seq_len) == checkpoint_scores(
+        loaded, rows, seq_len
+    )
+
+
 def test_checkpoint_round_trip_fixed_prior(tmp_path):
-    ds = blob_dataset(n=120, seed=10)
     std_prior = models.GaussianMixture(
         logits=np.zeros(1), means=np.zeros((1, 2)), chol_raw=np.zeros((1, 3))
     )
@@ -557,12 +571,72 @@ def test_checkpoint_round_trip_fixed_prior(tmp_path):
         n_components=1, hidden=(4,), n_iters=10, seed=10, eval_interval=10,
         timing=False,
     )
-    res = harness.train_structured(cfg, ds=ds, prior_override=std_prior)
+    fixed_prior_round_trip(tmp_path, cfg, blob_dataset(n=120, seed=10), std_prior)
+
+
+def test_checkpoint_round_trip_fixed_dynamics_prior(tmp_path):
+    fixed = models.LinearDynamics(
+        trans=0.9 * np.eye(2), noise_raw=np.zeros(3), init_mean=np.zeros(2),
+        init_raw=np.zeros(3),
+    )
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(8,), n_iters=10, seed=10,
+        seq_len=10, eval_interval=10, timing=False,
+    )
+    fixed_prior_round_trip(tmp_path, cfg, seq_dataset(seed=10), fixed, seq_len=10)
+
+
+def test_checkpoint_keeps_fixed_student_prior_dof(tmp_path):
+    """A fixed Student-t prior comes back with the dof it was trained with,
+    not the config's; a checkpoint that lacks the stored dof falls back to the
+    config's, as such checkpoints always loaded."""
+    ds = blob_dataset(n=150, seed=12)
+    cfg = harness.TrainConfig(
+        model_kind="latent-tmm", n_components=3, hidden=(6,), dof=5.0, n_iters=20,
+        seed=12, eval_interval=20, timing=False,
+    )
+    rng = np.random.default_rng(12)
+    override = models.StudentMixture(
+        logits=np.zeros(3), means=rng.standard_normal((3, 2)), chol_raw=np.zeros((3, 3)),
+        dof=3.0,
+    )
+    res = harness.train_structured(cfg, ds=ds, prior_override=override)
     path = str(tmp_path / "run.ckpt")
     harness.save_state(path, res.state, cfg)
     loaded, _ = harness.load_state(path)
     rows = ds.rows[ds.test_idx]
-    assert checkpoint_scores(res.state, rows) == checkpoint_scores(loaded, rows)
+    assert loaded.pgm_point.dof == 3.0
+    assert harness.per_datum_bound(loaded, rows, seed=3) == harness.per_datum_bound(
+        res.state, rows, seed=3
+    )
+
+    arrays, meta = checkpoint.load(path)
+    del meta["prior.dof"]
+    checkpoint.save(path, arrays, meta)
+    legacy, _ = harness.load_state(path)
+    assert legacy.pgm_point.dof == cfg.dof
+    np.testing.assert_array_equal(
+        legacy.pgm_point.param_vector(), res.state.pgm_point.param_vector()
+    )
+
+
+@pytest.mark.parametrize("key, value", [("prior.dof", "many"), ("prior.scale", "2.0")])
+def test_checkpoint_bad_fixed_prior_metadata_is_parse_error(tmp_path, key, value):
+    """A fixed prior's stored hyperparameter that does not parse, or that the
+    prior class does not have, fails as a parse error naming the key."""
+    cfg = harness.TrainConfig(
+        model_kind="latent-tmm", n_components=2, hidden=(4,), timing=False
+    )
+    fixed = models.StudentMixture(
+        logits=np.zeros(2), means=np.zeros((2, 2)), chol_raw=np.zeros((2, 3)), dof=3.0
+    )
+    path = str(tmp_path / "run.ckpt")
+    harness.save_state(path, harness.init_state(cfg, 2, prior_override=fixed), cfg)
+    arrays, meta = checkpoint.load(path)
+    meta[key] = value
+    checkpoint.save(path, arrays, meta)
+    with pytest.raises(ParseError, match=key):
+        harness.load_state(path)
 
 
 def optimizer_arrays(state):
@@ -906,6 +980,24 @@ def lds_eval_state(seed=14):
         timing=False,
     )
     return harness.init_state(cfg, ds.dim), ds
+
+
+@pytest.mark.parametrize("kind", ["latent-lds", "latent-gmm"])
+def test_bound_eval_is_one_bound_estimate_call(monkeypatch, kind):
+    """Rows and sequence blocks alike: the test bound is one estimator call."""
+    if kind == "latent-lds":
+        state, ds = lds_eval_state()
+    else:
+        ds = blob_dataset(n=90, seed=15)
+        state = harness.init_state(harness.TrainConfig(hidden=(4,), timing=False), ds.dim)
+    calls = []
+    estimate = bound.bound_estimate
+    monkeypatch.setattr(
+        bound, "bound_estimate", lambda *a, **kw: calls.append(1) or estimate(*a, **kw)
+    )
+    out = harness.evaluate(state, ds, ("bound",))
+    assert np.isfinite(out["bound"])
+    assert len(calls) == 1
 
 
 def test_lds_eval_matches_per_sequence_reference():

@@ -583,6 +583,24 @@ class TestLdsBlock:
         np.testing.assert_allclose(record.s_inv @ s, np.broadcast_to(np.eye(2), s.shape),
                                    atol=1e-12)
 
+@pytest.mark.parametrize("kind", ["gmm", "lds"])
+def test_stacked_draw_consumes_the_successive_draws_stream(kind):
+    """``draw(prep, rng, S)`` leads with a sample axis and holds the draws
+    that S successive ``draw(prep, rng)`` calls on one generator make."""
+    rng = np.random.default_rng(50)
+    make = make_gmm_net if kind == "gmm" else make_lds_net
+    net = make(rng, d=2, data_dim=3)
+    prep = net.prepare(rng.standard_normal((6, 3)))
+    stacked = net.draw(prep, np.random.default_rng(6), 3)
+    single_rng = np.random.default_rng(6)
+    for s in range(3):
+        one = net.draw(prep, single_rng)
+        np.testing.assert_array_equal(stacked.eps[s], one.eps)
+        if kind == "gmm":
+            np.testing.assert_array_equal(stacked.z_star[s], one.z_star)
+        np.testing.assert_allclose(stacked.x_star[s], one.x_star, rtol=1e-12, atol=1e-14)
+
+
 class TestMixtureFactors:
     def test_scores_with_given_factor_match_scores_alone(self):
         rng = np.random.default_rng(45)
