@@ -110,10 +110,8 @@ def _student_logpdf(y, mean, prec, dof):
     sol = np.linalg.solve(chol, np.swapaxes(y[None, :, :] - mean[:, None, :], -1, -2))
     delta = np.sum(sol**2, axis=-2).T
     logdet_prec = -linalg.logdet_from_chol(chol)
-    gammaln = expfam.scipy_special().gammaln
     return (
-        gammaln(0.5 * (dof + d))
-        - gammaln(0.5 * dof)
+        np.array([models.log_gamma_ratio(0.5 * g, d) for g in dof])
         - 0.5 * d * np.log(dof * np.pi)
         + 0.5 * logdet_prec
         - 0.5 * (dof + d) * np.log1p(delta / dof)
@@ -188,13 +186,11 @@ def _smoother_covariances(params, t_len):
     length t_len, added to the memoized covariance pass on first use."""
     cov = _covariances(params, t_len)
     if "smooth_gain" not in cov:
-        pf, d = cov["p_filt"], params.trans.shape[0]
+        pf = cov["p_filt"]
         j, _, cond = infnet.rts_gains(params.trans, pf[:-1], cov["p_pred"][1:])
-        # P_t = cond_t + J_t P_{t+1} J_t^T as
-        # vec P_t = vec cond_t + (J_t kron J_t) vec P_{t+1}
-        kron = np.einsum("tik,tjl->tijkl", j, j).reshape(t_len - 1, d * d, d * d)
-        ps = np.concatenate([cond, pf[-1:]]).reshape(t_len, d * d)
-        ps = linalg.symmetrize(infnet.backward_chain(ps, kron).reshape(t_len, d, d))
+        # P_t = cond_t + J_t P_{t+1} J_t^T, a two-sided chain on d x d rows
+        ps = np.concatenate([cond, pf[-1:]])
+        ps = linalg.symmetrize(infnet.backward_chain(ps, j, np.swapaxes(j, -1, -2)))
         cross = ps[1:] @ np.swapaxes(j, -1, -2)
         cov.update(
             smooth_gain=_read_only(j), smooth_cov=_read_only(ps), smooth_cross=_read_only(cross)

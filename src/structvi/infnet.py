@@ -652,33 +652,35 @@ def rts_gains(trans, p_filt, p_pred_next):
     return j, pred_inv, p_filt - j @ p_pred_next @ _t(j)
 
 
-def backward_chain(x, j):
-    """x_t = x_t + J_t x_{t+1} backward over time, in place.
+def backward_chain(x, j, right=None):
+    """X_t = X_t + J_t X_{t+1} R_t backward over time, in place.
 
-    ``x`` is (..., R, k) with its last row final, ``j`` the (..., R-1, k, k)
-    gains; returns ``x``.  Every linear recursion over time takes this form:
-    the filter means and the draw's adjoint (as forward chains, on
-    time-reversed views), the draw, the filter reverse sweep, and the RTS
-    smoother's means and (as vec P_t with gains J_t kron J_t) covariances.
+    ``x`` holds (..., R, k) vector rows, or with ``right`` (..., R, k, m)
+    matrix rows, its last row final; ``j`` holds the (..., R-1, k, k) gains
+    J_t and ``right`` the (..., R-1, m, m) gains R_t; returns ``x``.  Every
+    linear recursion over time takes this form: on vectors, the filter means
+    and the draw's adjoint (as forward chains, on time-reversed views), the
+    draw and the RTS smoother's means; on matrices, the RTS smoother's
+    covariances (R_t = J_t^T) and the filter reverse sweep.
 
-    The loop runs on one of two views of ``x``.  Gains without leading axes,
-    (R-1, k, k), are shared by the whole block: every leading axis of ``x``
-    folds into one column axis N, so ``x`` is viewed as (R, k, N) and each
-    step is one (k, k) @ (k, N) product.  Gains with leading axes (per
-    sequence) keep one (..., k, 1) column per sequence, broadcast against
-    those axes.  Where the fold cannot be a view of ``x`` (its leading axes
-    are strided unevenly), the loop runs on a folded copy that is written
-    back, so ``x`` is updated in place either way.
+    Vector rows with gains shared by the block, (R-1, k, k), fold every
+    leading axis of ``x`` into one column axis N: each step is one
+    (k, k) @ (k, N) product on an (R, k, N) view, or on a folded copy written
+    back where the leading axes are strided unevenly.  Other rows are
+    matrices (a vector is a (k, 1) column) broadcast against the gains'
+    leading axes.
     """
     copied = False
-    if j.ndim == 3:
+    if right is None and j.ndim == 3:
         folded = x.reshape((-1,) + x.shape[-2:])
         copied = not np.may_share_memory(folded, x)
         cols, gains = folded.transpose(1, 2, 0), j
     else:
-        cols, gains = np.moveaxis(x, -2, 0)[..., None], np.moveaxis(j, -3, 0)
+        rows = x if right is not None else x[..., None]
+        cols, gains = np.moveaxis(rows, -3, 0), np.moveaxis(j, -3, 0)
     for t in range(gains.shape[0] - 1, -1, -1):
-        cols[t] += gains[t] @ cols[t + 1]
+        step = gains[t] @ cols[t + 1]
+        cols[t] += step if right is None else step @ right[..., t, :, :]
     if copied:
         x[...] = folded.reshape(x.shape)
     return x
@@ -735,10 +737,10 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
     gather the injected adjoints.  With G_t = A^T (I - K_t)^T and
     b_t = A^T se_t, the carried adjoints form one linear chain
         u_t = ext_mf[t] + A^T c_mp[t] + G_t u_{t+1}
-        w_t = ext_pf[t] + A^T c_pp[t] A + G_t u_{t+1} b_t^T + G_t w_{t+1} G_t^T
-    on [u_t, vec w_t], run as one ``backward_chain`` call whose per-step gain
-    [[G_t, 0], [G_t kron b_t, G_t kron G_t]] is (d + d^2) x (d + d^2); every
-    other adjoint follows stacked over time.
+        w_t = ext_pf[t] + A^T c_pp[t] A + G_t (w_{t+1} G_t^T + u_{t+1} b_t^T)
+    on Z_t = [w_t | u_t], d x (d+1), run as one two-sided ``backward_chain``
+    call Z_t += G_t Z_{t+1} H_t with H_t = [[G_t^T, 0], [b_t^T, 1]]; every
+    other adjoint follows stacked over time.  An injected adjoint may be 0.
     """
     t_len, d = record.m.shape
     a = dyn.trans
@@ -751,17 +753,13 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
     c_pp = ext_pp + s_lz
     i_k = np.eye(d) - k_gain
     i_kt = _t(i_k)
-    g = a.T @ i_kt
-    chain_gain = np.zeros((t_len, d + d * d, d + d * d))
-    chain_gain[:, :d, :d] = g
-    chain_gain[:, d:, :d] = np.einsum("tik,tj->tijk", g, se @ a).reshape(t_len, d * d, d)
-    chain_gain[:, d:, d:] = np.einsum("tik,tjl->tijkl", g, g).reshape(t_len, d * d, d * d)
-    carry = np.concatenate([ext_mf, ext_pf.reshape(t_len + 1, d * d)], axis=1)
-    carry[:t_len, :d] += c_mp @ a
-    carry[:t_len, d:] += (a.T @ c_pp @ a).reshape(t_len, d * d)
-    backward_chain(carry, chain_gain)
-    mf_c, pf_c = carry[0, :d], carry[0, d:].reshape(d, d)
-    mf_in, pf_in = carry[1:, :d], carry[1:, d:].reshape(t_len, d, d)
+    right, carry = np.zeros((t_len, d + 1, d + 1)), np.zeros((t_len + 1, d, d + 1))
+    right[:, :d, :d], right[:, d, :d], right[:, d, d] = i_k @ a, se @ a, 1.0
+    carry[..., :d], carry[..., d] = ext_pf, ext_mf
+    carry[:t_len] += a.T @ np.concatenate([c_pp @ a, c_mp[:, :, None]], axis=2)
+    backward_chain(carry, a.T @ i_kt, right)
+    pf_c, mf_c = carry[0, :, :d], carry[0, :, d]
+    pf_in, mf_in = carry[1:, :, :d], carry[1:, :, d]
     mp_b = c_mp + _mv(i_kt, mf_in)
     pp_b = c_pp + i_kt @ (pf_in @ i_k + mf_in[:, :, None] * se[:, None, :])
     kt = _t(k_gain)
@@ -792,11 +790,7 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
 def lds_log_z_factor_grads(dyn, record):
     """Gradients of a single-sequence filter's log normalizer wrt (m, v) and
     the dynamics."""
-    t_len, d = record.m.shape
-    return _filter_reverse(
-        dyn, record, np.zeros((t_len + 1, d)), np.zeros((t_len + 1, d, d)),
-        np.zeros((t_len, d)), np.zeros((t_len, d, d)), 1.0,
-    )
+    return _filter_reverse(dyn, record, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x, log_z_weight=0.0):

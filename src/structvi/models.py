@@ -146,6 +146,23 @@ class GaussianMixture:
         return {}
 
 
+def log_gamma_ratio(a, d):
+    """log Gamma(a + d/2) - log Gamma(a) for a > 0 and an integer d >= 0, not
+    as a difference of two log-gammas near a log a: whole steps by
+    Gamma(x + 1) = x Gamma(x), an odd d's half step by Stirling's series from
+    a = 10 on (truncation below 2e-15) and by ``math.lgamma`` below it."""
+    whole, half = divmod(d, 2)
+    total = math.fsum(math.log(a + 0.5 * half + i) for i in range(whole))
+    if half and a < 10.0:
+        total += math.lgamma(a + 0.5) - math.lgamma(a)
+    elif half:
+        # log Gamma(a + 1/2) - log Gamma(a) - (log a) / 2 = sum_k c_k a^(1-2k),
+        # c_k = (2^(1-2k) - 2) B_2k / (2k (2k-1)), here k = 6, ..., 1
+        c = (691 / 180224, -31 / 18432, 17 / 14336, -1 / 640, 1 / 192, -1 / 8)
+        total += 0.5 * math.log(a) + float(np.polyval(c, 1.0 / (a * a))) / a
+    return total
+
+
 @dataclass
 class StudentMixture(GaussianMixture):
     """Mixture of multivariate Student-t components with one shared, fixed dof.
@@ -158,7 +175,7 @@ class StudentMixture(GaussianMixture):
 
     def _log_kernel(self, quad, logdet, d):
         g = self.dof
-        const = math.lgamma((g + d) / 2.0) - math.lgamma(g / 2.0) - 0.5 * d * np.log(g * np.pi)
+        const = log_gamma_ratio(g / 2.0, d) - 0.5 * d * np.log(g * np.pi)
         return const - 0.5 * logdet - 0.5 * (g + d) * np.log1p(quad / g)
 
     def _tail_weights(self, u, pu):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -556,3 +557,17 @@ def test_em_at_latent_dim_four_matches_references_and_reruns_bit_exact():
                 blk = post_cov[(t + 1) * d : (t + 2) * d, t * d : (t + 1) * d]
                 np.testing.assert_allclose(sm.cross[t], blk, atol=1e-8)
         assert sm.loglik == pytest.approx(total, abs=1e-8)
+
+
+def test_latent_dim_32_smooth_peak_memory():
+    """A d = 32 smooth of 8 sequences (T = 20, D = 40) on fresh parameters
+    peaks under 10 MB of traced memory, its covariance chain included."""
+    seqs = np.random.default_rng(61).standard_normal((8, 20, 40))
+    params = baselines.lds_em_init(seqs, 32)
+    tracemalloc.start()
+    try:
+        baselines.lds_em_smooth(params, seqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20

@@ -288,7 +288,9 @@ def test_fd_gmm_gradient_blocks(student, d, data_dim):
 
 
 @pytest.mark.parametrize(
-    "d,data_dim,t_len", [(1, 2, 4), (2, 3, 3), (4, 3, 3)], ids=["d1", "d2", "d4"]
+    "d,data_dim,t_len",
+    [(1, 2, 4), (2, 3, 3), (4, 3, 3), (5, 3, 3)],
+    ids=["d1", "d2", "d4", "d5"],
 )
 def test_fd_lds_gradient_blocks(d, data_dim, t_len):
     rng = np.random.default_rng(17)

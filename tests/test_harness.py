@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,22 @@ def test_lds_training_smoke():
     assert not np.array_equal(
         res.state.pgm_point.param_vector(), init.pgm_point.param_vector()
     )
+
+
+def test_latent_dim_32_train_step_peak_memory():
+    """One d = 32, T = 20 dynamics step on dots frames peaks under 20 MB of
+    traced memory: its chains carry d x d and d x (d+1) rows, so no per-step
+    array grows with d^4."""
+    ds = seq_dataset(n_seq=4, t_len=20, width_d=10)
+    cfg = harness.TrainConfig(model_kind="latent-lds", latent_dim=32, seq_len=20, timing=False)
+    state = harness.init_state(cfg, ds.dim)
+    tracemalloc.start()
+    try:
+        harness.train_step(state, cfg, ds.sequences()[0], ds.n_seqs, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
 
 
 def test_tmm_training_smoke():

@@ -735,17 +735,34 @@ class TestChainCore:
         for out in self.run_filter(caller, r):
             assert np.all(np.isfinite(out))
 
-    @pytest.mark.parametrize("lead", [(), (3,)])
+    @staticmethod
+    def chain_loop(x, j, right=None, forward=False):
+        """The chain as an explicit loop on a copy of ``x``: row t from row
+        t + 1 backward, or (``forward``) row t + 1 from row t."""
+        rows = x.copy() if right is not None else x[..., None].copy()
+        steps = range(rows.shape[-3] - 1)
+        for t in steps if forward else reversed(steps):
+            src, dst = (t, t + 1) if forward else (t + 1, t)
+            step = j[..., t, :, :] @ rows[..., src, :, :]
+            rows[..., dst, :, :] += step if right is None else step @ right[..., t, :, :]
+        return rows if right is not None else rows[..., 0]
+
+    # k = 3 rows; m = 4 columns makes a non-square two-sided state
+    @pytest.mark.parametrize(
+        "lead,m", [((), None), ((3,), None), ((), 4), ((3,), 4)],
+        ids=["lead0", "lead1", "lead0-m4", "lead1-m4"],
+    )
     @pytest.mark.parametrize("t_len", [1, 2, 9])
-    def test_reversed_backward_chain_is_a_forward_loop(self, t_len, lead):
+    def test_reversed_backward_chain_is_a_forward_loop(self, t_len, lead, m):
         rng = np.random.default_rng(32 + t_len)
-        x = rng.standard_normal(lead + (t_len, 3))
+        cols = () if m is None else (m,)
+        x = rng.standard_normal(lead + (t_len, 3) + cols)
         j = rng.standard_normal(lead + (t_len - 1, 3, 3))
-        want = x.copy()
-        for t in range(t_len - 1):
-            want[..., t + 1, :] += np.einsum("...ij,...j->...i", j[..., t, :, :], want[..., t, :])
+        gains = (j,) if m is None else (j, 0.5 * rng.standard_normal(lead + (t_len - 1, m, m)))
+        want = self.chain_loop(x, *gains, forward=True)
         got = x.copy()
-        infnet.backward_chain(got[..., ::-1, :], j[..., ::-1, :, :])
+        view = np.flip(got, axis=-2 - len(cols))
+        assert infnet.backward_chain(view, *(np.flip(g, axis=-3) for g in gains)) is view
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     # R = 6 rows of k = 3: leads (3,) and (6,) have a size equal to k and to R
@@ -758,28 +775,33 @@ class TestChainCore:
         "uneven": lambda shape: (shape[:1] + (shape[1] + 1,) + shape[2:], np.s_[:, :-1]),
     }
 
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize(
+        "layout,m",
+        [(name, m) for name in sorted(LAYOUTS) for m in (None, 4)],
+        ids=[name + suffix for name in sorted(LAYOUTS) for suffix in ("", "-m4")],
+    )
     @pytest.mark.parametrize("lead", [(), (5,), (3, 4), (3,), (6,)])
-    def test_shared_gains_fold_every_leading_axis(self, lead, layout):
+    def test_shared_gains_fold_every_leading_axis(self, lead, layout, m):
         """Gains without leading axes against x with any leading axes, in
         place: "strided" and "uneven" views are not contiguous, and for lead
-        (3, 4) the "uneven" one cannot fold into one axis without a copy."""
+        (3, 4) the "uneven" one cannot fold into one axis without a copy.
+        With m, x holds (k, m) matrix rows and the chain is two-sided."""
         rng = np.random.default_rng(33 + len(lead) + sum(lead))
         r, k = self.R_ROWS, self.K_COLS
-        base_shape, sel = self.LAYOUTS[layout](lead + (r, k))
+        cols = () if m is None else (m,)
+        base_shape, sel = self.LAYOUTS[layout](lead + (r, k) + cols)
         base = rng.standard_normal(base_shape)
         before = base.copy()
         x = base[sel]
         j = 0.5 * rng.standard_normal((r - 1, k, k))
-        want = x.copy()
+        gains = (j,) if m is None else (j, 0.5 * rng.standard_normal((r - 1, m, m)))
         if layout == "reversed":
-            for t in range(r - 1):
-                want[..., t + 1, :] += np.einsum("ij,...j->...i", j[t], want[..., t, :])
-            infnet.backward_chain(x[..., ::-1, :], j[::-1])
+            want = self.chain_loop(x, *gains, forward=True)
+            view = np.flip(x, axis=-2 - len(cols))
+            assert infnet.backward_chain(view, *(g[::-1] for g in gains)) is view
         else:
-            for t in range(r - 2, -1, -1):
-                want[..., t, :] += np.einsum("ij,...j->...i", j[t], want[..., t + 1, :])
-            assert infnet.backward_chain(x, j) is x
+            want = self.chain_loop(x, *gains)
+            assert infnet.backward_chain(x, *gains) is x
         np.testing.assert_allclose(x, want, rtol=1e-12, atol=0)
         outside = np.ones(base.shape, dtype=bool)
         outside[sel] = False

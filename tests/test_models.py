@@ -92,6 +92,22 @@ class TestLogPrior:
             tmix.component_log_densities(x), want, rtol=1e-14, atol=ulps
         )
 
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("dof", [1e4, 1e6])
+    def test_student_normalizer_matches_even_dimension_closed_form(self, d, dof):
+        """At its mean a unit-scale component's log density is its normalizer.
+        At even d the log-gamma ratio in it is a finite sum, Gamma(a + 1) =
+        a Gamma(a): log(dof/2) at d = 2, log(dof/2) + log(dof/2 + 1) at d = 4.
+        A difference of two log-gammas near dof/2 log(dof/2) misses it by
+        1e-12 relative or more."""
+        means = np.random.default_rng(40 + d).standard_normal((3, d))
+        tmix = models.StudentMixture(
+            logits=np.zeros(3), means=means, chol_raw=np.zeros((3, linalg.tril_size(d))), dof=dof
+        )
+        ratio = sum(np.log(dof / 2.0 + i) for i in range(d // 2))
+        got = np.diagonal(tmix.component_log_densities(means))
+        np.testing.assert_allclose(got, ratio - 0.5 * d * np.log(dof * np.pi), rtol=1e-14, atol=0)
+
     def test_lds_matches_dense_joint_gaussian(self):
         """T=3 joint density vs a scipy multivariate normal built by recursion."""
         rng = np.random.default_rng(3)
