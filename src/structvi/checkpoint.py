@@ -37,7 +37,10 @@ def _read_u32(fh, path):
 
 def _read_str(fh, path):
     n = _read_u32(fh, path)
-    return _read_exact(fh, n, path).decode("utf-8")
+    try:
+        return _read_exact(fh, n, path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: a checkpoint string is not UTF-8: {exc}") from None
 
 
 def save(path, arrays, meta=None):

@@ -146,9 +146,9 @@ def load_delimited(path, has_labels=False, label_column=None):
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except OSError as exc:
+        lines = raw.decode("utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    lines = raw.decode("utf-8").splitlines()
     rows = []
     width = None
     for lineno, text in enumerate(lines, start=1):

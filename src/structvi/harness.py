@@ -9,8 +9,9 @@ gradient bundle, and steps every block.  Baseline trainers for the plain
 variational autoencoder, variational-Bayes mixture EM, and dynamical-system
 EM live alongside so comparisons share data handling and metrics format.
 Priors score and draw themselves and networks give posterior means, so the
-harness holds no per-family code; ``_units`` alone decides whether a model's
-data units are rows or whole sequences.
+harness holds no per-family code: the model kind names a point-prior class
+(``POINT_PRIORS``), and the network's factor says whether data units are rows
+or sequences (``_units``) and gives a point or fixed prior its parameters.
 
 Metrics logs are delimited text, one row per evaluation, header first.  All
 randomness flows from the config seed through dedicated generators, so a rerun
@@ -19,7 +20,6 @@ be zeroed by the config's timing switch when that guarantee must extend to the
 whole file.
 """
 
-import copy
 import dataclasses
 import os
 import time
@@ -33,9 +33,13 @@ from .errors import ContractError, InvalidParameterError, NumericalError, ParseE
 # Everything a diverging run can legitimately raise mid-step.
 FAILURE_KINDS = (NumericalError, InvalidParameterError, FloatingPointError, np.linalg.LinAlgError)
 
-MODEL_KINDS = ("latent-gmm", "latent-tmm", "latent-lds")
+# The point-prior class of each model kind; None is the conjugate mixture posterior.
+POINT_PRIORS = {"latent-gmm": None, "latent-tmm": models.StudentMixture,
+                "latent-lds": models.LinearDynamics}
+MODEL_KINDS = tuple(POINT_PRIORS)
 OPTIMIZERS = ("sgd", "adagrad", "van")
 THETA_NN_MODES = ("point", "bayes")
+SWITCH_WORDS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}
 METRICS_COLUMNS = (
     "iteration",
     "train_bound",
@@ -93,7 +97,7 @@ class TrainConfig:
             raise ContractError("van optimizer needs beta3 > 0")
         if self.n_components < 1:
             raise ContractError("need at least one component")
-        if min(self.latent_dim, self.batch_size, self.n_iters, self.eval_interval) < 1:
+        if min(self.latent_dim, self.batch_size, self.n_iters, self.eval_interval, *self.hidden) < 1:
             raise ContractError("dimensions and counts must be positive")
         if self.model_kind == "latent-lds" and self.seq_len < 2:
             raise ContractError("dynamics runs need seq_len >= 2")
@@ -123,14 +127,17 @@ def _coerce_field(name, text):
     if field is None:
         raise ParseError(f"unknown config key {name!r}")
     text = text.strip()
-    if name == "hidden":
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    if name == "timing":
-        return text.lower() in ("1", "true", "yes")
-    if field.type in (int, "int"):
-        return int(text)
-    if field.type in (float, "float"):
-        return float(text)
+    try:
+        if name == "hidden":
+            return tuple(int(p) for p in text.split(",") if p.strip())
+        if name == "timing":
+            return SWITCH_WORDS[text.lower()]
+        if field.type in (int, "int"):
+            return int(text)
+        if field.type in (float, "float"):
+            return float(text)
+    except (KeyError, ValueError):
+        raise ParseError(f"bad {name} value {text!r}") from None
     return text
 
 
@@ -146,9 +153,7 @@ def config_from_text(text, base=None, path="<config>"):
         key, _, val = line.partition("=")
         try:
             values[key.strip()] = _coerce_field(key.strip(), val)
-        except ParseError:
-            raise
-        except ValueError as exc:
+        except ParseError as exc:
             raise ParseError(f"{path}, line {lineno}: {exc}") from None
     cfg = base if base is not None else TrainConfig()
     return dataclasses.replace(cfg, **values)
@@ -169,14 +174,13 @@ def load_config(path, base=None):
 
 @dataclass
 class TrainState:
-    kind: str
-    net: object
+    net: object  # posterior network; its factor's family is the model's
     decoder: nnet.Mlp
     theta_posterior: object  # BayesNnPosterior or None
-    pgm_posterior: object  # PgmPosterior or None (latent-gmm only)
+    pgm_posterior: object  # conjugate mixture posterior, or None
     pgm_prior: object  # fixed conjugate prior for the posterior above
-    pgm_point: object  # mixture or dynamics point parameters (tmm / lds)
-    prior_fixed: bool
+    pgm_point: object  # point prior parameters when there is no posterior
+    prior_fixed: bool  # pgm_point was given and does not train
     opt_nn: object
     opt_phi: object
     opt_pgm: object
@@ -191,13 +195,28 @@ def _mixture_from_params(weights, means, covs):
     return models.GaussianMixture(logits=logits, means=np.asarray(means), chol_raw=raw)
 
 
+def _hyperparameters(prior, factor):
+    """The fields of ``prior`` (a class or an instance) that ``factor`` lacks."""
+    have = {f.name for f in dataclasses.fields(factor)}
+    return [f.name for f in dataclasses.fields(prior) if f.name not in have]
+
+
+def _prior_like(cls, factor, cfg, **extra):
+    """A ``cls`` prior with the parameters of ``factor``, a network's factor,
+    and each hyperparameter from ``extra``, else from the config field of the
+    same name; a ``cls`` of another family raises AttributeError or TypeError."""
+    hyper = {name: getattr(cfg, name) for name in _hyperparameters(cls, factor)}
+    return cls(**dataclasses.asdict(factor), **{**hyper, **extra})
+
+
 def init_state(cfg, data_dim, prior_override=None):
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     k, d = cfg.n_components, cfg.latent_dim
     acts = [cfg.activation] * len(cfg.hidden)
     decoder = nnet.init_mlp([d, *cfg.hidden, 2 * data_dim], acts, rng)
-    if cfg.model_kind == "latent-lds":
+    prior_cls = POINT_PRIORS[cfg.model_kind]
+    if (prior_cls or models.GaussianMixture).lead_rows:  # only the dynamics has lead rows
         net = infnet.init_lds_net(
             d, data_dim, hidden=cfg.hidden, rng=rng, activation=cfg.activation
         )
@@ -209,13 +228,10 @@ def init_state(cfg, data_dim, prior_override=None):
     pgm_posterior = pgm_prior = pgm_point = None
     if prior_override is not None:
         pgm_point = prior_override
-    elif cfg.model_kind == "latent-gmm":
-        pgm_prior = updates.default_gmm_prior(k, d)
-        pgm_posterior = pgm_prior
-    elif cfg.model_kind == "latent-tmm":
-        pgm_point = models.StudentMixture(**dataclasses.asdict(net.factor), dof=cfg.dof)
+    elif prior_cls is None:
+        pgm_prior = pgm_posterior = updates.default_gmm_prior(k, d)
     else:
-        pgm_point = copy.deepcopy(net.factor)
+        pgm_point = _prior_like(prior_cls, net.factor, cfg)
 
     theta_posterior = None
     if cfg.theta_nn == "bayes":
@@ -241,7 +257,6 @@ def init_state(cfg, data_dim, prior_override=None):
     if cfg.optimizer != "sgd" and pgm_point is not None and prior_override is None:
         opt_pgm = updates.AdagradState.zeros(pgm_point.param_vector().size)
     return TrainState(
-        kind=cfg.model_kind,
         net=net,
         decoder=decoder,
         theta_posterior=theta_posterior,
@@ -398,12 +413,12 @@ def _as_sequences(rows, seq_len):
     return rows.reshape(-1, seq_len, rows.shape[-1])
 
 
-def _units(kind, rows, seq_len):
-    """The data units of a ``kind`` model: whole (n_seq, seq_len, dim)
-    sequences for dynamics, which ``rows`` must hold, and the (n, dim) rows
-    themselves for a mixture.  Every rows-versus-sequences decision of the
-    harness reads this."""
-    if kind == "latent-lds":
+def _units(net, rows, seq_len):
+    """The data units of ``net``'s model: whole (n_seq, seq_len, dim)
+    sequences, which ``rows`` must hold, when its factor has lead rows (the
+    dynamics), else the (n, dim) rows.  Every rows-versus-sequences decision
+    of the harness reads this."""
+    if net.lead_rows:
         return _as_sequences(rows, seq_len)
     return np.asarray(rows, dtype=float)
 
@@ -415,7 +430,7 @@ def _shared_preps(state, seq_len, *rows):
     reads its block."""
     present = [i for i, r in enumerate(rows) if r is not None and r.shape[0]]
     out = [None] * len(rows)
-    blocks = [_units(state.kind, rows[i], seq_len) for i in present]
+    blocks = [_units(state.net, rows[i], seq_len) for i in present]
     for i, prep in zip(present, state.net.prepare_blocks(blocks) if blocks else ()):
         out[i] = prep
     return out
@@ -431,7 +446,7 @@ def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2, prep=None):
     """
     model = models.GenerativeModel(decoder=eval_decoder(state), prior=eval_prior(state))
     est = bound.bound_estimate(
-        model, state.net, _units(state.kind, rows, seq_len), np.random.default_rng(seed),
+        model, state.net, _units(state.net, rows, seq_len), np.random.default_rng(seed),
         n_samples=n_samples, prep=prep,
     )
     return est.total / rows.shape[0]
@@ -452,7 +467,7 @@ def imputation_mse(state, rows, seq_len=0, fraction=IMPUTATION_FRACTION, seed=0,
     caller has it.
     """
     rows = np.asarray(rows, dtype=float)
-    shape = _units(state.kind, rows, seq_len).shape
+    shape = _units(state.net, rows, seq_len).shape
     mask, filled = _masked(rows, fraction, seed)
     if not mask.any():
         return 0.0
@@ -472,7 +487,7 @@ def tau_ahead_mae(state, seqs, tau, prep=None):
     the network's prepared block of ``seqs`` when the caller has it, and
     must cover them.
     """
-    if state.kind != "latent-lds":
+    if not state.net.lead_rows:
         raise ContractError("tau-ahead forecasting needs a dynamics model")
     seqs = np.asarray(seqs, dtype=float)
     if seqs.ndim == 2:
@@ -497,7 +512,7 @@ def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
     test_rows = ds.rows[ds.test_idx] if ds.test_idx is not None else ds.rows
     seq_len = ds.seq_len or 0
     if "tau-ahead" in tasks:
-        if state.kind != "latent-lds":
+        if not state.net.lead_rows:
             raise ContractError("tau-ahead forecasting needs a dynamics model")
         if not seq_len:
             raise ContractError("tau-ahead forecasting needs the data set's sequence length")
@@ -598,7 +613,7 @@ def _structured_metrics_row(state, splits, cfg, iteration, seconds):
         row["imputation_mse"] = imputation_mse(
             state, test_rows, seq_len=seq_len, seed=eval_seed, prep=masked_prep
         )
-        if state.kind == "latent-lds":
+        if state.net.lead_rows:
             test_seqs = _as_sequences(test_rows, seq_len)
             row["tau_mae"] = tau_ahead_mae(state, test_seqs, tau=1, prep=test_prep)
     return row
@@ -615,7 +630,7 @@ def load_dataset(cfg):
     try:
         with open(cfg.dataset, "r", encoding="utf-8") as fh:
             header = fh.readline().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{cfg.dataset}: {exc}") from None
     has_labels = bool(header) and header[-1] == "label"
     ds = data.load_delimited(cfg.dataset, has_labels=has_labels)
@@ -626,11 +641,11 @@ def load_dataset(cfg):
     return ds
 
 
-def _eval_splits(ds, cfg):
+def _eval_splits(ds, cfg, net):
     """Train, val and test rows for the metrics log: each split's first
     EVAL_ROW_CAP rows, or its first EVAL_SEQ_CAP sequences in data-set order
-    when the units are sequences."""
-    units = _units(cfg.model_kind, ds.rows, cfg.seq_len)
+    when ``net``'s units are sequences."""
+    units = _units(net, ds.rows, cfg.seq_len)
 
     def cap(idx):
         if idx is None or idx.size == 0:
@@ -646,7 +661,8 @@ def _eval_splits(ds, cfg):
 # Checkpoint plumbing
 
 
-def save_state(path, state, cfg):
+def _state_arrays(state):
+    """The arrays a checkpoint of ``state`` holds, by name."""
     arrays = {
         "phi": state.net.phi_vector(),
         "iteration": np.array(float(state.iteration)),
@@ -666,6 +682,10 @@ def save_state(path, state, cfg):
     for name, opt in (("nn", state.opt_nn), ("phi", state.opt_phi), ("pgm", state.opt_pgm)):
         if opt is not None:
             arrays[f"adagrad_{name}"] = opt.accum
+    return arrays
+
+
+def save_state(path, state, cfg):
     meta = {
         "config": config_to_text(cfg),
         "data_dim": str(state.data_dim),
@@ -673,84 +693,61 @@ def save_state(path, state, cfg):
         "prior_kind": type(state.pgm_point).__name__ if state.prior_fixed else "",
         "format": "structvi-train-state",
     }
-    if state.prior_fixed:  # hyperparameters outside the vector, such as dof
-        extra = state.pgm_point._extra_fields()
-        meta.update({f"prior.{k}": repr(float(v)) for k, v in extra.items()})
-    checkpoint.save(path, arrays, meta)
-
-
-def _fixed_prior_template(kind, cfg):
-    k, d, s = cfg.n_components, cfg.latent_dim, linalg.tril_size(cfg.latent_dim)
-    if kind == "GaussianMixture":
-        return models.GaussianMixture(np.zeros(k), np.zeros((k, d)), np.zeros((k, s)))
-    if kind == "StudentMixture":
-        return models.StudentMixture(
-            np.zeros(k), np.zeros((k, d)), np.zeros((k, s)), dof=cfg.dof
-        )
-    if kind == "LinearDynamics":
-        return models.LinearDynamics(np.eye(d), np.zeros(s), np.zeros(d), np.zeros(s))
-    raise ParseError(f"unknown fixed-prior kind {kind!r}")
+    hyper = _hyperparameters(state.pgm_point, state.net.factor) if state.prior_fixed else ()
+    meta.update({f"prior.{n}": repr(float(getattr(state.pgm_point, n))) for n in hyper})
+    checkpoint.save(path, _state_arrays(state), meta)
 
 
 def load_state(path):
     arrays, meta = checkpoint.load(path)
     if meta.get("format") != "structvi-train-state":
         raise ParseError(f"{path}: not a training checkpoint")
-    cfg = config_from_text(meta["config"], path=path)
-    data_dim = int(meta["data_dim"])
-
-    def read(name, like):
-        """The checkpoint's ``name``, which must have the shape of ``like``."""
-        if name not in arrays:
-            raise ParseError(
-                f"{path}: {name} is missing, the configured state needs shape {np.shape(like)}"
-            )
-        if arrays[name].shape != np.shape(like):
-            raise ParseError(
-                f"{path}: {name} has shape {arrays[name].shape}, the configured "
-                f"state needs {np.shape(like)}"
-            )
-        return arrays[name]
-
-    iteration = int(read("iteration", 0.0))
-    override = None
+    dim = meta.get("data_dim", "")
+    if "config" not in meta or not (dim.isdecimal() and int(dim) > 0):
+        raise ParseError(f"{path}: a train state needs a config and a positive integer data_dim")
+    cfg, data_dim = config_from_text(meta["config"], path=path), int(dim)
+    state = init_state(cfg, data_dim)
     if meta.get("prior_fixed") == "1":
-        template = _fixed_prior_template(meta["prior_kind"], cfg)
+        # A fixed prior takes its shapes from the configured network's factor.
+        kind, classes = meta.get("prior_kind"), (models.GaussianMixture, *POINT_PRIORS.values())
         extra = {k: v for k, v in meta.items() if k.startswith("prior.")}
         try:
-            fields = {k.removeprefix("prior."): float(v) for k, v in extra.items()}
-            override = dataclasses.replace(template, **fields)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad fixed-prior metadata {extra}: {exc}") from exc
-    state = init_state(cfg, data_dim, prior_override=override)
-
-    state.net = state.net.with_phi_vector(read("phi", state.net.phi_vector()))
+            cls = {c.__name__: c for c in classes if c is not None}[kind]
+            hyper = {k.removeprefix("prior."): float(v) for k, v in extra.items()}
+            prior = _prior_like(cls, state.net.factor, cfg, **hyper)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(
+                f"{path}: bad fixed prior {kind!r} for a {type(state.net.factor).__name__} "
+                f"factor, metadata {extra}: {exc!r}"
+            ) from None
+        state = init_state(cfg, data_dim, prior_override=prior)
+    for name, like in _state_arrays(state).items():
+        if name not in arrays:
+            raise ParseError(
+                f"{path}: {name} is missing, the configured state needs shape {like.shape}"
+            )
+        if arrays[name].shape != like.shape:
+            raise ParseError(
+                f"{path}: {name} has shape {arrays[name].shape}, the configured "
+                f"state needs {like.shape}"
+            )
+    state.net = state.net.with_phi_vector(arrays["phi"])
     if state.theta_posterior is not None:
-        post = state.theta_posterior
         state.theta_posterior = dataclasses.replace(
-            post, mu=read("theta_mu", post.mu), sigma2=read("theta_sigma2", post.sigma2)
+            state.theta_posterior, mu=arrays["theta_mu"], sigma2=arrays["theta_sigma2"]
         )
     else:
-        theta_nn = read("theta_nn", nnet.param_vector(state.decoder))
-        state.decoder = nnet.set_param_vector(state.decoder, theta_nn)
+        state.decoder = nnet.set_param_vector(state.decoder, arrays["theta_nn"])
     if state.pgm_posterior is not None:
-        state.pgm_posterior = state.pgm_posterior.with_flat_values(
-            read("lambda", state.pgm_posterior.flat_values())
-        )
+        state.pgm_posterior = state.pgm_posterior.with_flat_values(arrays["lambda"])
     if state.pgm_point is not None:
-        state.pgm_point = state.pgm_point.with_param_vector(
-            read("theta_pgm", state.pgm_point.param_vector())
-        )
+        state.pgm_point = state.pgm_point.with_param_vector(arrays["theta_pgm"])
     if state.van is not None:
-        state.van = updates.VanState(
-            mu=read("van_mu", state.van.mu), sigma2=read("van_sigma2", state.van.sigma2)
-        )
+        state.van = updates.VanState(mu=arrays["van_mu"], sigma2=arrays["van_sigma2"])
     for name in ("nn", "phi", "pgm"):
-        opt = getattr(state, f"opt_{name}")
-        if opt is not None:
-            accum = read(f"adagrad_{name}", opt.accum)
-            setattr(state, f"opt_{name}", updates.AdagradState(accum=accum))
-    state.iteration = iteration
+        if getattr(state, f"opt_{name}") is not None:
+            setattr(state, f"opt_{name}", updates.AdagradState(arrays[f"adagrad_{name}"]))
+    state.iteration = int(arrays["iteration"])
     return state, cfg
 
 
@@ -784,10 +781,10 @@ def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
         ds = load_dataset(cfg)
     if ds.train_idx is None:
         raise ContractError("dataset must be split before training")
-    units = _units(cfg.model_kind, ds.rows[ds.train_idx], cfg.seq_len)
-    n_total = units.shape[0]
     state = init_state(cfg, ds.dim, prior_override=prior_override)
-    splits = _eval_splits(ds, cfg)
+    units = _units(state.net, ds.rows[ds.train_idx], cfg.seq_len)
+    n_total = units.shape[0]
+    splits = _eval_splits(ds, cfg, state.net)
     rng = np.random.default_rng(cfg.seed + 1)
     metrics = [_structured_metrics_row(state, splits, cfg, 0, 0.0)]
     start = time.perf_counter()

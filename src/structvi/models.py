@@ -14,7 +14,7 @@ The module functions of the same names, and ``generate``, take any prior.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -135,15 +135,12 @@ class GaussianMixture:
     def with_param_vector(self, vec):
         k, d = self.n_components, self.dim
         s = linalg.tril_size(d)
-        return type(self)(
+        return replace(
+            self,
             logits=vec[:k].copy(),
             means=vec[k : k + k * d].reshape(k, d).copy(),
             chol_raw=vec[k + k * d :].reshape(k, s).copy(),
-            **self._extra_fields(),
         )
-
-    def _extra_fields(self):
-        return {}
 
 
 def log_gamma_ratio(a, d):
@@ -168,7 +165,7 @@ class StudentMixture(GaussianMixture):
     """Mixture of multivariate Student-t components with one shared, fixed dof.
 
     The dof is a modeling constant, not a learnable parameter, so it stays out
-    of the parameter vector.
+    of the parameter vector; ``with_param_vector`` keeps it.
     """
 
     dof: float = 5.0
@@ -188,9 +185,6 @@ class StudentMixture(GaussianMixture):
         return self.means[z] + (x - self.means[z]) * np.sqrt(
             self.dof / rng.chisquare(self.dof, size=x.shape[0])
         )[:, None]
-
-    def _extra_fields(self):
-        return {"dof": self.dof}
 
 
 @dataclass
@@ -295,9 +289,6 @@ class LinearDynamics:
         i += d
         init_raw = vec[i : i + s].copy()
         return LinearDynamics(trans, noise_raw, init_mean, init_raw)
-
-    def _extra_fields(self):
-        return {}
 
 
 def forecast_means(filtered, trans, tau):

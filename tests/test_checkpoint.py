@@ -78,6 +78,15 @@ def test_trailing_bytes_rejected(tmp_path):
         checkpoint.load(padded)
 
 
+def test_non_utf8_string_rejected(tmp_path):
+    path = tmp_path / "run.ckpt"
+    checkpoint.save(path, {"a": np.zeros(2)}, {"note": "abc"})
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"abc", b"a\xffc"))
+    with pytest.raises(ParseError, match="UTF-8"):
+        checkpoint.load(path)
+
+
 def test_wrong_version_rejected(tmp_path):
     rng = np.random.default_rng(5)
     path = tmp_path / "run.ckpt"

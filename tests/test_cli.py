@@ -307,14 +307,31 @@ def test_bad_config_value_exits_nonzero(tmp_path, capsys):
         (["eval", "--checkpoint", "{tmp}/nothere.ckpt"], "nothere.ckpt"),
         (["eval", "--checkpoint", "{tmp}/nothere.ckpt", "--taus", "1,x"], "--taus"),
         (["train", "--dataset", "{tmp}/nothere.txt", "--out-dir", "{tmp}"], "nothere.txt"),
+        (["train", "--dataset", "{tmp}/x.txt", "--n-iters", "x"], "n_iters"),
+        (["train", "--dataset", "{tmp}/x.txt", "--latent-dim", "2.5"], "latent_dim"),
+        (["train", "--dataset", "{tmp}/x.txt", "--timing", "on"], "timing"),
+        (["train", "--dataset", "{tmp}/x.txt", "--hidden", "8,0"], "positive"),
     ],
-    ids=["missing-checkpoint", "bad-taus", "missing-dataset"],
+    ids=["missing-checkpoint", "bad-taus", "missing-dataset", "bad-int", "float-for-int",
+         "bad-switch", "zero-hidden"],
 )
 def test_bad_input_exits_nonzero_without_traceback(tmp_path, capsys, args, names):
     code = run_cli([a.format(tmp=tmp_path) for a in args])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and names in err
+
+
+@pytest.mark.parametrize("valid_lines", [0, 5000], ids=["header", "body"])
+def test_non_utf8_dataset_exits_nonzero_without_traceback(tmp_path, capsys, valid_lines):
+    """Bytes that are not UTF-8 in the header line, or past the first read
+    buffer, are a parse error naming the file."""
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"1.0 2.0\n" * valid_lines + b"\xff\xfe 3.0\n")
+    code = run_cli(["train", "--dataset", str(path), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "binary.txt" in err
 
 
 def test_unknown_subcommand_usage_error():

@@ -52,7 +52,6 @@ def lds_fixture_state():
     )
     net = infnet.LdsInferenceNet(dynamics=inference_dyn, encoder=encoder)
     return harness.TrainState(
-        kind="latent-lds",
         net=net,
         decoder=decoder,
         theta_posterior=None,
@@ -112,6 +111,19 @@ def test_config_overrides_and_errors():
         harness.config_from_text("just words\n")
     with pytest.raises(ParseError):
         harness.load_config("/nonexistent/config.txt")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("0", False), ("1", True), ("TRUE", True), ("false", False), ("Yes", True), ("no", False),
+     ("on", None), ("ture", None), ("", None)],
+)
+def test_timing_switch_takes_only_boolean_words(text, value):
+    if value is None:
+        with pytest.raises(ParseError, match="timing"):
+            harness.config_from_text(f"timing = {text}\n")
+    else:
+        assert harness.config_from_text(f"timing = {text}\n").timing is value
 
 
 def test_config_validation():
@@ -656,6 +668,38 @@ def test_checkpoint_bad_fixed_prior_metadata_is_parse_error(tmp_path, key, value
         harness.load_state(path)
 
 
+@pytest.mark.parametrize(
+    "model_kind, key, value, names",
+    [
+        ("latent-gmm", "data_dim", None, "data_dim"),
+        ("latent-gmm", "data_dim", "2.5", "data_dim"),
+        ("latent-gmm", "data_dim", "0", "data_dim"),
+        ("latent-gmm", "config", None, "config"),
+        ("latent-gmm", "prior_kind", "LinearDynamics", "LinearDynamics"),
+        ("latent-lds", "prior_kind", "GaussianMixture", "GaussianMixture"),
+    ],
+)
+def test_checkpoint_bad_train_state_metadata_is_parse_error(tmp_path, model_kind, key, value, names):
+    """Train-state metadata that is missing (``value`` None) or does not
+    parse fails at load as a parse error, as does a fixed prior of another
+    family than the configured network's factor; at k = d = 2 the two
+    families' parameter vectors have the same 12 entries."""
+    cfg = harness.TrainConfig(
+        model_kind=model_kind, n_components=2, hidden=(4,), seq_len=5, timing=False
+    )
+    fixed = harness.init_state(cfg, 2).net.factor
+    path = str(tmp_path / "run.ckpt")
+    harness.save_state(path, harness.init_state(cfg, 2, prior_override=fixed), cfg)
+    arrays, meta = checkpoint.load(path)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    checkpoint.save(path, arrays, meta)
+    with pytest.raises(ParseError, match=names):
+        harness.load_state(path)
+
+
 def optimizer_arrays(state):
     arrays = {}
     for name in ("opt_nn", "opt_phi", "opt_pgm"):
@@ -1081,7 +1125,7 @@ def test_lds_metrics_row_filters_the_test_block_once(monkeypatch):
         timing=False,
     )
     state = harness.init_state(cfg, ds.dim)
-    splits = harness._eval_splits(ds, cfg)
+    splits = harness._eval_splits(ds, cfg, state.net)
     seed = cfg.seed * 1_000_003 + 17
     want_bound = harness.per_datum_bound(state, splits[2], seq_len=10, seed=seed)
     want_tau = harness.tau_ahead_mae(state, splits[2].reshape(-1, 10, ds.dim), tau=1)
@@ -1157,7 +1201,7 @@ def test_lds_metrics_row_with_an_empty_val_split(val):
         model_kind="latent-lds", latent_dim=2, hidden=(8,), seed=14, seq_len=10,
         timing=False,
     )
-    train, _, test = harness._eval_splits(ds, cfg)
+    train, _, test = harness._eval_splits(ds, cfg, state.net)
     splits = (train, None if val == "absent" else test[:0], test)
     row = harness._structured_metrics_row(state, splits, cfg, 0, 0.0)
     seed = cfg.seed * 1_000_003 + 17
