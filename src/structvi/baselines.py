@@ -226,7 +226,7 @@ def _checked_sequences(seqs, obs_dim=None, min_len=1, block=True):
     return seqs
 
 
-def lds_em_init(seqs, d, seed=0):
+def lds_em_init(seqs, d):
     """Principal-direction emission, mild dynamics, observation-scale noise."""
     seqs = np.asarray(seqs, dtype=float)
     flat = seqs.reshape(-1, seqs.shape[-1])

@@ -142,13 +142,19 @@ def _parse_line(text, lineno, path):
 
 
 def load_delimited(path, has_labels=False, label_column=None):
-    """Read a rectangular numeric table; a leading non-numeric line is a header."""
+    """Read a rectangular numeric table; a leading non-numeric line is a header.
+
+    ``has_labels=None`` takes labels exactly when the first line's last
+    whitespace-separated field is ``label``.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
         lines = raw.decode("utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if has_labels is None:
+        has_labels = bool(lines) and lines[0].split()[-1:] == ["label"]
     rows = []
     width = None
     for lineno, text in enumerate(lines, start=1):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines, bound, checkpoint, data, infnet, linalg, models, nnet, updates, vae
+from . import baselines, bound, checkpoint, data, infnet, models, nnet, updates, vae
 from .errors import ContractError, InvalidParameterError, NumericalError, ParseError
 
 # Everything a diverging run can legitimately raise mid-step.
@@ -189,12 +189,6 @@ class TrainState:
     data_dim: int
 
 
-def _mixture_from_params(weights, means, covs):
-    logits = np.log(np.maximum(weights, 1e-300))
-    raw = linalg.raw_from_spd(covs)
-    return models.GaussianMixture(logits=logits, means=np.asarray(means), chol_raw=raw)
-
-
 def _hyperparameters(prior, factor):
     """The fields of ``prior`` (a class or an instance) that ``factor`` lacks."""
     have = {f.name for f in dataclasses.fields(factor)}
@@ -227,7 +221,7 @@ def init_state(cfg, data_dim, prior_override=None):
 
     pgm_posterior = pgm_prior = pgm_point = None
     if prior_override is not None:
-        pgm_point = prior_override
+        pgm_point = net.checked_prior(prior_override)
     elif prior_cls is None:
         pgm_prior = pgm_posterior = updates.default_gmm_prior(k, d)
     else:
@@ -276,14 +270,16 @@ def init_state(cfg, data_dim, prior_override=None):
 def eval_prior(state):
     """Point generative parameters used for every evaluation."""
     if state.pgm_posterior is not None:
-        return _mixture_from_params(*updates.posterior_mean_params(state.pgm_posterior))
+        moments = updates.posterior_mean_params(state.pgm_posterior)
+        return models.GaussianMixture.from_moments(*moments)
     return state.pgm_point
 
 
 def _sampled_prior(state, rng):
     """Point generative parameters for one training step."""
     if state.pgm_posterior is not None:
-        return _mixture_from_params(*updates.sample_gmm_params(state.pgm_posterior, rng))
+        moments = updates.sample_gmm_params(state.pgm_posterior, rng)
+        return models.GaussianMixture.from_moments(*moments)
     return state.pgm_point
 
 
@@ -627,13 +623,7 @@ def load_dataset(cfg):
     """Load, split, and standardize the configured dataset."""
     if not cfg.dataset:
         raise ContractError("config has no dataset path")
-    try:
-        with open(cfg.dataset, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{cfg.dataset}: {exc}") from None
-    has_labels = bool(header) and header[-1] == "label"
-    ds = data.load_delimited(cfg.dataset, has_labels=has_labels)
+    ds = data.load_delimited(cfg.dataset, has_labels=None)  # labels if the header names them
     if cfg.seq_len:
         ds = dataclasses.replace(ds, seq_len=cfg.seq_len)
     ds = data.split(ds, train_frac=cfg.train_frac, seed=cfg.seed)

@@ -49,7 +49,11 @@ conditional factors, draw offsets, per-step adjoints) is one numpy call
 stacked over (..., T, d, d).
 
 Parameter vectors are laid out as [encoder parameters, structured-factor
-parameters], the factor part ordered as in the underlying ``models`` class.
+parameters].  The factor is a ``models`` prior class, which owns its part:
+the adjoints here end at the factor's moments (weight logits, means and
+covariances; or transition, noise covariance, initial mean and initial
+covariance), and the factor's ``param_grad`` lays them out in its vector
+through the raw-Cholesky chain rule.
 
 Gradient convention: discrete mixture indicators are drawn but never
 differentiated; pathwise derivatives flow only through the Gaussian
@@ -101,9 +105,7 @@ class ProductNet:
         return nnet.num_params(self.encoder)
 
     def phi_vector(self):
-        return np.concatenate(
-            [nnet.param_vector(self.encoder), self.factor.param_vector()]
-        )
+        return linalg.flatten([nnet.param_vector(self.encoder), self.factor.param_vector()])
 
     def with_phi_vector(self, vec):
         n = self.n_encoder_params
@@ -132,11 +134,18 @@ class ProductNet:
         """Latent rows ahead of the first observed row, as the factor has."""
         return self.factor.lead_rows
 
-    def batch_units(self, prior, batch):
-        """Units (rows or sequences) in ``batch``, under a ``prior`` that
-        must be of the factor's family."""
+    def checked_prior(self, prior):
+        """``prior``, which must be of the factor's family."""
         if not isinstance(prior, type(self.factor)):
-            raise ContractError(f"a {type(prior).__name__} prior does not fit a {type(self.factor).__name__} factor")
+            raise ContractError(
+                f"a {type(prior).__name__} prior does not fit a {type(self.factor).__name__} factor"
+            )
+        return prior
+
+    def batch_units(self, prior, batch):
+        """Units (rows or sequences) in ``batch``, under a ``prior`` of the
+        factor's family."""
+        self.checked_prior(prior)
         return self._units(batch)
 
     def prepare_blocks(self, blocks):
@@ -437,10 +446,8 @@ def gmm_log_z_factor_grads(mixture, m, v, resp, chol):
         - resp[:, :, None, None] * sinv
     )
     d_v = np.sum(g[:, :, idx, idx], axis=1)
-    d_raw = linalg.tril_raw_vjp(mixture.chols, g.sum(axis=0))
     d_logits = resp.sum(axis=0) - n * mixture.weights
-    d_factor = np.concatenate([d_logits, d_means.ravel(), d_raw.ravel()])
-    return d_m, d_v, d_factor
+    return d_m, d_v, mixture.param_grad(d_logits, d_means, g.sum(axis=0), mixture.chols)
 
 
 def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
@@ -467,9 +474,7 @@ def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
     np.add.at(d_means, z, np.einsum("nij,nj->ni", pk, b_b))
     g_cov = np.zeros((k, d, d))
     np.add.at(g_cov, z, -np.einsum("nij,njl,nlm->nim", pk, pk_b, pk))
-    d_raw = linalg.tril_raw_vjp(mixture.chols, g_cov)
-    d_factor = np.concatenate([np.zeros(k), d_means.ravel(), d_raw.ravel()])
-    return d_m, d_v, d_factor
+    return d_m, d_v, mixture.param_grad(np.zeros(k), d_means, g_cov, mixture.chols)
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +724,16 @@ def lds_reconstruct(dyn, record, eps):
     return backward_chain(x, j)
 
 
-def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
+def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_a, log_z_weight):
     """Reverse sweep of a single-sequence ``lds_filter`` pass, whose emission
     is the identity (``kalman_filter`` with emit = I).
 
     Carries the externally injected adjoints of the filtered moments
-    (``ext_mf``, ``ext_pf``, (T+1, ...)) and predicted moments (``ext_mp``,
-    ``ext_pp``, (T, ...)) plus ``log_z_weight`` times those of the log
-    normalizer back to (m, v) and the dynamics parameter vector.  The sweep
-    is linear in what it carries, so one pass serves any such sum.
+    (``ext_mf``, ``ext_pf``, (T+1, ...)), predicted moments (``ext_mp``,
+    ``ext_pp``, (T, ...)) and transition (``ext_a``) plus ``log_z_weight``
+    times those of the log normalizer back to (m, v) and the dynamics
+    parameter vector, which ``dyn.param_grad`` lays out.  The sweep is linear
+    in what it carries, so one pass serves any such sum.
 
     With K_t the gain, e_t the residual and se_t = S_t^-1 e_t, step t
     reverses to
@@ -775,22 +781,13 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, log_z_weight):
         + _t(pp_b) @ a @ prev_pf,
         axis=0,
     )
-    init_chol, noise_chol = linalg.tril_from_raw(np.stack([dyn.init_raw, dyn.noise_raw]), d)
-    d_dyn = np.concatenate(
-        [
-            a_b.ravel(),
-            linalg.tril_raw_vjp(noise_chol, pp_b.sum(axis=0)),
-            mf_c,
-            linalg.tril_raw_vjp(init_chol, pf_c),
-        ]
-    )
-    return d_m, d_v, d_dyn
+    return d_m, d_v, dyn.param_grad(a_b + ext_a, pp_b.sum(axis=0), mf_c, pf_c, dyn.chols)
 
 
 def lds_log_z_factor_grads(dyn, record):
     """Gradients of a single-sequence filter's log normalizer wrt (m, v) and
     the dynamics."""
-    return _filter_reverse(dyn, record, 0.0, 0.0, 0.0, 0.0, 1.0)
+    return _filter_reverse(dyn, record, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x, log_z_weight=0.0):
@@ -803,7 +800,7 @@ def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x, log_z_weight=0.0):
     stacked over time, and one filter reverse sweep pushes them, with the
     log normalizer's, back to (m, v) and the dynamics.
     """
-    t_len, d = record.m.shape
+    t_len = record.m.shape[0]
     a = dyn.trans
     j, pp1_inv, chol = _smoother_factors(dyn, record)
     jt = _t(j)
@@ -826,11 +823,7 @@ def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x, log_z_weight=0.0):
     a_b = np.sum(pp1_inv @ _t(j_b) @ p_filt, axis=0)
     pp1_b -= pp1_inv @ (a @ p_filt @ j_b) @ pp1_inv
     # c's mean terms: mu_filt[t] (all rows, T included) and -J mu_pred
-    d_m, d_v, d_dyn = _filter_reverse(
-        dyn, record, x_bar, ext_pf, -back, pp1_b, log_z_weight
-    )
-    d_dyn[: d * d] += a_b.ravel()
-    return d_m, d_v, d_dyn
+    return _filter_reverse(dyn, record, x_bar, ext_pf, -back, pp1_b, a_b, log_z_weight)
 
 
 # ---------------------------------------------------------------------------

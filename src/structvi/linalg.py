@@ -8,13 +8,17 @@ Conventions fixed here once:
   kept in log space.  Any real vector therefore maps to a valid SPD matrix.
 * On factorization failure a jitter of ``1e-8 * trace / d`` is added to the
   diagonal, retrying up to three times before raising.
+* Every flat parameter vector (network weights, prior parameters, the
+  conjugate posterior's naturals, their gradients) is its arrays raveled in
+  order: ``flatten`` writes one and ``unflatten`` reads it back.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ContractError, NumericalError
 
 JITTER_SCALE = 1e-8
 MAX_JITTER_TRIES = 3
@@ -24,6 +28,26 @@ MAX_JITTER_TRIES = 3
 def _tril_cache(d):
     rows, cols = np.tril_indices(d)
     return rows, cols, np.flatnonzero(rows == cols), np.arange(d)
+
+
+def flatten(arrays):
+    """One flat vector of the ndarrays ``arrays``, each raveled, in order."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def unflatten(vec, shapes):
+    """Arrays of ``shapes`` read in order from the flat vector ``vec``, the
+    inverse of ``flatten``; they are views of one fresh copy of ``vec``.  A
+    vector of another length is a contract error."""
+    sizes = [math.prod(shape) for shape in shapes]
+    vec = np.array(vec, dtype=float)
+    if vec.shape != (sum(sizes),):
+        raise ContractError(f"flat vector has shape {vec.shape}, the layout needs ({sum(sizes)},)")
+    parts, stop = [], 0
+    for shape, size in zip(shapes, sizes):
+        parts.append(vec[stop : stop + size].reshape(shape))
+        stop += size
+    return parts
 
 
 def symmetrize(a):

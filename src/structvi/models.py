@@ -11,6 +11,12 @@ its latent draw (``sample``) and ``lead_rows``, the latent rows ahead of the
 first observed one (the dynamics' initial state).  ``StudentMixture``
 overrides only its density kernel, gradient tail weight and draw rescaling.
 The module functions of the same names, and ``generate``, take any prior.
+
+Each prior class also owns its parameter vector: the fields ``_params`` name,
+in order (``param_vector``, ``with_param_vector``), and ``param_grad``, which
+turns gradients with respect to its moments into that vector's gradient
+through the raw-Cholesky chain rule.  The inference networks, whose
+structured factors are these classes, hand their moment gradients to it.
 """
 
 import math
@@ -26,14 +32,33 @@ from .linalg import logsumexp
 LOG_2PI = np.log(2.0 * np.pi)
 
 
+class _VectorParams:
+    """A prior whose parameter vector is its ``_params`` fields, raveled in
+    that order; ``with_param_vector`` keeps every other field."""
+
+    def param_vector(self):
+        return linalg.flatten([getattr(self, name) for name in self._params])
+
+    def with_param_vector(self, vec):
+        shapes = [getattr(self, name).shape for name in self._params]
+        return replace(self, **dict(zip(self._params, linalg.unflatten(vec, shapes))))
+
+
 @dataclass
-class GaussianMixture:
+class GaussianMixture(_VectorParams):
     """Point-parameter mixture; covariances live as raw Cholesky vectors."""
 
     logits: np.ndarray          # (k,)
     means: np.ndarray           # (k, d)
     chol_raw: np.ndarray        # (k, d(d+1)/2)
     lead_rows = 0  # rows are independent; every latent row is observed
+    _params = ("logits", "means", "chol_raw")
+
+    @classmethod
+    def from_moments(cls, weights, means, covs):
+        """The mixture of component ``weights``, ``means`` and covariances."""
+        logits = np.log(np.maximum(weights, 1e-300))
+        return cls(logits=logits, means=np.asarray(means), chol_raw=linalg.raw_from_spd(covs))
 
     @property
     def n_components(self):
@@ -107,9 +132,13 @@ class GaussianMixture:
         grad_means = np.einsum("nk,nkd->kd", rw, pu)
         scatter = np.einsum("nk,nki,nkl->kil", rw, pu, pu)
         g_cov = 0.5 * (scatter - resp.sum(axis=0)[:, None, None] * prec)
-        grad_raw = linalg.tril_raw_vjp(chols, g_cov)
-        grad_params = np.concatenate([grad_logits, grad_means.ravel(), grad_raw.ravel()])
-        return val, grad_x, grad_params
+        return val, grad_x, self.param_grad(grad_logits, grad_means, g_cov, chols)
+
+    def param_grad(self, g_logits, g_means, g_covs, chols):
+        """Parameter-vector gradient from the gradients with respect to the
+        weight logits, the means and the (k, d, d) covariances; ``chols`` is
+        ``self.chols``, which the caller has built."""
+        return linalg.flatten([g_logits, g_means, linalg.tril_raw_vjp(chols, g_covs)])
 
     def _tail_weights(self, u, pu):
         """(n, k) gradient weights of the offsets u, with pu = precision @ u."""
@@ -126,21 +155,6 @@ class GaussianMixture:
     def _rescaled(self, x, z, rng):
         """The Gaussian draw ``x`` at labels ``z`` turned into the family's."""
         return x
-
-    def param_vector(self):
-        return np.concatenate(
-            [self.logits, self.means.ravel(), self.chol_raw.ravel()]
-        )
-
-    def with_param_vector(self, vec):
-        k, d = self.n_components, self.dim
-        s = linalg.tril_size(d)
-        return replace(
-            self,
-            logits=vec[:k].copy(),
-            means=vec[k : k + k * d].reshape(k, d).copy(),
-            chol_raw=vec[k + k * d :].reshape(k, s).copy(),
-        )
 
 
 def log_gamma_ratio(a, d):
@@ -188,7 +202,7 @@ class StudentMixture(GaussianMixture):
 
 
 @dataclass
-class LinearDynamics:
+class LinearDynamics(_VectorParams):
     """First-order linear-Gaussian dynamics with a Gaussian initial state."""
 
     trans: np.ndarray           # (d, d)
@@ -196,6 +210,7 @@ class LinearDynamics:
     init_mean: np.ndarray       # (d,)
     init_raw: np.ndarray        # (d(d+1)/2,)
     lead_rows = 1  # the unobserved initial state x_0
+    _params = ("trans", "noise_raw", "init_mean", "init_raw")
 
     @property
     def dim(self):
@@ -209,15 +224,26 @@ class LinearDynamics:
     def init_cov(self):
         return linalg.spd_from_raw(self.init_raw, self.dim)
 
+    @property
+    def chols(self):
+        """(2, d, d) Cholesky factors of the initial and the transition-noise
+        covariance, read from their raw vectors in one call."""
+        return linalg.tril_from_raw(np.stack([self.init_raw, self.noise_raw]), self.dim)
+
+    def param_grad(self, g_trans, g_noise_cov, g_init_mean, g_init_cov, chols):
+        """Parameter-vector gradient from the gradients with respect to the
+        transition, the noise covariance, the initial mean and the initial
+        covariance; ``chols`` is ``self.chols``, which the caller has built."""
+        g_init_raw, g_noise_raw = linalg.tril_raw_vjp(chols, np.stack([g_init_cov, g_noise_cov]))
+        return linalg.flatten([g_trans, g_noise_raw, g_init_mean, g_init_raw])
+
     def _log_prior_parts(self, x):
-        """Log density of a latent array, its transition residuals, and the
-        (2, d, d) Cholesky factors of the initial and transition-noise
-        covariances, read from their stored raw vectors in one call so the
-        gradients can share them."""
+        """Log density of a latent array, its transition residuals, and
+        ``chols``, which the gradients share."""
         d = self.dim
         if x.shape[-2] < 2:
             raise ContractError("dynamics prior needs at least one transition")
-        chols = linalg.tril_from_raw(np.stack([self.init_raw, self.noise_raw]), d)
+        chols = self.chols
         init = x[..., :1, :].reshape(-1, d)
         val = float(_gaussian_logpdf(init, self.init_mean, chols[0]).sum())
         resid = x[..., 1:, :] - x[..., :-1, :] @ self.trans.T
@@ -248,15 +274,7 @@ class LinearDynamics:
         pe, prev, w0 = pe.reshape(-1, d), x[..., :-1, :].reshape(-1, d), w0.reshape(-1, d)
         g_q = 0.5 * (pe.T @ pe - pe.shape[0] * q_prec)
         g_s0 = 0.5 * (w0.T @ w0 - w0.shape[0] * s0_prec)
-        grad_params = np.concatenate(
-            [
-                (pe.T @ prev).ravel(),
-                linalg.tril_raw_vjp(chols[1], g_q),
-                w0.sum(axis=0),
-                linalg.tril_raw_vjp(chols[0], g_s0),
-            ]
-        )
-        return val, grad_x, grad_params
+        return val, grad_x, self.param_grad(pe.T @ prev, g_q, w0.sum(axis=0), g_s0, chols)
 
     def sample(self, rng, n, seq_len):
         """(n, seq_len + 1, d) latent sequences, row 0 the initial state,
@@ -265,30 +283,11 @@ class LinearDynamics:
             raise ContractError("seq_len is required for a dynamics prior")
         d = self.dim
         x = np.zeros((n, seq_len + 1, d))
-        l0 = linalg.cholesky_spd(self.init_cov)
-        lq = linalg.cholesky_spd(self.noise_cov)
+        l0, lq = self.chols
         x[:, 0] = self.init_mean + rng.standard_normal((n, d)) @ l0.T
         for t in range(1, seq_len + 1):
             x[:, t] = x[:, t - 1] @ self.trans.T + rng.standard_normal((n, d)) @ lq.T
         return x, None
-
-    def param_vector(self):
-        return np.concatenate(
-            [self.trans.ravel(), self.noise_raw, self.init_mean, self.init_raw]
-        )
-
-    def with_param_vector(self, vec):
-        d = self.dim
-        s = linalg.tril_size(d)
-        i = 0
-        trans = vec[i : i + d * d].reshape(d, d).copy()
-        i += d * d
-        noise_raw = vec[i : i + s].copy()
-        i += s
-        init_mean = vec[i : i + d].copy()
-        i += d
-        init_raw = vec[i : i + s].copy()
-        return LinearDynamics(trans, noise_raw, init_mean, init_raw)
 
 
 def forecast_means(filtered, trans, tau):
@@ -345,7 +344,7 @@ def expected_log_prior(q, x, z):
         + np.sum(scatters * m3)
     ) - 0.5 * n * d * LOG_2PI
     stats = expfam.pack_normal_wishart(sums, counts, scatters, counts)
-    return val, np.concatenate([counts, stats.ravel()])
+    return val, linalg.flatten([counts, stats])
 
 
 def _decoder_fit(decoder, x, y):

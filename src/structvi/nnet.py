@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import ContractError
 
 VAR_FLOOR = 1e-6
@@ -117,9 +118,8 @@ def forward(net, x):
 def backward(net, tape, dmean, dvar):
     """Reverse sweep for upstream gradients on (mean, var).
 
-    Returns (flat parameter gradient, gradient with respect to the input).
-    Parameter layout matches param_vector: per layer, weight row-major then
-    bias.
+    Returns (flat parameter gradient, gradient with respect to the input),
+    the gradient in ``param_vector``'s layout.
     """
     dmean = np.atleast_2d(np.asarray(dmean, dtype=float))
     dvar = np.atleast_2d(np.asarray(dvar, dtype=float))
@@ -147,33 +147,26 @@ def backward(net, tape, dmean, dvar):
                 upstream = upstream * (1.0 - np.exp(-a))
             elif prev.activation == "relu":
                 upstream = upstream * (a > 0.0)
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    flat = linalg.flatten([g for pair in grads for g in pair])
     dx = upstream[0] if tape.squeeze else upstream
     return flat, dx
 
 
+def _arrays(net):
+    """The parameter arrays in flat-vector order: per layer, weight then bias."""
+    return [a for l in net.layers for a in (l.weight, l.bias)]
+
+
 def param_vector(net):
-    return np.concatenate(
-        [np.concatenate([l.weight.ravel(), l.bias]) for l in net.layers]
-    )
+    return linalg.flatten(_arrays(net))
 
 
 def num_params(net):
-    return sum(l.weight.size + l.bias.size for l in net.layers)
+    return sum(a.size for a in _arrays(net))
 
 
 def set_param_vector(net, vec):
     """New net with the same topology and the given flat parameters."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.size != num_params(net):
-        raise ContractError("parameter vector length mismatch")
-    layers = []
-    pos = 0
-    for l in net.layers:
-        nw = l.weight.size
-        w = vec[pos : pos + nw].reshape(l.weight.shape).copy()
-        pos += nw
-        b = vec[pos : pos + l.bias.size].copy()
-        pos += l.bias.size
-        layers.append(Layer(weight=w, bias=b, activation=l.activation))
-    return Mlp(layers=layers, head=net.head)
+    arrays = linalg.unflatten(vec, [a.shape for a in _arrays(net)])
+    pairs = zip(net.layers, arrays[::2], arrays[1::2])
+    return Mlp([Layer(w, b, l.activation) for l, w, b in pairs], net.head)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expfam
+from . import expfam, linalg
 from .errors import ContractError, InvalidParameterError
 
 NG_MAX_HALVINGS = 10
@@ -48,30 +48,23 @@ class PgmPosterior:
         return self.components.dim
 
     def flat_values(self):
-        return np.concatenate([self.weights.values, self.components.values.ravel()])
+        return linalg.flatten([self.weights.values, self.components.values])
 
     def with_flat_values(self, flat):
-        k, shape = self.n_components, self.components.values.shape
-        n = k + shape[0] * shape[1]
-        if np.shape(flat) != (n,):
-            raise ContractError(f"posterior vector has shape {np.shape(flat)}, not ({n},)")
-        return PgmPosterior(
-            weights=self.weights.replace_values(flat[:k]),
-            components=self.components.replace_values(flat[k:].reshape(shape)),
-        )
+        blocks = (self.weights, self.components)
+        values = linalg.unflatten(flat, [b.values.shape for b in blocks])
+        return PgmPosterior(*(b.replace_values(v) for b, v in zip(blocks, values)))
 
     def in_domain(self):
         return all(expfam.in_natural_domain(b) for b in (self.weights, self.components))
 
 
-def default_gmm_prior(k, d, alpha0=1.0, kappa0=0.1, m0=None, w0=None, nu0=None):
-    """Weakly informative conjugate prior used everywhere by default."""
-    m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float)
-    w0 = np.eye(d) if w0 is None else np.asarray(w0, dtype=float)
-    nu0 = float(d + 2) if nu0 is None else float(nu0)
+def default_gmm_prior(k, d, alpha0=1.0, kappa0=0.1):
+    """Weakly informative conjugate prior used everywhere by default: mean 0,
+    scale I and d + 2 degrees of freedom for every component."""
     weights = expfam.to_natural_vector(expfam.DirichletParam(alpha=np.full(k, alpha0)))
     comp = expfam.to_natural_vector(
-        expfam.NormalWishartParam(mean=m0, kappa=kappa0, scale=w0, dof=nu0)
+        expfam.NormalWishartParam(mean=np.zeros(d), kappa=kappa0, scale=np.eye(d), dof=d + 2.0)
     )
     comps = comp.replace_values(np.tile(comp.values, (k, 1)))
     return PgmPosterior(weights=weights, components=comps)

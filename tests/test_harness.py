@@ -1246,3 +1246,116 @@ def test_imputation_with_nothing_masked_is_zero():
     rows = ds.rows[ds.test_idx]
     assert not (np.random.default_rng(0).random(rows.shape) < 1e-9).any()
     assert harness.imputation_mse(state, rows, seq_len=10, fraction=1e-9) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Prior families, dataset reads and factor work
+
+
+def other_family_priors(d=2):
+    s = d * (d + 1) // 2
+    mix = models.GaussianMixture(logits=np.zeros(3), means=np.zeros((3, d)), chol_raw=np.zeros((3, s)))
+    dyn = models.LinearDynamics(np.eye(d), np.zeros(s), np.zeros(d), np.zeros(s))
+    return mix, dyn
+
+
+@pytest.mark.parametrize("kind", ["latent-gmm", "latent-lds"])
+def test_init_state_rejects_a_prior_of_another_family(kind):
+    mix, dyn = other_family_priors()
+    cfg = harness.TrainConfig(model_kind=kind, n_components=3, hidden=(4,), seq_len=5)
+    with pytest.raises(ContractError, match="does not fit"):
+        harness.init_state(cfg, 3, prior_override=dyn if kind == "latent-gmm" else mix)
+
+
+def test_init_state_accepts_a_student_prior_under_a_gaussian_factor(tmp_path):
+    mix, _ = other_family_priors()
+    student = models.StudentMixture(mix.logits, mix.means, mix.chol_raw, dof=3.0)
+    cfg = harness.TrainConfig(n_components=3, hidden=(4,), timing=False)
+    state = harness.init_state(cfg, 3, prior_override=student)
+    assert state.pgm_point is student
+    harness.save_state(tmp_path / "s.ckpt", state, cfg)
+    back, _ = harness.load_state(tmp_path / "s.ckpt")
+    assert isinstance(back.pgm_point, models.StudentMixture) and back.pgm_point.dof == 3.0
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_load_dataset_reads_the_file_once(tmp_path, monkeypatch, labeled):
+    """The label decision comes from the header line the one read parses, and
+    rows, labels and the sha256 provenance are those of an explicit load."""
+    import builtins
+    import hashlib
+    import io
+
+    raw = data.pinwheel(n_per_arm=20, arms=3, seed=4)
+    if not labeled:
+        raw = dataclasses.replace(raw, labels=None)
+    path = tmp_path / "pin.txt"
+    data.export(raw, path)
+    explicit = data.load_delimited(path, has_labels=labeled)
+    opened = []
+    for module in (builtins, io):
+        real = module.open
+        monkeypatch.setattr(
+            module, "open",
+            lambda f, *a, _real=real, **kw: opened.append(os.fspath(f)) or _real(f, *a, **kw),
+        )
+    cfg = harness.TrainConfig(dataset=str(path), train_frac=0.7, seed=4)
+    loaded = harness.load_dataset(cfg)
+    sniffed = data.load_delimited(path, has_labels=None)
+    monkeypatch.undo()
+    assert opened.count(str(path)) == 2  # one for load_dataset, one for the direct load
+    np.testing.assert_array_equal(sniffed.rows, explicit.rows)
+    assert (sniffed.labels is None) == (not labeled)
+    if labeled:
+        np.testing.assert_array_equal(sniffed.labels, explicit.labels)
+    assert sniffed.provenance == explicit.provenance
+    assert explicit.provenance["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    want = data.standardize(data.split(explicit, train_frac=0.7, seed=4))[0]
+    np.testing.assert_array_equal(loaded.rows, want.rows)
+    np.testing.assert_array_equal(loaded.train_idx, want.train_idx)
+
+
+FACTOR_WORK = ("tril_from_raw", "cholesky_spd", "tril_raw_vjp")
+
+
+def count_factor_work(monkeypatch):
+    counts = dict.fromkeys(FACTOR_WORK, 0)
+    for name in FACTOR_WORK:
+        real = getattr(linalg, name)
+
+        def counted(*a, _real=real, _name=name, **kw):
+            counts[_name] += 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "kind, want",
+    [("latent-lds", (5, 3, 3)), ("latent-gmm", (9, 2, 4)), ("latent-tmm", (9, 1, 4))],
+)
+def test_train_step_factor_work_is_pinned(monkeypatch, kind, want):
+    """Per step: raw-to-factor reads, Cholesky factorizations and raw-Cholesky
+    adjoints.  Each covariance factor a step needs is built where it is first
+    needed and handed on, not rebuilt by the prior's chain rule."""
+    if kind == "latent-lds":
+        ds = seq_dataset()
+        cfg = harness.TrainConfig(model_kind=kind, hidden=(6,), seq_len=10, timing=False)
+    else:
+        ds = blob_dataset(n=90, seed=16)
+        cfg = harness.TrainConfig(model_kind=kind, n_components=3, hidden=(6,), timing=False)
+    state = harness.init_state(cfg, ds.dim)
+    units = harness._units(state.net, ds.rows[ds.train_idx], cfg.seq_len)
+    batch = units[0] if kind == "latent-lds" else units[:16]
+    counts = count_factor_work(monkeypatch)
+    harness.train_step(state, cfg, batch, units.shape[0], np.random.default_rng(0))
+    assert tuple(counts[name] for name in FACTOR_WORK) == want
+
+
+def test_dynamics_generate_uses_the_stored_factors(monkeypatch):
+    state, ds = lds_eval_state()
+    counts = count_factor_work(monkeypatch)
+    out = harness.evaluate(state, ds, ("sample-dump",), n_draws=5)
+    assert out["samples"].x.shape == (5, ds.seq_len + 1, 2)
+    assert counts["cholesky_spd"] == 0 and counts["tril_from_raw"] == 1
