@@ -12,19 +12,28 @@ The LDS filter and smoother take one (T, D) sequence or an (n_seq, T, D)
 block.  For a time-invariant LDS the filter covariances, innovation factors
 and gains, and the smoother's gains and covariances, depend only on the
 parameters and T.  ``LdsEmParams`` computes them once per parameter set and
-length (``infnet.kalman_covariances`` with the constant emission noise as a
-broadcast (T, D, D) array, the smoother's part on first use) and keeps them
-read-only, so a filter call runs only the mean pass ``infnet.kalman_means``
-and a smooth call adds only the smoothed-mean chain.  Means carry the
-block's leading axis, covariances are shared (T, d, d) arrays, and
-log-likelihoods are block totals.
+length and keeps them read-only in a per-length memo:
+
+  * the covariance pass, ``infnet.kalman_covariances`` with the constant
+    emission noise as a broadcast (T, D, D) array, including the mean
+    pass's drive A K_t and chain A (I - K_t C);
+  * the doubling levels (``infnet.chain_levels``) of that chain, time
+    reversed;
+  * on first smooth, the RTS gains J_t, their doubling levels, and the
+    smoothed and lag-one covariances.
+
+A filter call then runs only the mean pass ``infnet.kalman_means`` and a
+smooth call adds only the smoothed-mean chain, each chain a few stacked
+products through the cached levels.  Where ``infnet.backward_chain`` would
+not double (large d), no levels are kept and the chains run step by step.
+Means carry the block's leading axis, covariances are shared (T, d, d)
+arrays, and log-likelihoods are block totals.
 
 Because the block shares its parameters, its work runs as matrix products:
-the mean chains and the products with the shared gain stacks run as one
-product per time step over all sequences (``infnet.backward_chain`` and
-``infnet._mv`` on shared stacks), and EM's sufficient statistics are
-matmuls over the (n_seq * T) rows of the block, the second moments one
-time-major batched product.
+the mean chains and the products with the shared gain stacks run over all
+sequences at once (``infnet.backward_chain`` and ``infnet._mv`` on shared
+stacks), and EM's sufficient statistics are matmuls over the (n_seq * T)
+rows of the block, the second moments one time-major batched product.
 """
 
 from dataclasses import dataclass, fields
@@ -169,21 +178,33 @@ def _read_only(arr):
     return arr
 
 
+def _levels(gains):
+    """``infnet.chain_levels`` of read-only gains, each level read-only; None
+    where ``infnet.backward_chain`` would not double even one sequence."""
+    if not infnet.doubling_pays(gains.shape[-1], 1):
+        return None
+    return tuple(_read_only(p) for p in infnet.chain_levels(gains))
+
+
 def _covariances(params, t_len):
-    """The filter's covariance pass for length t_len, memoized on params."""
+    """The filter's covariance pass for length t_len, with the doubling levels
+    of its time-reversed mean chain, memoized on params."""
     memo = params._by_length
     if t_len not in memo:
         r = np.broadcast_to(params.emit_cov, (t_len,) + params.emit_cov.shape)
         cov = infnet.kalman_covariances(
             params.trans, params.trans_cov, params.init_cov, params.emit, r
         )
-        memo[t_len] = {k: _read_only(v) for k, v in cov.items()}
+        cov = {k: _read_only(v) for k, v in cov.items()}
+        cov["chain_levels"] = _levels(cov["chain"][::-1])
+        memo[t_len] = cov
     return memo[t_len]
 
 
 def _smoother_covariances(params, t_len):
-    """RTS gains J_t, smoothed covariances P_t and lag-one covariances for
-    length t_len, added to the memoized covariance pass on first use."""
+    """RTS gains J_t with their doubling levels, smoothed covariances P_t and
+    lag-one covariances for length t_len, added to the memoized covariance
+    pass on first use."""
     cov = _covariances(params, t_len)
     if "smooth_gain" not in cov:
         pf = cov["p_filt"]
@@ -192,8 +213,10 @@ def _smoother_covariances(params, t_len):
         ps = np.concatenate([cond, pf[-1:]])
         ps = linalg.symmetrize(infnet.backward_chain(ps, j, np.swapaxes(j, -1, -2)))
         cross = ps[1:] @ np.swapaxes(j, -1, -2)
+        j = _read_only(j)
         cov.update(
-            smooth_gain=_read_only(j), smooth_cov=_read_only(ps), smooth_cross=_read_only(cross)
+            smooth_gain=j, smooth_levels=_levels(j),
+            smooth_cov=_read_only(ps), smooth_cross=_read_only(cross),
         )
     return cov
 
@@ -264,13 +287,14 @@ def lds_em_filter(params, y):
 def lds_em_smooth(params, y):
     """Rauch-Tung-Striebel pass with the lag-one covariances EM needs: the
     filter, then the smoothed-mean chain x_t = xf_t + J_t (x_{t+1} - xp_{t+1})
-    through the memoized gains; ``cov`` and ``cross`` are shared read-only."""
+    through the memoized gains and their doubling levels; ``cov`` and
+    ``cross`` are shared read-only."""
     xf, pf, xp, pp, loglik = lds_em_filter(params, y)
     cov = _smoother_covariances(params, pf.shape[0])
     j = cov["smooth_gain"]
     xs = xf.copy()
     xs[..., :-1, :] -= infnet._mv(j, xp[..., 1:, :])
-    infnet.backward_chain(xs, j)
+    infnet.backward_chain(xs, j, levels=cov["smooth_levels"])
     return SmoothedMoments(
         mean=xs, cov=cov["smooth_cov"], cross=cov["smooth_cross"], loglik=loglik
     )

@@ -48,6 +48,16 @@ else (innovation factors, log normalizer terms, smoother gains and
 conditional factors, draw offsets, per-step adjoints) is one numpy call
 stacked over (..., T, d, d).
 
+A vector chain over R rows whose gains the block shares (one sequence, or
+an LDS-EM block) runs in ceil(log2 R) doubling levels, the prefix-scan form
+of the recursion (as in Sarkka and Garcia-Fernandez's parallel-in-time
+smoothers), while its steps are small enough that numpy's per-call overhead
+sets their cost (``doubling_pays``).  ``chain_levels`` builds the levels'
+gain products, and LDS-EM keeps them per parameter set.  Per-sequence gains
+(the dynamics factor's blocks), two-sided chains and large shared gains keep
+the R-1-step loop: their levels would cost more products than the loop
+saves.
+
 Parameter vectors are laid out as [encoder parameters, structured-factor
 parameters].  The factor is a ``models`` prior class, which owns its part:
 the adjoints here end at the factor's moments (weight logits, means and
@@ -399,10 +409,10 @@ def gmm_log_z_parts(mixture, m, v):
 
 
 def _mixture_precisions(mixture):
-    covs = mixture.covs
-    if not np.all(np.isfinite(covs)):
-        raise InvalidParameterError("mixture covariance contains non-finite entries")
-    return np.linalg.inv(covs)
+    try:
+        return np.linalg.inv(mixture.covs)
+    except np.linalg.LinAlgError:
+        raise InvalidParameterError("mixture covariance is singular") from None
 
 
 def _conditional_parts(mixture, m, v, z):
@@ -499,6 +509,9 @@ class FilterRecord:
     (T, d, d), and (T+1, d, d) Cholesky factors whose rows 0..T-1 factor x_t's
     conditional covariance given x_{t+1} and whose row T factors the last
     filtered covariance.
+
+    ``chols`` holds the dynamics' (2, d, d) factors ``dyn.chols`` that the
+    filter read, shared by a block; the reverse sweep's chain rule reuses them.
     """
 
     m: np.ndarray          # (T, d) pseudo-observation means
@@ -512,14 +525,20 @@ class FilterRecord:
     mu_filt: np.ndarray    # (T+1, d)
     p_filt: np.ndarray     # (T+1, d, d)
     log_z: object          # float; (B,) for a block
+    chols: Optional[np.ndarray] = None  # (2, d, d) initial and noise factors
     smoother: Optional[tuple] = None
 
     def block(self, rows):
         """The record of a block record's sequences ``rows`` (a slice): every
-        field but ``smoother``, which the slice computes afresh, sliced on
-        its first axis."""
+        per-sequence field sliced on its first axis, the shared ``chols`` as
+        they are, and no ``smoother``, which the slice computes afresh."""
         return FilterRecord(
-            **{f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "smoother"}
+            chols=self.chols,
+            **{
+                f.name: getattr(self, f.name)[rows]
+                for f in fields(self)
+                if f.name not in ("chols", "smoother")
+            },
         )
 
 
@@ -560,7 +579,8 @@ def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
     jittered factor; one that inverts keeps its own inverse in the gain even
     where its factor needs jitter, which then reaches only the
     log-determinant.  Returns ``p_pred``, ``chol_s``, ``s_inv``, ``gain``,
-    ``p_filt`` (T-row stacks, row t for step t + 1) and ``logdet_s`` as a dict.
+    ``p_filt`` (T-row stacks, row t for step t + 1), ``logdet_s``, and the
+    mean pass's drive A K_t and chain A (I - K_t C) (T-1 rows) as a dict.
     """
     t_len, obs_dim = obs_cov.shape[-3], obs_cov.shape[-1]
     d = trans.shape[0]
@@ -581,9 +601,11 @@ def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
         p_filt[..., t, :, :] = pf = pp - k @ _t(pc)
         pp = trans @ pf @ trans.T + noise_cov
     chol_s = _guarded_chol(s, "innovation covariance")
+    k_prev = gain[..., :-1, :, :]
     return dict(
         p_pred=p_pred, chol_s=chol_s, s_inv=s_inv, gain=gain, p_filt=p_filt,
         logdet_s=linalg.logdet_from_chol(chol_s),
+        drive=trans @ k_prev, chain=trans @ (np.eye(d) - k_prev @ emit),
     )
 
 
@@ -593,19 +615,20 @@ def kalman_means(cov, trans, mu1, y, emit):
     y (..., T, D), which may carry leading axes that ``cov`` broadcasts over.
 
     The predicted means are the linear chain
-    mu_{t+1|t} = A (I - K_t C) mu_{t|t-1} + A K_t y_t, one ``backward_chain``
-    call on time-reversed views.  Returns ``mu_pred``, ``resid``, ``mu_filt``
-    and ``log_z`` (one value per sequence) as a dict.
+    mu_{t+1|t} = A (I - K_t C) mu_{t|t-1} + A K_t y_t, with ``cov``'s chain
+    and drive, one ``backward_chain`` call on time-reversed views.  A ``cov``
+    that also holds ``chain_levels``, ``chain_levels`` of the time-reversed
+    chain, runs the chain through them.  Returns ``mu_pred``, ``resid``,
+    ``mu_filt`` and ``log_z`` (one value per sequence) as a dict.
     """
-    gain, d = cov["gain"], trans.shape[0]
-    mu_pred = np.empty(y.shape[:-1] + (d,))
+    mu_pred = np.empty(y.shape[:-1] + (trans.shape[0],))
     mu_pred[..., 0, :] = mu1
-    k_prev = gain[..., :-1, :, :]
-    mu_pred[..., 1:, :] = _mv(trans @ k_prev, y[..., :-1, :])
-    chain = trans @ (np.eye(d) - k_prev @ emit)
-    backward_chain(mu_pred[..., ::-1, :], chain[..., ::-1, :, :])
+    mu_pred[..., 1:, :] = _mv(cov["drive"], y[..., :-1, :])
+    backward_chain(
+        mu_pred[..., ::-1, :], cov["chain"][..., ::-1, :, :], None, cov.get("chain_levels")
+    )
     resid = y - mu_pred @ emit.T
-    mu_filt = mu_pred + _mv(gain, resid)
+    mu_filt = mu_pred + _mv(cov["gain"], resid)
     quad = np.sum(resid * _mv(cov["s_inv"], resid), axis=-1)
     log_z = -0.5 * np.sum(y.shape[-1] * LOG_2PI + cov["logdet_s"] + quad, axis=-1)
     return dict(mu_pred=mu_pred, resid=resid, mu_filt=mu_filt, log_z=log_z)
@@ -622,7 +645,8 @@ def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
     """
     cov = kalman_covariances(trans, noise_cov, p1, emit, obs_cov)
     out = dict(cov, **kalman_means(cov, trans, mu1, y, emit))
-    del out["logdet_s"]
+    for key in ("logdet_s", "drive", "chain"):
+        del out[key]
     return out
 
 
@@ -630,8 +654,10 @@ def lds_filter(dyn, m, v):
     """The model's forward pass over one (T, d) sequence or a (B, T, d) block:
     ``kalman_filter`` with identity emission and observation noise diag(v_t),
     started from the prediction of x_1 from the unobserved initial state x_0,
-    whose moments the record keeps as its filtered row 0."""
-    a, q, p0 = dyn.trans, dyn.noise_cov, dyn.init_cov
+    whose moments the record keeps as its filtered row 0.  The dynamics'
+    covariance factors are read once, and the record keeps them."""
+    a, chols = dyn.trans, dyn.chols
+    p0, q = chols @ _t(chols)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p0))):
         raise InvalidParameterError("dynamics covariances contain non-finite entries")
     lead, d = m.shape[:-2], m.shape[-1]
@@ -643,7 +669,7 @@ def lds_filter(dyn, m, v):
         out[key] = np.concatenate([head, out[key]], axis=-1 - first.ndim)
     if not lead:
         out["log_z"] = float(out["log_z"])
-    return FilterRecord(m=m, v=v, **out)
+    return FilterRecord(m=m, v=v, chols=chols, **out)
 
 
 def rts_gains(trans, p_filt, p_pred_next):
@@ -657,7 +683,41 @@ def rts_gains(trans, p_filt, p_pred_next):
     return j, pred_inv, p_filt - j @ p_pred_next @ _t(j)
 
 
-def backward_chain(x, j, right=None):
+# A shared-gain chain runs in doubling levels while one step's operands, the
+# k x k gain and the k x N columns, hold at most this many numbers.  There a
+# step costs about one numpy call whatever its size, so ceil(log2 R) stacked
+# calls beat R-1 small ones; past it the levels' extra products cost more.
+# Measured on a 2-vCPU host at R = 21: k = 2 doubles up to N = 126 and wins
+# to about N = 128; at k = 32 building the levels alone costs more than the
+# whole loop.
+DOUBLING_MAX_OPERANDS = 256
+
+
+def doubling_pays(k, n):
+    """Whether ``backward_chain`` runs shared k x k gains on n columns in
+    doubling levels."""
+    return k * (k + n) <= DOUBLING_MAX_OPERANDS
+
+
+def chain_levels(j):
+    """Doubling levels of shared gains ``j`` (R-1, k, k), for ``backward_chain``.
+
+    Level l, with s = 2^l, holds the R-s products
+    P_t = J_t J_{t+1} ... J_{t+s-1}: level 0 is ``j`` itself and
+    P^(l+1)_t = P^(l)_t P^(l)_{t+s}, one stacked product per level.  There
+    are ceil(log2 R) levels, none for R = 1.  The levels depend on the gains
+    alone, so a caller whose gains outlive one chain can keep them.
+    """
+    if not len(j):
+        return []
+    levels, s = [j], 1
+    while 2 * s <= len(j):
+        levels.append(levels[-1][:-s] @ levels[-1][s:])
+        s *= 2
+    return levels
+
+
+def backward_chain(x, j, right=None, levels=None):
     """X_t = X_t + J_t X_{t+1} R_t backward over time, in place.
 
     ``x`` holds (..., R, k) vector rows, or with ``right`` (..., R, k, m)
@@ -669,23 +729,39 @@ def backward_chain(x, j, right=None):
     covariances (R_t = J_t^T) and the filter reverse sweep.
 
     Vector rows with gains shared by the block, (R-1, k, k), fold every
-    leading axis of ``x`` into one column axis N: each step is one
-    (k, k) @ (k, N) product on an (R, k, N) view, or on a folded copy written
-    back where the leading axes are strided unevenly.  Other rows are
-    matrices (a vector is a (k, 1) column) broadcast against the gains'
-    leading axes.
+    leading axis of ``x`` into one column axis N, an (R, k, N) view (or a
+    folded copy written back where the leading axes are strided unevenly).
+    Where ``doubling_pays(k, N)`` they run in ceil(log2 R) doubling levels
+    instead of R-1 steps: level l, with s = 2^l, adds P^(l)_t X_{t+s} to
+    every row t < R-s as one stacked product, where P^(l) are
+    ``chain_levels(j)``, or ``levels`` when the caller keeps them.  After
+    level l each row holds the chain's terms from up to 2^(l+1) rows ahead,
+    so the last level leaves the chain's sum.
+
+    Every other chain runs the R-1-step loop, on matrices (a vector is a
+    (k, 1) column) broadcast against the gains' leading axes.  Large shared
+    gains or many columns make the levels' extra products cost more than the
+    loop's calls.  Per-sequence gains would need levels for every sequence,
+    and a two-sided chain its right gains' products too; both measured
+    slower than the loop, on blocks of 16 sequences and at d = 32.
     """
-    copied = False
+    copied = doubled = False
     if right is None and j.ndim == 3:
         folded = x.reshape((-1,) + x.shape[-2:])
         copied = not np.may_share_memory(folded, x)
         cols, gains = folded.transpose(1, 2, 0), j
+        doubled = doubling_pays(*cols.shape[1:])
     else:
         rows = x if right is not None else x[..., None]
         cols, gains = np.moveaxis(rows, -3, 0), np.moveaxis(j, -3, 0)
-    for t in range(gains.shape[0] - 1, -1, -1):
-        step = gains[t] @ cols[t + 1]
-        cols[t] += step if right is None else step @ right[..., t, :, :]
+    if doubled:
+        for level, p in enumerate(chain_levels(j) if levels is None else levels):
+            s = 1 << level
+            cols[:-s] += p @ cols[s:]
+    else:
+        for t in range(gains.shape[0] - 1, -1, -1):
+            step = gains[t] @ cols[t + 1]
+            cols[t] += step if right is None else step @ right[..., t, :, :]
     if copied:
         x[...] = folded.reshape(x.shape)
     return x
@@ -781,7 +857,7 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_a, log_z_we
         + _t(pp_b) @ a @ prev_pf,
         axis=0,
     )
-    return d_m, d_v, dyn.param_grad(a_b + ext_a, pp_b.sum(axis=0), mf_c, pf_c, dyn.chols)
+    return d_m, d_v, dyn.param_grad(a_b + ext_a, pp_b.sum(axis=0), mf_c, pf_c, record.chols)
 
 
 def lds_log_z_factor_grads(dyn, record):

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import expfam, linalg, nnet, updates
-from .errors import ContractError
+from .errors import ContractError, InvalidParameterError
 from .linalg import logsumexp
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -80,8 +80,14 @@ class GaussianMixture(_VectorParams):
 
     @property
     def covs(self):
-        chols = self.chols
-        return chols @ np.swapaxes(chols, -1, -2)
+        """(k, d, d) covariances; ones that overflow, from a raw vector or
+        its factor's product, raise InvalidParameterError without a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            chols = self.chols
+            covs = chols @ np.swapaxes(chols, -1, -2)
+        if not np.all(np.isfinite(covs)):
+            raise InvalidParameterError("mixture covariance contains non-finite entries")
+        return covs
 
     def log_weights(self):
         return self.logits - logsumexp(self.logits)

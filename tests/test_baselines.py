@@ -438,6 +438,30 @@ def test_memo_and_params_are_read_only():
         )
 
 
+def test_fitted_params_reuse_their_doubling_levels(monkeypatch):
+    """Once a length has been smoothed, filter and smooth calls at that length
+    build no doubling levels; a new length builds its mean chain's once.  The
+    cached levels, ceil(log2 T) per chain, are read-only."""
+    rng = np.random.default_rng(71)
+    params = random_lds_params(rng, 2, 3)
+    seqs = simulate(params, rng, 4, 9)
+    baselines.lds_em_smooth(params, seqs)
+    calls = []
+    levels = infnet.chain_levels
+    monkeypatch.setattr(infnet, "chain_levels", lambda j: calls.append(1) or levels(j))
+    for y in (seqs, seqs[1], seqs[:2], seqs[3]):
+        baselines.lds_em_filter(params, y)
+        baselines.lds_em_smooth(params, y)
+    assert calls == []
+    baselines.lds_em_filter(params, seqs[:, :5])
+    assert len(calls) == 1
+    cov = params._by_length[9]
+    assert len(cov["chain_levels"]) == len(cov["smooth_levels"]) == 4
+    for level in (*cov["chain_levels"], *cov["smooth_levels"]):
+        with pytest.raises(ValueError):
+            level[0, 0, 0] = 0.0
+
+
 def test_lds_em_contract_errors_keep_their_type():
     rng = np.random.default_rng(47)
     params = random_lds_params(rng, 1, 2)

@@ -1,7 +1,10 @@
-"""The benchmark script calls the package directly; keep every name it reads alive."""
+"""The benchmark script calls the package directly; keep every name it reads
+alive, and keep its self-test passing."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -34,3 +37,13 @@ def test_every_package_name_the_benchmark_reads_exists():
         if not hasattr(importlib.import_module(f"structvi.{mod}"), attr)
     ]
     assert missing == []
+
+
+def test_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` at its tiny sizes: every metric BENCHMARK.json
+    names is emitted, call counts repeat, and the listed workloads pass."""
+    proc = subprocess.run(
+        [sys.executable, str(RUN.parent / "selftest.py")],
+        cwd=RUN.parents[1], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -456,13 +457,31 @@ def test_divergence_checkpoints_last_good_state(tmp_path):
         eval_interval=40,
         timing=False,
     )
-    # The step sizes overflow the covariance factors on purpose.
-    with pytest.warns(RuntimeWarning):
+    # The step sizes overflow the covariance factors on purpose; the overflow
+    # is reported as an error, with no floating-point warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises((NumericalError, InvalidParameterError)):
             harness.train_structured(cfg, ds=ds, out_dir=str(tmp_path))
     state, _ = harness.load_state(str(tmp_path / "structured.ckpt"))
     rows = ds.rows[ds.test_idx]
     assert np.isfinite(harness.per_datum_bound(state, rows, seed=1))
+
+
+@pytest.mark.parametrize("kind", ["latent-gmm", "latent-tmm"])
+def test_diverging_mixture_run_fails_without_warning(kind):
+    """Plain sgd at the default step sizes diverges on a small pinwheel; the
+    run ends in InvalidParameterError, with no floating-point warning."""
+    raw = data.pinwheel(n_per_arm=40, arms=3, seed=0)
+    ds = data.standardize(data.split(raw, train_frac=0.7, seed=0))[0]
+    cfg = harness.TrainConfig(
+        model_kind=kind, n_components=3, hidden=(8,), batch_size=16, optimizer="sgd",
+        n_iters=200, seed=0, timing=False,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            harness.train_structured(cfg, ds=ds)
 
 
 # ---------------------------------------------------------------------------
@@ -1333,7 +1352,7 @@ def count_factor_work(monkeypatch):
 
 @pytest.mark.parametrize(
     "kind, want",
-    [("latent-lds", (5, 3, 3)), ("latent-gmm", (9, 2, 4)), ("latent-tmm", (9, 1, 4))],
+    [("latent-lds", (3, 3, 3)), ("latent-gmm", (9, 2, 4)), ("latent-tmm", (9, 1, 4))],
 )
 def test_train_step_factor_work_is_pinned(monkeypatch, kind, want):
     """Per step: raw-to-factor reads, Cholesky factorizations and raw-Cholesky

@@ -8,6 +8,8 @@ Oracles, written before the implementation and frozen here:
   - Monte Carlo moment checks with exact standard errors.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -143,6 +145,20 @@ class TestGmmLogZ:
         y = rng.standard_normal((3, 2))
         with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
             infnet.gmm_log_z(net, y)
+
+    @pytest.mark.parametrize("log_diag", [800.0, -800.0], ids=["overflow", "singular"])
+    def test_diverged_factor_fails_without_warning(self, log_diag):
+        """A raw log-diagonal of +800 overflows a component covariance and
+        -800 makes it singular: a draw raises InvalidParameterError and no
+        floating-point warning escapes."""
+        rng = np.random.default_rng(9)
+        net = make_gmm_net(rng, k=2, d=2, data_dim=2)
+        net.mixture.chol_raw[0, [0, 2]] = log_diag  # the two diagonal slots
+        y = rng.standard_normal((4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError):
+                net.draw(net.prepare(y), np.random.default_rng(0))
 
     def test_encoder_dim_mismatch(self):
         rng = np.random.default_rng(5)
@@ -567,6 +583,17 @@ class TestLdsBlock:
             net.replay(got, None, eps).x_star, net.replay(want, None, eps).x_star
         )
 
+    def test_block_slices_keep_the_shared_factors(self):
+        """Each block's record holds the dynamics' (2, d, d) covariance
+        factors whole, as a one-sequence record does: slicing does not cut
+        them."""
+        rng = np.random.default_rng(47)
+        net = make_lds_net(rng, d=2, data_dim=3)
+        blocks = [rng.standard_normal((n, 5, 3)) for n in (1, 2)]
+        want = net.dynamics.chols
+        for prep in (*net.prepare_blocks(blocks), net.prepare(blocks[1][0])):
+            np.testing.assert_array_equal(prep.record.chols, want)
+
     def test_stacked_blocks_share_one_length(self):
         rng = np.random.default_rng(46)
         net = make_lds_net(rng, d=2, data_dim=3)
@@ -806,6 +833,43 @@ class TestChainCore:
         outside = np.ones(base.shape, dtype=bool)
         outside[sel] = False
         assert np.array_equal(base[outside], before[outside])
+
+    DOUBLING_ROWS = [1, 2, 3, 4, 5, 8, 9, 16, 17, 21, 33]
+
+    @pytest.mark.parametrize("r", DOUBLING_ROWS)
+    def test_chain_levels_are_products_of_successive_gains(self, r):
+        """ceil(log2 R) levels; level l holds J_t ... J_{t+s-1}, s = 2^l."""
+        j = 0.5 * np.random.default_rng(35 + r).standard_normal((r - 1, 3, 3))
+        levels = infnet.chain_levels(j)
+        assert len(levels) == int(np.ceil(np.log2(r)))
+        for level, p in enumerate(levels):
+            s = 2**level
+            assert p.shape == (r - s, 3, 3)
+            for t in range(r - s):
+                want = np.linalg.multi_dot([np.eye(3), *j[t : t + s]])
+                np.testing.assert_allclose(p[t], want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [3, 16])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["backward", "reversed"])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    @pytest.mark.parametrize("r", DOUBLING_ROWS)
+    def test_doubling_matches_the_step_loop(self, r, lead, reverse, k):
+        """The shared-gain path, with its own levels and with levels passed
+        in, against the explicit loop; "reversed" runs a forward chain on
+        time-reversed views of x and the gains.  k = 3 doubles, k = 16 runs
+        the loop and ignores the levels.  Entries are O(1); the atol covers
+        the few that cancel to near 0 in a different summation order."""
+        assert infnet.doubling_pays(3, 6) and not infnet.doubling_pays(16, 1)
+        rng = np.random.default_rng(36 + r + len(lead) + k)
+        x = rng.standard_normal(lead + (r, k))
+        j = (0.5 if k == 3 else 0.2) * rng.standard_normal((r - 1, k, k))
+        want = self.chain_loop(x, j, forward=reverse)
+        gains = j[::-1] if reverse else j
+        for levels in (None, infnet.chain_levels(gains)):
+            got = x.copy()
+            view = got[..., ::-1, :] if reverse else got
+            assert infnet.backward_chain(view, gains, None, levels) is view
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("lead", [(), (2,), (5, 3)])
     def test_mv_shared_and_per_sequence_stacks(self, lead):
