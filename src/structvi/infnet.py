@@ -27,16 +27,19 @@ draws and replays; its adjoints take one sequence.  ``prepare_blocks``
 prepares several blocks; the dynamics network runs them through one filter,
 each with its own encoder pass and its slice of the record.
 
-The package's one Kalman filter, ``kalman_filter``, takes a dense emission.
-It is two passes: ``kalman_covariances``, which reads no observation (the
-covariances, gains, innovation factors and their log-determinants), then
+The package's one Kalman filter, ``kalman_filter``, takes a dense emission,
+or ``emit=None`` for the identity, whose products it skips.  It is two
+passes: ``kalman_covariances``, which reads no observation (the covariances,
+gains, innovation factors and their log-determinants), then
 ``kalman_means``, which runs the observations through them.  The dynamics
-factor's ``lds_filter`` runs both passes each time, with identity emission on
-the pseudo-observations (m_t, diag v_t), because its covariances depend on
-the encoder variances v.  ``baselines``' LDS-EM runs the covariance pass once
-per parameter set and length and a mean pass per call.  Both share the RTS
-gains and backward recursion.  The filter reverse sweep and the adjoints
-assume the identity emission.
+factor's ``lds_filter`` runs both passes each time, with ``emit=None`` on the
+pseudo-observations (m_t, diag v_t), because its covariances depend on the
+encoder variances v; multiplying finite numbers by I is exact, so its record
+is the one a dense identity would give.  ``baselines``' LDS-EM runs the
+covariance pass once per parameter set and length with its dense emission,
+and a mean pass per call.  Both share the RTS gains and backward recursion.
+The filter reverse sweep and the adjoints take ``lds_filter``'s records, so
+their emission is the identity.
 
 The dynamics factor has one Python loop over time with a nonlinear body:
 the covariance pass's recursion (predicted covariance, innovation, its
@@ -292,9 +295,9 @@ class LdsInferenceNet(ProductNet):
 
     def posterior_mean(self, prep):
         """Smoothed latent means of the prepared sequence or block, initial
-        state in row 0: the zero-noise reconstruction is exactly them."""
-        *lead, t_len, d = prep.m.shape
-        return self.replay(prep, None, np.zeros((*lead, t_len + 1, d))).x_star
+        state in row 0: the zero-noise reconstruction, which reads only the
+        RTS gains (see ``lds_reconstruct``)."""
+        return lds_reconstruct(self.dynamics, prep.record)
 
     def log_z_vjp(self, prep):
         return lds_log_z_factor_grads(self.dynamics, prep.record)
@@ -494,7 +497,7 @@ def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
 @dataclass
 class FilterRecord:
     """``kalman_filter`` pass over pseudo-observations (m_t, diag(v_t)) with
-    identity emission, as ``lds_filter`` runs it.
+    identity emission, ``emit=None``, as ``lds_filter`` runs it.
 
     Shapes are for one sequence; a filter run on a (B, T, d) block gives
     every array a leading B axis and ``log_z`` one value per sequence, so
@@ -508,7 +511,8 @@ class FilterRecord:
     on x_{t+1} (T, d, d), the inverse predicted covariances they use
     (T, d, d), and (T+1, d, d) Cholesky factors whose rows 0..T-1 factor x_t's
     conditional covariance given x_{t+1} and whose row T factors the last
-    filtered covariance.
+    filtered covariance.  The posterior mean (``lds_reconstruct`` without
+    noise) reads its gains when a draw has filled it, and never fills it.
 
     ``chols`` holds the dynamics' (2, d, d) factors ``dyn.chols`` that the
     filter read, shared by a block; the reverse sweep's chain rule reuses them.
@@ -567,45 +571,55 @@ def _t(mats):
 def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
     """The observation-free half of the Kalman forward pass for
     y_t = emit x_t + r_t, r_t ~ N(0, obs_cov[..., t]), from x_1's predicted
-    covariance p1, with x_{t+1} = trans x_t + noise.
+    covariance p1, with x_{t+1} = trans x_t + noise.  ``emit=None`` is the
+    identity (D = d): the loop skips its two products with it, and the chain
+    its product with the gains.
 
     Everything here takes the leading axes of ``obs_cov`` (..., T, D, D), so a
     noise shared by a block, passed as a broadcast (T, D, D) view, gives
     shared covariances.  The loop carries the covariance recursion only:
     predicted covariance, innovation S_t, one inverse of S_t, gain K_t and
-    filtered covariance.  After it, one guarded Cholesky call over the stack
-    of S_t gives the factors, their log-determinants and the non-finite/SPD
-    check.  An S_t that is exactly singular falls back to the inverse of its
-    jittered factor; one that inverts keeps its own inverse in the gain even
-    where its factor needs jitter, which then reaches only the
-    log-determinant.  Returns ``p_pred``, ``chol_s``, ``s_inv``, ``gain``,
-    ``p_filt`` (T-row stacks, row t for step t + 1), ``logdet_s``, and the
-    mean pass's drive A K_t and chain A (I - K_t C) (T-1 rows) as a dict.
+    filtered covariance, each step writing into its row of the returned
+    stacks, and no prediction past the last step, which nothing reads.  After
+    it, one guarded Cholesky call over the stack of S_t gives the factors,
+    their log-determinants and the non-finite/SPD check.  An S_t that is
+    exactly singular falls back to the inverse of its jittered factor; one
+    that inverts keeps its own inverse in the gain even where its factor
+    needs jitter, which then reaches only the log-determinant.  Returns
+    ``p_pred``, ``chol_s``, ``s_inv``, ``gain``, ``p_filt`` (T-row stacks,
+    row t for step t + 1), ``logdet_s``, and the mean pass's drive A K_t and
+    chain A (I - K_t C) (T-1 rows) as a dict.
     """
     t_len, obs_dim = obs_cov.shape[-3], obs_cov.shape[-1]
     d = trans.shape[0]
     covs = obs_cov.shape[:-2]
     p_pred, p_filt, gain = (np.zeros(covs + (d, n)) for n in (d, d, obs_dim))
     s, s_inv = (np.zeros(covs + (obs_dim, obs_dim)) for _ in range(2))
-    pp = p1
+    # time-major views: step t reads and writes row t of every stack
+    pp_t, pf_t, k_t, s_t, si_t, r_t = (
+        np.moveaxis(a, -3, 0) for a in (p_pred, p_filt, gain, s, s_inv, obs_cov)
+    )
+    pp_t[:1] = p1
     for t in range(t_len):
-        p_pred[..., t, :, :] = pp
-        pc = pp @ emit.T
-        s[..., t, :, :] = st = emit @ pc + obs_cov[..., t, :, :]
+        pp = pp_t[t]
+        pc = pp if emit is None else pp @ emit.T
+        st = np.add(pc if emit is None else emit @ pc, r_t[t], out=s_t[t])
         try:
             si = np.linalg.inv(st)
         except np.linalg.LinAlgError:
             si = linalg.inv_from_chol(_guarded_chol(st, "innovation covariance"))
-        s_inv[..., t, :, :] = si
-        gain[..., t, :, :] = k = pc @ si
-        p_filt[..., t, :, :] = pf = pp - k @ _t(pc)
-        pp = trans @ pf @ trans.T + noise_cov
+        si_t[t] = si
+        k = np.matmul(pc, si, out=k_t[t])
+        pf = np.subtract(pp, k @ _t(pc), out=pf_t[t])
+        if t + 1 < t_len:
+            np.add(trans @ pf @ trans.T, noise_cov, out=pp_t[t + 1])
     chol_s = _guarded_chol(s, "innovation covariance")
     k_prev = gain[..., :-1, :, :]
     return dict(
         p_pred=p_pred, chol_s=chol_s, s_inv=s_inv, gain=gain, p_filt=p_filt,
         logdet_s=linalg.logdet_from_chol(chol_s),
-        drive=trans @ k_prev, chain=trans @ (np.eye(d) - k_prev @ emit),
+        drive=trans @ k_prev,
+        chain=trans @ (np.eye(d) - (k_prev if emit is None else k_prev @ emit)),
     )
 
 
@@ -616,7 +630,8 @@ def kalman_means(cov, trans, mu1, y, emit):
 
     The predicted means are the linear chain
     mu_{t+1|t} = A (I - K_t C) mu_{t|t-1} + A K_t y_t, with ``cov``'s chain
-    and drive, one ``backward_chain`` call on time-reversed views.  A ``cov``
+    and drive, one ``backward_chain`` call on time-reversed views;
+    ``emit=None``, as in ``kalman_covariances``, skips C mu_pred.  A ``cov``
     that also holds ``chain_levels``, ``chain_levels`` of the time-reversed
     chain, runs the chain through them.  Returns ``mu_pred``, ``resid``,
     ``mu_filt`` and ``log_z`` (one value per sequence) as a dict.
@@ -627,7 +642,7 @@ def kalman_means(cov, trans, mu1, y, emit):
     backward_chain(
         mu_pred[..., ::-1, :], cov["chain"][..., ::-1, :, :], None, cov.get("chain_levels")
     )
-    resid = y - mu_pred @ emit.T
+    resid = y - (mu_pred if emit is None else mu_pred @ emit.T)
     mu_filt = mu_pred + _mv(cov["gain"], resid)
     quad = np.sum(resid * _mv(cov["s_inv"], resid), axis=-1)
     log_z = -0.5 * np.sum(y.shape[-1] * LOG_2PI + cov["logdet_s"] + quad, axis=-1)
@@ -638,8 +653,9 @@ def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
     """Kalman forward pass from x_1's predicted moments (mu1, p1): the
     covariance pass ``kalman_covariances`` then the mean pass
     ``kalman_means``.  Means take the leading axes of ``y`` (..., T, D),
-    covariances those of ``obs_cov`` (..., T, D, D).  ``lds_filter`` runs
-    both passes on every call, since its noise comes from the encoder.
+    covariances those of ``obs_cov`` (..., T, D, D); ``emit=None`` is the
+    identity emission.  ``lds_filter`` runs both passes on every call, with
+    ``emit=None``, since its noise comes from the encoder.
     Returns the ``FilterRecord`` fields as a dict of T-row arrays (row t for
     step t + 1), ``log_z`` one value per sequence.
     """
@@ -652,18 +668,17 @@ def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
 
 def lds_filter(dyn, m, v):
     """The model's forward pass over one (T, d) sequence or a (B, T, d) block:
-    ``kalman_filter`` with identity emission and observation noise diag(v_t),
-    started from the prediction of x_1 from the unobserved initial state x_0,
-    whose moments the record keeps as its filtered row 0.  The dynamics'
-    covariance factors are read once, and the record keeps them."""
-    a, chols = dyn.trans, dyn.chols
-    p0, q = chols @ _t(chols)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p0))):
-        raise InvalidParameterError("dynamics covariances contain non-finite entries")
+    ``kalman_filter`` with identity emission (``emit=None``) and observation
+    noise diag(v_t), started from the prediction of x_1 from the unobserved
+    initial state x_0, whose moments the record keeps as its filtered row 0.
+    The dynamics' covariance factors are read once (``dyn.factors``, which
+    raises on overflow), and the record keeps them."""
+    a = dyn.trans
+    chols, (p0, q) = dyn.factors()
     lead, d = m.shape[:-2], m.shape[-1]
     v_diag = np.zeros(v.shape + (d,))
     v_diag[..., np.arange(d), np.arange(d)] = v
-    out = kalman_filter(a, q, dyn.init_mean @ a.T, a @ p0 @ a.T + q, m, np.eye(d), v_diag)
+    out = kalman_filter(a, q, dyn.init_mean @ a.T, a @ p0 @ a.T + q, m, None, v_diag)
     for key, first in (("mu_filt", dyn.init_mean), ("p_filt", p0)):
         head = np.broadcast_to(first, lead + (1,) + first.shape)
         out[key] = np.concatenate([head, out[key]], axis=-1 - first.ndim)
@@ -785,24 +800,35 @@ def _smoother_factors(dyn, record):
     return record.smoother[1:]
 
 
-def lds_reconstruct(dyn, record, eps):
+def lds_reconstruct(dyn, record, eps=None):
     """Backward-sampling pass as a deterministic map of the noise block.
 
     ``eps`` has shape (..., T+1, d), where ``...`` ends with the record's
     block axis, if any; row t is consumed for x_t.  Returns latents with the
     initial state in row 0.  The offsets mu_filt - J mu_pred + chol eps are
     one stacked call; the loop keeps only x_t = offset_t + J_t x_{t+1}.
+
+    ``eps=None`` is the zero-noise map, the smoothed means.  It needs only
+    the RTS gains J: those of the record's ``smoother`` when a draw has
+    built it, else ``rts_gains``' alone, with no conditional factors and no
+    product with a zero noise block.  Its result equals that of zero noise.
     """
     t_len = record.m.shape[-2]
-    j, _, chol = _smoother_factors(dyn, record)
-    x = record.mu_filt + _mv(chol, eps)
+    if eps is not None:
+        j, _, chol = _smoother_factors(dyn, record)
+        x = record.mu_filt + _mv(chol, eps)
+    elif record.smoother is not None and record.smoother[0] is dyn:
+        j, x = record.smoother[1], record.mu_filt.copy()
+    else:
+        j = rts_gains(dyn.trans, record.p_filt[..., :-1, :, :], record.p_pred)[0]
+        x = record.mu_filt.copy()
     x[..., :t_len, :] -= _mv(j, record.mu_pred)
     return backward_chain(x, j)
 
 
 def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_a, log_z_weight):
     """Reverse sweep of a single-sequence ``lds_filter`` pass, whose emission
-    is the identity (``kalman_filter`` with emit = I).
+    is the identity (``kalman_filter`` with ``emit=None``).
 
     Carries the externally injected adjoints of the filtered moments
     (``ext_mf``, ``ext_pf``, (T+1, ...)), predicted moments (``ext_mp``,

@@ -129,11 +129,6 @@ def raw_from_spd(mat):
     return raw_from_tril(np.linalg.cholesky(symmetrize(np.asarray(mat, dtype=float))))
 
 
-def spd_from_raw(raw, d):
-    chol = tril_from_raw(raw, d)
-    return chol @ np.swapaxes(chol, -1, -2)
-
-
 def tril_raw_vjp(chol, grad_mat):
     """Pull a full-matrix adjoint of M = L L^T back to the raw vector of L.
 

@@ -224,17 +224,34 @@ class LinearDynamics(_VectorParams):
 
     @property
     def noise_cov(self):
-        return linalg.spd_from_raw(self.noise_raw, self.dim)
+        return self.factors()[1][1]
 
     @property
     def init_cov(self):
-        return linalg.spd_from_raw(self.init_raw, self.dim)
+        return self.factors()[1][0]
 
     @property
     def chols(self):
         """(2, d, d) Cholesky factors of the initial and the transition-noise
-        covariance, read from their raw vectors in one call."""
-        return linalg.tril_from_raw(np.stack([self.init_raw, self.noise_raw]), self.dim)
+        covariance, read from their raw vectors in one call.  A raw
+        log-diagonal past exp's range raises InvalidParameterError without a
+        warning; a zero diagonal (a -inf one, a rank-deficient covariance)
+        passes."""
+        with np.errstate(over="ignore"):
+            chols = linalg.tril_from_raw(np.stack([self.init_raw, self.noise_raw]), self.dim)
+        if not np.isfinite(chols).all():
+            raise InvalidParameterError("dynamics covariance factors contain non-finite entries")
+        return chols
+
+    def factors(self):
+        """``chols`` and the (2, d, d) covariances they factor, which raise
+        InvalidParameterError without a warning where they overflow."""
+        chols = self.chols
+        with np.errstate(over="ignore"):
+            covs = chols @ np.swapaxes(chols, -1, -2)
+        if not np.isfinite(covs).all():
+            raise InvalidParameterError("dynamics covariances contain non-finite entries")
+        return chols, covs
 
     def param_grad(self, g_trans, g_noise_cov, g_init_mean, g_init_cov, chols):
         """Parameter-vector gradient from the gradients with respect to the
@@ -245,15 +262,24 @@ class LinearDynamics(_VectorParams):
 
     def _log_prior_parts(self, x):
         """Log density of a latent array, its transition residuals, and
-        ``chols``, which the gradients share."""
+        ``chols``, which the gradients share.  A factor with a zero diagonal
+        has no density, and a density that overflows (a factor near
+        singular, a huge residual) has none in floating point: both raise
+        InvalidParameterError without a warning."""
         d = self.dim
         if x.shape[-2] < 2:
             raise ContractError("dynamics prior needs at least one transition")
         chols = self.chols
         init = x[..., :1, :].reshape(-1, d)
-        val = float(_gaussian_logpdf(init, self.init_mean, chols[0]).sum())
         resid = x[..., 1:, :] - x[..., :-1, :] @ self.trans.T
-        val += float(_gaussian_logpdf(resid.reshape(-1, d), np.zeros(d), chols[1]).sum())
+        try:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                val = float(_gaussian_logpdf(init, self.init_mean, chols[0]).sum())
+                val += float(_gaussian_logpdf(resid.reshape(-1, d), np.zeros(d), chols[1]).sum())
+        except np.linalg.LinAlgError:
+            val = math.nan
+        if not math.isfinite(val):
+            raise InvalidParameterError("dynamics log prior is not finite: singular or overflows")
         return val, resid, chols
 
     def log_prior(self, x):

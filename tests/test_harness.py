@@ -484,6 +484,24 @@ def test_diverging_mixture_run_fails_without_warning(kind):
             harness.train_structured(cfg, ds=ds)
 
 
+@pytest.mark.parametrize("beta", [1e-3, 1e-4])
+def test_diverging_dynamics_run_fails_without_warning(beta):
+    """Plain sgd at beta2 = beta3 = 1e-3 or 1e-4 diverges on the benchmark's
+    dots data within 10 steps; the run ends in InvalidParameterError, with
+    no floating-point warning."""
+    raw = data.dot_sequences(50, 20, 10, noise_std=0.05, seed=3)
+    ds = data.standardize(data.split(raw, seed=3))[0]
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(50, 50), seq_len=20,
+        optimizer="sgd", beta2=beta, beta3=beta, n_iters=10, eval_interval=10,
+        seed=3, timing=False,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            harness.train_structured(cfg, ds=ds)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint round trips
 
@@ -1370,6 +1388,22 @@ def test_train_step_factor_work_is_pinned(monkeypatch, kind, want):
     counts = count_factor_work(monkeypatch)
     harness.train_step(state, cfg, batch, units.shape[0], np.random.default_rng(0))
     assert tuple(counts[name] for name in FACTOR_WORK) == want
+
+
+def test_evaluation_factor_work_is_pinned(monkeypatch):
+    """One dynamics evaluation of both blocks: one covariance pass for the
+    two, whose innovation factors are one Cholesky call; the bound's draw
+    factors the test block's smoother (two more); the imputation's posterior
+    mean reads only smoother gains and factors nothing."""
+    state, ds = lds_eval_state()
+    counts = count_factor_work(monkeypatch)
+    passes = []
+    covariances = infnet.kalman_covariances
+    monkeypatch.setattr(
+        infnet, "kalman_covariances", lambda *a: passes.append(1) or covariances(*a)
+    )
+    harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
+    assert counts["cholesky_spd"] == 3 and len(passes) == 1
 
 
 def test_dynamics_generate_uses_the_stored_factors(monkeypatch):

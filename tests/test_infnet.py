@@ -8,6 +8,7 @@ Oracles, written before the implementation and frozen here:
   - Monte Carlo moment checks with exact standard errors.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -885,3 +886,117 @@ class TestChainCore:
                 infnet._mv(mats, vec), np.einsum("...tij,...tj->...ti", mats, vec),
                 rtol=1e-12, atol=0,
             )
+
+
+class TestIdentityEmission:
+    """``emit=None`` skips the identity's products and changes no bit: the
+    covariance and mean passes, every ``lds_filter`` record field, and the
+    posterior mean, which reads only the smoother gains."""
+
+    @staticmethod
+    def case(d, lead):
+        return TestLdsStackedParity.case(80 + d + len(lead), 6, d, lead)
+
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_kalman_passes(self, d, lead):
+        rng, dyn, m, v = self.case(d, lead)
+        a, q = dyn.trans, dyn.noise_cov
+        p1 = a @ dyn.init_cov @ a.T + q
+        obs_cov = v[..., None] * np.eye(d)
+        mu1 = rng.standard_normal(d)
+        got = infnet.kalman_covariances(a, q, p1, None, obs_cov)
+        want = infnet.kalman_covariances(a, q, p1, np.eye(d), obs_cov)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+        got = infnet.kalman_means(got, a, mu1, m, None)
+        want = infnet.kalman_means(want, a, mu1, m, np.eye(d))
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lds_filter_record(self, monkeypatch, d, lead):
+        _, dyn, m, v = self.case(d, lead)
+        got = infnet.lds_filter(dyn, m, v)
+        kalman_filter = infnet.kalman_filter
+
+        def dense_identity(*args):
+            assert args[5] is None
+            return kalman_filter(*args[:5], np.eye(d), *args[6:])
+
+        monkeypatch.setattr(infnet, "kalman_filter", dense_identity)
+        want = infnet.lds_filter(dyn, m, v)
+        for field in dataclasses.fields(infnet.FilterRecord):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-smoother", "smoother"])
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_posterior_mean_is_the_zero_noise_draw(self, monkeypatch, lead, cached):
+        """Equal to the zero-noise replay; it factors nothing and leaves the
+        record's smoother as it found it."""
+        rng = np.random.default_rng(85)
+        net = make_lds_net(rng, d=2, data_dim=3)
+        prep = net.prepare(rng.standard_normal(lead + (6, 3)))
+        if cached:
+            net.draw(prep, np.random.default_rng(86))
+        smoother = prep.record.smoother
+        calls = []
+        chol = linalg.cholesky_spd
+        monkeypatch.setattr(linalg, "cholesky_spd", lambda *a: calls.append(a) or chol(*a))
+        got = net.posterior_mean(prep)
+        assert calls == [] and prep.record.smoother is smoother
+        want = net.replay(prep, None, np.zeros(lead + (7, 2))).x_star
+        assert np.array_equal(got, want)
+
+
+class TestDivergedDynamics:
+    """A raw log-diagonal of +800 overflows a dynamics covariance and -800
+    zeroes its factor's diagonal.  Overflow raises InvalidParameterError
+    wherever the factors are read, a vanishing diagonal in the log prior,
+    and no floating-point warning escapes.  The filter and the sampler accept a zero
+    diagonal, a rank-deficient covariance."""
+
+    CALLS = {
+        "lds_filter": lambda dyn, x: infnet.lds_filter(dyn, x[1:], np.ones_like(x[1:])),
+        "log_prior": lambda dyn, x: dyn.log_prior(x),
+        "log_prior_with_grads": lambda dyn, x: dyn.log_prior_with_grads(x),
+        "sample": lambda dyn, x: dyn.sample(np.random.default_rng(0), 3, 5),
+    }
+
+    @staticmethod
+    def diverged(field, log_diag):
+        rng = np.random.default_rng(87)
+        dyn = make_lds_net(rng, d=2, data_dim=3).dynamics
+        raw = getattr(dyn, field).copy()
+        raw[[0, 2]] = log_diag  # the two diagonal slots
+        return dataclasses.replace(dyn, **{field: raw}), rng.standard_normal((6, 2))
+
+    @staticmethod
+    def run(call, dyn, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return TestDivergedDynamics.CALLS[call](dyn, x)
+
+    @pytest.mark.parametrize("field", ["noise_raw", "init_raw"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_overflow_raises(self, call, field):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            self.run(call, *self.diverged(field, 800.0))
+
+    @pytest.mark.parametrize("log_diag", [-800.0, -400.0], ids=["zero", "tiny"])
+    @pytest.mark.parametrize("field", ["noise_raw", "init_raw"])
+    @pytest.mark.parametrize("call", ["log_prior", "log_prior_with_grads"])
+    def test_vanishing_factor_raises_in_the_log_prior(self, call, field, log_diag):
+        """-400 leaves a diagonal of about 1e-174, whose density overflows."""
+        with pytest.raises(InvalidParameterError, match="log prior is not finite"):
+            self.run(call, *self.diverged(field, log_diag))
+
+    @pytest.mark.parametrize("field", ["noise_raw", "init_raw"])
+    @pytest.mark.parametrize("call", ["lds_filter", "sample"])
+    def test_filter_and_sampler_take_a_zero_diagonal(self, call, field):
+        out = self.run(call, *self.diverged(field, -800.0))
+        arrays = [out.mu_filt, out.p_filt, out.log_z] if call == "lds_filter" else [out[0]]
+        assert all(np.all(np.isfinite(a)) for a in arrays)

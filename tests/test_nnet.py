@@ -4,6 +4,8 @@ The gradient oracle is central finite differences of a random linear
 functional of (mean, var) with step 1e-6.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -167,3 +169,73 @@ class TestShapesAndSampling:
         vec = nnet.param_vector(net)
         back = nnet.param_vector(nnet.set_param_vector(net, vec + 1.0))
         np.testing.assert_allclose(back, vec + 1.0)
+
+
+def out_of_place_forward(net, x):
+    """``nnet.forward``'s arithmetic with a fresh array for every product,
+    bias add and activation; returns (mean, var, post, var_softplus) on the
+    (n, in) view of ``x``."""
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    activations = {
+        "tanh": np.tanh, "softplus": nnet._softplus,
+        "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z,
+    }
+    post = []
+    for layer in net.layers[:-1]:
+        h = activations[layer.activation](h @ layer.weight.T + layer.bias)
+        post.append(h)
+    raw = h @ net.layers[-1].weight.T + net.layers[-1].bias
+    d = net.head.dim
+    var_softplus = nnet._softplus(raw[:, d:])
+    var = np.minimum(var_softplus + net.head.var_floor, net.head.var_cap)
+    return raw[:, :d], var, post, var_softplus
+
+
+class TestInPlaceLayers:
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("act", ["tanh", "relu", "identity", "softplus"])
+    def test_forward_equals_out_of_place_layers(self, act, rows):
+        """Bit for bit: mean, var and every tape entry, and the input is left
+        as it was.  ``rows=None`` is a 1-D input."""
+        rng = np.random.default_rng(31)
+        net = nnet.init_mlp([3, 6, 5, 8], [act, act], rng)
+        for layer in net.layers:
+            layer.bias = rng.standard_normal(layer.bias.shape)
+        x = 3.0 * rng.standard_normal(3 if rows is None else (rows, 3))
+        before = x.copy()
+        mean, var, tape = nnet.forward(net, x)
+        want_mean, want_var, want_post, want_sp = out_of_place_forward(net, x)
+        if rows is None:
+            want_mean, want_var = want_mean[0], want_var[0]
+        assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
+        assert np.array_equal(tape.x, np.atleast_2d(x))
+        assert len(tape.post) == len(want_post)
+        assert all(np.array_equal(a, b) for a, b in zip(tape.post, want_post))
+        assert np.array_equal(tape.var_softplus, want_sp)
+        assert tape.squeeze == (rows is None)
+        assert np.array_equal(x, before)
+
+
+class TestSoftplus:
+    POINTS = (0.0, 1e-300, 1e-8, 1.0, 36.7, 709.8, 745.2, 800.0)
+
+    def test_within_4_ulp_of_logaddexp(self):
+        """At +-POINTS and on 1e5 normal draws at each of four scales."""
+        rng = np.random.default_rng(32)
+        x = np.concatenate(
+            [np.array(self.POINTS), -np.array(self.POINTS)]
+            + [scale * rng.standard_normal(100_000) for scale in (0.1, 1.0, 30.0, 300.0)]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nnet._softplus(x)
+        want = np.logaddexp(0.0, x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_infinities_and_nan(self):
+        x = np.array([np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nnet._softplus(x)
+        assert np.array_equal(got, np.logaddexp(0.0, x)) and np.array_equal(got, [np.inf, 0.0])
+        assert np.isnan(nnet._softplus(np.array([np.nan]))).all()
