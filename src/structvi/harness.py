@@ -12,6 +12,8 @@ Priors score and draw themselves and networks give posterior means, so the
 harness holds no per-family code: the model kind names a point-prior class
 (``POINT_PRIORS``), and the network's factor says whether data units are rows
 or sequences (``_units``) and gives a point or fixed prior its parameters.
+The held-out tasks (bound, imputation, tau-ahead) have one implementation,
+``_scores``, which ``evaluate``, the metrics log and each task function call.
 
 Metrics logs are delimited text, one row per evaluation, header first.  All
 randomness flows from the config seed through dedicated generators, so a rerun
@@ -419,121 +421,109 @@ def _units(net, rows, seq_len):
     return np.asarray(rows, dtype=float)
 
 
-def _shared_preps(state, seq_len, *rows):
-    """The network's prepared pass over the units of each of ``rows``, None
-    for an absent or empty one; a dynamics network runs them all through one
-    filter.  ``prepare`` is deterministic, so one pass serves every task that
-    reads its block."""
-    present = [i for i, r in enumerate(rows) if r is not None and r.shape[0]]
-    out = [None] * len(rows)
-    blocks = [_units(state.net, rows[i], seq_len) for i in present]
-    for i, prep in zip(present, state.net.prepare_blocks(blocks) if blocks else ()):
-        out[i] = prep
-    return out
-
-
-def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2, prep=None):
-    """Average per-row bound estimate under the evaluation-point parameters.
-
-    One ``bound.bound_estimate`` call scores the rows' units (rows, or every
-    sequence of a dynamics model as one block) with all ``n_samples`` draws
-    stacked.  ``prep`` is the network's prepared pass over the units when the
-    caller has it.
-    """
-    model = models.GenerativeModel(decoder=eval_decoder(state), prior=eval_prior(state))
-    est = bound.bound_estimate(
-        model, state.net, _units(state.net, rows, seq_len), np.random.default_rng(seed),
-        n_samples=n_samples, prep=prep,
-    )
-    return est.total / rows.shape[0]
-
-
 def _masked(rows, fraction, seed):
     """The imputation mask over ``rows``, and the rows with it zeroed."""
     mask = np.random.default_rng(seed).random(rows.shape) < fraction
     return mask, np.where(mask, 0.0, rows)
 
 
-def imputation_mse(state, rows, seq_len=0, fraction=IMPUTATION_FRACTION, seed=0, prep=None):
-    """Mask a random fraction of entries, reconstruct from the posterior mean.
+def _scores(state, seq_len, seed, jobs, n_samples=2, fraction=IMPUTATION_FRACTION):
+    """The one implementation of the evaluation tasks: ``{name: value}`` for
+    named jobs ``(task, rows, taus)`` under the evaluation-point parameters.
 
-    A dynamics model smooths all the rows' sequences in one pass and decodes
-    them as one stack of rows.  ``prep`` is the network's prepared pass over
-    the units of the masked rows (``_masked(rows, fraction, seed)``) when the
-    caller has it.
-    """
-    rows = np.asarray(rows, dtype=float)
-    shape = _units(state.net, rows, seq_len).shape
-    mask, filled = _masked(rows, fraction, seed)
-    if not mask.any():
-        return 0.0
-    prep = state.net.prepared(filled.reshape(shape), prep)
-    latent = state.net.posterior_mean(prep)[..., state.net.lead_rows :, :]
-    recon, _, _ = nnet.forward(eval_decoder(state), latent.reshape(-1, latent.shape[-1]))
-    return float(np.mean((recon[mask] - rows[mask]) ** 2))
+    ``bound`` is the per-row bound estimate with ``n_samples`` draws stacked;
+    ``imputation`` zeroes a random ``fraction`` of the entries and scores
+    their posterior-mean reconstruction; ``tau-ahead`` maps each of ``taus``
+    to the error of the filtered means rolled tau steps by the prior
+    dynamics and decoded.  Each task draws from a fresh generator on
+    ``seed``.  Jobs on the same rows share a pass: one ``prepare_blocks``
+    call, one filter for a dynamics network, prepares each distinct block
+    (a masked one per imputation job) in job order."""
+    net = state.net
+    if any(task == "tau-ahead" for task, _, _ in jobs.values()):
+        if not net.lead_rows:
+            raise ContractError("tau-ahead forecasting needs a dynamics model")
+        if not seq_len:
+            raise ContractError("tau-ahead forecasting needs the data set's sequence length")
+    units, masks = {}, {}  # by (masked, id(rows)); a job's rows are held, so ids are unique
+    for task, rows, _ in jobs.values():
+        key = (task == "imputation", id(rows))
+        if key not in units:
+            if key[0]:
+                masks[key], rows = _masked(rows, fraction, seed)
+            units[key] = _units(net, rows, seq_len)
+    present = [key for key, block in units.items() if block.shape[0]]
+    preps = dict(zip(present, net.prepare_blocks([units[k] for k in present]) if present else ()))
+    model = models.GenerativeModel(decoder=eval_decoder(state), prior=eval_prior(state))
+
+    out = {}
+    for name, (task, rows, taus) in jobs.items():
+        key = (task == "imputation", id(rows))
+        block, prep, mask = units[key], preps.get(key), masks.get(key)
+        if task == "bound":
+            rng = np.random.default_rng(seed)
+            est = bound.bound_estimate(model, net, block, rng, n_samples=n_samples, prep=prep)
+            out[name] = est.total / rows.shape[0]
+        elif task == "imputation" and not mask.any():
+            out[name] = 0.0
+        elif task == "imputation":
+            latent = net.posterior_mean(net.prepared(block, prep))[..., net.lead_rows :, :]
+            recon, _, _ = nnet.forward(model.decoder, latent.reshape(-1, latent.shape[-1]))
+            out[name] = float(np.mean((recon[mask] - rows[mask]) ** 2))
+        else:
+            filtered = net.prepared(block, prep).record.mu_filt[:, 1:]
+            out[name] = {}
+            for tau in taus:
+                if not 0 <= tau < block.shape[1]:
+                    raise ContractError("tau must lie in [0, T)")
+                pred = models.forecast_means(filtered, model.prior.trans, tau)
+                mean, _, _ = nnet.forward(model.decoder, pred.reshape(-1, pred.shape[-1]))
+                err = np.abs(block[:, tau:] - mean.reshape(*pred.shape[:-1], -1))
+                out[name][tau] = float(np.mean(err))
+    return out
 
 
-def tau_ahead_mae(state, seqs, tau, prep=None):
-    """Forecast error: filter the posterior, roll the generative mean, decode.
+def per_datum_bound(state, rows, seq_len=0, seed=0, n_samples=2):
+    """Average per-row bound estimate of ``rows`` (rows, or every sequence of
+    a dynamics model as one block): a one-job call of ``_scores``."""
+    return _scores(state, seq_len, seed, {"b": ("bound", rows, None)}, n_samples=n_samples)["b"]
 
-    The filtered mean at time t uses observations up to t only; the prior
-    dynamics propagate it tau steps; the decoder emits the prediction.  The
-    average runs over sequences, valid origins, and observed coordinates.
-    All sequences go through one filter and one decoder pass; ``prep`` is
-    the network's prepared block of ``seqs`` when the caller has it, and
-    must cover them.
-    """
-    if not state.net.lead_rows:
-        raise ContractError("tau-ahead forecasting needs a dynamics model")
+
+def imputation_mse(state, rows, seq_len=0, fraction=IMPUTATION_FRACTION, seed=0):
+    """Mask a random fraction of entries, reconstruct from the posterior mean:
+    a one-job call of ``_scores``.  A dynamics model smooths all the rows'
+    sequences in one pass and decodes them as one stack of rows."""
+    jobs = {"mse": ("imputation", np.asarray(rows, dtype=float), None)}
+    return _scores(state, seq_len, seed, jobs, fraction=fraction)["mse"]
+
+
+def tau_ahead_mae(state, seqs, tau):
+    """Forecast error of one (T, D) sequence or an (n, T, D) block: filter
+    the posterior, roll the generative mean tau steps, decode; a one-job
+    call of ``_scores``, with one filter and one decoder pass."""
     seqs = np.asarray(seqs, dtype=float)
-    if seqs.ndim == 2:
-        seqs = seqs[None, :, :]
-    t_len = seqs.shape[1]
-    if not 0 <= tau < t_len:
-        raise ContractError("tau must lie in [0, T)")
-    record = state.net.prepared(seqs, prep).record
-    pred = models.forecast_means(record.mu_filt[:, 1:], eval_prior(state).trans, tau)
-    mean, _, _ = nnet.forward(eval_decoder(state), pred.reshape(-1, pred.shape[-1]))
-    return float(np.mean(np.abs(seqs[:, tau:] - mean.reshape(seqs[:, tau:].shape))))
+    jobs = {"mae": ("tau-ahead", seqs.reshape(-1, seqs.shape[-1]), (tau,))}
+    return _scores(state, seqs.shape[-2], 0, jobs)["mae"][tau]
 
 
 def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
     """Run the requested evaluation tasks on the dataset's test split.
 
-    Every block the tasks read is prepared once: the test block, which
-    ``bound`` and every tau of ``tau-ahead`` share, and the masked test block
-    of ``imputation``; a dynamics model prepares both through one filter.
+    ``bound``, ``tau-ahead`` (at each of ``taus``) and ``imputation`` are
+    jobs of one ``_scores`` call on the test rows, which prepares the test
+    block and its masked copy once for them all; ``sample-dump`` draws
+    ``n_draws`` samples from the generative model.
     """
-    out = {}
     test_rows = ds.rows[ds.test_idx] if ds.test_idx is not None else ds.rows
-    seq_len = ds.seq_len or 0
-    if "tau-ahead" in tasks:
-        if not state.net.lead_rows:
-            raise ContractError("tau-ahead forecasting needs a dynamics model")
-        if not seq_len:
-            raise ContractError("tau-ahead forecasting needs the data set's sequence length")
-    test_prep, masked_prep = _shared_preps(
-        state, seq_len,
-        test_rows if "bound" in tasks or "tau-ahead" in tasks else None,
-        _masked(test_rows, IMPUTATION_FRACTION, seed)[1] if "imputation" in tasks else None,
-    )
-
+    keys = {"bound": "bound", "tau-ahead": "tau_mae", "imputation": "imputation_mse"}
+    jobs = {key: (task, test_rows, taus) for task, key in keys.items() if task in tasks}
+    scores = _scores(state, ds.seq_len or 0, seed, jobs)
+    out = {}
     for task in tasks:
-        if task == "bound":
-            out["bound"] = per_datum_bound(
-                state, test_rows, seq_len=seq_len, seed=seed, prep=test_prep
-            )
-        elif task == "imputation":
-            out["imputation_mse"] = imputation_mse(
-                state, test_rows, seq_len=seq_len, seed=seed, prep=masked_prep
-            )
-        elif task == "tau-ahead":
-            seqs = _as_sequences(test_rows, seq_len)
-            out["tau_mae"] = {t: tau_ahead_mae(state, seqs, t, test_prep) for t in taus}
+        if task in keys:
+            out[keys[task]] = scores[keys[task]]
         elif task == "sample-dump":
-            model = models.GenerativeModel(
-                decoder=eval_decoder(state), prior=eval_prior(state)
-            )
+            model = models.GenerativeModel(decoder=eval_decoder(state), prior=eval_prior(state))
             out["samples"] = models.generate(
                 model, np.random.default_rng(seed), n_draws, seq_len=ds.seq_len
             )
@@ -580,39 +570,19 @@ def read_metrics(path):
 def _structured_metrics_row(state, splits, cfg, iteration, seconds):
     # Common random numbers across evaluations: every point on a training
     # curve shares its noise draws, so the curve tracks parameter movement
-    # rather than fresh estimator noise.  Each point stays unbiased.
-    train_rows, val_rows, test_rows = splits
-    seq_len = cfg.seq_len
-    eval_seed = cfg.seed * 1_000_003 + 17
-    has_test = test_rows is not None and test_rows.shape[0] > 0
-    # The train cap, val, test and masked test blocks are prepared once (by a
-    # dynamics model through one filter); the test bound and the tau-ahead
-    # error share the test block's pass.
-    masked = _masked(test_rows, IMPUTATION_FRACTION, eval_seed)[1] if has_test else None
-    train_prep, val_prep, test_prep, masked_prep = _shared_preps(
-        state, seq_len, train_rows, val_rows, test_rows, masked
-    )
-
-    def bound_on(rows, prep):
-        if rows is None or rows.shape[0] == 0:
-            return np.nan
-        return per_datum_bound(state, rows, seq_len=seq_len, seed=eval_seed, prep=prep)
-
-    row = metrics_row(
-        iteration,
-        seconds if cfg.timing else 0.0,
-        train_bound=bound_on(train_rows, train_prep),
-        val_bound=bound_on(val_rows, val_prep),
-        test_bound=bound_on(test_rows, test_prep),
-    )
-    if has_test:
-        row["imputation_mse"] = imputation_mse(
-            state, test_rows, seq_len=seq_len, seed=eval_seed, prep=masked_prep
-        )
+    # rather than fresh estimator noise.  Each point stays unbiased.  The
+    # bound of an absent or empty split is NaN, and with no test rows so are
+    # the imputation and tau-ahead errors.
+    names = ("train_bound", "val_bound", "test_bound")
+    jobs = {n: ("bound", r, None) for n, r in zip(names, splits) if r is not None and r.shape[0]}
+    if "test_bound" in jobs:
+        jobs["imputation_mse"] = ("imputation", splits[2], None)
         if state.net.lead_rows:
-            test_seqs = _as_sequences(test_rows, seq_len)
-            row["tau_mae"] = tau_ahead_mae(state, test_seqs, tau=1, prep=test_prep)
-    return row
+            jobs["tau_mae"] = ("tau-ahead", splits[2], (1,))
+    scores = _scores(state, cfg.seq_len, cfg.seed * 1_000_003 + 17, jobs)
+    if "tau_mae" in scores:
+        scores["tau_mae"] = scores["tau_mae"][1]
+    return metrics_row(iteration, seconds if cfg.timing else 0.0, **scores)
 
 
 # ---------------------------------------------------------------------------

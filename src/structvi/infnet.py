@@ -672,13 +672,16 @@ def lds_filter(dyn, m, v):
     noise diag(v_t), started from the prediction of x_1 from the unobserved
     initial state x_0, whose moments the record keeps as its filtered row 0.
     The dynamics' covariance factors are read once (``dyn.factors``, which
-    raises on overflow), and the record keeps them."""
+    raises on overflow), and the record keeps them.  A diverging transition
+    overflows the predicted covariances without a warning, and the
+    innovation factor's guard raises InvalidParameterError."""
     a = dyn.trans
     chols, (p0, q) = dyn.factors()
     lead, d = m.shape[:-2], m.shape[-1]
     v_diag = np.zeros(v.shape + (d,))
     v_diag[..., np.arange(d), np.arange(d)] = v
-    out = kalman_filter(a, q, dyn.init_mean @ a.T, a @ p0 @ a.T + q, m, None, v_diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kalman_filter(a, q, dyn.init_mean @ a.T, a @ p0 @ a.T + q, m, None, v_diag)
     for key, first in (("mu_filt", dyn.init_mean), ("p_filt", p0)):
         head = np.broadcast_to(first, lead + (1,) + first.shape)
         out[key] = np.concatenate([head, out[key]], axis=-1 - first.ndim)

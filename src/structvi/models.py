@@ -310,15 +310,19 @@ class LinearDynamics(_VectorParams):
 
     def sample(self, rng, n, seq_len):
         """(n, seq_len + 1, d) latent sequences, row 0 the initial state,
-        and no labels."""
+        and no labels.  Sequences that a diverging transition overflows
+        raise InvalidParameterError without a warning."""
         if not seq_len:
             raise ContractError("seq_len is required for a dynamics prior")
         d = self.dim
         x = np.zeros((n, seq_len + 1, d))
         l0, lq = self.chols
         x[:, 0] = self.init_mean + rng.standard_normal((n, d)) @ l0.T
-        for t in range(1, seq_len + 1):
-            x[:, t] = x[:, t - 1] @ self.trans.T + rng.standard_normal((n, d)) @ lq.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, seq_len + 1):
+                x[:, t] = x[:, t - 1] @ self.trans.T + rng.standard_normal((n, d)) @ lq.T
+        if not np.isfinite(x).all():
+            raise InvalidParameterError("dynamics sample is not finite: the transition diverges")
         return x, None
 
 

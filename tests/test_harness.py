@@ -1249,27 +1249,44 @@ def test_lds_metrics_row_with_an_empty_val_split(val):
     assert row["tau_mae"] == harness.tau_ahead_mae(state, test.reshape(-1, 10, ds.dim), tau=1)
 
 
-@pytest.mark.parametrize("other", ["one sequence short", "shorter sequences"])
-def test_a_prep_of_another_block_is_contract_error(other):
+@pytest.mark.parametrize("other", ["mixture rows", "one sequence short", "shorter sequences"])
+def test_bound_estimate_rejects_a_prep_of_other_units(other):
+    """The pass handed to the estimator must cover its units."""
+    if other == "mixture rows":
+        ds = blob_dataset(seed=9)
+        cfg = harness.TrainConfig(n_components=3, latent_dim=2, hidden=(4,), seed=9, timing=False)
+        state = harness.init_state(cfg, ds.dim)
+        units = ds.rows[ds.test_idx]
+        prep = state.net.prepare(units[:-1])
+    else:
+        state, ds = lds_eval_state()
+        units = ds.rows[ds.test_idx].reshape(-1, 10, ds.dim)
+        prep = state.net.prepare(units[:-1] if other == "one sequence short" else units[:, :-1])
+    model = models.GenerativeModel(
+        decoder=harness.eval_decoder(state), prior=harness.eval_prior(state)
+    )
+    with pytest.raises(ContractError, match="prep"):
+        bound.bound_estimate(model, state.net, units, np.random.default_rng(0), prep=prep)
+
+
+def test_evaluate_and_metrics_row_mask_the_test_block_once(monkeypatch):
     state, ds = lds_eval_state()
-    rows = ds.rows[ds.test_idx]
-    seqs = rows.reshape(-1, 10, ds.dim)
-    prep = state.net.prepare(seqs[:-1] if other == "one sequence short" else seqs[:, :-1])
-    with pytest.raises(ContractError, match="prep"):
-        harness.per_datum_bound(state, rows, seq_len=10, prep=prep)
-    with pytest.raises(ContractError, match="prep"):
-        harness.tau_ahead_mae(state, seqs, 1, prep=prep)
-    with pytest.raises(ContractError, match="prep"):
-        harness.imputation_mse(state, rows, seq_len=10, prep=prep)
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(8,), seed=14, seq_len=10,
+        timing=False,
+    )
+    calls = []
+    masked = harness._masked
+    monkeypatch.setattr(harness, "_masked", lambda *a: calls.append(1) or masked(*a))
+    harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
+    assert len(calls) == 1
+    harness._structured_metrics_row(state, harness._eval_splits(ds, cfg, state.net), cfg, 0, 0.0)
+    assert len(calls) == 2
 
 
-def test_mixture_imputation_rejects_a_prep_of_other_rows():
-    ds = blob_dataset(seed=9)
-    cfg = harness.TrainConfig(n_components=3, latent_dim=2, hidden=(4,), seed=9, timing=False)
-    state = harness.init_state(cfg, ds.dim)
-    rows = ds.rows[ds.test_idx]
-    with pytest.raises(ContractError, match="prep"):
-        harness.imputation_mse(state, rows, prep=state.net.prepare(rows[:-1]))
+def test_tau_ahead_with_no_taus_is_an_empty_map():
+    state, ds = lds_eval_state()
+    assert harness.evaluate(state, ds, ("tau-ahead",), taus=()) == {"tau_mae": {}}
 
 
 def test_tau_ahead_without_a_sequence_length_names_it():

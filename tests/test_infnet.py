@@ -1000,3 +1000,13 @@ class TestDivergedDynamics:
         out = self.run(call, *self.diverged(field, -800.0))
         arrays = [out.mu_filt, out.p_filt, out.log_z] if call == "lds_filter" else [out[0]]
         assert all(np.all(np.isfinite(a)) for a in arrays)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e160])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_diverging_transition_raises(self, call, scale):
+        """Unit covariances, but a transition that overflows the filter's
+        predicted covariances, the sampler's draw and the log prior."""
+        dyn, x = self.diverged("noise_raw", 0.0)
+        dyn = dataclasses.replace(dyn, trans=scale * np.eye(2))
+        with pytest.raises(InvalidParameterError, match="not finite|non-finite"):
+            self.run(call, dyn, x)
