@@ -7,6 +7,7 @@ destination directory and are renamed into place, so a crash mid-write never
 leaves a truncated checkpoint behind.  Round trips are bit-exact.
 """
 
+import math
 import os
 import struct
 import tempfile
@@ -25,10 +26,11 @@ def _pack_str(s):
 
 
 def _read_exact(fh, n, path):
-    raw = fh.read(n)
-    if len(raw) != n:
+    """The next ``n`` bytes of ``fh``.  A length past the end of the file is
+    refused before the read, which would allocate all ``n`` bytes."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ParseError(f"{path}: truncated checkpoint")
-    return raw
+    return fh.read(n)
 
 
 def _read_u32(fh, path):
@@ -105,8 +107,7 @@ def load(path):
             table.append((name, shape))
         arrays = {}
         for name, shape in table:
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, 8 * count, path)
+            raw = _read_exact(fh, 8 * math.prod(shape), path)
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ParseError(f"{path}: trailing bytes after payload")

@@ -707,7 +707,10 @@ def load_state(path):
     for name in ("nn", "phi", "pgm"):
         if getattr(state, f"opt_{name}") is not None:
             setattr(state, f"opt_{name}", updates.AdagradState(arrays[f"adagrad_{name}"]))
-    state.iteration = int(arrays["iteration"])
+    it = float(arrays["iteration"])
+    if not 0 <= it <= 2**53 or it % 1:  # float64 holds every whole count to 2**53
+        raise ParseError(f"{path}: iteration {it!r} is not a whole count of steps")
+    state.iteration = int(it)
     return state, cfg
 
 

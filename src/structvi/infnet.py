@@ -411,16 +411,9 @@ def gmm_log_z_parts(mixture, m, v):
     return aggregate_scores(gmm_scores(mixture, m, v))
 
 
-def _mixture_precisions(mixture):
-    try:
-        return np.linalg.inv(mixture.covs)
-    except np.linalg.LinAlgError:
-        raise InvalidParameterError("mixture covariance is singular") from None
-
-
 def _conditional_parts(mixture, m, v, z):
     """Indicator precisions, conditional covariance, and b with mean cov @ b."""
-    pk = _mixture_precisions(mixture)[z]
+    pk = mixture.precisions[z]
     idx = np.arange(m.shape[1])
     prec = pk.copy()
     prec[:, idx, idx] += 1.0 / v
@@ -460,7 +453,7 @@ def gmm_log_z_factor_grads(mixture, m, v, resp, chol):
     )
     d_v = np.sum(g[:, :, idx, idx], axis=1)
     d_logits = resp.sum(axis=0) - n * mixture.weights
-    return d_m, d_v, mixture.param_grad(d_logits, d_means, g.sum(axis=0), mixture.chols)
+    return d_m, d_v, mixture.param_grad(d_logits, d_means, g.sum(axis=0))
 
 
 def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
@@ -487,7 +480,7 @@ def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
     np.add.at(d_means, z, np.einsum("nij,nj->ni", pk, b_b))
     g_cov = np.zeros((k, d, d))
     np.add.at(g_cov, z, -np.einsum("nij,njl,nlm->nim", pk, pk_b, pk))
-    return d_m, d_v, mixture.param_grad(np.zeros(k), d_means, g_cov, mixture.chols)
+    return d_m, d_v, mixture.param_grad(np.zeros(k), d_means, g_cov)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +506,6 @@ class FilterRecord:
     conditional covariance given x_{t+1} and whose row T factors the last
     filtered covariance.  The posterior mean (``lds_reconstruct`` without
     noise) reads its gains when a draw has filled it, and never fills it.
-
-    ``chols`` holds the dynamics' (2, d, d) factors ``dyn.chols`` that the
-    filter read, shared by a block; the reverse sweep's chain rule reuses them.
     """
 
     m: np.ndarray          # (T, d) pseudo-observation means
@@ -529,20 +519,14 @@ class FilterRecord:
     mu_filt: np.ndarray    # (T+1, d)
     p_filt: np.ndarray     # (T+1, d, d)
     log_z: object          # float; (B,) for a block
-    chols: Optional[np.ndarray] = None  # (2, d, d) initial and noise factors
     smoother: Optional[tuple] = None
 
     def block(self, rows):
         """The record of a block record's sequences ``rows`` (a slice): every
-        per-sequence field sliced on its first axis, the shared ``chols`` as
-        they are, and no ``smoother``, which the slice computes afresh."""
+        field sliced on its first axis, and no ``smoother``, which the slice
+        computes afresh."""
         return FilterRecord(
-            chols=self.chols,
-            **{
-                f.name: getattr(self, f.name)[rows]
-                for f in fields(self)
-                if f.name not in ("chols", "smoother")
-            },
+            **{f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "smoother"}
         )
 
 
@@ -671,12 +655,12 @@ def lds_filter(dyn, m, v):
     ``kalman_filter`` with identity emission (``emit=None``) and observation
     noise diag(v_t), started from the prediction of x_1 from the unobserved
     initial state x_0, whose moments the record keeps as its filtered row 0.
-    The dynamics' covariance factors are read once (``dyn.factors``, which
-    raises on overflow), and the record keeps them.  A diverging transition
-    overflows the predicted covariances without a warning, and the
-    innovation factor's guard raises InvalidParameterError."""
+    The dynamics' covariances are ``dyn.covs``, which raise on overflow.  A
+    diverging transition overflows the predicted covariances without a
+    warning, and the innovation factor's guard raises
+    InvalidParameterError."""
     a = dyn.trans
-    chols, (p0, q) = dyn.factors()
+    p0, q = dyn.covs
     lead, d = m.shape[:-2], m.shape[-1]
     v_diag = np.zeros(v.shape + (d,))
     v_diag[..., np.arange(d), np.arange(d)] = v
@@ -687,7 +671,7 @@ def lds_filter(dyn, m, v):
         out[key] = np.concatenate([head, out[key]], axis=-1 - first.ndim)
     if not lead:
         out["log_z"] = float(out["log_z"])
-    return FilterRecord(m=m, v=v, chols=chols, **out)
+    return FilterRecord(m=m, v=v, **out)
 
 
 def rts_gains(trans, p_filt, p_pred_next):
@@ -886,7 +870,7 @@ def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_a, log_z_we
         + _t(pp_b) @ a @ prev_pf,
         axis=0,
     )
-    return d_m, d_v, dyn.param_grad(a_b + ext_a, pp_b.sum(axis=0), mf_c, pf_c, record.chols)
+    return d_m, d_v, dyn.param_grad(a_b + ext_a, pp_b.sum(axis=0), mf_c, pf_c)
 
 
 def lds_log_z_factor_grads(dyn, record):

@@ -17,10 +17,14 @@ in order (``param_vector``, ``with_param_vector``), and ``param_grad``, which
 turns gradients with respect to its moments into that vector's gradient
 through the raw-Cholesky chain rule.  The inference networks, whose
 structured factors are these classes, hand their moment gradients to it.
+
+Priors are immutable, so each builds its factors, covariances and (for a
+mixture) precisions once, at their first read, for every later reader to share.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,7 +48,7 @@ class _VectorParams:
         return replace(self, **dict(zip(self._params, linalg.unflatten(vec, shapes))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianMixture(_VectorParams):
     """Point-parameter mixture; covariances live as raw Cholesky vectors."""
 
@@ -74,20 +78,27 @@ class GaussianMixture(_VectorParams):
         w = np.exp(shifted)
         return w / w.sum()
 
-    @property
+    @cached_property
     def chols(self):
         return linalg.tril_from_raw(self.chol_raw, self.dim)
 
-    @property
+    @cached_property
     def covs(self):
         """(k, d, d) covariances; ones that overflow, from a raw vector or
         its factor's product, raise InvalidParameterError without a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            chols = self.chols
-            covs = chols @ np.swapaxes(chols, -1, -2)
+            covs = self.chols @ np.swapaxes(self.chols, -1, -2)
         if not np.all(np.isfinite(covs)):
             raise InvalidParameterError("mixture covariance contains non-finite entries")
         return covs
+
+    @cached_property
+    def precisions(self):
+        """(k, d, d) inverse covariances."""
+        try:
+            return np.linalg.inv(self.covs)
+        except np.linalg.LinAlgError:
+            raise InvalidParameterError("mixture covariance is singular") from None
 
     def log_weights(self):
         return self.logits - logsumexp(self.logits)
@@ -98,7 +109,7 @@ class GaussianMixture(_VectorParams):
         chols = self.chols
         u = x[:, None, :] - self.means[None, :, :]
         v = np.linalg.solve(chols, u[..., None])[..., 0]
-        logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=-2, axis2=-1)), axis=-1)
+        logdet = linalg.logdet_from_chol(chols)
         return self._log_kernel(np.sum(v**2, axis=-1), logdet[None, :], x.shape[1])
 
     def _log_kernel(self, quad, logdet, d):
@@ -128,8 +139,7 @@ class GaussianMixture(_VectorParams):
         scores = self.scores(x)
         val = float(logsumexp(scores, axis=1).sum())
         resp = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
-        chols = self.chols
-        prec = linalg.inv_from_chol(chols)
+        prec = linalg.inv_from_chol(self.chols)
         u = x[:, None, :] - self.means[None, :, :]
         pu = np.einsum("kde,nke->nkd", prec, u)
         rw = resp * self._tail_weights(u, pu)
@@ -138,13 +148,13 @@ class GaussianMixture(_VectorParams):
         grad_means = np.einsum("nk,nkd->kd", rw, pu)
         scatter = np.einsum("nk,nki,nkl->kil", rw, pu, pu)
         g_cov = 0.5 * (scatter - resp.sum(axis=0)[:, None, None] * prec)
-        return val, grad_x, self.param_grad(grad_logits, grad_means, g_cov, chols)
+        return val, grad_x, self.param_grad(grad_logits, grad_means, g_cov)
 
-    def param_grad(self, g_logits, g_means, g_covs, chols):
+    def param_grad(self, g_logits, g_means, g_covs):
         """Parameter-vector gradient from the gradients with respect to the
-        weight logits, the means and the (k, d, d) covariances; ``chols`` is
-        ``self.chols``, which the caller has built."""
-        return linalg.flatten([g_logits, g_means, linalg.tril_raw_vjp(chols, g_covs)])
+        weight logits, the means and the (k, d, d) covariances, through the
+        prior's own ``chols``."""
+        return linalg.flatten([g_logits, g_means, linalg.tril_raw_vjp(self.chols, g_covs)])
 
     def _tail_weights(self, u, pu):
         """(n, k) gradient weights of the offsets u, with pu = precision @ u."""
@@ -180,7 +190,7 @@ def log_gamma_ratio(a, d):
     return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudentMixture(GaussianMixture):
     """Mixture of multivariate Student-t components with one shared, fixed dof.
 
@@ -207,7 +217,7 @@ class StudentMixture(GaussianMixture):
         )[:, None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearDynamics(_VectorParams):
     """First-order linear-Gaussian dynamics with a Gaussian initial state."""
 
@@ -224,13 +234,13 @@ class LinearDynamics(_VectorParams):
 
     @property
     def noise_cov(self):
-        return self.factors()[1][1]
+        return self.covs[1]
 
     @property
     def init_cov(self):
-        return self.factors()[1][0]
+        return self.covs[0]
 
-    @property
+    @cached_property
     def chols(self):
         """(2, d, d) Cholesky factors of the initial and the transition-noise
         covariance, read from their raw vectors in one call.  A raw
@@ -243,28 +253,28 @@ class LinearDynamics(_VectorParams):
             raise InvalidParameterError("dynamics covariance factors contain non-finite entries")
         return chols
 
-    def factors(self):
-        """``chols`` and the (2, d, d) covariances they factor, which raise
-        InvalidParameterError without a warning where they overflow."""
-        chols = self.chols
+    @cached_property
+    def covs(self):
+        """The (2, d, d) covariances ``chols`` factor; ones that overflow
+        raise InvalidParameterError without a warning."""
         with np.errstate(over="ignore"):
-            covs = chols @ np.swapaxes(chols, -1, -2)
+            covs = self.chols @ np.swapaxes(self.chols, -1, -2)
         if not np.isfinite(covs).all():
             raise InvalidParameterError("dynamics covariances contain non-finite entries")
-        return chols, covs
+        return covs
 
-    def param_grad(self, g_trans, g_noise_cov, g_init_mean, g_init_cov, chols):
+    def param_grad(self, g_trans, g_noise_cov, g_init_mean, g_init_cov):
         """Parameter-vector gradient from the gradients with respect to the
         transition, the noise covariance, the initial mean and the initial
-        covariance; ``chols`` is ``self.chols``, which the caller has built."""
-        g_init_raw, g_noise_raw = linalg.tril_raw_vjp(chols, np.stack([g_init_cov, g_noise_cov]))
-        return linalg.flatten([g_trans, g_noise_raw, g_init_mean, g_init_raw])
+        covariance, through the prior's own ``chols``."""
+        g_raw = linalg.tril_raw_vjp(self.chols, np.stack([g_init_cov, g_noise_cov]))
+        return linalg.flatten([g_trans, g_raw[1], g_init_mean, g_raw[0]])
 
     def _log_prior_parts(self, x):
-        """Log density of a latent array, its transition residuals, and
-        ``chols``, which the gradients share.  A factor with a zero diagonal
-        has no density, and a density that overflows (a factor near
-        singular, a huge residual) has none in floating point: both raise
+        """Log density of a latent array and its transition residuals, which
+        the gradients share.  A factor with a zero diagonal has no density,
+        and a density that overflows (a factor near singular, a huge
+        residual) has none in floating point: both raise
         InvalidParameterError without a warning."""
         d = self.dim
         if x.shape[-2] < 2:
@@ -280,7 +290,7 @@ class LinearDynamics(_VectorParams):
             val = math.nan
         if not math.isfinite(val):
             raise InvalidParameterError("dynamics log prior is not finite: singular or overflows")
-        return val, resid, chols
+        return val, resid
 
     def log_prior(self, x):
         """Log density of one (T + 1, d) latent sequence, row 0 the initial
@@ -291,9 +301,9 @@ class LinearDynamics(_VectorParams):
         """(value, gradient wrt x, gradient wrt the parameter vector) for a
         sequence or a block of them: the x gradient takes the block's shape
         and the parameter gradient sums over its sequences."""
-        val, resid, chols = self._log_prior_parts(x)
+        val, resid = self._log_prior_parts(x)
         d = self.dim
-        s0_prec, q_prec = linalg.inv_from_chol(chols)
+        s0_prec, q_prec = linalg.inv_from_chol(self.chols)
         pe = resid @ q_prec.T
         w0 = (x[..., 0, :] - self.init_mean) @ s0_prec.T
 
@@ -306,7 +316,7 @@ class LinearDynamics(_VectorParams):
         pe, prev, w0 = pe.reshape(-1, d), x[..., :-1, :].reshape(-1, d), w0.reshape(-1, d)
         g_q = 0.5 * (pe.T @ pe - pe.shape[0] * q_prec)
         g_s0 = 0.5 * (w0.T @ w0 - w0.shape[0] * s0_prec)
-        return val, grad_x, self.param_grad(pe.T @ prev, g_q, w0.sum(axis=0), g_s0, chols)
+        return val, grad_x, self.param_grad(pe.T @ prev, g_q, w0.sum(axis=0), g_s0)
 
     def sample(self, rng, n, seq_len):
         """(n, seq_len + 1, d) latent sequences, row 0 the initial state,

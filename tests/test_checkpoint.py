@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,29 @@ def test_truncation_rejected(tmp_path):
     clipped.write_bytes(raw[: len(raw) - 9])
     with pytest.raises(ParseError, match="truncated"):
         checkpoint.load(clipped)
+
+
+@pytest.mark.parametrize("count", [2**59, 2**20])
+def test_shape_past_the_end_is_rejected_before_reading(tmp_path, count):
+    """A doctored shape that declares more values than the file holds is a
+    parse error before any read: neither the one no allocator can serve
+    (8 * 2**59 bytes) nor one it could (8 MiB) is allocated."""
+    path = tmp_path / "run.ckpt"
+    checkpoint.save(path, {"a": np.zeros(2)}, {})
+    raw = bytearray(path.read_bytes())
+    # magic, version, no metadata, one array, its name "a", ndim 1, then shape
+    offset = len(checkpoint.MAGIC) + 4 + 4 + 4 + 4 + 1 + 4
+    assert int.from_bytes(raw[offset : offset + 8], "little") == 2
+    raw[offset : offset + 8] = count.to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="truncated"):
+            checkpoint.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_trailing_bytes_rejected(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import structvi
-from structvi import cli, data, harness
+from structvi import checkpoint, cli, data, harness
 
 
 def run_cli(args):
@@ -275,6 +275,27 @@ def test_eval_task_mismatch_exits_nonzero(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_of_checkpoint_with_nan_iteration_exits_nonzero(tmp_path, capsys):
+    dataset = make_pinwheel_file(tmp_path)
+    out_dir = str(tmp_path / "run")
+    run_cli(
+        [
+            "train", "--dataset", dataset, "--n-components", "2",
+            "--hidden", "4", "--n-iters", "3", "--eval-interval", "3",
+            "--timing", "0", "--out-dir", out_dir,
+        ]
+    )
+    capsys.readouterr()
+    path = os.path.join(out_dir, "structured.ckpt")
+    arrays, meta = checkpoint.load(path)
+    arrays["iteration"] = np.array(np.nan)
+    checkpoint.save(path, arrays, meta)
+    code = run_cli(["eval", "--checkpoint", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "structured.ckpt: iteration" in err
 
 
 def test_train_divergence_exits_nonzero(tmp_path, capsys):

@@ -556,6 +556,20 @@ def test_checkpoint_non_scalar_iteration_is_parse_error(tmp_path):
         harness.load_state(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, 1.5, -3.0, 1e30])
+def test_checkpoint_iteration_that_is_no_step_count_is_parse_error(tmp_path, value):
+    """The stored iteration must be a whole, non-negative count that float64
+    holds exactly; anything else fails at load naming the file."""
+    cfg = harness.TrainConfig(n_components=2, hidden=(4,), timing=False)
+    path = str(tmp_path / "run.ckpt")
+    harness.save_state(path, harness.init_state(cfg, 2), cfg)
+    arrays, meta = checkpoint.load(path)
+    arrays["iteration"] = np.array(value)
+    checkpoint.save(path, arrays, meta)
+    with pytest.raises(ParseError, match="run.ckpt: iteration"):
+        harness.load_state(path)
+
+
 @pytest.mark.parametrize(
     "kind,name,extra",
     [
@@ -1387,7 +1401,7 @@ def count_factor_work(monkeypatch):
 
 @pytest.mark.parametrize(
     "kind, want",
-    [("latent-lds", (3, 3, 3)), ("latent-gmm", (9, 2, 4)), ("latent-tmm", (9, 1, 4))],
+    [("latent-lds", (2, 3, 3)), ("latent-gmm", (2, 2, 4)), ("latent-tmm", (2, 1, 4))],
 )
 def test_train_step_factor_work_is_pinned(monkeypatch, kind, want):
     """Per step: raw-to-factor reads, Cholesky factorizations and raw-Cholesky
@@ -1411,7 +1425,8 @@ def test_evaluation_factor_work_is_pinned(monkeypatch):
     """One dynamics evaluation of both blocks: one covariance pass for the
     two, whose innovation factors are one Cholesky call; the bound's draw
     factors the test block's smoother (two more); the imputation's posterior
-    mean reads only smoother gains and factors nothing."""
+    mean reads only smoother gains and factors nothing.  A second evaluation
+    of the same state builds no covariance factor."""
     state, ds = lds_eval_state()
     counts = count_factor_work(monkeypatch)
     passes = []
@@ -1421,6 +1436,11 @@ def test_evaluation_factor_work_is_pinned(monkeypatch):
     )
     harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
     assert counts["cholesky_spd"] == 3 and len(passes) == 1
+    # the network's dynamics and the point prior each build their factors once
+    assert counts["tril_from_raw"] == 2
+    counts.update(dict.fromkeys(counts, 0))
+    harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
+    assert counts["tril_from_raw"] == 0
 
 
 def test_dynamics_generate_uses_the_stored_factors(monkeypatch):

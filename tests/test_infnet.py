@@ -24,10 +24,12 @@ import lds_reference
 
 def make_gmm_net(rng, k=2, d=1, data_dim=2, hidden=(4,)):
     net = infnet.init_gmm_net(k, d, data_dim, hidden=hidden, rng=rng)
-    mix = net.mixture
-    mix.logits = rng.standard_normal(k) * 0.4
-    mix.means = rng.standard_normal((k, d)) * 1.5
-    mix.chol_raw = rng.standard_normal((k, linalg.tril_size(d))) * 0.3
+    net.mixture = dataclasses.replace(
+        net.mixture,
+        logits=rng.standard_normal(k) * 0.4,
+        means=rng.standard_normal((k, d)) * 1.5,
+        chol_raw=rng.standard_normal((k, linalg.tril_size(d))) * 0.3,
+    )
     return net
 
 
@@ -41,11 +43,13 @@ def pathwise_grad(net, y, z, eps, grad_x):
 
 def make_lds_net(rng, d=1, data_dim=3, hidden=(4,)):
     net = infnet.init_lds_net(d, data_dim, hidden=hidden, rng=rng)
-    dyn = net.dynamics
-    dyn.trans = 0.7 * np.eye(d) + 0.15 * rng.standard_normal((d, d))
-    dyn.noise_raw = rng.standard_normal(linalg.tril_size(d)) * 0.3
-    dyn.init_mean = rng.standard_normal(d) * 0.5
-    dyn.init_raw = rng.standard_normal(linalg.tril_size(d)) * 0.3
+    net.dynamics = dataclasses.replace(
+        net.dynamics,
+        trans=0.7 * np.eye(d) + 0.15 * rng.standard_normal((d, d)),
+        noise_raw=rng.standard_normal(linalg.tril_size(d)) * 0.3,
+        init_mean=rng.standard_normal(d) * 0.5,
+        init_raw=rng.standard_normal(linalg.tril_size(d)) * 0.3,
+    )
     return net
 
 
@@ -120,9 +124,10 @@ class TestGmmLogZ:
     def test_symmetric_components_equal_responsibilities(self):
         rng = np.random.default_rng(2)
         net = make_gmm_net(rng, k=2, d=1, data_dim=2)
-        net.mixture.logits = np.zeros(2)
-        net.mixture.means = np.array([[1.3], [-1.3]])
-        net.mixture.chol_raw = np.zeros((2, 1))
+        net.mixture = dataclasses.replace(
+            net.mixture,
+            logits=np.zeros(2), means=np.array([[1.3], [-1.3]]), chol_raw=np.zeros((2, 1)),
+        )
         m = np.zeros((3, 1))
         v = np.full((3, 1), 0.7)
         _, _, resp = infnet.gmm_log_z_parts(net.mixture, m, v)
@@ -142,7 +147,9 @@ class TestGmmLogZ:
     def test_nonfinite_factor_rejected(self):
         rng = np.random.default_rng(4)
         net = make_gmm_net(rng, k=2, d=1, data_dim=2)
-        net.mixture.chol_raw = np.array([[800.0], [0.0]])  # exp overflow
+        net.mixture = dataclasses.replace(
+            net.mixture, chol_raw=np.array([[800.0], [0.0]])  # exp overflow
+        )
         y = rng.standard_normal((3, 2))
         with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
             infnet.gmm_log_z(net, y)
@@ -164,8 +171,11 @@ class TestGmmLogZ:
     def test_encoder_dim_mismatch(self):
         rng = np.random.default_rng(5)
         net = make_gmm_net(rng, k=2, d=2, data_dim=2)
-        net.mixture.means = rng.standard_normal((2, 3))  # latent dim now 3
-        net.mixture.chol_raw = np.zeros((2, 6))
+        net.mixture = dataclasses.replace(
+            net.mixture,
+            means=rng.standard_normal((2, 3)),  # latent dim now 3
+            chol_raw=np.zeros((2, 6)),
+        )
         with pytest.raises(ContractError):
             infnet.gmm_log_z(net, rng.standard_normal((3, 2)))
 
@@ -185,8 +195,8 @@ class TestGmmSampling:
     def test_flat_structured_factor_recovers_dnn_mean(self):
         rng = np.random.default_rng(7)
         net = make_gmm_net(rng, k=2, d=2, data_dim=2)
-        net.mixture.chol_raw = np.tile(
-            linalg.raw_from_spd(1e8 * np.eye(2)), (2, 1)
+        net.mixture = dataclasses.replace(
+            net.mixture, chol_raw=np.tile(linalg.raw_from_spd(1e8 * np.eye(2)), (2, 1))
         )
         m = rng.standard_normal((3, 2))
         v = np.full((3, 2), 0.5)
@@ -266,9 +276,10 @@ class TestGmmGradients:
     def test_symmetric_instance_symmetric_weight_grads(self):
         rng = np.random.default_rng(14)
         net = make_gmm_net(rng, k=2, d=1, data_dim=2)
-        net.mixture.logits = np.zeros(2)
-        net.mixture.means = np.array([[0.9], [-0.9]])
-        net.mixture.chol_raw = np.zeros((2, 1))
+        net.mixture = dataclasses.replace(
+            net.mixture,
+            logits=np.zeros(2), means=np.array([[0.9], [-0.9]]), chol_raw=np.zeros((2, 1)),
+        )
         # encoder replaced by a zero map: m = 0, v fixed
         net.encoder = nnet.set_param_vector(
             net.encoder, np.zeros(nnet.num_params(net.encoder))
@@ -338,7 +349,7 @@ class TestLdsLogZ:
     def test_zero_transition_factorizes(self):
         rng = np.random.default_rng(18)
         net = make_lds_net(rng, d=1, data_dim=2)
-        net.dynamics.trans = np.zeros((1, 1))
+        net.dynamics = dataclasses.replace(net.dynamics, trans=np.zeros((1, 1)))
         y = rng.standard_normal((5, 2))
         m, v = infnet.encode(net, y)
         log_z, _ = infnet.lds_log_z(net, y)
@@ -349,7 +360,7 @@ class TestLdsLogZ:
     def test_nonfinite_noise_rejected(self):
         rng = np.random.default_rng(19)
         net = make_lds_net(rng, d=1, data_dim=2)
-        net.dynamics.noise_raw = np.array([800.0])
+        net.dynamics = dataclasses.replace(net.dynamics, noise_raw=np.array([800.0]))
         with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
             infnet.lds_log_z(net, rng.standard_normal((3, 2)))
 
@@ -388,8 +399,9 @@ class TestLdsSampling:
     def test_degenerate_dynamics_collapse(self):
         rng = np.random.default_rng(22)
         net = make_lds_net(rng, d=1, data_dim=2)
-        net.dynamics.trans = np.eye(1)
-        net.dynamics.noise_raw = linalg.raw_from_spd(1e-12 * np.eye(1))
+        net.dynamics = dataclasses.replace(
+            net.dynamics, trans=np.eye(1), noise_raw=linalg.raw_from_spd(1e-12 * np.eye(1))
+        )
         y = rng.standard_normal((4, 2))
         sample = net.draw(net.prepare(y), np.random.default_rng(23))
         assert np.max(np.abs(sample.x_star - sample.x_star[1])) < 1e-3
@@ -583,17 +595,6 @@ class TestLdsBlock:
         np.testing.assert_array_equal(
             net.replay(got, None, eps).x_star, net.replay(want, None, eps).x_star
         )
-
-    def test_block_slices_keep_the_shared_factors(self):
-        """Each block's record holds the dynamics' (2, d, d) covariance
-        factors whole, as a one-sequence record does: slicing does not cut
-        them."""
-        rng = np.random.default_rng(47)
-        net = make_lds_net(rng, d=2, data_dim=3)
-        blocks = [rng.standard_normal((n, 5, 3)) for n in (1, 2)]
-        want = net.dynamics.chols
-        for prep in (*net.prepare_blocks(blocks), net.prepare(blocks[1][0])):
-            np.testing.assert_array_equal(prep.record.chols, want)
 
     def test_stacked_blocks_share_one_length(self):
         rng = np.random.default_rng(46)

@@ -1,6 +1,8 @@
 """Flat parameter vectors: the one codec in ``linalg`` and every round trip
 through it (networks, priors, posterior networks, the conjugate posterior)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,25 @@ def test_prior_vector_of_wrong_length_is_contract_error(name):
             prior.with_param_vector(bad)
 
 
+@pytest.mark.parametrize("name", ["gaussian", "student", "dynamics"])
+def test_priors_are_frozen_and_a_new_vector_builds_fresh_factors(name):
+    """No field of a prior can be reassigned, and ``with_param_vector`` on a
+    prior whose factors are built reads the new vector's factors, equal to
+    those of a prior that never built any."""
+    prior = priors(np.random.default_rng(8))[name]
+    for field in dataclasses.fields(prior):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(prior, field.name, getattr(prior, field.name))
+    derived = [n for n in ("chols", "covs", "precisions") if hasattr(type(prior), n)]
+    old = {n: getattr(prior, n) for n in derived}
+    vec = prior.param_vector() + 0.1
+    moved = prior.with_param_vector(vec)
+    fresh = priors(np.random.default_rng(8))[name].with_param_vector(vec)
+    for n in derived:
+        np.testing.assert_array_equal(getattr(moved, n), getattr(fresh, n), err_msg=n)
+        assert not np.array_equal(getattr(moved, n), old[n]), n
+
+
 @pytest.mark.parametrize("make", [
     lambda rng: infnet.init_gmm_net(3, 2, 4, hidden=(5,), rng=rng),
     lambda rng: infnet.init_lds_net(2, 4, hidden=(5,), rng=rng),
@@ -121,5 +142,5 @@ def test_param_grad_is_the_chain_rule_of_the_moments(name):
     value = lambda vec: sum(
         float(np.sum(g * m)) for g, m in zip(grads, moments(prior.with_param_vector(vec)))
     )
-    got = prior.param_grad(*grads, prior.chols)
+    got = prior.param_grad(*grads)
     np.testing.assert_allclose(got, central_fd(value, prior.param_vector()), rtol=1e-7, atol=1e-8)
