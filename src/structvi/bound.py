@@ -11,12 +11,13 @@ dependence of both factor densities on their own parameters, and the
 normalizer gradient.  Gradients through the sampled indicators are dropped.
 
 Each estimate runs one encoder pass and one structured-factor pass (mixture
-scores or a forward filter) through ``net.prepare``, and every draw comes from
-that record.  With gradients, the pathwise, entropy and log-normalizer
-adjoints on the encoder outputs are summed before one encoder backward pass;
-without them no backward pass runs at all.  The log normalizer's adjoints
-enter through the network's pathwise adjoint, so for the dynamics one filter
-reverse sweep serves both.  The mixture-versus-dynamics
+scores or a forward filter) through ``net.prepare``; every draw comes from
+that record and holds the factors its pathwise adjoint reads, so a gradient
+step builds them once.  With gradients, the pathwise, entropy and
+log-normalizer adjoints on the encoder outputs are summed before one encoder
+backward pass; without them no backward pass runs at all.  The log
+normalizer's adjoints enter through the network's pathwise adjoint, so for the
+dynamics one filter reverse sweep serves both.  The mixture-versus-dynamics
 decisions live on the network classes in ``infnet`` and the prior classes in
 ``models``.
 

@@ -108,7 +108,10 @@ def load(path):
         arrays = {}
         for name, shape in table:
             raw = _read_exact(fh, 8 * math.prod(shape), path)
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            try:
+                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            except ValueError as exc:  # a dimension numpy cannot hold
+                raise ParseError(f"{path}: array {name!r} of shape {shape}: {exc}") from None
         if fh.read(1):
             raise ParseError(f"{path}: trailing bytes after payload")
     return arrays, meta

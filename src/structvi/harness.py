@@ -436,9 +436,10 @@ def _scores(state, seq_len, seed, jobs, n_samples=2, fraction=IMPUTATION_FRACTIO
     their posterior-mean reconstruction; ``tau-ahead`` maps each of ``taus``
     to the error of the filtered means rolled tau steps by the prior
     dynamics and decoded.  Each task draws from a fresh generator on
-    ``seed``.  Jobs on the same rows share a pass: one ``prepare_blocks``
-    call, one filter for a dynamics network, prepares each distinct block
-    (a masked one per imputation job) in job order."""
+    ``seed``; a bound or tau-ahead job needs rows, an imputation job on none
+    scores 0.  Jobs on the same rows share a pass: one ``prepare_blocks``
+    call, one filter for a dynamics network, prepares each distinct nonempty
+    block (a masked one per imputation job) in job order."""
     net = state.net
     if any(task == "tau-ahead" for task, _, _ in jobs.values()):
         if not net.lead_rows:
@@ -467,11 +468,13 @@ def _scores(state, seq_len, seed, jobs, n_samples=2, fraction=IMPUTATION_FRACTIO
         elif task == "imputation" and not mask.any():
             out[name] = 0.0
         elif task == "imputation":
-            latent = net.posterior_mean(net.prepared(block, prep))[..., net.lead_rows :, :]
+            latent = net.posterior_mean(prep)[..., net.lead_rows :, :]
             recon, _, _ = nnet.forward(model.decoder, latent.reshape(-1, latent.shape[-1]))
             out[name] = float(np.mean((recon[mask] - rows[mask]) ** 2))
+        elif prep is None:
+            raise ContractError("tau-ahead forecasting needs at least one sequence")
         else:
-            filtered = net.prepared(block, prep).record.mu_filt[:, 1:]
+            filtered = prep.record.mu_filt[:, 1:]
             out[name] = {}
             for tau in taus:
                 if not 0 <= tau < block.shape[1]:
@@ -929,10 +932,10 @@ def _write_table(path, header, rows):
 
 def dump_plot_data(state, ds, out_dir, n_draws=2000, metrics=None, seed=0):
     """Emit generated samples, labeled data, and curves as delimited text."""
-    os.makedirs(out_dir, exist_ok=True)
     prior = eval_prior(state)
     model = models.GenerativeModel(decoder=eval_decoder(state), prior=prior)
     draw = models.generate(model, np.random.default_rng(seed), n_draws, seq_len=ds.seq_len)
+    os.makedirs(out_dir, exist_ok=True)
     samples = draw.y.reshape(-1, ds.dim)
     # A draw without labels (dynamics) is one component of weight 1.
     comp, weight = np.zeros(samples.shape[0]), np.ones(samples.shape[0])

@@ -10,11 +10,12 @@ from that record the network exposes
   * the log normalizer of the product (closed form for the mixture, a
     forward filter for the dynamics),
   * exact joint draws (``draw``), one or ``n_samples`` stacked ahead of the
-    batch axes, and their replay at fixed noise (``replay``),
+    batch axes, and their replay at fixed noise (``replay``), each holding
+    the factors its sampling map used,
   * hand-written adjoints of the log normalizer and of the sampling map on
     (m, v) and the factor parameters (``log_z_vjp``, ``pathwise_vjp``; the
-    latter adds a weighted copy of the former, so a gradient step needs one
-    call), and
+    latter reads its draw's factors and adds a weighted copy of the former,
+    so a gradient step needs one call), and
   * ``phi_grad``: one encoder backward pass for summed (m, v) adjoints.
 
 Each network also gives ``posterior_mean``, the latents' posterior mean from
@@ -87,12 +88,14 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 @dataclass
 class PosteriorSample:
-    """One reparameterized joint draw plus everything needed to replay it."""
+    """One reparameterized joint draw, the indicators and noise that replay
+    it, and the factors its pathwise adjoint reads (``gmm_draw_factors`` of
+    the drawn rows or ``_smoother_factors``)."""
 
     x_star: np.ndarray
     z_star: Optional[np.ndarray]
     eps: np.ndarray
-    log_z: float
+    factors: tuple
 
 
 @dataclass
@@ -213,8 +216,10 @@ class GmmInferenceNet(ProductNet):
     def replay(self, prep, z, eps):
         """One ``gmm_reconstruct`` over every row of every stacked sample."""
         rows = lambda a: np.broadcast_to(a, eps.shape).reshape(-1, eps.shape[-1])
-        x = gmm_reconstruct(self.mixture, rows(prep.m), rows(prep.v), np.ravel(z), rows(eps))
-        return PosteriorSample(x_star=x.reshape(eps.shape), z_star=z, eps=eps, log_z=prep.log_z)
+        m, v, flat_z = rows(prep.m), rows(prep.v), np.ravel(z)
+        factors = gmm_draw_factors(self.mixture, m, v, flat_z)
+        x = gmm_reconstruct(self.mixture, m, v, flat_z, rows(eps), factors)
+        return PosteriorSample(x_star=x.reshape(eps.shape), z_star=z, eps=eps, factors=factors)
 
     def posterior_mean(self, prep):
         """E[x | y] of the prepared rows, responsibilities folded in."""
@@ -231,9 +236,7 @@ class GmmInferenceNet(ProductNet):
         return gmm_log_z_factor_grads(self.mixture, prep.m, prep.v, rec.resp, rec.chol)
 
     def pathwise_vjp(self, prep, drawn, grad_x, log_z_weight=0.0):
-        out = gmm_pathwise_factor_vjp(
-            self.mixture, prep.m, prep.v, drawn.z_star, drawn.eps, grad_x
-        )
+        out = gmm_pathwise_factor_vjp(self.mixture, prep.m, prep.v, drawn, grad_x)
         if log_z_weight:
             lz = self.log_z_vjp(prep)
             out = tuple(p + log_z_weight * g for p, g in zip(out, lz))
@@ -290,8 +293,9 @@ class LdsInferenceNet(ProductNet):
         return self.replay(prep, None, eps if n_samples else eps[0])
 
     def replay(self, prep, z, eps):
-        x = lds_reconstruct(self.dynamics, prep.record, eps)
-        return PosteriorSample(x_star=x, z_star=None, eps=eps, log_z=prep.log_z)
+        factors = _smoother_factors(self.dynamics, prep.record)
+        x = lds_reconstruct(self.dynamics, prep.record, eps, factors)
+        return PosteriorSample(x_star=x, z_star=None, eps=eps, factors=factors)
 
     def posterior_mean(self, prep):
         """Smoothed latent means of the prepared sequence or block, initial
@@ -303,9 +307,7 @@ class LdsInferenceNet(ProductNet):
         return lds_log_z_factor_grads(self.dynamics, prep.record)
 
     def pathwise_vjp(self, prep, drawn, grad_x, log_z_weight=0.0):
-        return lds_pathwise_factor_vjp(
-            self.dynamics, prep.record, drawn.x_star, drawn.eps, grad_x, log_z_weight
-        )
+        return lds_pathwise_factor_vjp(self.dynamics, prep.record, drawn, grad_x, log_z_weight)
 
 
 def init_gmm_net(k, d, data_dim, hidden=(), rng=None, activation="tanh"):
@@ -427,11 +429,18 @@ def gmm_conditional(mixture, m, v, z):
     return np.einsum("nij,nj->ni", cov, b), cov
 
 
-def gmm_reconstruct(mixture, m, v, z, eps):
-    """Deterministic sample given indicators and noise; the pathwise map."""
-    mean, cov = gmm_conditional(mixture, m, v, z)
-    chol = np.linalg.cholesky(cov)
-    return mean + np.einsum("nij,nj->ni", chol, eps)
+def gmm_draw_factors(mixture, m, v, z):
+    """A draw's (pk, cov, b, chol): ``_conditional_parts`` at indicators z
+    and the Cholesky factor of cov."""
+    pk, cov, b = _conditional_parts(mixture, m, v, np.asarray(z, dtype=int))
+    return pk, cov, b, np.linalg.cholesky(cov)
+
+
+def gmm_reconstruct(mixture, m, v, z, eps, factors=None):
+    """Deterministic sample given indicators and noise; the pathwise map,
+    from ``factors``, their ``gmm_draw_factors``, when the caller has them."""
+    _, cov, b, chol = factors or gmm_draw_factors(mixture, m, v, z)
+    return np.einsum("nij,nj->ni", cov, b) + np.einsum("nij,nj->ni", chol, eps)
 
 
 def gmm_log_z_factor_grads(mixture, m, v, resp, chol):
@@ -456,19 +465,17 @@ def gmm_log_z_factor_grads(mixture, m, v, resp, chol):
     return d_m, d_v, mixture.param_grad(d_logits, d_means, g.sum(axis=0))
 
 
-def gmm_pathwise_factor_vjp(mixture, m, v, z, eps, grad_x):
-    """Adjoint of the sampling map at fixed (z, eps), batched over rows.
+def gmm_pathwise_factor_vjp(mixture, m, v, drawn, grad_x):
+    """Adjoint of the sampling map at the fixed (z, eps) of ``drawn``, one
+    unstacked draw of the rows (m, v), from the draw's factors.
 
     Indicators carry no gradient, so the weight-logit block is zero.
     """
-    n, d = m.shape
-    k = mixture.n_components
-    z = np.asarray(z, dtype=int)
-    pk, cov, b = _conditional_parts(mixture, m, v, z)
+    d, k = m.shape[1], mixture.n_components
+    z, eps, g = drawn.z_star, drawn.eps, grad_x
+    pk, cov, b, chol = drawn.factors
     mu = mixture.means[z]
-    chol = np.linalg.cholesky(cov)
 
-    g = grad_x
     cov_b = linalg.cholesky_vjp(chol, g[:, :, None] * eps[:, None, :])
     cov_b += g[:, :, None] * b[:, None, :]
     b_b = np.einsum("nij,nj->ni", cov, g)
@@ -497,15 +504,6 @@ class FilterRecord:
     ``block`` slices a block record on its first axis.
     Per-step arrays are indexed 0..T-1 for step t = index + 1; filtered
     moments carry an extra row 0 for the unobserved initial state x_0.
-
-    ``smoother`` is filled by the record's first draw (see
-    ``_smoother_factors``) with ``(dyn, gain, pred_inv, chol)``, each stacked
-    over time behind the record's block axis: the smoother gains J_t of x_t
-    on x_{t+1} (T, d, d), the inverse predicted covariances they use
-    (T, d, d), and (T+1, d, d) Cholesky factors whose rows 0..T-1 factor x_t's
-    conditional covariance given x_{t+1} and whose row T factors the last
-    filtered covariance.  The posterior mean (``lds_reconstruct`` without
-    noise) reads its gains when a draw has filled it, and never fills it.
     """
 
     m: np.ndarray          # (T, d) pseudo-observation means
@@ -519,15 +517,11 @@ class FilterRecord:
     mu_filt: np.ndarray    # (T+1, d)
     p_filt: np.ndarray     # (T+1, d, d)
     log_z: object          # float; (B,) for a block
-    smoother: Optional[tuple] = None
 
     def block(self, rows):
         """The record of a block record's sequences ``rows`` (a slice): every
-        field sliced on its first axis, and no ``smoother``, which the slice
-        computes afresh."""
-        return FilterRecord(
-            **{f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "smoother"}
-        )
+        field sliced on its first axis."""
+        return FilterRecord(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 def _mv(mat, vec):
@@ -770,42 +764,36 @@ def backward_chain(x, j, right=None, levels=None):
 
 
 def _smoother_factors(dyn, record):
-    """(gain, pred_inv, chol) of ``FilterRecord.smoother``, each one call
-    stacked over time and block.  Computed on a record's first draw and
-    shared with its pathwise adjoint; passes that never draw never compute
-    them."""
-    if record.smoother is None or record.smoother[0] is not dyn:
-        j, pp1_inv, cov = rts_gains(dyn.trans, record.p_filt[..., :-1, :, :], record.p_pred)
-        chol = np.concatenate(
-            [
-                linalg.cholesky_spd(cov, "conditional covariance"),
-                linalg.cholesky_spd(record.p_filt[..., -1:, :, :], "filtered covariance"),
-            ],
-            axis=-3,
-        )
-        record.smoother = (dyn, j, pp1_inv, chol)
-    return record.smoother[1:]
+    """A dynamics draw's factors, each one call stacked over time behind the
+    record's block axis: the smoother gains J_t of x_t on x_{t+1} (T, d, d),
+    the inverse predicted covariances they use (T, d, d), and (T+1, d, d)
+    Cholesky factors whose rows 0..T-1 factor x_t's conditional covariance
+    given x_{t+1} and whose row T factors the last filtered covariance."""
+    j, pp1_inv, cov = rts_gains(dyn.trans, record.p_filt[..., :-1, :, :], record.p_pred)
+    chol = [
+        linalg.cholesky_spd(cov, "conditional covariance"),
+        linalg.cholesky_spd(record.p_filt[..., -1:, :, :], "filtered covariance"),
+    ]
+    return j, pp1_inv, np.concatenate(chol, axis=-3)
 
 
-def lds_reconstruct(dyn, record, eps=None):
+def lds_reconstruct(dyn, record, eps=None, factors=None):
     """Backward-sampling pass as a deterministic map of the noise block.
 
     ``eps`` has shape (..., T+1, d), where ``...`` ends with the record's
     block axis, if any; row t is consumed for x_t.  Returns latents with the
     initial state in row 0.  The offsets mu_filt - J mu_pred + chol eps are
     one stacked call; the loop keeps only x_t = offset_t + J_t x_{t+1}.
+    ``factors`` are the record's ``_smoother_factors`` when the caller has them.
 
     ``eps=None`` is the zero-noise map, the smoothed means.  It needs only
-    the RTS gains J: those of the record's ``smoother`` when a draw has
-    built it, else ``rts_gains``' alone, with no conditional factors and no
-    product with a zero noise block.  Its result equals that of zero noise.
+    ``rts_gains``' J, with no conditional factors and no product with a zero
+    noise block.  Its result equals that of zero noise.
     """
     t_len = record.m.shape[-2]
     if eps is not None:
-        j, _, chol = _smoother_factors(dyn, record)
+        j, _, chol = factors or _smoother_factors(dyn, record)
         x = record.mu_filt + _mv(chol, eps)
-    elif record.smoother is not None and record.smoother[0] is dyn:
-        j, x = record.smoother[1], record.mu_filt.copy()
     else:
         j = rts_gains(dyn.trans, record.p_filt[..., :-1, :, :], record.p_pred)[0]
         x = record.mu_filt.copy()
@@ -879,19 +867,20 @@ def lds_log_z_factor_grads(dyn, record):
     return _filter_reverse(dyn, record, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x, log_z_weight=0.0):
-    """Adjoint of the single-sequence backward-sampling map at fixed noise,
-    plus ``log_z_weight`` times the log normalizer's gradient.
+def lds_pathwise_factor_vjp(dyn, record, drawn, grad_x, log_z_weight=0.0):
+    """Adjoint of the single-sequence backward-sampling map at the noise of
+    ``drawn``, an unstacked draw from ``record`` whose x and factors it
+    reads, plus ``log_z_weight`` times the log normalizer's gradient.
 
-    ``x`` is the draw ``lds_reconstruct(dyn, record, eps)``.  The sampling
-    recursion's adjoint, xbar_{t+1} += J_t^T xbar_t, is one ``backward_chain``
-    call on time-reversed views; the adjoints of the smoother factors follow
-    stacked over time, and one filter reverse sweep pushes them, with the
-    log normalizer's, back to (m, v) and the dynamics.
+    The sampling recursion's adjoint, xbar_{t+1} += J_t^T xbar_t, is one
+    ``backward_chain`` call on time-reversed views; the adjoints of the
+    smoother factors follow stacked over time, and one filter reverse sweep
+    pushes them, with the log normalizer's, back to (m, v) and the dynamics.
     """
     t_len = record.m.shape[0]
     a = dyn.trans
-    j, pp1_inv, chol = _smoother_factors(dyn, record)
+    x, eps = drawn.x_star, drawn.eps
+    j, pp1_inv, chol = drawn.factors
     jt = _t(j)
     x_bar = np.array(grad_x, dtype=float, copy=True)
     backward_chain(x_bar[::-1], jt[::-1])

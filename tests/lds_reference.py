@@ -4,7 +4,7 @@ The filter, smoother factors, backward sampling and both adjoints written
 as one Python loop over time with per-step numpy calls.  The package stacks
 everything but the recursions over time; the parity tests in
 ``test_infnet.py`` check it against these loops.  Records come from this
-module's ``lds_filter``; ``_smoother_factors`` here caches nothing.
+module's ``lds_filter``.
 """
 
 import numpy as np

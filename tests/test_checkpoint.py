@@ -92,6 +92,26 @@ def test_shape_past_the_end_is_rejected_before_reading(tmp_path, count):
     assert peak < 2**20
 
 
+def write_zero_size_with_dimension(path, dim):
+    """A checkpoint whose one (0, 2) array has its second dimension patched
+    to ``dim``: 0 values, so the declared length fits the file."""
+    checkpoint.save(path, {"a": np.zeros((0, 2))}, {})
+    raw = bytearray(path.read_bytes())
+    # magic, version, no metadata, one array, its name "a", ndim 2, shape[0]
+    offset = len(checkpoint.MAGIC) + 4 + 4 + 4 + 4 + 1 + 4 + 8
+    assert int.from_bytes(raw[offset : offset + 8], "little") == 2
+    raw[offset : offset + 8] = dim.to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("dim", [2**63, 2**64 - 1])
+def test_dimension_numpy_cannot_hold_is_parse_error(tmp_path, dim):
+    path = tmp_path / "run.ckpt"
+    write_zero_size_with_dimension(path, dim)
+    with pytest.raises(ParseError, match=f"{path}: array 'a' of shape"):
+        checkpoint.load(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     rng = np.random.default_rng(4)
     path = tmp_path / "run.ckpt"

@@ -298,6 +298,76 @@ def test_eval_of_checkpoint_with_nan_iteration_exits_nonzero(tmp_path, capsys):
     assert err.startswith("error:") and "structured.ckpt: iteration" in err
 
 
+def test_eval_of_checkpoint_with_unholdable_shape_exits_nonzero(tmp_path, capsys):
+    """A zero-size array whose other dimension numpy cannot hold is a parse
+    error naming the file, not a traceback."""
+    path = tmp_path / "run.ckpt"
+    checkpoint.save(path, {"a": np.zeros((0, 2))}, {})
+    raw = bytearray(path.read_bytes())
+    # magic, version, no metadata, one array, its name "a", ndim 2, shape[0]
+    offset = len(checkpoint.MAGIC) + 4 + 4 + 4 + 4 + 1 + 4 + 8
+    raw[offset : offset + 8] = (2**63).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    code = run_cli(["eval", "--checkpoint", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and f"{path}: array 'a' of shape" in err
+
+
+def test_tau_ahead_on_an_empty_test_split_exits_nonzero(tmp_path, capsys):
+    dataset = str(tmp_path / "dots.txt")
+    assert run_cli(
+        ["generate-data", "--kind", "dots", "--out", dataset, "--n-seq", "4", "--t-len", "6",
+         "--width-d", "3"]
+    ) == 0
+    out_dir = str(tmp_path / "run")
+    assert run_cli(
+        [
+            "train", "--dataset", dataset, "--model-kind", "latent-lds", "--seq-len", "6",
+            "--hidden", "4", "--n-iters", "2", "--eval-interval", "2", "--train-frac", "1",
+            "--timing", "0", "--out-dir", out_dir,
+        ]
+    ) == 0
+    capsys.readouterr()
+    ckpt = os.path.join(out_dir, "structured.ckpt")
+    code = run_cli(["eval", "--checkpoint", ckpt, "--tasks", "tau-ahead", "--taus", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "at least one sequence" in captured.err
+
+
+def test_negative_n_draws_exits_nonzero_and_zero_draws_run(tmp_path, capsys):
+    dataset = make_pinwheel_file(tmp_path)
+    out_dir = str(tmp_path / "run")
+    run_cli(
+        [
+            "train", "--dataset", dataset, "--n-components", "2",
+            "--hidden", "4", "--n-iters", "3", "--eval-interval", "3",
+            "--timing", "0", "--out-dir", out_dir,
+        ]
+    )
+    ckpt = os.path.join(out_dir, "structured.ckpt")
+    samples_out = str(tmp_path / "samples.txt")
+    plot_dir = str(tmp_path / "plots")
+    sample_dump = ["eval", "--checkpoint", ckpt, "--tasks", "sample-dump",
+                   "--samples-out", samples_out, "--n-draws"]
+    dump_plots = ["dump-plots", "--checkpoint", ckpt, "--out-dir", plot_dir, "--n-draws"]
+    for args in (sample_dump + ["-1"], dump_plots + ["-3"]):
+        capsys.readouterr()
+        code = run_cli(args)
+        captured = capsys.readouterr()
+        assert code == 2, args
+        assert captured.out == "" and captured.err.startswith("error:"), args
+        assert "draws" in captured.err, args
+    assert not os.path.exists(samples_out) and not os.path.exists(plot_dir)
+    for args in (sample_dump + ["0"], dump_plots + ["0"]):
+        assert run_cli(args) == 0, args
+    for path in (samples_out, os.path.join(plot_dir, "samples.txt")):
+        with open(path) as fh:
+            assert len(fh.read().splitlines()) == 1, path  # the header alone
+
+
 def test_train_divergence_exits_nonzero(tmp_path, capsys):
     dataset = make_pinwheel_file(tmp_path)
     out_dir = str(tmp_path / "run")

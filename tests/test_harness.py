@@ -1303,6 +1303,17 @@ def test_tau_ahead_with_no_taus_is_an_empty_map():
     assert harness.evaluate(state, ds, ("tau-ahead",), taus=()) == {"tau_mae": {}}
 
 
+def test_tau_ahead_on_an_empty_test_split_is_a_contract_error():
+    """Like the bound, the forecast needs at least one test sequence."""
+    state, ds = lds_eval_state()
+    ds = data.split(ds, train_frac=1.0, seed=14)
+    assert ds.test_idx.size == 0
+    with pytest.raises(ContractError, match="at least one sequence"):
+        harness.evaluate(state, ds, ("tau-ahead",), taus=(1,))
+    with pytest.raises(ContractError, match="nonempty"):
+        harness.evaluate(state, ds, ("bound",))
+
+
 def test_tau_ahead_without_a_sequence_length_names_it():
     state, ds = lds_eval_state()
     with pytest.raises(ContractError, match="sequence length"):
@@ -1419,6 +1430,35 @@ def test_train_step_factor_work_is_pinned(monkeypatch, kind, want):
     counts = count_factor_work(monkeypatch)
     harness.train_step(state, cfg, batch, units.shape[0], np.random.default_rng(0))
     assert tuple(counts[name] for name in FACTOR_WORK) == want
+
+
+@pytest.mark.parametrize(
+    "kind, builder",
+    [("latent-gmm", "_conditional_parts"), ("latent-tmm", "_conditional_parts"),
+     ("latent-lds", "_smoother_factors")],
+)
+def test_train_step_builds_its_draw_factors_once(monkeypatch, kind, builder):
+    """A step's draw builds the factors of its sampling map once (the
+    mixture's conditional factors, the dynamics' smoother factors with their
+    RTS gains) and its pathwise adjoint reads them from the draw."""
+    if kind == "latent-lds":
+        ds = seq_dataset()
+        cfg = harness.TrainConfig(model_kind=kind, hidden=(6,), seq_len=10, timing=False)
+    else:
+        ds = blob_dataset(n=90, seed=16)
+        cfg = harness.TrainConfig(model_kind=kind, n_components=3, hidden=(6,), timing=False)
+    state = harness.init_state(cfg, ds.dim)
+    units = harness._units(state.net, ds.rows[ds.train_idx], cfg.seq_len)
+    batch = units[0] if kind == "latent-lds" else units[:16]
+    calls = []
+    for name in (builder, "rts_gains"):
+        real = getattr(infnet, name)
+        monkeypatch.setattr(
+            infnet, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    harness.train_step(state, cfg, batch, units.shape[0], np.random.default_rng(0))
+    want = [builder, "rts_gains"] if kind == "latent-lds" else [builder]
+    assert calls == want
 
 
 def test_evaluation_factor_work_is_pinned(monkeypatch):

@@ -246,7 +246,9 @@ class TestGmmSampling:
         m, v = infnet.encode(net, y)
         x = infnet.gmm_reconstruct(net.mixture, m, v, sample.z_star, sample.eps)
         np.testing.assert_array_equal(x, sample.x_star)
-        assert np.isfinite(sample.log_z)
+        want = infnet.gmm_draw_factors(net.mixture, m, v, sample.z_star)
+        for got, factor in zip(sample.factors, want, strict=True):
+            np.testing.assert_array_equal(got, factor)
 
 
 class TestGmmGradients:
@@ -419,10 +421,15 @@ class TestLdsSampling:
 
 
     def test_draw_and_its_adjoint_share_smoother_factors(self, monkeypatch):
+        """The draw factors its smoother once and holds the factors; its
+        adjoint reads them and factors nothing."""
         rng = np.random.default_rng(28)
         net = make_lds_net(rng, d=2, data_dim=3)
         y = rng.standard_normal((5, 3))
         prep = net.prepare(y)
+        steps, chol_last = lds_reference._smoother_factors(net.dynamics, prep.record)
+        j, pred_inv, chols = (np.stack(f) for f in zip(*steps))
+        want = (j, pred_inv, np.concatenate([chols, chol_last[None]]))
         calls = []
         chol = linalg.cholesky_spd
         monkeypatch.setattr(
@@ -431,8 +438,9 @@ class TestLdsSampling:
         net.log_z_vjp(prep)
         assert calls == []
         drawn = net.draw(prep, np.random.default_rng(29))
+        for got, factor in zip(drawn.factors, want, strict=True):
+            np.testing.assert_allclose(got, factor, rtol=1e-12, atol=1e-13)
         net.pathwise_vjp(prep, drawn, rng.standard_normal(drawn.x_star.shape))
-        net.replay(prep, None, drawn.eps)
         assert calls == ["conditional covariance", "filtered covariance"]
 
 
@@ -672,6 +680,13 @@ class TestLdsStackedParity:
     def close(got, want, what):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13, err_msg=what)
 
+    @staticmethod
+    def draw(dyn, record, eps):
+        """The draw from ``record`` at noise ``eps``, holding its factors."""
+        factors = infnet._smoother_factors(dyn, record)
+        x = infnet.lds_reconstruct(dyn, record, eps, factors)
+        return infnet.PosteriorSample(x_star=x, z_star=None, eps=eps, factors=factors)
+
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("t_len,d", CASES)
     def test_filter_and_draw_match_the_step_loops(self, t_len, d, lead):
@@ -695,13 +710,13 @@ class TestLdsStackedParity:
         got = infnet.lds_filter(dyn, m, v)
         want = lds_reference.lds_filter(dyn, m, v)
         eps = rng.standard_normal((t_len + 1, d))
-        x = infnet.lds_reconstruct(dyn, got, eps)
-        grad_x = rng.standard_normal(x.shape)
+        drawn = self.draw(dyn, got, eps)
+        grad_x = rng.standard_normal(drawn.x_star.shape)
         pairs = [
             (infnet.lds_log_z_factor_grads(dyn, got),
              lds_reference.lds_log_z_factor_grads(dyn, want)),
-            (infnet.lds_pathwise_factor_vjp(dyn, got, x, eps, grad_x),
-             lds_reference.lds_pathwise_factor_vjp(dyn, want, x, eps, grad_x)),
+            (infnet.lds_pathwise_factor_vjp(dyn, got, drawn, grad_x),
+             lds_reference.lds_pathwise_factor_vjp(dyn, want, drawn.x_star, eps, grad_x)),
         ]
         for which, (g, w) in zip(("log_z", "pathwise"), pairs):
             for name, a, b in zip(("d_m", "d_v", "d_dyn"), g, w):
@@ -712,11 +727,11 @@ class TestLdsStackedParity:
         rng, dyn, m, v = self.case(70 + t_len + d, t_len, d)
         record = infnet.lds_filter(dyn, m, v)
         eps = rng.standard_normal((t_len + 1, d))
-        x = infnet.lds_reconstruct(dyn, record, eps)
-        grad_x = rng.standard_normal(x.shape)
+        drawn = self.draw(dyn, record, eps)
+        grad_x = rng.standard_normal(drawn.x_star.shape)
         weight = 2.5
-        fused = infnet.lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x, weight)
-        pathwise = infnet.lds_pathwise_factor_vjp(dyn, record, x, eps, grad_x)
+        fused = infnet.lds_pathwise_factor_vjp(dyn, record, drawn, grad_x, weight)
+        pathwise = infnet.lds_pathwise_factor_vjp(dyn, record, drawn, grad_x)
         log_z = infnet.lds_log_z_factor_grads(dyn, record)
         for name, f, p, g in zip(("d_m", "d_v", "d_dyn"), fused, pathwise, log_z):
             self.close(f, p + weight * g, name)
@@ -933,22 +948,26 @@ class TestIdentityEmission:
         for field in dataclasses.fields(infnet.FilterRecord):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
-    @pytest.mark.parametrize("cached", [False, True], ids=["no-smoother", "smoother"])
+    @pytest.mark.parametrize("drawn_first", [False, True], ids=["no-smoother", "smoother"])
     @pytest.mark.parametrize("lead", [(), (4,)])
-    def test_posterior_mean_is_the_zero_noise_draw(self, monkeypatch, lead, cached):
-        """Equal to the zero-noise replay; it factors nothing and leaves the
-        record's smoother as it found it."""
+    def test_posterior_mean_is_the_zero_noise_draw(self, monkeypatch, lead, drawn_first):
+        """Equal to the zero-noise replay, and it factors nothing, whether or
+        not a draw has built its smoother factors from the same record first;
+        a draw leaves every record field as it found it."""
         rng = np.random.default_rng(85)
         net = make_lds_net(rng, d=2, data_dim=3)
         prep = net.prepare(rng.standard_normal(lead + (6, 3)))
-        if cached:
+        fields = [f.name for f in dataclasses.fields(prep.record)]
+        before = {name: np.copy(getattr(prep.record, name)) for name in fields}
+        if drawn_first:
             net.draw(prep, np.random.default_rng(86))
-        smoother = prep.record.smoother
         calls = []
         chol = linalg.cholesky_spd
         monkeypatch.setattr(linalg, "cholesky_spd", lambda *a: calls.append(a) or chol(*a))
         got = net.posterior_mean(prep)
-        assert calls == [] and prep.record.smoother is smoother
+        assert calls == []
+        for name, value in before.items():
+            assert np.array_equal(getattr(prep.record, name), value), name
         want = net.replay(prep, None, np.zeros(lead + (7, 2))).x_star
         assert np.array_equal(got, want)
 
