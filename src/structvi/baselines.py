@@ -73,7 +73,7 @@ def expected_component_loglik(q, y):
 
 def vb_gmm_responsibilities(q, y):
     log_rho = expected_component_loglik(q, y) + expfam.to_mean(q.weights).values
-    return np.exp(log_rho - logsumexp(log_rho, axis=1, keepdims=True))
+    return models.normalized(log_rho)[2]
 
 
 def vb_gmm_elbo(q, prior, y, resp):

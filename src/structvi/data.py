@@ -132,11 +132,15 @@ def dot_sequences(n_seq, t_len, width_d, dot_std=1.0, speed=1.0, seed=0, noise_s
     )
 
 
+def _cells(text):
+    """A line's fields: comma-separated if it has a comma, else
+    whitespace-separated."""
+    return [c for c in text.split("," if "," in text else None) if c != ""]
+
+
 def _parse_line(text, lineno, path):
-    delim = "," if "," in text else None
-    cells = [c for c in text.split(delim) if c != ""]
     try:
-        return [float(c) for c in cells]
+        return [float(c) for c in _cells(text)]
     except ValueError as exc:
         raise ParseError(f"{path}: line {lineno}: {exc}") from None
 
@@ -145,7 +149,7 @@ def load_delimited(path, has_labels=False, label_column=None):
     """Read a rectangular numeric table; a leading non-numeric line is a header.
 
     ``has_labels=None`` takes labels exactly when the first line's last
-    whitespace-separated field is ``label``.
+    field, split as its data lines are, is ``label``.
     """
     path = Path(path)
     try:
@@ -154,7 +158,7 @@ def load_delimited(path, has_labels=False, label_column=None):
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if has_labels is None:
-        has_labels = bool(lines) and lines[0].split()[-1:] == ["label"]
+        has_labels = bool(lines) and [c.strip() for c in _cells(lines[0])[-1:]] == ["label"]
     rows = []
     width = None
     for lineno, text in enumerate(lines, start=1):

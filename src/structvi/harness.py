@@ -23,6 +23,7 @@ whole file.
 """
 
 import dataclasses
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -105,10 +106,10 @@ class TrainConfig:
             raise ContractError("dynamics runs need seq_len >= 2")
         if not 0.0 < self.train_frac <= 1.0:
             raise ContractError("train_frac must lie in (0, 1]")
-        if self.beta1 < 0 or self.beta2 < 0 or self.beta3 < 0:
-            raise ContractError("step sizes must be nonnegative")
-        if self.dof <= 2.0:
-            raise ContractError("dof must exceed 2 for finite component variance")
+        if not all(0.0 <= b < math.inf for b in (self.beta1, self.beta2, self.beta3)):
+            raise ContractError("step sizes must be finite and nonnegative")
+        if not 2.0 < self.dof < math.inf:
+            raise ContractError("dof must be finite and exceed 2 for finite component variance")
         return self
 
 
@@ -740,13 +741,19 @@ def _finish(out_dir, name, state_saver, metrics):
     return metrics_path, ckpt_path
 
 
-def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
-    """The main training loop over the structured model family."""
-    cfg.validate()
+def _training_split(cfg, ds):
+    """``ds``, else the config's dataset, which must have a training split."""
     if ds is None:
         ds = load_dataset(cfg)
     if ds.train_idx is None:
         raise ContractError("dataset must be split before training")
+    return ds
+
+
+def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
+    """The main training loop over the structured model family."""
+    cfg.validate()
+    ds = _training_split(cfg, ds)
     state = init_state(cfg, ds.dim, prior_override=prior_override)
     units = _units(state.net, ds.rows[ds.train_idx], cfg.seq_len)
     n_total = units.shape[0]
@@ -786,8 +793,7 @@ def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
 def train_vae(cfg, ds=None, out_dir=None):
     """Plain VAE baseline trained by the same loop conventions."""
     cfg.validate()
-    if ds is None:
-        ds = load_dataset(cfg)
+    ds = _training_split(cfg, ds)
     rows = ds.rows[ds.train_idx]
     test_rows = ds.rows[ds.test_idx] if ds.test_idx is not None else None
     n_total, data_dim = rows.shape
@@ -849,8 +855,7 @@ def train_vae(cfg, ds=None, out_dir=None):
 def train_vb_gmm(cfg, ds=None, out_dir=None):
     """Conjugate mixture EM baseline on the raw observations."""
     cfg.validate()
-    if ds is None:
-        ds = load_dataset(cfg)
+    ds = _training_split(cfg, ds)
     rows = ds.rows[ds.train_idx]
     res = baselines.vb_gmm_fit(
         rows, k=cfg.n_components, n_iter=cfg.n_iters, seed=cfg.seed
@@ -880,8 +885,7 @@ def train_lds_em(cfg, ds=None, out_dir=None):
     cfg.validate()
     if cfg.seq_len < 2:
         raise ContractError("lds-em needs seq_len >= 2")
-    if ds is None:
-        ds = load_dataset(cfg)
+    ds = _training_split(cfg, ds)
     seqs = _as_sequences(ds.rows[ds.train_idx], cfg.seq_len)
     params, logliks = baselines.lds_em_fit(seqs, d=cfg.latent_dim, n_iter=cfg.n_iters)
     metrics = [

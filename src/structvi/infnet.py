@@ -62,6 +62,10 @@ gain products, and LDS-EM keeps them per parameter set.  Per-sequence gains
 the R-1-step loop: their levels would cost more products than the loop
 saves.
 
+The mixture factor's normalizer, sum_k pi_k N(m_n | mu_k, Sigma_k + diag v_n),
+is the factor's own density at per-row covariances, so its scores and their
+adjoints are ``models.GaussianMixture``'s at the factors built here.
+
 Parameter vectors are laid out as [encoder parameters, structured-factor
 parameters].  The factor is a ``models`` prior class, which owns its part:
 the adjoints here end at the factor's moments (weight logits, means and
@@ -81,7 +85,6 @@ import numpy as np
 
 from . import linalg, models, nnet
 from .errors import ContractError, InvalidParameterError, NumericalError
-from .linalg import logsumexp
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -198,7 +201,7 @@ class GmmInferenceNet(ProductNet):
 
     def _factor_pass(self, m, v):
         chol = _combined_chol(self.mixture, v)
-        log_z, _, resp = aggregate_scores(gmm_scores(self.mixture, m, v, chol))
+        log_z, _, resp = models.normalized(gmm_scores(self.mixture, m, v, chol))
         return log_z, MixtureRecord(resp=resp, chol=chol)
 
     def draw(self, prep, rng, n_samples=None):
@@ -381,36 +384,20 @@ def _combined_chol(mixture, v):
 
 @dataclass
 class MixtureRecord:
-    """Mixture score pass over rows."""
+    """Mixture score pass over rows, as its score adjoints read it."""
 
     resp: np.ndarray  # (n, k) indicator marginals
     chol: np.ndarray  # (n, k, d, d) Cholesky factors of diag(v_n) + Sigma_k
 
 
 def gmm_scores(mixture, m, v, chol=None):
-    """(n, k) log of [weight_k x N(m_n | mu_k, diag(v_n) + Sigma_k)].
-
-    ``chol`` is ``_combined_chol(mixture, v)`` when the caller has it.
-    """
-    d = m.shape[1]
-    if chol is None:
-        chol = _combined_chol(mixture, v)
-    u = m[:, None, :] - mixture.means[None, :, :]
-    sol = np.linalg.solve(chol, u[..., None])[..., 0]
-    quad = np.sum(sol**2, axis=-1)
-    logdet = linalg.logdet_from_chol(chol)
-    return mixture.log_weights()[None, :] - 0.5 * (quad + logdet + d * LOG_2PI)
-
-
-def aggregate_scores(scores):
-    """(total log normalizer, per-datum log normalizers, responsibilities)."""
-    per_datum = logsumexp(scores, axis=1)
-    resp = np.exp(scores - per_datum[:, None])
-    return float(per_datum.sum()), per_datum, resp
+    """(n, k) log of [weight_k x N(m_n | mu_k, diag(v_n) + Sigma_k)], the
+    mixture's scores at ``chol``, ``_combined_chol(mixture, v)`` if None."""
+    return mixture.scores(m, _combined_chol(mixture, v) if chol is None else chol)
 
 
 def gmm_log_z_parts(mixture, m, v):
-    return aggregate_scores(gmm_scores(mixture, m, v))
+    return models.normalized(gmm_scores(mixture, m, v))
 
 
 def _conditional_parts(mixture, m, v, z):
@@ -444,24 +431,14 @@ def gmm_reconstruct(mixture, m, v, z, eps, factors=None):
 
 
 def gmm_log_z_factor_grads(mixture, m, v, resp, chol):
-    """Gradients of the log normalizer with respect to (m, v) and the factor.
+    """Gradients of the log normalizer with respect to (m, v) and the factor,
+    the mixture's score adjoints; v moves its rows' covariance diagonals.
 
     ``resp`` and ``chol`` are the indicator marginals and combined-covariance
     factors of the same (m, v), as the score pass keeps them.
     """
-    n, d = m.shape
-    idx = np.arange(d)
-    u = m[:, None, :] - mixture.means[None, :, :]
-    su = linalg.chol_solve(chol, u[..., None])[..., 0]
-    sinv = linalg.inv_from_chol(chol)
-    d_m = -np.einsum("nk,nkd->nd", resp, su)
-    d_means = np.einsum("nk,nkd->kd", resp, su)
-    g = 0.5 * (
-        np.einsum("nk,nki,nkl->nkil", resp, su, su)
-        - resp[:, :, None, None] * sinv
-    )
-    d_v = np.sum(g[:, :, idx, idx], axis=1)
-    d_logits = resp.sum(axis=0) - n * mixture.weights
+    d_m, d_logits, d_means, g = mixture.score_adjoints(m, resp, chol)
+    d_v = np.diagonal(g, axis1=-2, axis2=-1).sum(axis=1)
     return d_m, d_v, mixture.param_grad(d_logits, d_means, g.sum(axis=0))
 
 

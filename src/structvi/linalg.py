@@ -85,12 +85,6 @@ def _jittered_cholesky(mat, what):
     raise NumericalError(f"cholesky failed for {what} after jitter retries")
 
 
-def chol_solve(chol, b):
-    """Solve (L L^T) X = B for a stack of right-hand-side matrices B, given
-    the lower factors."""
-    return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, b))
-
-
 def inv_from_chol(chol):
     """(L L^T)^-1 = L^-T L^-1 given the lower factor, batched over a stack."""
     l_inv = np.linalg.inv(chol)

@@ -20,6 +20,11 @@ structured factors are these classes, hand their moment gradients to it.
 
 Priors are immutable, so each builds its factors, covariances and (for a
 mixture) precisions once, at their first read, for every later reader to share.
+
+``GaussianMixture`` is the package's one mixture density: its ``scores`` and
+``score_adjoints`` take its own covariance factors or per-row (n, k, d, d)
+ones, as the mixture inference network's normalizer needs; ``normalized``
+turns scores into log normalizers and responsibilities.
 """
 
 import math
@@ -46,6 +51,13 @@ class _VectorParams:
     def with_param_vector(self, vec):
         shapes = [getattr(self, name).shape for name in self._params]
         return replace(self, **dict(zip(self._params, linalg.unflatten(vec, shapes))))
+
+
+def normalized(scores):
+    """(total, per-row log normalizers, responsibilities) of (n, k) log
+    scores, each row's normalized over its k entries."""
+    per_row = logsumexp(scores, axis=1)
+    return float(per_row.sum()), per_row, np.exp(scores - per_row[:, None])
 
 
 @dataclass(frozen=True)
@@ -103,31 +115,28 @@ class GaussianMixture(_VectorParams):
     def log_weights(self):
         return self.logits - logsumexp(self.logits)
 
-    def component_log_densities(self, x):
-        """(n, k) matrix of per-component log densities."""
+    def component_log_densities(self, x, chol=None):
+        """(n, k) matrix of per-component log densities, at the mixture's own
+        covariance factors or, given (n, k, d, d) ``chol``, at each row's."""
         x = np.atleast_2d(x)
-        chols = self.chols
+        chol = self.chols if chol is None else chol
         u = x[:, None, :] - self.means[None, :, :]
-        v = np.linalg.solve(chols, u[..., None])[..., 0]
-        logdet = linalg.logdet_from_chol(chols)
-        return self._log_kernel(np.sum(v**2, axis=-1), logdet[None, :], x.shape[1])
+        v = np.linalg.solve(chol, u[..., None])[..., 0]
+        logdet = linalg.logdet_from_chol(chol)
+        return self._log_kernel(np.sum(v**2, axis=-1), logdet, x.shape[1])
 
     def _log_kernel(self, quad, logdet, d):
         """Component log densities from the squared Mahalanobis distances
         ``quad`` and the covariance log-determinants."""
         return -0.5 * (quad + logdet + d * LOG_2PI)
 
-    def scores(self, x):
-        return self.component_log_densities(x) + self.log_weights()
+    def scores(self, x, chol=None):
+        """(n, k) log weights plus ``component_log_densities``."""
+        return self.component_log_densities(x, chol) + self.log_weights()
 
     def log_density(self, x):
         """Per-datum mixture log density, shape (n,)."""
         return logsumexp(self.scores(x), axis=1)
-
-    def joint_log_density(self, x, z):
-        """Sum of log p(x_n, z_n) at hard labels."""
-        s = self.scores(np.atleast_2d(x))
-        return float(s[np.arange(s.shape[0]), np.asarray(z, dtype=int)].sum())
 
     def log_prior(self, x):
         """Log density of (n, d) latent rows, labels marginalized, summed; a
@@ -136,19 +145,24 @@ class GaussianMixture(_VectorParams):
 
     def log_prior_with_grads(self, x):
         """(value, gradient wrt x, gradient wrt the parameter vector)."""
-        scores = self.scores(x)
-        val = float(logsumexp(scores, axis=1).sum())
-        resp = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
-        prec = linalg.inv_from_chol(self.chols)
+        val, _, resp = normalized(self.scores(x))
+        grad_x, g_logits, g_means, g_covs = self.score_adjoints(x, resp)
+        return val, grad_x, self.param_grad(g_logits, g_means, g_covs.sum(axis=0))
+
+    def score_adjoints(self, x, resp, chol=None):
+        """Gradients of the summed log density of rows ``x`` of
+        responsibilities ``resp``, at the factors ``scores`` reads: wrt x,
+        the logits, the means, and each row's (n, k, d, d) covariances."""
+        chol = self.chols if chol is None else chol
+        prec = linalg.inv_from_chol(chol)
         u = x[:, None, :] - self.means[None, :, :]
-        pu = np.einsum("kde,nke->nkd", prec, u)
+        pu = (prec @ u[..., None])[..., 0]
         rw = resp * self._tail_weights(u, pu)
         grad_x = -np.einsum("nk,nkd->nd", rw, pu)
-        grad_logits = resp.sum(axis=0) - x.shape[0] * self.weights
-        grad_means = np.einsum("nk,nkd->kd", rw, pu)
-        scatter = np.einsum("nk,nki,nkl->kil", rw, pu, pu)
-        g_cov = 0.5 * (scatter - resp.sum(axis=0)[:, None, None] * prec)
-        return val, grad_x, self.param_grad(grad_logits, grad_means, g_cov)
+        g_logits = resp.sum(axis=0) - x.shape[0] * self.weights
+        g_means = np.einsum("nk,nkd->kd", rw, pu)
+        g_covs = 0.5 * (np.einsum("nk,nki,nkl->nkil", rw, pu, pu) - resp[..., None, None] * prec)
+        return grad_x, g_logits, g_means, g_covs
 
     def param_grad(self, g_logits, g_means, g_covs):
         """Parameter-vector gradient from the gradients with respect to the

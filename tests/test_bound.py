@@ -269,8 +269,8 @@ def check_fd_blocks(model, net, y, z, eps, n_total):
 
 @pytest.mark.parametrize(
     "student,d,data_dim",
-    [(False, 1, 2), (True, 1, 2), (False, 2, 3)],
-    ids=["gauss-d1", "student-d1", "gauss-d2"],
+    [(False, 1, 2), (True, 1, 2), (False, 2, 3), (False, 4, 3), (True, 5, 3)],
+    ids=["gauss-d1", "student-d1", "gauss-d2", "gauss-d4", "student-d5"],
 )
 def test_fd_gmm_gradient_blocks(student, d, data_dim):
     rng = np.random.default_rng(13)

@@ -386,6 +386,15 @@ def test_train_divergence_exits_nonzero(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "structured.ckpt"))
 
 
+def test_non_finite_step_size_exits_nonzero_before_training(tmp_path, capsys):
+    dataset = make_pinwheel_file(tmp_path)
+    out_dir = str(tmp_path / "run")
+    code = run_cli(["train", "--dataset", dataset, "--beta1", "nan", "--out-dir", out_dir])
+    assert code == 2
+    assert "step sizes" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 def test_bad_config_value_exits_nonzero(tmp_path, capsys):
     code = run_cli(["train", "--dataset", "x.txt", "--model-kind", "latent-hmm"])
     assert code == 2

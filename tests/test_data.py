@@ -122,6 +122,15 @@ class TestLoadAndExport:
         ds = data.load_delimited(path)
         np.testing.assert_array_equal(ds.rows, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_label_header_read_alike_for_either_delimiter(self, tmp_path):
+        table = [["x0", "x1", "label"], ["1.5", "2.0", "0"], ["-0.5", "3.25", "1"]]
+        for name, sep in (("w.txt", " "), ("c.csv", ","), ("cs.csv", ", ")):
+            path = tmp_path / name
+            path.write_text("".join(sep.join(line) + "\n" for line in table))
+            ds = data.load_delimited(path, has_labels=None)
+            np.testing.assert_array_equal(ds.rows, [[1.5, 2.0], [-0.5, 3.25]])
+            np.testing.assert_array_equal(ds.labels, [0, 1])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             data.load_delimited(tmp_path / "nope.txt")

@@ -140,6 +140,14 @@ def test_config_validation():
         harness.TrainConfig(optimizer="van", beta3=0.0).validate()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["beta1", "beta2", "beta3", "dof"])
+def test_config_rejects_non_finite_step_sizes_and_dof(field, value):
+    cfg = harness.TrainConfig(model_kind="latent-tmm", **{field: value})
+    with pytest.raises(ContractError, match="dof" if field == "dof" else "step sizes"):
+        cfg.validate()
+
+
 # ---------------------------------------------------------------------------
 # Forecast evaluation against hand bookkeeping
 
@@ -895,6 +903,21 @@ def test_evaluate_tau_ahead_on_lds():
     out = harness.evaluate(res.state, ds, ["tau-ahead"], taus=(1, 3))
     assert set(out["tau_mae"]) == {1, 3}
     assert all(np.isfinite(v) for v in out["tau_mae"].values())
+
+
+@pytest.mark.parametrize(
+    "trainer, kind",
+    [(harness.train_vae, "latent-gmm"), (harness.train_vb_gmm, "latent-gmm"),
+     (harness.train_lds_em, "latent-lds")],
+    ids=["vae", "vb-gmm", "lds-em"],
+)
+def test_baseline_trainers_reject_an_unsplit_dataset(trainer, kind):
+    ds = data.dot_sequences(n_seq=4, t_len=5, width_d=3, seed=0)
+    cfg = harness.TrainConfig(
+        model_kind=kind, n_components=2, hidden=(4,), n_iters=2, seq_len=5, timing=False
+    )
+    with pytest.raises(ContractError, match="split before training"):
+        trainer(cfg, ds=ds)
 
 
 def test_vb_gmm_wrapper(tmp_path):

@@ -76,16 +76,11 @@ class TestCholeskySpd:
 
 class TestCholeskySolves:
     @pytest.mark.parametrize("d", [1, 2, 10])
-    def test_solve_and_inverse_match_numpy_on_stacks(self, d):
+    def test_inverse_matches_numpy_on_stacks(self, d):
         rng = np.random.default_rng(d)
         a = rng.standard_normal((3, 4, d, d))
         mat = a @ np.swapaxes(a, -1, -2) + d * np.eye(d)
         chol = np.linalg.cholesky(mat)
-        for cols in (1, 5):
-            rhs = rng.standard_normal((3, 4, d, cols))
-            np.testing.assert_allclose(
-                linalg.chol_solve(chol, rhs), np.linalg.solve(mat, rhs), rtol=1e-12
-            )
         np.testing.assert_allclose(
             linalg.inv_from_chol(chol), np.linalg.inv(mat), rtol=1e-12
         )

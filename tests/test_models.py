@@ -204,6 +204,50 @@ class TestLogPrior:
         assert calls == []
 
 
+class TestPerRowCovariances:
+    """``scores`` and ``score_adjoints`` at (n, k, d, d) factors, one per row
+    and component, as the mixture inference network passes them."""
+
+    @staticmethod
+    def case(seed, student=False, n=4, k=3, d=3):
+        rng = np.random.default_rng(seed)
+        mix = random_mixture(rng, k, d)
+        if student:
+            mix = models.StudentMixture(
+                logits=mix.logits, means=mix.means, chol_raw=mix.chol_raw, dof=5.0
+            )
+        a = rng.standard_normal((n, k, d, d))
+        covs = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(d)
+        return mix, covs, 2.0 * rng.standard_normal((n, d))
+
+    def test_scores_match_scipy_at_each_row_and_component(self):
+        mix, covs, x = self.case(0)
+        got = mix.scores(x, np.linalg.cholesky(covs))
+        log_w = mix.log_weights()
+        for n, k in np.ndindex(got.shape):
+            want = log_w[k] + stats.multivariate_normal.logpdf(x[n], mix.means[k], covs[n, k])
+            assert got[n, k] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("student", [False, True], ids=["gauss", "student"])
+    def test_covariance_adjoint_matches_central_differences_on_one_row(self, student):
+        mix, covs, x = self.case(1, student=student)
+        row, h = 2, 1e-6
+
+        def total(c):
+            return models.normalized(mix.scores(x, np.linalg.cholesky(c)))[0]
+
+        chol = np.linalg.cholesky(covs)
+        _, _, resp = models.normalized(mix.scores(x, chol))
+        g = mix.score_adjoints(x, resp, chol)[3]
+        for k in range(mix.n_components):
+            for i, j in zip(*np.tril_indices(x.shape[1])):
+                step = np.zeros_like(covs)
+                step[row, k, i, j] = step[row, k, j, i] = h
+                fd = (total(covs + step) - total(covs - step)) / (2 * h)
+                want = g[row, k, i, j] + (g[row, k, j, i] if i != j else 0.0)
+                assert want == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
 class TestExpectedLogPrior:
     def test_concentrated_posterior_hits_point_value(self):
         """Huge kappa and dof collapse the posterior onto its mean parameters."""
@@ -237,7 +281,7 @@ class TestExpectedLogPrior:
         point = models.GaussianMixture(
             logits=np.log(w), means=mu, chol_raw=np.stack([linalg.raw_from_spd(c) for c in cov])
         )
-        expect = point.joint_log_density(x, z)
+        expect = float(point.scores(x)[np.arange(x.shape[0]), z].sum())
         assert val == pytest.approx(expect, abs=1e-3)
 
     def test_uniform_responsibilities_symmetric_contributions(self):
