@@ -111,22 +111,6 @@ def vb_gmm_fit(y, k, n_iter=100, prior=None, seed=0):
     return VbGmmResult(posterior=q, responsibilities=resp, elbos=np.asarray(elbos))
 
 
-def _student_logpdf(y, mean, prec, dof):
-    """(n, k) log densities of multivariate t components with precision-form
-    scale matrices (k, d, d) and per-component dof (k,)."""
-    d = mean.shape[-1]
-    chol = np.linalg.cholesky(linalg.symmetrize(np.linalg.inv(prec)))
-    sol = np.linalg.solve(chol, np.swapaxes(y[None, :, :] - mean[:, None, :], -1, -2))
-    delta = np.sum(sol**2, axis=-2).T
-    logdet_prec = -linalg.logdet_from_chol(chol)
-    return (
-        np.array([models.log_gamma_ratio(0.5 * g, d) for g in dof])
-        - 0.5 * d * np.log(dof * np.pi)
-        + 0.5 * logdet_prec
-        - 0.5 * (dof + d) * np.log1p(delta / dof)
-    )
-
-
 def vb_gmm_predictive_logpdf(q, y):
     """Exact per-datum log posterior-predictive density, a Student mixture."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -138,7 +122,9 @@ def vb_gmm_predictive_logpdf(q, y):
     if np.any(dof <= 0):
         raise ContractError("posterior dof too small for a proper predictive")
     prec = (dof * p.kappa / (1.0 + p.kappa))[:, None, None] * p.scale
-    return logsumexp(log_w + _student_logpdf(y, p.mean, prec, dof), axis=1)
+    chol = np.linalg.cholesky(linalg.symmetrize(np.linalg.inv(prec)))
+    quad, logdet = linalg.chol_quad(chol, np.swapaxes(y[None, :, :] - p.mean[:, None, :], -1, -2))
+    return logsumexp(log_w + models.student_log_kernel(quad.T, logdet, d, dof), axis=1)
 
 
 # ---------------------------------------------------------------------------

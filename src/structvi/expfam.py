@@ -25,8 +25,8 @@ every member is.  ``log_partition`` and ``kl_divergence`` return a Python
 float for a single member and one value per member for a stack.
 
 ``scipy.special`` loads on the first call that needs a special function
-(these families' log partitions and moments, and the VB-GMM baseline's
-Student predictive).  Importing it raises the package's import peak from
+(these families' log partitions and moments; the VB-GMM baseline's Student
+predictive needs none).  Importing it raises the package's import peak from
 34 to 55 MB of resident memory, which the dynamics, LDS-EM and
 structured-mixture paths never pay.
 """

@@ -95,6 +95,14 @@ def logdet_from_chol(chol):
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
+def chol_quad(chol, cols):
+    """(squared norms of L^-1 b over the columns b of ``cols`` (..., d, m),
+    log|L L^T|) for the lower factors L of ``chol`` (..., d, d): the
+    package's one Mahalanobis solve, which every density reads."""
+    sol = np.linalg.solve(chol, cols)
+    return np.sum(sol**2, axis=-2), logdet_from_chol(chol)
+
+
 def tril_size(d):
     return d * (d + 1) // 2
 

@@ -25,6 +25,14 @@ mixture) precisions once, at their first read, for every later reader to share.
 ``score_adjoints`` take its own covariance factors or per-row (n, k, d, d)
 ones, as the mixture inference network's normalizer needs; ``normalized``
 turns scores into log normalizers and responsibilities.
+
+Every full-covariance density in the package is ``linalg.chol_quad``, the
+one Mahalanobis solve, followed by one kernel per family:
+``gaussian_log_kernel`` (the Gaussian mixture and the dynamics' initial
+rows and transition residuals) or ``student_log_kernel`` (the Student
+mixture and the VB-GMM baseline's predictive).  ``expected_log_prior`` reads
+the conjugate statistics of ``updates.gmm_statistics``, as the conjugate
+message does.
 """
 
 import math
@@ -58,6 +66,22 @@ def normalized(scores):
     scores, each row's normalized over its k entries."""
     per_row = logsumexp(scores, axis=1)
     return float(per_row.sum()), per_row, np.exp(scores - per_row[:, None])
+
+
+def gaussian_log_kernel(quad, logdet, d):
+    """Log density of a d-dimensional Gaussian at the squared Mahalanobis
+    distances ``quad`` from its mean, with covariance log-determinant
+    ``logdet``."""
+    return -0.5 * (quad + logdet + d * LOG_2PI)
+
+
+def student_log_kernel(quad, logdet, d, dof):
+    """Log density of a d-dimensional Student t at the squared Mahalanobis
+    distances ``quad`` under its shape matrix of log-determinant ``logdet``;
+    ``dof`` is a scalar or one per component (the last axis)."""
+    lgr = np.reshape([log_gamma_ratio(g / 2.0, d) for g in np.ravel(dof)], np.shape(dof))
+    const = lgr - 0.5 * d * np.log(dof * np.pi)
+    return const - 0.5 * logdet - 0.5 * (dof + d) * np.log1p(quad / dof)
 
 
 @dataclass(frozen=True)
@@ -121,14 +145,11 @@ class GaussianMixture(_VectorParams):
         x = np.atleast_2d(x)
         chol = self.chols if chol is None else chol
         u = x[:, None, :] - self.means[None, :, :]
-        v = np.linalg.solve(chol, u[..., None])[..., 0]
-        logdet = linalg.logdet_from_chol(chol)
-        return self._log_kernel(np.sum(v**2, axis=-1), logdet, x.shape[1])
+        quad, logdet = linalg.chol_quad(chol, u[..., None])
+        return self._log_kernel(quad[..., 0], logdet, x.shape[1])
 
     def _log_kernel(self, quad, logdet, d):
-        """Component log densities from the squared Mahalanobis distances
-        ``quad`` and the covariance log-determinants."""
-        return -0.5 * (quad + logdet + d * LOG_2PI)
+        return gaussian_log_kernel(quad, logdet, d)
 
     def scores(self, x, chol=None):
         """(n, k) log weights plus ``component_log_densities``."""
@@ -215,9 +236,7 @@ class StudentMixture(GaussianMixture):
     dof: float = 5.0
 
     def _log_kernel(self, quad, logdet, d):
-        g = self.dof
-        const = log_gamma_ratio(g / 2.0, d) - 0.5 * d * np.log(g * np.pi)
-        return const - 0.5 * logdet - 0.5 * (g + d) * np.log1p(quad / g)
+        return student_log_kernel(quad, logdet, d, self.dof)
 
     def _tail_weights(self, u, pu):
         g, d = self.dof, self.dim
@@ -293,13 +312,14 @@ class LinearDynamics(_VectorParams):
         d = self.dim
         if x.shape[-2] < 2:
             raise ContractError("dynamics prior needs at least one transition")
-        chols = self.chols
-        init = x[..., :1, :].reshape(-1, d)
         resid = x[..., 1:, :] - x[..., :-1, :] @ self.trans.T
+        offsets = (x[..., :1, :] - self.init_mean, resid)
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                val = float(_gaussian_logpdf(init, self.init_mean, chols[0]).sum())
-                val += float(_gaussian_logpdf(resid.reshape(-1, d), np.zeros(d), chols[1]).sum())
+                val = sum(
+                    float(gaussian_log_kernel(*linalg.chol_quad(c, r.reshape(-1, d).T), d).sum())
+                    for c, r in zip(self.chols, offsets)
+                )
         except np.linalg.LinAlgError:
             val = math.nan
         if not math.isfinite(val):
@@ -359,14 +379,6 @@ def forecast_means(filtered, trans, tau):
     return pred
 
 
-def _gaussian_logpdf(x, mean, chol):
-    d = x.shape[-1]
-    v = np.linalg.solve(chol, (x - mean).T)
-    return -0.5 * np.sum(v**2, axis=0) - 0.5 * (
-        linalg.logdet_from_chol(chol) + d * LOG_2PI
-    )
-
-
 def log_prior(prior, x):
     """Log density of the latent array under ``prior``, summed over rows
     (see the prior class's ``log_prior``)."""
@@ -388,23 +400,9 @@ def expected_log_prior(q, x, z):
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
-    k = q.n_components
-    resp = updates.responsibilities_matrix(z, k, n)
-
-    counts = resp.sum(axis=0)
-    sums = resp.T @ x
-    scatters = np.einsum("nj,ni,nl->jil", resp, x, x)
-
-    e_log_w = expfam.to_mean(q.weights).values
-    m1, m2, m3, m4 = expfam.split_normal_wishart(expfam.to_mean(q.components).values, d)
-    val = float(
-        counts @ e_log_w
-        + np.sum(sums * m1)
-        + counts @ (m2[:, 0] + m4[:, 0])
-        + np.sum(scatters * m3)
-    ) - 0.5 * n * d * LOG_2PI
-    stats = expfam.pack_normal_wishart(sums, counts, scatters, counts)
-    return val, linalg.flatten([counts, stats])
+    stats = updates.gmm_statistics(x, z, q.n_components)
+    e_t = linalg.flatten([expfam.to_mean(q.weights).values, expfam.to_mean(q.components).values])
+    return float(stats @ e_t) - 0.5 * n * d * LOG_2PI, stats
 
 
 def _decoder_fit(decoder, x, y):

@@ -85,26 +85,24 @@ def responsibilities_matrix(z, k, n):
     return np.asarray(z, dtype=float)
 
 
+def gmm_statistics(x, z, k):
+    """Flat sufficient statistics of rows ``x`` at hard labels or (n, k)
+    responsibilities ``z``, in ``PgmPosterior``'s layout: the k counts, then
+    each component's (weighted sum, count, weighted scatter, count)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    resp = responsibilities_matrix(z, k, x.shape[0])
+    counts = resp.sum(axis=0)
+    sums = resp.T @ x
+    scatters = np.einsum("nj,ni,nl->jil", resp, x, x)
+    return linalg.flatten([counts, expfam.pack_normal_wishart(sums, counts, scatters, counts)])
+
+
 def conjugate_gmm_message(prior, x_star, z_star, n_total):
-    """Prior naturals plus minibatch-scaled sufficient statistics.
-
-    The statistics are counts, responsibility-weighted sums, and
-    responsibility-weighted scatter matrices, scaled by n_total / batch.
-    """
-    x = np.atleast_2d(np.asarray(x_star, dtype=float))
-    n, d = x.shape
-    k = prior.n_components
-    resp = responsibilities_matrix(z_star, k, n)
-    scale = float(n_total) / n
-
-    counts = scale * resp.sum(axis=0)
-    sums = scale * (resp.T @ x)
-    scatters = scale * np.einsum("nj,ni,nl->jil", resp, x, x)
-
-    weights = prior.weights.replace_values(prior.weights.values + counts)
-    stats = expfam.pack_normal_wishart(sums, counts, scatters, counts)
-    comps = prior.components.replace_values(prior.components.values + stats)
-    return PgmPosterior(weights=weights, components=comps)
+    """Prior naturals plus the minibatch's ``gmm_statistics`` scaled by
+    n_total / batch."""
+    n = np.atleast_2d(x_star).shape[0]
+    stats = gmm_statistics(x_star, z_star, prior.n_components)
+    return prior.with_flat_values(prior.flat_values() + (n_total / n) * stats)
 
 
 def natural_gradient_step(q, message, beta1):
