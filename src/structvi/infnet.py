@@ -418,9 +418,13 @@ def gmm_conditional(mixture, m, v, z):
 
 def gmm_draw_factors(mixture, m, v, z):
     """A draw's (pk, cov, b, chol): ``_conditional_parts`` at indicators z
-    and the Cholesky factor of cov."""
+    and the Cholesky factor of cov, which a diverging prior can leave
+    indefinite: that raises InvalidParameterError."""
     pk, cov, b = _conditional_parts(mixture, m, v, np.asarray(z, dtype=int))
-    return pk, cov, b, np.linalg.cholesky(cov)
+    try:
+        return pk, cov, b, np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise InvalidParameterError("mixture conditional covariance is not positive definite") from None
 
 
 def gmm_reconstruct(mixture, m, v, z, eps, factors=None):

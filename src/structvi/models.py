@@ -168,12 +168,14 @@ class GaussianMixture(_VectorParams):
         """(value, gradient wrt x, gradient wrt the parameter vector)."""
         val, _, resp = normalized(self.scores(x))
         grad_x, g_logits, g_means, g_covs = self.score_adjoints(x, resp)
-        return val, grad_x, self.param_grad(g_logits, g_means, g_covs.sum(axis=0))
+        return val, grad_x, self.param_grad(g_logits, g_means, g_covs)
 
     def score_adjoints(self, x, resp, chol=None):
         """Gradients of the summed log density of rows ``x`` of
         responsibilities ``resp``, at the factors ``scores`` reads: wrt x,
-        the logits, the means, and each row's (n, k, d, d) covariances."""
+        the logits, the means, and the covariances at ``chol``'s leading
+        axes, each row's (n, k, d, d) ones or, at the mixture's own (k, d,
+        d) factors, their sum over rows, built without the per-row stack."""
         chol = self.chols if chol is None else chol
         prec = linalg.inv_from_chol(chol)
         u = x[:, None, :] - self.means[None, :, :]
@@ -182,7 +184,9 @@ class GaussianMixture(_VectorParams):
         grad_x = -np.einsum("nk,nkd->nd", rw, pu)
         g_logits = resp.sum(axis=0) - x.shape[0] * self.weights
         g_means = np.einsum("nk,nkd->kd", rw, pu)
-        g_covs = 0.5 * (np.einsum("nk,nki,nkl->nkil", rw, pu, pu) - resp[..., None, None] * prec)
+        lead = "nk" if chol.ndim == 4 else "k"
+        w = np.einsum(f"nk->{lead}", resp)
+        g_covs = 0.5 * (np.einsum(f"nk,nki,nkl->{lead}il", rw, pu, pu) - w[..., None, None] * prec)
         return grad_x, g_logits, g_means, g_covs
 
     def param_grad(self, g_logits, g_means, g_covs):

@@ -168,6 +168,18 @@ class TestGmmLogZ:
             with pytest.raises(InvalidParameterError):
                 net.draw(net.prepare(y), np.random.default_rng(0))
 
+    def test_indefinite_draw_covariance_fails_without_warning(self):
+        """A conditional covariance that is not positive definite (here from
+        a negative encoder variance) raises InvalidParameterError, not
+        LinAlgError, and no floating-point warning escapes."""
+        mix = models.GaussianMixture(
+            logits=np.zeros(1), means=np.zeros((1, 2)), chol_raw=np.zeros((1, 3))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="not positive definite"):
+                infnet.gmm_draw_factors(mix, np.zeros((3, 2)), np.full((3, 2), -0.5), np.zeros(3))
+
     def test_encoder_dim_mismatch(self):
         rng = np.random.default_rng(5)
         net = make_gmm_net(rng, k=2, d=2, data_dim=2)

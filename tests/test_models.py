@@ -6,6 +6,8 @@ Oracles: dense joint-Gaussian log density via scipy.stats, Monte Carlo over
 posterior draws, central finite differences, and closed forms inlined here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -246,6 +248,22 @@ class TestPerRowCovariances:
                 fd = (total(covs + step) - total(covs - step)) / (2 * h)
                 want = g[row, k, i, j] + (g[row, k, j, i] if i != j else 0.0)
                 assert want == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("student", [False, True], ids=["gauss", "student"])
+def test_latent_dim_32_mixture_prior_gradient_peak_memory(student):
+    """A d = 32, k = 10 mixture prior's value and gradients on 64 rows peak
+    under 2 MiB of traced memory: the covariance adjoint is built as its
+    (k, d, d) row sum, not as the (n, k, d, d) per-row stack (5 MiB)."""
+    mix, _, _ = TestPerRowCovariances.case(71, student=student, n=1, k=10, d=32)
+    x = np.random.default_rng(72).standard_normal((64, 32))
+    tracemalloc.start()
+    try:
+        models.log_prior_with_grads(mix, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 class TestExpectedLogPrior:
