@@ -89,7 +89,13 @@ def _build_parser():
     return parser
 
 
+def _check_seed(args):
+    if args.seed < 0:
+        raise ContractError(f"--seed must be nonnegative, got {args.seed}")
+
+
 def _cmd_generate_data(args):
+    _check_seed(args)
     if args.kind == "pinwheel":
         ds = data.pinwheel(n_per_arm=args.n_per_arm, arms=args.arms, seed=args.seed)
     else:
@@ -100,7 +106,7 @@ def _cmd_generate_data(args):
             seed=args.seed,
             noise_std=args.noise_std,
         )
-    if args.outlier_fraction > 0:
+    if args.outlier_fraction != 0:
         ds = data.inject_outliers(
             ds, fraction=args.outlier_fraction, outlier_std=args.outlier_std, seed=args.seed
         )
@@ -132,6 +138,7 @@ def _load_for_eval(args):
 
 
 def _cmd_eval(args):
+    _check_seed(args)
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
     if "sample-dump" in tasks and not args.samples_out:
         raise ContractError("sample-dump needs --samples-out")
@@ -166,6 +173,7 @@ def _cmd_eval(args):
 
 
 def _cmd_dump_plots(args):
+    _check_seed(args)
     state, _, ds = _load_for_eval(args)
     out_dir = args.out_dir if args.out_dir is not None else _default_out_dir()
     metrics = harness.read_metrics(args.metrics) if args.metrics else None

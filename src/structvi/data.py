@@ -62,6 +62,8 @@ def pinwheel(
     """Gaussian arms spiraled by an angle that grows with radius."""
     if arms < 1:
         raise InvalidParameterError("need at least one arm")
+    if n_per_arm < 0:
+        raise InvalidParameterError(f"n_per_arm must be nonnegative, got {n_per_arm}")
     rng = np.random.default_rng(seed)
     n = n_per_arm * arms
     base = 2 * np.pi * np.arange(arms) / arms
@@ -104,6 +106,12 @@ def dot_sequences(n_seq, t_len, width_d, dot_std=1.0, speed=1.0, seed=0, noise_s
     """
     if t_len < 2:
         raise InvalidParameterError("sequences need at least two frames")
+    if width_d < 2:
+        raise InvalidParameterError("frames need at least two pixels for the dot to move")
+    if n_seq < 0:
+        raise InvalidParameterError(f"n_seq must be nonnegative, got {n_seq}")
+    if not 0.0 <= noise_std < np.inf:
+        raise InvalidParameterError(f"noise_std must be finite and nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
     length = float(width_d - 1)
     grid = np.arange(width_d, dtype=float)

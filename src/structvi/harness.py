@@ -104,6 +104,8 @@ class TrainConfig:
             raise ContractError("dimensions and counts must be positive")
         if self.model_kind == "latent-lds" and self.seq_len < 2:
             raise ContractError("dynamics runs need seq_len >= 2")
+        if self.seed < 0:
+            raise ContractError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.train_frac <= 1.0:
             raise ContractError("train_frac must lie in (0, 1]")
         if not all(0.0 <= b < math.inf for b in (self.beta1, self.beta2, self.beta3)):

@@ -422,6 +422,66 @@ def test_bad_input_exits_nonzero_without_traceback(tmp_path, capsys, args, names
     assert err.startswith("error:") and names in err
 
 
+def assert_one_error_line(capsys, code, names):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1 and names in captured.err
+
+
+def test_negative_seed_exits_nonzero_in_every_subcommand(tmp_path, capsys):
+    dataset = make_pinwheel_file(tmp_path)
+    out_dir = str(tmp_path / "run")
+    run_cli(
+        [
+            "train", "--dataset", dataset, "--n-components", "2",
+            "--hidden", "4", "--n-iters", "2", "--eval-interval", "2",
+            "--timing", "0", "--out-dir", out_dir,
+        ]
+    )
+    ckpt = os.path.join(out_dir, "structured.ckpt")
+    capsys.readouterr()
+    runs = [
+        ["train", "--dataset", dataset, "--n-iters", "2", "--out-dir", str(tmp_path / "r2")],
+        ["train", "--trainer", "vb-gmm", "--dataset", dataset, "--out-dir", str(tmp_path / "r3")],
+        ["eval", "--checkpoint", ckpt],
+        ["dump-plots", "--checkpoint", ckpt, "--out-dir", str(tmp_path / "plots")],
+        ["generate-data", "--kind", "pinwheel", "--out", str(tmp_path / "g.txt")],
+    ]
+    for args in runs:
+        assert_one_error_line(capsys, run_cli(args + ["--seed", "-1"]), "seed")
+    assert sorted(os.listdir(tmp_path)) == ["pin.txt", "pin.txt.prov", "run"]
+
+
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["--kind", "pinwheel", "--n-per-arm", "-1"], "n_per_arm"),
+        (["--kind", "dots", "--width-d", "0"], "pixels"),
+        (["--kind", "dots", "--width-d", "1"], "pixels"),
+        (["--kind", "dots", "--n-seq", "-1"], "n_seq"),
+        (["--kind", "dots", "--noise-std", "nan"], "noise_std"),
+        (["--kind", "dots", "--noise-std", "-0.1"], "noise_std"),
+    ],
+    ids=["negative-arm-size", "zero-width", "one-pixel", "negative-n-seq", "nan-noise",
+         "negative-noise"],
+)
+def test_bad_generator_size_exits_nonzero(tmp_path, capsys, args, names):
+    out = tmp_path / "g.txt"
+    assert_one_error_line(capsys, run_cli(["generate-data", "--out", str(out)] + args), names)
+    assert not out.exists()
+
+
+def test_nan_outlier_fraction_exits_nonzero(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    code = run_cli(
+        ["generate-data", "--kind", "pinwheel", "--n-per-arm", "10", "--out", str(out),
+         "--outlier-fraction", "nan"]
+    )
+    assert_one_error_line(capsys, code, "fraction")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("valid_lines", [0, 5000], ids=["header", "body"])
 def test_non_utf8_dataset_exits_nonzero_without_traceback(tmp_path, capsys, valid_lines):
     """Bytes that are not UTF-8 in the header line, or past the first read
