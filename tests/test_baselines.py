@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from structvi import baselines, expfam, infnet, linalg, models, updates
 from structvi.errors import ContractError
@@ -86,6 +87,35 @@ def test_vb_gmm_predictive_normalizes_d1():
     dens = np.exp(baselines.vb_gmm_predictive_logpdf(res.posterior, grid[:, None]))
     mass = np.trapezoid(dens, grid)
     assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("k", [1, 3])
+def test_vb_gmm_predictive_matches_scipy_student_mixture(d, k):
+    """The predictive is the mixture of the posterior's Student t's: weights
+    alpha_k / sum(alpha), location m_k, df nu_k + 1 - d and shape
+    (1 + kappa_k) / (kappa_k df) W_k^-1, summed here with scipy's density.
+    Blobs of unequal size give each component its own dof."""
+    rng = np.random.default_rng(40 + d)
+    centers = 3.0 * rng.standard_normal((3, d))
+    y = np.concatenate([c + 0.5 * rng.standard_normal((n, d)) for c, n in zip(centers, (9, 20, 41))])
+    q = baselines.vb_gmm_fit(y, k=k, n_iter=8, seed=d).posterior
+    alpha = expfam.to_standard(q.weights).alpha
+    p = expfam.to_standard(q.components)
+    df = p.dof + 1.0 - d
+    if k > 1:
+        assert np.unique(df).size == k
+    rows = np.concatenate([y[::7], 4.0 * rng.standard_normal((5, d))])
+    comps = [
+        np.log(alpha[j] / alpha.sum())
+        + stats.multivariate_t(
+            p.mean[j], (1 + p.kappa[j]) / (p.kappa[j] * df[j]) * np.linalg.inv(p.scale[j]), df[j]
+        ).logpdf(rows).reshape(-1)
+        for j in range(k)
+    ]
+    want = np.logaddexp.reduce(np.stack(comps, axis=1), axis=1)
+    got = baselines.vb_gmm_predictive_logpdf(q, rows)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_vb_gmm_fit_deterministic():

@@ -206,6 +206,20 @@ class TestLogPrior:
         assert calls == []
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_student_kernel_at_one_dof_per_component_is_each_scalar_kernel(d):
+    """A (k,) dof gives, in each component's column, the scalar kernel at
+    that component's dof, bit for bit."""
+    rng = np.random.default_rng(80 + d)
+    quad = rng.gamma(2.0, 2.0, size=(40, 6))
+    logdet = rng.standard_normal(6)
+    dof = rng.uniform(2.5, 60.0, size=6)
+    got = models.student_log_kernel(quad, logdet, d, dof)
+    for j in range(6):
+        want = models.student_log_kernel(quad[:, j], logdet[j], d, dof[j])
+        np.testing.assert_array_equal(got[:, j], want)
+
+
 class TestPerRowCovariances:
     """``scores`` and ``score_adjoints`` at (n, k, d, d) factors, one per row
     and component, as the mixture inference network passes them."""
