@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from structvi import linalg, models, nnet, updates
+from structvi import baselines, linalg, models, nnet, updates
 
 
 def random_mixture(rng, k, d, spread=2.0):
@@ -278,6 +278,53 @@ def test_latent_dim_32_mixture_prior_gradient_peak_memory(student):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def _density_sites():
+    rng = np.random.default_rng(90)
+    gmm = random_mixture(rng, 3, 2)
+    tmm = models.StudentMixture(logits=gmm.logits, means=gmm.means, chol_raw=gmm.chol_raw)
+    lds = random_lds(rng, 2)
+    x, seqs = rng.standard_normal((5, 2)), rng.standard_normal((2, 6, 2))
+    row_chols = np.broadcast_to(gmm.chols, (5, 3, 2, 2))
+    q = baselines.vb_gmm_fit(rng.standard_normal((20, 2)), k=3, n_iter=2).posterior
+    sites = {
+        "gmm-scores": lambda: gmm.scores(x),
+        "gmm-scores-per-row": lambda: gmm.scores(x, row_chols),
+        "tmm-scores": lambda: tmm.scores(x),
+        "vb-gmm-predictive": lambda: baselines.vb_gmm_predictive_logpdf(q, x),
+    }
+    for name, prior, lat in (("gmm", gmm, x), ("tmm", tmm, x), ("lds", lds, seqs)):
+        sites[f"{name}-log-prior"] = lambda p=prior, z=lat: models.log_prior(p, z)
+        sites[f"{name}-log-prior-with-grads"] = lambda p=prior, z=lat: models.log_prior_with_grads(p, z)
+    return sites
+
+
+DENSITY_SITES = _density_sites()
+
+
+@pytest.mark.parametrize("site", sorted(DENSITY_SITES))
+def test_density_solves_only_inside_chol_quad(site, monkeypatch):
+    """Every full-covariance density calls ``np.linalg.solve`` only from
+    inside ``linalg.chol_quad``, so a faster solve there reaches them all."""
+    solve, chol_quad = np.linalg.solve, linalg.chol_quad
+    depth, calls = [0], {"inside": 0, "outside": 0}
+
+    def counted_solve(*args, **kwargs):
+        calls["inside" if depth[0] else "outside"] += 1
+        return solve(*args, **kwargs)
+
+    def nested_chol_quad(*args):
+        depth[0] += 1
+        try:
+            return chol_quad(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(linalg, "chol_quad", nested_chol_quad)
+    DENSITY_SITES[site]()
+    assert calls["outside"] == 0 and calls["inside"] >= 1
 
 
 class TestExpectedLogPrior:
