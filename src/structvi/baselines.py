@@ -123,7 +123,8 @@ def vb_gmm_predictive_logpdf(q, y):
         raise ContractError("posterior dof too small for a proper predictive")
     prec = (dof * p.kappa / (1.0 + p.kappa))[:, None, None] * p.scale
     chol = np.linalg.cholesky(linalg.symmetrize(np.linalg.inv(prec)))
-    quad, logdet = linalg.chol_quad(chol, np.swapaxes(y[None, :, :] - p.mean[:, None, :], -1, -2))
+    offsets = np.swapaxes(y[None, :, :] - p.mean[:, None, :], -1, -2)  # (k, d, n)
+    quad, logdet = linalg.chol_quad(chol, offsets)
     return logsumexp(log_w + models.student_log_kernel(quad.T, logdet, d, dof), axis=1)
 
 

@@ -424,7 +424,9 @@ def gmm_draw_factors(mixture, m, v, z):
     try:
         return pk, cov, b, np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise InvalidParameterError("mixture conditional covariance is not positive definite") from None
+        raise InvalidParameterError(
+            "mixture conditional covariance is not positive definite"
+        ) from None
 
 
 def gmm_reconstruct(mixture, m, v, z, eps, factors=None):

@@ -182,10 +182,10 @@ class GaussianMixture(_VectorParams):
         pu = (prec @ u[..., None])[..., 0]
         rw = resp * self._tail_weights(u, pu)
         grad_x = -np.einsum("nk,nkd->nd", rw, pu)
-        g_logits = resp.sum(axis=0) - x.shape[0] * self.weights
+        counts = resp.sum(axis=0)
+        g_logits = counts - x.shape[0] * self.weights
         g_means = np.einsum("nk,nkd->kd", rw, pu)
-        lead = "nk" if chol.ndim == 4 else "k"
-        w = np.einsum(f"nk->{lead}", resp)
+        lead, w = ("nk", resp) if chol.ndim == 4 else ("k", counts)
         g_covs = 0.5 * (np.einsum(f"nk,nki,nkl->{lead}il", rw, pu, pu) - w[..., None, None] * prec)
         return grad_x, g_logits, g_means, g_covs
 
@@ -320,10 +320,10 @@ class LinearDynamics(_VectorParams):
         offsets = (x[..., :1, :] - self.init_mean, resid)
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                val = sum(
-                    float(gaussian_log_kernel(*linalg.chol_quad(c, r.reshape(-1, d).T), d).sum())
-                    for c, r in zip(self.chols, offsets)
-                )
+                val = 0.0
+                for chol, r in zip(self.chols, offsets):
+                    quad, logdet = linalg.chol_quad(chol, r.reshape(-1, d).T)
+                    val += float(gaussian_log_kernel(quad, logdet, d).sum())
         except np.linalg.LinAlgError:
             val = math.nan
         if not math.isfinite(val):
