@@ -72,15 +72,11 @@ def expected_component_loglik(q, y):
 
 
 def vb_gmm_responsibilities(q, y):
+    """The E-step: sum_n log sum_k rho_nk, which at r = softmax(log rho) is
+    E_q[log p(y, z | theta)] + H[r], and the responsibilities r."""
     log_rho = expected_component_loglik(q, y) + expfam.to_mean(q.weights).values
-    return models.normalized(log_rho)[2]
-
-
-def vb_gmm_elbo(q, prior, y, resp):
-    val, _ = models.expected_log_prior(q, y, resp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.sum(np.where(resp > 0, resp * np.log(resp), 0.0))
-    return float(val + ent - updates.kl_to_prior(q, prior))
+    total, _, resp = models.normalized(log_rho)
+    return total, resp
 
 
 def _init_resp(y, k, rng):
@@ -106,8 +102,8 @@ def vb_gmm_fit(y, k, n_iter=100, prior=None, seed=0):
     for _ in range(n_iter):
         message = updates.conjugate_gmm_message(prior, y, resp, n_total=n)
         q = updates.natural_gradient_step(q, message, beta1=1.0)
-        resp = vb_gmm_responsibilities(q, y)
-        elbos.append(vb_gmm_elbo(q, prior, y, resp))
+        total, resp = vb_gmm_responsibilities(q, y)
+        elbos.append(total - updates.kl_to_prior(q, prior))
     return VbGmmResult(posterior=q, responsibilities=resp, elbos=np.asarray(elbos))
 
 
@@ -117,13 +113,13 @@ def vb_gmm_predictive_logpdf(q, y):
     d = y.shape[1]
     alpha = expfam.to_standard(q.weights).alpha
     log_w = np.log(alpha) - np.log(alpha.sum())
-    p = expfam.to_standard(q.components)
-    dof = p.dof + 1.0 - d
+    mean, kappa, chol_winv, nu = expfam.nw_standard(q.components.values, q.dim)
+    dof = nu + 1.0 - d
     if np.any(dof <= 0):
         raise ContractError("posterior dof too small for a proper predictive")
-    prec = (dof * p.kappa / (1.0 + p.kappa))[:, None, None] * p.scale
-    chol = np.linalg.cholesky(linalg.symmetrize(np.linalg.inv(prec)))
-    offsets = np.swapaxes(y[None, :, :] - p.mean[:, None, :], -1, -2)  # (k, d, n)
+    # the shape (1 + kappa) / (kappa dof) inv(W) has this factor
+    chol = np.sqrt((1.0 + kappa) / (kappa * dof))[:, None, None] * chol_winv
+    offsets = np.swapaxes(y[None, :, :] - mean[:, None, :], -1, -2)  # (k, d, n)
     quad, logdet = linalg.chol_quad(chol, offsets)
     return logsumexp(log_w + models.student_log_kernel(quad.T, logdet, d, dof), axis=1)
 

@@ -8,6 +8,7 @@ statistics so held-out rows never leak into the transform.
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -15,6 +16,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, InvalidParameterError, ParseError
+
+
+def _check_sizes(*shapes):
+    """InvalidParameterError for a float array shape that numpy cannot hold:
+    a dimension or a byte count past its index type's range."""
+    limit = np.iinfo(np.intp).max
+    for shape in shapes:
+        if max(shape) > limit or 8 * math.prod(shape) > limit:
+            raise InvalidParameterError(f"an array of shape {shape} is past numpy's index range")
 
 
 @dataclass
@@ -64,6 +74,7 @@ def pinwheel(
         raise InvalidParameterError("need at least one arm")
     if n_per_arm < 0:
         raise InvalidParameterError(f"n_per_arm must be nonnegative, got {n_per_arm}")
+    _check_sizes((arms,), (n_per_arm * arms, 2))
     rng = np.random.default_rng(seed)
     n = n_per_arm * arms
     base = 2 * np.pi * np.arange(arms) / arms
@@ -112,6 +123,7 @@ def dot_sequences(n_seq, t_len, width_d, dot_std=1.0, speed=1.0, seed=0, noise_s
         raise InvalidParameterError(f"n_seq must be nonnegative, got {n_seq}")
     if not 0.0 <= noise_std < np.inf:
         raise InvalidParameterError(f"noise_std must be finite and nonnegative, got {noise_std}")
+    _check_sizes((n_seq, t_len, width_d))
     rng = np.random.default_rng(seed)
     length = float(width_d - 1)
     grid = np.arange(width_d, dtype=float)
@@ -250,6 +262,8 @@ def standardize(ds):
     """
     if ds.train_idx is None:
         raise ContractError("standardize needs split indices; call split first")
+    if len(ds.train_idx) == 0:
+        raise ContractError("the training split has no rows; raise the training fraction")
     train = ds.rows[ds.train_idx]
     mean = train.mean(axis=0)
     scale = train.std(axis=0)

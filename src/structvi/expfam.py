@@ -136,9 +136,10 @@ def to_natural_vector(param):
     raise ContractError(f"unknown parameter type {type(param).__name__}")
 
 
-def _nw_standard(values, d):
-    """(mean, kappa, Cholesky factor of inv(W), dof) of every member, after
-    the domain checks; one factorization covers the whole stack."""
+def nw_standard(values, d):
+    """(mean, kappa, Cholesky factor of inv(W), dof) of every member of the
+    Normal-Wishart natural ``values`` of dimension d, after the domain
+    checks; one factorization covers the whole stack."""
     e1, e2, e3, e4 = split_normal_wishart(values, d)
     kappa = e2[..., 0]
     _require(np.all(kappa > 0), "kappa must be positive")
@@ -164,7 +165,7 @@ def to_standard(nat):
     _check_natural(nat)
     if nat.family == DIRICHLET:
         return DirichletParam(alpha=nat.values + 1.0)
-    mean, kappa, chol, dof = _nw_standard(nat.values, nat.dim)
+    mean, kappa, chol, dof = nw_standard(nat.values, nat.dim)
     return NormalWishartParam(mean, kappa, linalg.inv_from_chol(chol), dof)
 
 
@@ -175,7 +176,7 @@ def in_natural_domain(nat):
     if nat.family == DIRICHLET:
         return bool(np.all(nat.values > -1.0))
     try:
-        _nw_standard(nat.values, nat.dim)
+        nw_standard(nat.values, nat.dim)
     except InvalidParameterError:
         return False
     return True
@@ -205,7 +206,7 @@ def log_partition(nat):
         _require(np.all(alpha > 0), "dirichlet domain violated")
         special = scipy_special()
         return float(np.sum(special.gammaln(alpha)) - special.gammaln(alpha.sum()))
-    _, kappa, chol, dof = _nw_standard(v, d)
+    _, kappa, chol, dof = nw_standard(v, d)
     val = (
         -0.5 * d * np.log(kappa)
         + 0.5 * d * np.log(2 * np.pi)
@@ -225,7 +226,7 @@ def to_mean(nat):
         digamma = scipy_special().digamma
         vals = digamma(alpha) - digamma(alpha.sum())
     else:
-        mean, kappa, chol, dof = _nw_standard(nat.values, d)
+        mean, kappa, chol, dof = nw_standard(nat.values, d)
         e_lam = dof[..., None, None] * linalg.inv_from_chol(chol)
         e_lam_mu = (e_lam @ mean[..., None])[..., 0]
         e_quad = -0.5 * (np.sum(mean * e_lam_mu, axis=-1) + d / kappa)
@@ -264,7 +265,7 @@ def sample(nat, rng):
     if nat.family == DIRICHLET:
         return rng.dirichlet(nat.values + 1.0)
     d = nat.dim
-    mean, kappa, chol_winv, dof = _nw_standard(nat.values, d)
+    mean, kappa, chol_winv, dof = nw_standard(nat.values, d)
     chol_w = linalg.cholesky_spd(linalg.inv_from_chol(chol_winv), "wishart scale")
     bart = np.zeros(dof.shape + (d, d))
     idx = np.arange(d)

@@ -28,11 +28,11 @@ draws and replays; its adjoints take one sequence.  ``prepare_blocks``
 prepares several blocks; the dynamics network runs them through one filter,
 each with its own encoder pass and its slice of the record.
 
-The package's one Kalman filter, ``kalman_filter``, takes a dense emission,
-or ``emit=None`` for the identity, whose products it skips.  It is two
-passes: ``kalman_covariances``, which reads no observation (the covariances,
-gains, innovation factors and their log-determinants), then
-``kalman_means``, which runs the observations through them.  The dynamics
+The package's one Kalman filter takes a dense emission, or ``emit=None``
+for the identity, whose products it skips.  It is two passes:
+``kalman_covariances``, which reads no observation (the covariances, gains,
+innovation factors and their log-determinants), then ``kalman_means``,
+which runs the observations through them.  The dynamics
 factor's ``lds_filter`` runs both passes each time, with ``emit=None`` on the
 pseudo-observations (m_t, diag v_t), because its covariances depend on the
 encoder variances v; multiplying finite numbers by I is exact, so its record
@@ -479,8 +479,8 @@ def gmm_pathwise_factor_vjp(mixture, m, v, drawn, grad_x):
 
 @dataclass
 class FilterRecord:
-    """``kalman_filter`` pass over pseudo-observations (m_t, diag(v_t)) with
-    identity emission, ``emit=None``, as ``lds_filter`` runs it.
+    """Kalman pass over pseudo-observations (m_t, diag(v_t)) with identity
+    emission, ``emit=None``, as ``lds_filter`` runs it.
 
     Shapes are for one sequence; a filter run on a (B, T, d) block gives
     every array a leading B axis and ``log_z`` one value per sequence, so
@@ -610,45 +610,29 @@ def kalman_means(cov, trans, mu1, y, emit):
     return dict(mu_pred=mu_pred, resid=resid, mu_filt=mu_filt, log_z=log_z)
 
 
-def kalman_filter(trans, noise_cov, mu1, p1, y, emit, obs_cov):
-    """Kalman forward pass from x_1's predicted moments (mu1, p1): the
-    covariance pass ``kalman_covariances`` then the mean pass
-    ``kalman_means``.  Means take the leading axes of ``y`` (..., T, D),
-    covariances those of ``obs_cov`` (..., T, D, D); ``emit=None`` is the
-    identity emission.  ``lds_filter`` runs both passes on every call, with
-    ``emit=None``, since its noise comes from the encoder.
-    Returns the ``FilterRecord`` fields as a dict of T-row arrays (row t for
-    step t + 1), ``log_z`` one value per sequence.
-    """
-    cov = kalman_covariances(trans, noise_cov, p1, emit, obs_cov)
-    out = dict(cov, **kalman_means(cov, trans, mu1, y, emit))
-    for key in ("logdet_s", "drive", "chain"):
-        del out[key]
-    return out
-
-
 def lds_filter(dyn, m, v):
     """The model's forward pass over one (T, d) sequence or a (B, T, d) block:
-    ``kalman_filter`` with identity emission (``emit=None``) and observation
-    noise diag(v_t), started from the prediction of x_1 from the unobserved
-    initial state x_0, whose moments the record keeps as its filtered row 0.
-    The dynamics' covariances are ``dyn.covs``, which raise on overflow.  A
-    diverging transition overflows the predicted covariances without a
-    warning, and the innovation factor's guard raises
-    InvalidParameterError."""
+    ``kalman_covariances`` then ``kalman_means``, with identity emission
+    (``emit=None``) and observation noise diag(v_t), started from the
+    prediction of x_1 from the unobserved initial state x_0, whose moments
+    the record keeps as its filtered row 0.  The dynamics' covariances are
+    ``dyn.covs``, which raise on overflow.  A diverging transition overflows
+    the predicted covariances without a warning, and the innovation factor's
+    guard raises InvalidParameterError."""
     a = dyn.trans
     p0, q = dyn.covs
     lead, d = m.shape[:-2], m.shape[-1]
     v_diag = np.zeros(v.shape + (d,))
     v_diag[..., np.arange(d), np.arange(d)] = v
     with np.errstate(over="ignore", invalid="ignore"):
-        out = kalman_filter(a, q, dyn.init_mean @ a.T, a @ p0 @ a.T + q, m, None, v_diag)
+        cov = kalman_covariances(a, q, a @ p0 @ a.T + q, None, v_diag)
+        out = dict(cov, **kalman_means(cov, a, dyn.init_mean @ a.T, m, None), m=m, v=v)
     for key, first in (("mu_filt", dyn.init_mean), ("p_filt", p0)):
         head = np.broadcast_to(first, lead + (1,) + first.shape)
         out[key] = np.concatenate([head, out[key]], axis=-1 - first.ndim)
     if not lead:
         out["log_z"] = float(out["log_z"])
-    return FilterRecord(m=m, v=v, **out)
+    return FilterRecord(**{f.name: out[f.name] for f in fields(FilterRecord)})
 
 
 def rts_gains(trans, p_filt, p_pred_next):
@@ -750,14 +734,11 @@ def _smoother_factors(dyn, record):
     """A dynamics draw's factors, each one call stacked over time behind the
     record's block axis: the smoother gains J_t of x_t on x_{t+1} (T, d, d),
     the inverse predicted covariances they use (T, d, d), and (T+1, d, d)
-    Cholesky factors whose rows 0..T-1 factor x_t's conditional covariance
-    given x_{t+1} and whose row T factors the last filtered covariance."""
+    Cholesky factors, one call, whose rows 0..T-1 factor x_t's conditional
+    covariance given x_{t+1} and whose row T the last filtered covariance."""
     j, pp1_inv, cov = rts_gains(dyn.trans, record.p_filt[..., :-1, :, :], record.p_pred)
-    chol = [
-        linalg.cholesky_spd(cov, "conditional covariance"),
-        linalg.cholesky_spd(record.p_filt[..., -1:, :, :], "filtered covariance"),
-    ]
-    return j, pp1_inv, np.concatenate(chol, axis=-3)
+    covs = np.concatenate([cov, record.p_filt[..., -1:, :, :]], axis=-3)
+    return j, pp1_inv, linalg.cholesky_spd(covs, "smoother covariance")
 
 
 def lds_reconstruct(dyn, record, eps=None, factors=None):
@@ -786,7 +767,7 @@ def lds_reconstruct(dyn, record, eps=None, factors=None):
 
 def _filter_reverse(dyn, record, ext_mf, ext_pf, ext_mp, ext_pp, ext_a, log_z_weight):
     """Reverse sweep of a single-sequence ``lds_filter`` pass, whose emission
-    is the identity (``kalman_filter`` with ``emit=None``).
+    is the identity (``emit=None``).
 
     Carries the externally injected adjoints of the filtered moments
     (``ext_mf``, ``ext_pf``, (T+1, ...)), predicted moments (``ext_mp``,
@@ -891,8 +872,9 @@ def lds_pathwise_factor_vjp(dyn, record, drawn, grad_x, log_z_weight=0.0):
 # Whole-network operations, each one prepared pass
 
 
-def posterior_log_z(net, y):
-    """Log normalizer of the product posterior and the factor-pass record."""
+def lds_log_z(net, y):
+    """Log normalizer of the product posterior and the factor-pass record,
+    for either network."""
     prep = net.prepare(y)
     return prep.log_z, prep.record
 
@@ -900,7 +882,7 @@ def posterior_log_z(net, y):
 def gmm_log_z(net, y):
     """Log normalizer of the mixture product posterior and its (n, k)
     indicator marginals."""
-    log_z, record = posterior_log_z(net, y)
+    log_z, record = lds_log_z(net, y)
     return log_z, record.resp
 
 
@@ -908,6 +890,3 @@ def grad_log_z(net, y):
     """Gradient of the log normalizer in the network's phi layout."""
     prep = net.prepare(y)
     return net.phi_grad(prep, *net.log_z_vjp(prep))
-
-
-lds_log_z = posterior_log_z

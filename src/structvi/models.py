@@ -1,10 +1,10 @@
 """Generative model pieces shared across experiments.
 
 Three prior families over latents (Gaussian mixture, heavy-tailed mixture,
-linear dynamics), a Gaussian decoder likelihood, the expected log prior under
-a conjugate hyperparameter posterior, and ancestral sampling.  The mixture and
-dynamics classes store covariances through unconstrained Cholesky vectors so
-the same objects can serve as point parameters inside inference networks.
+linear dynamics), a Gaussian decoder likelihood, and ancestral sampling.
+The mixture and dynamics classes store covariances through unconstrained
+Cholesky vectors so the same objects can serve as point parameters inside
+inference networks.
 
 Each prior class owns its density (``log_prior``, ``log_prior_with_grads``),
 its latent draw (``sample``) and ``lead_rows``, the latent rows ahead of the
@@ -30,9 +30,7 @@ Every full-covariance density in the package is ``linalg.chol_quad``, the
 one Mahalanobis solve, followed by one kernel per family:
 ``gaussian_log_kernel`` (the Gaussian mixture and the dynamics' initial
 rows and transition residuals) or ``student_log_kernel`` (the Student
-mixture and the VB-GMM baseline's predictive).  ``expected_log_prior`` reads
-the conjugate statistics of ``updates.gmm_statistics``, as the conjugate
-message does.
+mixture and the VB-GMM baseline's predictive).
 """
 
 import math
@@ -42,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import expfam, linalg, nnet, updates
+from . import linalg, nnet
 from .errors import ContractError, InvalidParameterError
 from .linalg import logsumexp
 
@@ -392,21 +390,6 @@ def log_prior(prior, x):
 def log_prior_with_grads(prior, x):
     """(value, gradient wrt x, gradient wrt the prior's parameter vector)."""
     return prior.log_prior_with_grads(np.atleast_2d(np.asarray(x, dtype=float)))
-
-
-def expected_log_prior(q, x, z):
-    """E_q(theta)[log p(x, z | theta)] under a conjugate mixture posterior.
-
-    ``z`` is hard labels or an (n, k) responsibility matrix.  Returns the value
-    and its gradient with respect to the posterior's mean coordinates, which is
-    exactly the unscaled sufficient-statistics vector in the flat layout of
-    ``PgmPosterior``.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, d = x.shape
-    stats = updates.gmm_statistics(x, z, q.n_components)
-    e_t = linalg.flatten([expfam.to_mean(q.weights).values, expfam.to_mean(q.components).values])
-    return float(stats @ e_t) - 0.5 * n * d * LOG_2PI, stats
 
 
 def _decoder_fit(decoder, x, y):

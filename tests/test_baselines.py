@@ -365,7 +365,7 @@ def test_em_iteration_smooths_block_once(monkeypatch):
 
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_em_filter_equals_model_filter_on_pseudo_observations(lead):
-    """Initial-state indexing of the two callers of ``infnet.kalman_filter``.
+    """Initial-state indexing of the two callers of the Kalman passes.
 
     The model's chain starts at an unobserved x_0 and the record keeps it as
     row 0; EM's first state x_1 is observed.  With emission I, R = diag(v),

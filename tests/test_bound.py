@@ -454,8 +454,8 @@ def test_gradient_step_runs_every_linear_chain_through_backward_chain(monkeypatc
 def test_filter_and_gradient_step_run_one_chain_core(monkeypatch):
     model, net, y = lds_case(np.random.default_rng(48), t_len=6, d=2, data_dim=3)
     calls = []
-    core = infnet.kalman_filter
-    monkeypatch.setattr(infnet, "kalman_filter", lambda *a: calls.append(1) or core(*a))
+    core = infnet.kalman_covariances
+    monkeypatch.setattr(infnet, "kalman_covariances", lambda *a: calls.append(1) or core(*a))
     m, v = infnet.encode(net, y)
     infnet.lds_filter(net.dynamics, m, v)
     assert len(calls) == 1

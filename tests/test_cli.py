@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -480,6 +481,41 @@ def test_nan_outlier_fraction_exits_nonzero(tmp_path, capsys):
     )
     assert_one_error_line(capsys, code, "fraction")
     assert not out.exists()
+
+
+PAST_RANGE = "100000000000000000000"  # 1e20, past numpy's index range
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--kind", "dots", "--t-len", PAST_RANGE],
+        ["--kind", "dots", "--n-seq", PAST_RANGE],
+        ["--kind", "dots", "--width-d", PAST_RANGE],
+        ["--kind", "pinwheel", "--n-per-arm", PAST_RANGE],
+        ["--kind", "pinwheel", "--arms", PAST_RANGE],
+    ],
+    ids=["dots-t-len", "dots-n-seq", "dots-width", "pinwheel-arm-size", "pinwheel-arms"],
+)
+def test_generator_size_past_index_range_exits_nonzero(tmp_path, capsys, args):
+    """Rejected before anything is allocated."""
+    out = tmp_path / "g.txt"
+    code = run_cli(["generate-data", "--out", str(out)] + args)
+    assert_one_error_line(capsys, code, "index range")
+    assert not out.exists()
+
+
+def test_empty_training_split_exits_nonzero_without_warning(tmp_path, capsys):
+    """60 rows at --train-frac 0.01 leave no training row to standardize on."""
+    dataset = make_pinwheel_file(tmp_path, n_per_arm=20)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(
+            ["train", "--dataset", dataset, "--train-frac", "0.01",
+             "--out-dir", str(tmp_path / "run")]
+        )
+    assert_one_error_line(capsys, code, "training split has no rows")
 
 
 @pytest.mark.parametrize("valid_lines", [0, 5000], ids=["header", "body"])

@@ -1435,7 +1435,7 @@ def count_factor_work(monkeypatch):
 
 @pytest.mark.parametrize(
     "kind, want",
-    [("latent-lds", (2, 3, 3)), ("latent-gmm", (2, 2, 4)), ("latent-tmm", (2, 1, 4))],
+    [("latent-lds", (2, 2, 3)), ("latent-gmm", (2, 2, 4)), ("latent-tmm", (2, 1, 4))],
 )
 def test_train_step_factor_work_is_pinned(monkeypatch, kind, want):
     """Per step: raw-to-factor reads, Cholesky factorizations and raw-Cholesky
@@ -1487,7 +1487,7 @@ def test_train_step_builds_its_draw_factors_once(monkeypatch, kind, builder):
 def test_evaluation_factor_work_is_pinned(monkeypatch):
     """One dynamics evaluation of both blocks: one covariance pass for the
     two, whose innovation factors are one Cholesky call; the bound's draw
-    factors the test block's smoother (two more); the imputation's posterior
+    factors the test block's smoother (one more); the imputation's posterior
     mean reads only smoother gains and factors nothing.  A second evaluation
     of the same state builds no covariance factor."""
     state, ds = lds_eval_state()
@@ -1498,7 +1498,7 @@ def test_evaluation_factor_work_is_pinned(monkeypatch):
         infnet, "kalman_covariances", lambda *a: passes.append(1) or covariances(*a)
     )
     harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
-    assert counts["cholesky_spd"] == 3 and len(passes) == 1
+    assert counts["cholesky_spd"] == 2 and len(passes) == 1
     # the network's dynamics and the point prior each build their factors once
     assert counts["tril_from_raw"] == 2
     counts.update(dict.fromkeys(counts, 0))

@@ -453,7 +453,7 @@ class TestLdsSampling:
         for got, factor in zip(drawn.factors, want, strict=True):
             np.testing.assert_allclose(got, factor, rtol=1e-12, atol=1e-13)
         net.pathwise_vjp(prep, drawn, rng.standard_normal(drawn.x_star.shape))
-        assert calls == ["conditional covariance", "filtered covariance"]
+        assert calls == ["smoother covariance"]
 
 
 class TestLdsGradients:
@@ -750,7 +750,7 @@ class TestLdsStackedParity:
 
 
 class TestChainCore:
-    """``kalman_filter``'s failure paths through both of its callers, and
+    """The Kalman passes' failure paths through both of their callers, and
     ``backward_chain`` run forward on time-reversed views."""
 
     # S = [[1, 1], [1, 1]] + diag(r) at every step: zero dynamics and a
@@ -949,13 +949,14 @@ class TestIdentityEmission:
     def test_lds_filter_record(self, monkeypatch, d, lead):
         _, dyn, m, v = self.case(d, lead)
         got = infnet.lds_filter(dyn, m, v)
-        kalman_filter = infnet.kalman_filter
+        for name, at in (("kalman_covariances", 3), ("kalman_means", 4)):
+            core = getattr(infnet, name)
 
-        def dense_identity(*args):
-            assert args[5] is None
-            return kalman_filter(*args[:5], np.eye(d), *args[6:])
+            def dense_identity(*args, _core=core, _at=at):
+                assert args[_at] is None
+                return _core(*args[:_at], np.eye(d), *args[_at + 1 :])
 
-        monkeypatch.setattr(infnet, "kalman_filter", dense_identity)
+            monkeypatch.setattr(infnet, name, dense_identity)
         want = infnet.lds_filter(dyn, m, v)
         for field in dataclasses.fields(infnet.FilterRecord):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
