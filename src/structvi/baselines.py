@@ -119,7 +119,7 @@ def vb_gmm_predictive_logpdf(q, y):
         raise ContractError("posterior dof too small for a proper predictive")
     # the shape (1 + kappa) / (kappa dof) inv(W) has this factor
     chol = np.sqrt((1.0 + kappa) / (kappa * dof))[:, None, None] * chol_winv
-    offsets = np.swapaxes(y[None, :, :] - mean[:, None, :], -1, -2)  # (k, d, n)
+    offsets = (y[None, :, :] - mean[:, None, :]).swapaxes(-1, -2)  # (k, d, n)
     quad, logdet = linalg.chol_quad(chol, offsets)
     return logsumexp(log_w + models.student_log_kernel(quad.T, logdet, d, dof), axis=1)
 
@@ -194,8 +194,8 @@ def _smoother_covariances(params, t_len):
         j, _, cond = infnet.rts_gains(params.trans, pf[:-1], cov["p_pred"][1:])
         # P_t = cond_t + J_t P_{t+1} J_t^T, a two-sided chain on d x d rows
         ps = np.concatenate([cond, pf[-1:]])
-        ps = linalg.symmetrize(infnet.backward_chain(ps, j, np.swapaxes(j, -1, -2)))
-        cross = ps[1:] @ np.swapaxes(j, -1, -2)
+        ps = linalg.symmetrize(infnet.backward_chain(ps, j, j.swapaxes(-1, -2)))
+        cross = ps[1:] @ j.swapaxes(-1, -2)
         j = _read_only(j)
         cov.update(
             smooth_gain=j, smooth_levels=_levels(j),
@@ -310,8 +310,8 @@ def lds_em_fit(seqs, d, n_iter=50, init=None):
         xs = sm.mean
         logliks.append(sm.loglik)
         d = params.trans.shape[0]
-        by_time = np.moveaxis(xs, 1, 0)
-        second = n_seq * sm.cov + np.swapaxes(by_time, -1, -2) @ by_time
+        by_time = xs.transpose(1, 0, 2)
+        second = n_seq * sm.cov + by_time.swapaxes(-1, -2) @ by_time
         s10 = n_seq * sm.cross.sum(axis=0) + (
             xs[:, 1:].reshape(-1, d).T @ xs[:, :-1].reshape(-1, d)
         )

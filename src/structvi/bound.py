@@ -17,9 +17,12 @@ step builds them once.  With gradients, the pathwise, entropy and
 log-normalizer adjoints on the encoder outputs are summed before one encoder
 backward pass; without them no backward pass runs at all.  The log
 normalizer's adjoints enter through the network's pathwise adjoint, so for the
-dynamics one filter reverse sweep serves both.  The mixture-versus-dynamics
-decisions live on the network classes in ``infnet`` and the prior classes in
-``models``.
+dynamics one filter reverse sweep serves both.  The prior and the factor
+densities at the draw come from the prior's ``paired_densities``: a mixture
+makes its two calls, the dynamics score both in one stacked pass, and either
+way each is its own term, with its own non-finite check and name.  The
+mixture-versus-dynamics decisions live on the network classes in ``infnet``
+and the prior classes in ``models``.
 
 Per-datum terms are scaled by n_total over the batch's units so every
 estimate targets the full-data bound.  A mixture's units are rows; a
@@ -108,13 +111,13 @@ def _assemble(model, net, batch, prep, drawn, scale, want_grads):
     m, v = prep.m, prep.v
     n_draws = x_rows.size // m.size
     decode = models.decode_loglik if want_grads else models.decode_loglik_value
-    density = models.log_prior_with_grads if want_grads else models.log_prior
     # Every sample, and every sequence of a block, decodes as one stack of rows.
     flat = lambda a: a.reshape(-1, a.shape[-1])
     y_rows = np.broadcast_to(batch, x_rows.shape[:-1] + batch.shape[-1:])
     dec = _term("decoder_term", lambda: decode(model.decoder, flat(x_rows), flat(y_rows)))
-    pri = _term("prior_term", lambda: density(model.prior, x))
-    fac = _term("pgm_factor_term", lambda: density(net.factor, x))
+    prior_density, factor_density = model.prior.paired_densities(net.factor, x, want_grads)
+    pri = _term("prior_term", prior_density)
+    fac = _term("pgm_factor_term", factor_density)
     terms = (dec, pri, fac)  # with gradients each is (value, *gradients)
     values = [t[0] for t in terms] if want_grads else terms
     dec_val, pri_val, fac_val = (val / n_draws for val in values)

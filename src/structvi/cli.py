@@ -140,12 +140,16 @@ def _load_for_eval(args):
 def _cmd_eval(args):
     _check_seed(args)
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
+    if not tasks:
+        raise ContractError("--tasks names no evaluation task")
     if "sample-dump" in tasks and not args.samples_out:
         raise ContractError("sample-dump needs --samples-out")
     try:
         taus = tuple(int(t) for t in args.taus.split(",") if t.strip())
     except ValueError:
         raise ParseError(f"--taus takes comma-separated integers, not {args.taus!r}") from None
+    if "tau-ahead" in tasks and not taus:
+        raise ContractError("tau-ahead needs at least one tau in --taus")
     state, _, ds = _load_for_eval(args)
     out = harness.evaluate(
         state, ds, tasks, seed=args.seed, taus=taus, n_draws=args.n_draws

@@ -281,6 +281,8 @@ def inject_outliers(ds, fraction, outlier_std, seed, indices=None):
     """
     if not 0.0 <= fraction < 1.0:
         raise InvalidParameterError("fraction must lie in [0, 1)")
+    if not 0.0 <= outlier_std < np.inf:
+        raise InvalidParameterError(f"outlier_std must be finite and nonnegative, got {outlier_std}")
     rng = np.random.default_rng(seed)
     pool = np.arange(ds.n_rows) if indices is None else np.asarray(indices)
     count = int(fraction * pool.size)

@@ -274,7 +274,7 @@ def sample(nat, rng):
         rr, cc = np.tril_indices(d, -1)
         bart[..., rr, cc] = rng.standard_normal(dof.shape + (rr.size,))
     factor = chol_w @ bart  # lam = factor factor^T
-    lam = factor @ np.swapaxes(factor, -1, -2)
+    lam = factor @ factor.swapaxes(-1, -2)
     z = rng.standard_normal(dof.shape + (d,))
-    shift = np.linalg.solve(np.swapaxes(factor, -1, -2), z[..., None])[..., 0]
+    shift = np.linalg.solve(factor.swapaxes(-1, -2), z[..., None])[..., 0]
     return mean + shift / np.sqrt(kappa)[..., None], lam

@@ -52,15 +52,20 @@ else (innovation factors, log normalizer terms, smoother gains and
 conditional factors, draw offsets, per-step adjoints) is one numpy call
 stacked over (..., T, d, d).
 
-A vector chain over R rows whose gains the block shares (one sequence, or
-an LDS-EM block) runs in ceil(log2 R) doubling levels, the prefix-scan form
-of the recursion (as in Sarkka and Garcia-Fernandez's parallel-in-time
+A chain over R rows whose gains the block shares (one sequence, or an
+LDS-EM block) runs in ceil(log2 R) doubling levels, the prefix-scan form of
+the recursion (as in Sarkka and Garcia-Fernandez's parallel-in-time
 smoothers), while its steps are small enough that numpy's per-call overhead
-sets their cost (``doubling_pays``).  ``chain_levels`` builds the levels'
-gain products, and LDS-EM keeps them per parameter set.  Per-sequence gains
-(the dynamics factor's blocks), two-sided chains and large shared gains keep
-the R-1-step loop: their levels would cost more products than the loop
-saves.
+sets their cost (``doubling_pays`` for vector chains,
+``two_sided_doubling_pays`` for the filter reverse sweep's and LDS-EM's
+smoothed covariances' two-sided ones).  ``chain_levels`` builds a vector
+chain's gain products, and LDS-EM keeps them per parameter set.
+Per-sequence gains (the dynamics factor's blocks) and large gains keep the
+R-1-step loop: their levels would cost more products than the loop saves.
+
+Axes move by ndarray methods (``swapaxes``, ``transpose``), not by
+``np.moveaxis`` or ``np.swapaxes``, whose argument checks cost more than the
+small stacked calls they would serve.
 
 The mixture factor's normalizer, sum_k pi_k N(m_n | mu_k, Sigma_k + diag v_n),
 is the factor's own density at per-row covariances, so its scores and their
@@ -292,7 +297,7 @@ class LdsInferenceNet(ProductNet):
         ([B,] S, T+1, d) block and moves its sample axis to the front, which
         for one sequence is S successive draws."""
         *lead, t_len, d = prep.m.shape
-        eps = np.moveaxis(rng.standard_normal((*lead, n_samples or 1, t_len + 1, d)), -3, 0)
+        eps = _axis_first(rng.standard_normal((*lead, n_samples or 1, t_len + 1, d)))
         return self.replay(prep, None, eps if n_samples else eps[0])
 
     def replay(self, prep, z, eps):
@@ -518,15 +523,22 @@ def _mv(mat, vec):
     matrix-vector product per (..., T) entry.
     """
     if mat.ndim == 3 and vec.ndim > 2:
-        rows = np.moveaxis(vec.reshape((-1,) + vec.shape[-2:]), 1, 0)
-        out = np.moveaxis(rows @ _t(mat), 0, 1)
+        rows = vec.reshape((-1,) + vec.shape[-2:]).transpose(1, 0, 2)
+        out = (rows @ _t(mat)).transpose(1, 0, 2)
         return out.reshape(vec.shape[:-2] + out.shape[-2:])
     return (mat @ vec[..., None])[..., 0]
 
 
 def _t(mats):
     """Transpose of each matrix in a stack."""
-    return np.swapaxes(mats, -1, -2)
+    return mats.swapaxes(-1, -2)
+
+
+def _axis_first(a):
+    """View of ``a`` with its axis -3 (time, or a draw's sample axis) first:
+    ``np.moveaxis(a, -3, 0)`` as one transpose, without its argument checks."""
+    lead = a.ndim - 3
+    return a.transpose(lead, *range(lead), lead + 1, lead + 2)
 
 
 def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
@@ -558,7 +570,7 @@ def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
     s, s_inv = (np.zeros(covs + (obs_dim, obs_dim)) for _ in range(2))
     # time-major views: step t reads and writes row t of every stack
     pp_t, pf_t, k_t, s_t, si_t, r_t = (
-        np.moveaxis(a, -3, 0) for a in (p_pred, p_filt, gain, s, s_inv, obs_cov)
+        _axis_first(a) for a in (p_pred, p_filt, gain, s, s_inv, obs_cov)
     )
     pp_t[:1] = p1
     for t in range(t_len):
@@ -571,7 +583,7 @@ def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
             si = linalg.inv_from_chol(_guarded_chol(st, "innovation covariance"))
         si_t[t] = si
         k = np.matmul(pc, si, out=k_t[t])
-        pf = np.subtract(pp, k @ _t(pc), out=pf_t[t])
+        pf = np.subtract(pp, k @ pc.swapaxes(-1, -2), out=pf_t[t])
         if t + 1 < t_len:
             np.add(trans @ pf @ trans.T, noise_cov, out=pp_t[t + 1])
     chol_s = _guarded_chol(s, "innovation covariance")
@@ -647,12 +659,14 @@ def rts_gains(trans, p_filt, p_pred_next):
 
 
 # A shared-gain chain runs in doubling levels while one step's operands, the
-# k x k gain and the k x N columns, hold at most this many numbers.  There a
+# k x k gain and the k x N columns (for a two-sided chain, the k x k and
+# m x m gains and a k x m row), hold at most this many numbers.  There a
 # step costs about one numpy call whatever its size, so ceil(log2 R) stacked
 # calls beat R-1 small ones; past it the levels' extra products cost more.
 # Measured on a 2-vCPU host at R = 21: k = 2 doubles up to N = 126 and wins
 # to about N = 128; at k = 32 building the levels alone costs more than the
-# whole loop.
+# whole loop.  Two-sided, (k, m) = (2, 3) ran in 24 us against the loop's
+# 43, (8, 9) in 37 against 46, and (16, 17) lost, 69 against 52.
 DOUBLING_MAX_OPERANDS = 256
 
 
@@ -660,6 +674,13 @@ def doubling_pays(k, n):
     """Whether ``backward_chain`` runs shared k x k gains on n columns in
     doubling levels."""
     return k * (k + n) <= DOUBLING_MAX_OPERANDS
+
+
+def two_sided_doubling_pays(k, m):
+    """Whether ``backward_chain`` runs a two-sided chain on one (R, k, m)
+    stack, its k x k left and m x m right gains shared, in doubling levels:
+    one step's operands are the two gains and a k x m row."""
+    return k * k + k * m + m * m <= DOUBLING_MAX_OPERANDS
 
 
 def chain_levels(j):
@@ -701,13 +722,31 @@ def backward_chain(x, j, right=None, levels=None):
     level l each row holds the chain's terms from up to 2^(l+1) rows ahead,
     so the last level leaves the chain's sum.
 
+    A two-sided chain on one (R, k, m) stack with (R-1, k, k) and
+    (R-1, m, m) gains (the filter reverse sweep, LDS-EM's smoothed
+    covariances) doubles the same way where ``two_sided_doubling_pays(k, m)``:
+    level l adds P^(l)_t X_{t+s} Q^(l)_t as one stacked update, where
+    Q^(l)_t = R_{t+s-1} ... R_t, and builds the next level's products of
+    both sides, Q^(l+1)_t = Q^(l)_{t+s} Q^(l)_t.  Nothing keeps these
+    levels: LDS-EM runs its two-sided chain once per parameter set.
+
     Every other chain runs the R-1-step loop, on matrices (a vector is a
-    (k, 1) column) broadcast against the gains' leading axes.  Large shared
-    gains or many columns make the levels' extra products cost more than the
-    loop's calls.  Per-sequence gains would need levels for every sequence,
-    and a two-sided chain its right gains' products too; both measured
-    slower than the loop, on blocks of 16 sequences and at d = 32.
+    (k, 1) column) broadcast against the gains' leading axes.  Large gains
+    or many columns make the levels' extra products cost more than the
+    loop's calls (a two-sided chain at k = 16 already does).  Per-sequence
+    gains would need levels for every sequence, which measured slower than
+    the loop on blocks of 16 sequences.  A two-sided chain on a block of
+    stacks keeps the loop too: no caller runs one.
     """
+    if right is not None and x.ndim == j.ndim == right.ndim == 3:
+        if two_sided_doubling_pays(*x.shape[1:]):
+            left, s = j, 1
+            while s < len(x):
+                x[:-s] += left @ x[s:] @ right
+                if 2 * s < len(x):
+                    left, right = left[:-s] @ left[s:], right[s:] @ right[:-s]
+                s *= 2
+            return x
     copied = doubled = False
     if right is None and j.ndim == 3:
         folded = x.reshape((-1,) + x.shape[-2:])
@@ -716,7 +755,7 @@ def backward_chain(x, j, right=None, levels=None):
         doubled = doubling_pays(*cols.shape[1:])
     else:
         rows = x if right is not None else x[..., None]
-        cols, gains = np.moveaxis(rows, -3, 0), np.moveaxis(j, -3, 0)
+        cols, gains = _axis_first(rows), _axis_first(j)
     if doubled:
         for level, p in enumerate(chain_levels(j) if levels is None else levels):
             s = 1 << level

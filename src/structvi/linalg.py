@@ -51,7 +51,7 @@ def unflatten(vec, shapes):
 
 
 def symmetrize(a):
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def cholesky_spd(mat, what="matrix"):
@@ -88,7 +88,7 @@ def _jittered_cholesky(mat, what):
 def inv_from_chol(chol):
     """(L L^T)^-1 = L^-T L^-1 given the lower factor, batched over a stack."""
     l_inv = np.linalg.inv(chol)
-    return np.swapaxes(l_inv, -1, -2) @ l_inv
+    return l_inv.swapaxes(-1, -2) @ l_inv
 
 
 def logdet_from_chol(chol):
@@ -139,7 +139,7 @@ def tril_raw_vjp(chol, grad_mat):
     M treated independently (so symmetric in value for symmetric functions).
     """
     d = chol.shape[-1]
-    grad_chol = (grad_mat + np.swapaxes(grad_mat, -1, -2)) @ chol
+    grad_chol = (grad_mat + grad_mat.swapaxes(-1, -2)) @ chol
     rows, cols, diag_slots, idx = _tril_cache(d)
     out = grad_chol[..., rows, cols].copy()
     out[..., diag_slots] = (
@@ -156,13 +156,13 @@ def cholesky_vjp(chol, grad_chol):
     """
     d = chol.shape[-1]
     # only lower entries of the factor exist; discard any upper-part adjoint
-    p = np.swapaxes(chol, -1, -2) @ np.tril(grad_chol)
+    p = chol.swapaxes(-1, -2) @ np.tril(grad_chol)
     # keep the lower triangle, halve the diagonal
     p = np.tril(p)
     idx = np.arange(d)
     p[..., idx, idx] *= 0.5
     lt_inv = np.linalg.inv(chol)
-    w = np.swapaxes(lt_inv, -1, -2) @ p @ lt_inv
+    w = lt_inv.swapaxes(-1, -2) @ p @ lt_inv
     return symmetrize(w)
 
 

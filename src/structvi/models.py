@@ -10,7 +10,10 @@ Each prior class owns its density (``log_prior``, ``log_prior_with_grads``),
 its latent draw (``sample``) and ``lead_rows``, the latent rows ahead of the
 first observed one (the dynamics' initial state).  ``StudentMixture``
 overrides only its density kernel, gradient tail weight and draw rescaling.
-The module functions of the same names, and ``generate``, take any prior.
+The module functions of the same names take any prior or a
+``DynamicsStack``, and ``generate`` any prior.  ``paired_densities`` scores a
+prior and a factor at the same latents: in two calls by default, in one
+stacked pass for the dynamics.
 
 Each prior class also owns its parameter vector: the fields ``_params`` name,
 in order (``param_vector``, ``with_param_vector``), and ``param_grad``, which
@@ -35,7 +38,7 @@ mixture and the VB-GMM baseline's predictive).
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -48,8 +51,9 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 
 class _VectorParams:
-    """A prior whose parameter vector is its ``_params`` fields, raveled in
-    that order; ``with_param_vector`` keeps every other field."""
+    """The prior base: a prior whose parameter vector is its ``_params``
+    fields, raveled in that order (``with_param_vector`` keeps every other
+    field), and whose density pairs with a factor's at the same latents."""
 
     def param_vector(self):
         return linalg.flatten([getattr(self, name) for name in self._params])
@@ -57,6 +61,15 @@ class _VectorParams:
     def with_param_vector(self, vec):
         shapes = [getattr(self, name).shape for name in self._params]
         return replace(self, **dict(zip(self._params, linalg.unflatten(vec, shapes))))
+
+    def paired_densities(self, factor, x, want_grads):
+        """(this prior's, ``factor``'s) densities at the latents x, as two
+        zero-argument calls, each ``log_prior`` or, with ``want_grads``,
+        ``log_prior_with_grads``, so a caller runs and checks each on its
+        own.  This default makes the two calls; ``LinearDynamics`` scores
+        both in one stacked pass."""
+        density = log_prior_with_grads if want_grads else log_prior
+        return partial(density, self, x), partial(density, factor, x)
 
 
 def normalized(scores):
@@ -121,7 +134,7 @@ class GaussianMixture(_VectorParams):
         """(k, d, d) covariances; ones that overflow, from a raw vector or
         its factor's product, raise InvalidParameterError without a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            covs = self.chols @ np.swapaxes(self.chols, -1, -2)
+            covs = self.chols @ self.chols.swapaxes(-1, -2)
         if not np.all(np.isfinite(covs)):
             raise InvalidParameterError("mixture covariance contains non-finite entries")
         return covs
@@ -254,7 +267,14 @@ class StudentMixture(GaussianMixture):
 
 @dataclass(frozen=True)
 class LinearDynamics(_VectorParams):
-    """First-order linear-Gaussian dynamics with a Gaussian initial state."""
+    """First-order linear-Gaussian dynamics with a Gaussian initial state.
+
+    The dynamics density has one formula, ``stacked_log_prior``, which
+    scores a stack of dynamics at one latent array: ``log_prior`` and
+    ``log_prior_with_grads`` are its one-member case, and
+    ``paired_densities`` scores a prior and a factor at the same draw in one
+    pass, through a ``DynamicsStack``.
+    """
 
     trans: np.ndarray           # (d, d)
     noise_raw: np.ndarray       # (d(d+1)/2,)
@@ -293,7 +313,7 @@ class LinearDynamics(_VectorParams):
         """The (2, d, d) covariances ``chols`` factor; ones that overflow
         raise InvalidParameterError without a warning."""
         with np.errstate(over="ignore"):
-            covs = self.chols @ np.swapaxes(self.chols, -1, -2)
+            covs = self.chols @ self.chols.swapaxes(-1, -2)
         if not np.isfinite(covs).all():
             raise InvalidParameterError("dynamics covariances contain non-finite entries")
         return covs
@@ -302,57 +322,79 @@ class LinearDynamics(_VectorParams):
         """Parameter-vector gradient from the gradients with respect to the
         transition, the noise covariance, the initial mean and the initial
         covariance, through the prior's own ``chols``."""
-        g_raw = linalg.tril_raw_vjp(self.chols, np.stack([g_init_cov, g_noise_cov]))
-        return linalg.flatten([g_trans, g_raw[1], g_init_mean, g_raw[0]])
+        return _dynamics_param_grads(self.chols, g_trans, g_noise_cov, g_init_mean, g_init_cov)
 
-    def _log_prior_parts(self, x):
-        """Log density of a latent array and its transition residuals, which
-        the gradients share.  A factor with a zero diagonal has no density,
-        and a density that overflows (a factor near singular, a huge
-        residual) has none in floating point: both raise
-        InvalidParameterError without a warning."""
-        d = self.dim
+    @staticmethod
+    def stacked_log_prior(dyns, x, want_grads):
+        """The log density of each of the S dynamics ``dyns`` at one latent
+        array x, one (T + 1, d) sequence or a (..., T + 1, d) block summed
+        over its sequences, in one stacked pass: the (S,) values and, with
+        ``want_grads``, the (S, *x.shape) x gradients and (S, P)
+        parameter-vector gradients.  Every density of the dynamics is this
+        pass; ``log_prior`` and ``log_prior_with_grads`` are its one-member
+        case.
+
+        A factor with a zero diagonal has no density, and a density that
+        overflows (a factor near singular, a huge residual) has none in
+        floating point: if either befalls any member, the pass raises
+        InvalidParameterError without a warning.
+        """
+        d = x.shape[-1]
         if x.shape[-2] < 2:
             raise ContractError("dynamics prior needs at least one transition")
-        resid = x[..., 1:, :] - x[..., :-1, :] @ self.trans.T
-        offsets = (x[..., :1, :] - self.init_mean, resid)
-        try:
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                val = 0.0
-                for chol, r in zip(self.chols, offsets):
-                    quad, logdet = linalg.chol_quad(chol, r.reshape(-1, d).T)
-                    val += float(gaussian_log_kernel(quad, logdet, d).sum())
-        except np.linalg.LinAlgError:
-            val = math.nan
-        if not math.isfinite(val):
-            raise InvalidParameterError("dynamics log prior is not finite: singular or overflows")
-        return val, resid
+        seqs = x.reshape((-1,) + x.shape[-2:])  # (N, T + 1, d)
+        n_seq, n_dyn = seqs.shape[0], len(dyns)
+        trans = np.array([dyn.trans for dyn in dyns])
+        chols = np.array([dyn.chols for dyn in dyns])  # (S, 2, d, d)
+        prev = seqs[:, :-1, :].reshape(-1, d)
+        resid = seqs[:, 1:, :].reshape(-1, d) - prev @ trans.swapaxes(-1, -2)  # (S, N T, d)
+        off0 = seqs[:, 0, :] - np.array([dyn.init_mean for dyn in dyns])[:, None, :]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            try:
+                vals = 0.0
+                for chol, r in ((chols[:, 0], off0), (chols[:, 1], resid)):
+                    quad, logdet = linalg.chol_quad(chol, r.swapaxes(-1, -2))
+                    vals = vals + gaussian_log_kernel(quad, logdet[:, None], d).sum(axis=-1)
+            except np.linalg.LinAlgError:
+                vals = np.full(n_dyn, np.nan)
+            if not np.isfinite(vals).all():
+                raise InvalidParameterError("dynamics log prior is not finite: singular or overflows")
+            if not want_grads:
+                return vals
+            prec = linalg.inv_from_chol(chols)
+            s0_prec, q_prec = prec[:, 0], prec[:, 1]
+            pe = resid @ q_prec.swapaxes(-1, -2)
+            w0 = off0 @ s0_prec.swapaxes(-1, -2)
+            grad_x = np.zeros((n_dyn,) + seqs.shape)
+            pe_seqs = pe.reshape(grad_x[:, :, 1:].shape)
+            grad_x[:, :, 0, :] = -w0
+            grad_x[:, :, 1:, :] -= pe_seqs
+            grad_x[:, :, :-1, :] += pe_seqs @ trans[:, None]
+            # The parameter gradients sum over every step of every sequence.
+            pet, w0t = pe.swapaxes(-1, -2), w0.swapaxes(-1, -2)
+            g_q = 0.5 * (pet @ pe - prev.shape[0] * q_prec)
+            g_s0 = 0.5 * (w0t @ w0 - n_seq * s0_prec)
+            grads = _dynamics_param_grads(chols, pet @ prev, g_q, w0.sum(axis=-2), g_s0)
+        return vals, grad_x.reshape((n_dyn,) + x.shape), grads
 
     def log_prior(self, x):
         """Log density of one (T + 1, d) latent sequence, row 0 the initial
         state, or of a (..., T + 1, d) block of them, summed over the block."""
-        return self._log_prior_parts(x)[0]
+        return float(self.stacked_log_prior((self,), x, False)[0])
 
     def log_prior_with_grads(self, x):
         """(value, gradient wrt x, gradient wrt the parameter vector) for a
         sequence or a block of them: the x gradient takes the block's shape
         and the parameter gradient sums over its sequences."""
-        val, resid = self._log_prior_parts(x)
-        d = self.dim
-        s0_prec, q_prec = linalg.inv_from_chol(self.chols)
-        pe = resid @ q_prec.T
-        w0 = (x[..., 0, :] - self.init_mean) @ s0_prec.T
+        vals, grad_x, grads = self.stacked_log_prior((self,), x, True)
+        return float(vals[0]), grad_x[0], grads[0]
 
-        grad_x = np.zeros_like(x)
-        grad_x[..., 0, :] = -w0
-        grad_x[..., 1:, :] -= pe
-        grad_x[..., :-1, :] += pe @ self.trans
-
-        # The parameter gradients sum over every step of every sequence.
-        pe, prev, w0 = pe.reshape(-1, d), x[..., :-1, :].reshape(-1, d), w0.reshape(-1, d)
-        g_q = 0.5 * (pe.T @ pe - pe.shape[0] * q_prec)
-        g_s0 = 0.5 * (w0.T @ w0 - w0.shape[0] * s0_prec)
-        return val, grad_x, self.param_grad(pe.T @ prev, g_q, w0.sum(axis=0), g_s0)
+    def paired_densities(self, factor, x, want_grads):
+        """Both dynamics' densities at x from one stacked pass, one
+        ``log_prior`` or ``log_prior_with_grads`` call on a
+        ``DynamicsStack``."""
+        density = log_prior_with_grads if want_grads else log_prior
+        return density(DynamicsStack((self, factor)), x)
 
     def sample(self, rng, n, seq_len):
         """(n, seq_len + 1, d) latent sequences, row 0 the initial state,
@@ -372,6 +414,44 @@ class LinearDynamics(_VectorParams):
         return x, None
 
 
+def _dynamics_param_grads(chols, g_trans, g_noise_cov, g_init_mean, g_init_cov):
+    """Parameter-vector gradients of dynamics whose (..., 2, d, d) ``chols``
+    factor the initial and the noise covariance, from the gradients with
+    respect to their moments, each with the same leading axes, through the
+    raw-Cholesky chain rule: one ``tril_raw_vjp`` call for the stack."""
+    lead = g_trans.shape[:-2]
+    g_raw = linalg.tril_raw_vjp(chols, np.stack([g_init_cov, g_noise_cov], axis=-3))
+    parts = (g_trans, g_raw[..., 1, :], g_init_mean, g_raw[..., 0, :])
+    return np.concatenate([g.reshape(lead + (-1,)) for g in parts], axis=-1)
+
+
+@dataclass(frozen=True)
+class DynamicsStack:
+    """Linear dynamics scored at one latent array in one stacked pass
+    (``LinearDynamics.stacked_log_prior``).  Its ``log_prior`` and
+    ``log_prior_with_grads`` give one zero-argument call per member, which
+    returns that member's value or (value, gradient wrt x, gradient wrt its
+    parameter vector).  If the pass fails, each call scores its member alone,
+    so a call raises only its own member's error."""
+
+    members: tuple
+
+    def log_prior(self, x):
+        return self._calls(x, False)
+
+    def log_prior_with_grads(self, x):
+        return self._calls(x, True)
+
+    def _calls(self, x, want_grads):
+        try:
+            out = LinearDynamics.stacked_log_prior(self.members, x, want_grads)
+        except InvalidParameterError:
+            name = "log_prior_with_grads" if want_grads else "log_prior"
+            return [partial(getattr(dyn, name), x) for dyn in self.members]
+        rows = [(float(v), gx, gp) for v, gx, gp in zip(*out)] if want_grads else map(float, out)
+        return [lambda row=row: row for row in rows]
+
+
 def forecast_means(filtered, trans, tau):
     """Roll the (..., T, d) filtered means of origins 0..T-1-tau tau steps
     ahead through the transition matrix ``trans``."""
@@ -383,12 +463,14 @@ def forecast_means(filtered, trans, tau):
 
 def log_prior(prior, x):
     """Log density of the latent array under ``prior``, summed over rows
-    (see the prior class's ``log_prior``)."""
+    (see the prior class's ``log_prior``); a ``DynamicsStack`` gives one call
+    per member."""
     return prior.log_prior(np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 def log_prior_with_grads(prior, x):
-    """(value, gradient wrt x, gradient wrt the prior's parameter vector)."""
+    """(value, gradient wrt x, gradient wrt the prior's parameter vector); a
+    ``DynamicsStack`` gives one call per member."""
     return prior.log_prior_with_grads(np.atleast_2d(np.asarray(x, dtype=float)))
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import softmax
@@ -346,6 +349,52 @@ def test_nonfinite_prior_names_term():
             bound.bound_estimate(model, net, y, np.random.default_rng(0), n_total=10)
 
 
+@pytest.mark.parametrize("want_grads", [False, True], ids=["estimate", "gradients"])
+@pytest.mark.parametrize("field", ["noise_raw", "init_raw"])
+@pytest.mark.parametrize(
+    "which, log_diag, term",
+    [("prior", -800.0, "prior_term"), ("prior", -400.0, "prior_term"),
+     ("prior", 800.0, "prior_term"), ("factor", -800.0, "pgm_factor_term"),
+     ("factor", -400.0, "pgm_factor_term")],
+)
+def test_nonfinite_dynamics_density_names_its_term(which, log_diag, term, field, want_grads):
+    """The prior and factor dynamics are scored in one stacked pass, yet a
+    density that fails names its own term, with no floating-point warning: a
+    zero factor diagonal (-800), a density that overflows (-400) or a
+    covariance that overflows (+800, which the factor's filter meets first)."""
+    model, net, y = lds_case(np.random.default_rng(41), t_len=5, d=2, data_dim=3)
+    dyn = model.prior if which == "prior" else net.dynamics
+    raw = getattr(dyn, field).copy()
+    raw[[0, 2]] = log_diag  # the two diagonal slots
+    bad = dataclasses.replace(dyn, **{field: raw})
+    if which == "prior":
+        model = dataclasses.replace(model, prior=bad)
+    else:
+        net = dataclasses.replace(net, dynamics=bad)
+    estimator = bound.bound_gradients if want_grads else bound.bound_estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=term):
+            estimator(model, net, y, np.random.default_rng(0), n_total=5)
+
+
+@pytest.mark.parametrize("case, calls", [(gmm_case, 2), (lds_case, 1)], ids=["gmm", "lds"])
+def test_prior_and_factor_densities_take_traced_calls(monkeypatch, case, calls):
+    """The mixture scores its prior and factor in two ``log_prior_with_grads``
+    calls, the dynamics both in one stacked call, so a tracer that wraps the
+    module function books either."""
+    model, net, y = case(np.random.default_rng(45))
+    seen = []
+    density = models.log_prior_with_grads
+    monkeypatch.setattr(
+        models, "log_prior_with_grads", lambda *a: seen.append(type(a[0])) or density(*a)
+    )
+    bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=y.shape[0])
+    assert len(seen) == calls
+    if case is lds_case:
+        assert seen == [models.DynamicsStack]
+
+
 def test_contract_checks():
     rng = np.random.default_rng(29)
     model, net, y = gmm_case(rng)
@@ -414,8 +463,8 @@ def test_decoder_width_mismatch_is_contract_error(case):
 def test_gradient_step_inverts_each_innovation_once(monkeypatch):
     """T=20, d=2: the filter inverts each innovation inside its loop and
     factors all 20 in one stacked call; the reverse sweep inverts nothing.
-    The prior and factor densities add 1 ``inv_from_chol`` call each, both
-    covariances in one stacked call."""
+    The prior and factor densities add 1 ``inv_from_chol`` call for the
+    two: both dynamics' covariances in one stacked pass."""
     rng = np.random.default_rng(43)
     model, net, y = lds_case(rng, t_len=20, d=2, data_dim=3)
     factored, inverted = [], []
@@ -428,7 +477,7 @@ def test_gradient_step_inverts_each_innovation_once(monkeypatch):
     bound.bound_gradients(model, net, y, np.random.default_rng(0), n_total=20)
     innovations = [shape for what, shape in factored if what == "innovation covariance"]
     assert innovations == [(20, 2, 2)]
-    assert len(inverted) == 2
+    assert len(inverted) == 1
 
 
 def test_gradient_step_runs_one_filter_reverse_sweep(monkeypatch):

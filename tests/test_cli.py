@@ -483,6 +483,38 @@ def test_nan_outlier_fraction_exits_nonzero(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("std", ["-3", "nan", "inf"])
+def test_bad_outlier_std_exits_nonzero(tmp_path, capsys, std):
+    """The flag, not the data, is named; nothing is written."""
+    out = tmp_path / "g.txt"
+    code = run_cli(
+        ["generate-data", "--kind", "pinwheel", "--n-per-arm", "10", "--out", str(out),
+         "--outlier-fraction", "0.1", "--outlier-std", std]
+    )
+    assert_one_error_line(capsys, code, "outlier_std")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, names",
+    [(["--tasks", ""], "--tasks"), (["--tasks", "bound,tau-ahead", "--taus", ","], "--taus")],
+    ids=["no-task", "tau-ahead-without-taus"],
+)
+def test_eval_with_nothing_to_run_exits_nonzero(tmp_path, capsys, args, names):
+    dataset = make_pinwheel_file(tmp_path)
+    out_dir = str(tmp_path / "run")
+    run_cli(
+        [
+            "train", "--dataset", dataset, "--n-components", "2",
+            "--hidden", "4", "--n-iters", "2", "--eval-interval", "2",
+            "--timing", "0", "--out-dir", out_dir,
+        ]
+    )
+    capsys.readouterr()
+    code = run_cli(["eval", "--checkpoint", os.path.join(out_dir, "structured.ckpt")] + args)
+    assert_one_error_line(capsys, code, names)
+
+
 PAST_RANGE = "100000000000000000000"  # 1e20, past numpy's index range
 
 

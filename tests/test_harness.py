@@ -1435,12 +1435,15 @@ def count_factor_work(monkeypatch):
 
 @pytest.mark.parametrize(
     "kind, want",
-    [("latent-lds", (2, 2, 3)), ("latent-gmm", (2, 2, 4)), ("latent-tmm", (2, 1, 4))],
+    [("latent-lds", (2, 2, 2)), ("latent-gmm", (2, 2, 4)), ("latent-tmm", (2, 1, 4))],
 )
 def test_train_step_factor_work_is_pinned(monkeypatch, kind, want):
     """Per step: raw-to-factor reads, Cholesky factorizations and raw-Cholesky
     adjoints.  Each covariance factor a step needs is built where it is first
-    needed and handed on, not rebuilt by the prior's chain rule."""
+    needed and handed on, not rebuilt by the prior's chain rule.  The
+    dynamics' prior and factor densities share one stacked pass, so their
+    parameter gradients take one raw-Cholesky adjoint, the filter reverse
+    sweep the other."""
     if kind == "latent-lds":
         ds = seq_dataset()
         cfg = harness.TrainConfig(model_kind=kind, hidden=(6,), seq_len=10, timing=False)
@@ -1504,6 +1507,40 @@ def test_evaluation_factor_work_is_pinned(monkeypatch):
     counts.update(dict.fromkeys(counts, 0))
     harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
     assert counts["tril_from_raw"] == 0
+
+
+def count_axis_wrappers(monkeypatch):
+    """Calls of ``np.moveaxis`` and ``np.swapaxes``, by name, while patched."""
+    calls = []
+    for name in ("moveaxis", "swapaxes"):
+        real = getattr(np, name)
+
+        def counted(*a, _real=real, _name=name, **kw):
+            calls.append(_name)
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", ["train-step", "evaluate", "lds-em-iteration"])
+def test_dynamics_paths_call_no_axis_wrapper(monkeypatch, run):
+    """The dynamics step, evaluation and LDS-EM iteration move axes with
+    ndarray methods only: ``np.moveaxis`` and ``np.swapaxes`` normalise
+    their arguments on every call, a fixed cost that the Kalman core's small
+    stacked calls would pay many times per pass."""
+    ds = seq_dataset()
+    cfg = harness.TrainConfig(model_kind="latent-lds", hidden=(6,), seq_len=10, timing=False)
+    state = harness.init_state(cfg, ds.dim)
+    units = harness._units(state.net, ds.rows[ds.train_idx], cfg.seq_len)
+    calls = count_axis_wrappers(monkeypatch)
+    if run == "train-step":
+        harness.train_step(state, cfg, units[0], units.shape[0], np.random.default_rng(0))
+    elif run == "evaluate":
+        harness.evaluate(state, ds, ("bound", "imputation", "tau-ahead"), taus=(1,))
+    else:
+        baselines.lds_em_fit(units, 2, n_iter=1)
+    assert calls == []
 
 
 def test_dynamics_generate_uses_the_stored_factors(monkeypatch):

@@ -900,6 +900,51 @@ class TestChainCore:
             assert infnet.backward_chain(view, gains, None, levels) is view
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
+    TWO_SIDED_ROWS = [1, 2, 3, 4, 5, 8, 9, 21]
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (2, 3), (4, 5)])
+    @pytest.mark.parametrize("r", TWO_SIDED_ROWS)
+    def test_two_sided_doubling_matches_the_step_loop(self, r, k, m):
+        """One (R, k, m) stack with shared left and right gains, the filter
+        reverse sweep's (k, m) = (d, d + 1) and LDS-EM's (d, d) shapes,
+        doubles and gives the loop's chain."""
+        assert infnet.two_sided_doubling_pays(k, m)
+        rng = np.random.default_rng(37 + r + k + m)
+        x = rng.standard_normal((r, k, m))
+        j = 0.5 * rng.standard_normal((r - 1, k, k))
+        right = 0.5 * rng.standard_normal((r - 1, m, m))
+        want = self.chain_loop(x, j, right)
+        got = x.copy()
+        assert infnet.backward_chain(got, j, right) is got
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    class RowReads(np.ndarray):
+        """Gains, and views of them, that record every single-row read in
+        the class's ``reads``: the step loop reads J_t one row at a time,
+        the doubling levels only slices."""
+
+        reads = []
+
+        def __getitem__(self, key):
+            if isinstance(key, (int, np.integer)):
+                type(self).reads.append(int(key))
+            return super().__getitem__(key)
+
+    def test_large_two_sided_chain_keeps_the_loop(self):
+        """At (k, m) = (16, 17), d = 16's reverse sweep, the levels' products
+        cost more than the loop saves: the chain steps through every row."""
+        assert not infnet.two_sided_doubling_pays(16, 17)
+        rng = np.random.default_rng(38)
+        r = 21
+        x = rng.standard_normal((r, 16, 17))
+        j = 0.2 * rng.standard_normal((r - 1, 16, 16))
+        right = 0.2 * rng.standard_normal((r - 1, 17, 17))
+        self.RowReads.reads = []
+        got = x.copy()
+        infnet.backward_chain(got, j.view(self.RowReads), right)
+        assert self.RowReads.reads == list(range(r - 2, -1, -1))
+        np.testing.assert_allclose(got, self.chain_loop(x, j, right), rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("lead", [(), (2,), (5, 3)])
     def test_mv_shared_and_per_sequence_stacks(self, lead):
         """T = 5, so lead (5, 3) would broadcast against T if not folded."""

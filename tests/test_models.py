@@ -6,6 +6,7 @@ Oracles: dense joint-Gaussian log density via scipy.stats, Monte Carlo over
 posterior draws, central finite differences, and closed forms inlined here.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from scipy import special, stats
 
 from structvi import baselines, linalg, models, nnet, updates
+from structvi.errors import InvalidParameterError
 
 
 def random_mixture(rng, k, d, spread=2.0):
@@ -204,6 +206,54 @@ class TestLogPrior:
         assert len(builds) == 1
         models.log_prior(lds, x)
         assert calls == []
+
+
+class TestStackedDynamics:
+    """Several dynamics scored at one x in one stacked pass: each member's
+    value, x gradient and parameter gradient are the bits of its own
+    single-dynamics call."""
+
+    @staticmethod
+    def results(out, want_grads):
+        return out if want_grads else (out,)
+
+    @pytest.mark.parametrize("want_grads", [False, True], ids=["values", "grads"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["sequence", "block"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_is_each_single_call(self, d, lead, want_grads):
+        rng = np.random.default_rng(90 + d + len(lead))
+        dyns = (random_lds(rng, d), random_lds(rng, d))
+        x = rng.standard_normal(lead + (7, d))
+        density = models.log_prior_with_grads if want_grads else models.log_prior
+        singles = [self.results(density(dyn, x), want_grads) for dyn in dyns]
+        stacked = self.results(
+            models.LinearDynamics.stacked_log_prior(dyns, x, want_grads), want_grads
+        )
+        paired = dyns[0].paired_densities(dyns[1], x, want_grads)
+        for i, single in enumerate(singles):
+            assert len(single) == (3 if want_grads else 1)
+            got = self.results(paired[i](), want_grads)
+            for g, p, want in zip(got, stacked, single):
+                assert np.array_equal(g, want) and np.array_equal(p[i], want)
+        if want_grads:
+            assert singles[0][1].shape == x.shape
+
+    def test_failing_member_raises_only_in_its_own_call(self):
+        """A zero diagonal in one member's noise factor leaves the other's
+        call its single-dynamics result."""
+        rng = np.random.default_rng(97)
+        good, bad = random_lds(rng, 2), random_lds(rng, 2)
+        raw = bad.noise_raw.copy()
+        raw[[0, 2]] = -800.0
+        bad = dataclasses.replace(bad, noise_raw=raw)
+        x = rng.standard_normal((6, 2))
+        for want_grads in (False, True):
+            good_call, bad_call = good.paired_densities(bad, x, want_grads)
+            single = models.log_prior_with_grads(good, x) if want_grads else models.log_prior(good, x)
+            for g, want in zip(self.results(good_call(), want_grads), self.results(single, want_grads)):
+                assert np.array_equal(g, want)
+            with pytest.raises(InvalidParameterError, match="log prior is not finite"):
+                bad_call()
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
