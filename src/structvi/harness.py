@@ -272,20 +272,17 @@ def init_state(cfg, data_dim, prior_override=None):
     )
 
 
-def eval_prior(state):
-    """Point generative parameters used for every evaluation."""
-    if state.pgm_posterior is not None:
+def eval_prior(state, rng=None):
+    """Point generative parameters: the state's point prior or, from its
+    conjugate mixture posterior, the posterior mean (every evaluation) or,
+    given ``rng``, one draw (a training step)."""
+    if state.pgm_posterior is None:
+        return state.pgm_point
+    if rng is None:
         moments = updates.posterior_mean_params(state.pgm_posterior)
-        return models.GaussianMixture.from_moments(*moments)
-    return state.pgm_point
-
-
-def _sampled_prior(state, rng):
-    """Point generative parameters for one training step."""
-    if state.pgm_posterior is not None:
+    else:
         moments = updates.sample_gmm_params(state.pgm_posterior, rng)
-        return models.GaussianMixture.from_moments(*moments)
-    return state.pgm_point
+    return models.GaussianMixture.from_moments(*moments)
 
 
 def eval_decoder(state):
@@ -304,7 +301,7 @@ def _euclid_step(optimizer, params, grad, opt_state, beta):
 
 def train_step(state, cfg, batch, n_total, rng):
     """One full update pass; returns the new state and the gradient bundle."""
-    prior = _sampled_prior(state, rng)
+    prior = eval_prior(state, rng)
 
     if state.theta_posterior is not None:
         post = state.theta_posterior

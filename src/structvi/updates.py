@@ -128,10 +128,12 @@ def natural_gradient_step(q, message, beta1):
 
 
 def posterior_mean_params(q):
-    """Plug-in point parameters: E[pi], E[mu_k], and E[Lam_k]^-1."""
+    """Plug-in point parameters: E[pi], E[mu_k], and E[Lam_k]^-1 = (nu_k
+    W_k)^-1 = C_k C_k^T / nu_k, from the factor C_k of inv(W_k) that
+    ``expfam.nw_standard`` returns, with no inversion."""
     alpha = expfam.to_standard(q.weights).alpha
-    p = expfam.to_standard(q.components)
-    return alpha / alpha.sum(), p.mean, np.linalg.inv(p.dof[:, None, None] * p.scale)
+    mean, _, chol, dof = expfam.nw_standard(q.components.values, q.dim)
+    return alpha / alpha.sum(), mean, chol @ chol.swapaxes(-1, -2) / dof[:, None, None]
 
 
 def sample_gmm_params(q, rng):

@@ -196,6 +196,20 @@ class TestStackedPosterior:
         getattr(updates, name)(*args)
         assert len(calls) == want
 
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_posterior_mean_covariances_invert_the_expected_precisions(self, k, d):
+        """E[Lam_k]^-1 read off the factor of inv(W_k) equals inv(nu_k W_k)."""
+        rng = np.random.default_rng(100 + 10 * k + d)
+        prior = updates.default_gmm_prior(k, d)
+        x = rng.standard_normal((40, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
+        msg = updates.conjugate_gmm_message(prior, x, rng.integers(0, k, 40), n_total=200)
+        q = updates.natural_gradient_step(prior, msg, beta1=0.7)
+        _, _, covs = updates.posterior_mean_params(q)
+        p = expfam.to_standard(q.components)
+        want = np.linalg.inv(p.dof[:, None, None] * p.scale)
+        np.testing.assert_allclose(covs, want, rtol=1e-12)
+
     def test_wrong_length_flat_vector_is_contract_error(self):
         prior = updates.default_gmm_prior(3, 2)
         flat = prior.flat_values()
