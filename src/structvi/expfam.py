@@ -257,23 +257,25 @@ def kl_divergence(q, p):
 
 def sample(nat, rng):
     """One draw; the Normal-Wishart returns a (mean, precision) pair, stacked
-    for a stack.  The precision is the Bartlett construction L B B^T L^T, with
-    L the Cholesky factor of W, drawn in three blocks over the whole stack:
-    B's chi-square diagonals, B's normals below them, then the mean normals.
+    for a stack.  The precision is the Bartlett construction R B B^T R^T,
+    with R = C^-T for the factor C of inv(W) that ``nw_standard`` returns: R
+    R^T = W, so R is a square root of W and W is never formed or factored.
+    It is drawn in three blocks over the whole stack: B's chi-square
+    diagonals, B's normals below them, then the mean normals.
     """
     _check_natural(nat)
     if nat.family == DIRICHLET:
         return rng.dirichlet(nat.values + 1.0)
     d = nat.dim
     mean, kappa, chol_winv, dof = nw_standard(nat.values, d)
-    chol_w = linalg.cholesky_spd(linalg.inv_from_chol(chol_winv), "wishart scale")
+    root_w = np.linalg.inv(chol_winv).swapaxes(-1, -2)
     bart = np.zeros(dof.shape + (d, d))
     idx = np.arange(d)
     bart[..., idx, idx] = np.sqrt(rng.chisquare(dof[..., None] - idx))
     if d > 1:
         rr, cc = np.tril_indices(d, -1)
         bart[..., rr, cc] = rng.standard_normal(dof.shape + (rr.size,))
-    factor = chol_w @ bart  # lam = factor factor^T
+    factor = root_w @ bart  # lam = factor factor^T
     lam = factor @ factor.swapaxes(-1, -2)
     z = rng.standard_normal(dof.shape + (d,))
     shift = np.linalg.solve(factor.swapaxes(-1, -2), z[..., None])[..., 0]

@@ -216,6 +216,23 @@ class TestSampling:
         np.testing.assert_allclose(np.mean(mus, axis=0), p.mean, atol=0.02)
         np.testing.assert_allclose(np.mean(lams, axis=0), p.dof * p.scale, rtol=0.03)
 
+    def test_normal_wishart_mean_covariance(self):
+        """Cov[mu] = E[(kappa Lam)^-1] = inv(W) / (kappa (nu - d - 1)) at d = 3,
+        each entry within five of its Monte Carlo standard errors.  The
+        mean's shift solves against the Bartlett factor, so this checks the
+        square root of W the sampler builds, which E[mu] and E[Lam] do not."""
+        rng = np.random.default_rng(53)
+        n, d = 40000, 3
+        p = random_normal_wishart(rng, d)
+        p = expfam.NormalWishartParam(p.mean, p.kappa, p.scale, dof=12.0)
+        one = expfam.to_natural_vector(p)
+        mus, _ = expfam.sample(one.replace_values(np.tile(one.values, (n, 1))), rng)
+        u = mus - p.mean
+        prods = u[:, :, None] * u[:, None, :]
+        want = np.linalg.inv(p.scale) / (p.kappa * (p.dof - d - 1))
+        err = np.abs(prods.mean(axis=0) - want)
+        assert np.all(err < 5.0 * prods.std(axis=0) / np.sqrt(n))
+
 
 class TestConjugacy:
     def test_gaussian_obs_update_is_natural_addition(self):

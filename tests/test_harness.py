@@ -1435,7 +1435,7 @@ def count_factor_work(monkeypatch):
 
 @pytest.mark.parametrize(
     "kind, want",
-    [("latent-lds", (2, 2, 2)), ("latent-gmm", (2, 2, 4)), ("latent-tmm", (2, 1, 4))],
+    [("latent-lds", (2, 2, 2)), ("latent-gmm", (2, 1, 4)), ("latent-tmm", (2, 1, 4))],
 )
 def test_train_step_factor_work_is_pinned(monkeypatch, kind, want):
     """Per step: raw-to-factor reads, Cholesky factorizations and raw-Cholesky

@@ -172,7 +172,7 @@ class TestStackedPosterior:
         "name,want",
         [
             ("natural_gradient_step", 1),
-            ("sample_gmm_params", 2),
+            ("sample_gmm_params", 1),
             ("kl_to_prior", 3),
             ("posterior_mean_params", 1),
         ],
