@@ -43,8 +43,7 @@ import numpy as np
 from . import expfam, infnet, linalg, models, updates
 from .errors import ContractError
 from .linalg import logsumexp
-
-LOG_2PI = np.log(2.0 * np.pi)
+from .models import LOG_2PI
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ import numpy as np
 
 from . import infnet, models
 from .errors import ContractError, NumericalError
-
-LOG_2PI = np.log(2.0 * np.pi)
+from .models import LOG_2PI
 
 TERM_NAMES = (
     "decoder_term",

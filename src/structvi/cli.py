@@ -167,7 +167,7 @@ def _cmd_eval(args):
             if draw.labels is not None
             else np.zeros(y.shape[0])
         )
-        harness._write_table(
+        data.write_table(
             args.samples_out,
             [f"x{i}" for i in range(y.shape[1])] + ["component"],
             [list(row) + [c] for row, c in zip(y, comp)],

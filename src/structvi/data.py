@@ -1,30 +1,21 @@
 """Dataset generation, ingestion, and splitting.
 
 Two synthetic generators (a spiraled-arms point cloud and bouncing-dot image
-sequences), a delimited-text loader, outlier injection, and a deterministic
-train/validation/test split.  Standardization always uses training-split
+sequences), a delimited-text loader, the package's one delimited-table
+writer, outlier injection, and a deterministic train/validation/test split.  Standardization always uses training-split
 statistics so held-out rows never leak into the transform.
 """
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .errors import ContractError, InvalidParameterError, ParseError
-
-
-def _check_sizes(*shapes):
-    """InvalidParameterError for a float array shape that numpy cannot hold:
-    a dimension or a byte count past its index type's range."""
-    limit = np.iinfo(np.intp).max
-    for shape in shapes:
-        if max(shape) > limit or 8 * math.prod(shape) > limit:
-            raise InvalidParameterError(f"an array of shape {shape} is past numpy's index range")
 
 
 @dataclass
@@ -74,7 +65,7 @@ def pinwheel(
         raise InvalidParameterError("need at least one arm")
     if n_per_arm < 0:
         raise InvalidParameterError(f"n_per_arm must be nonnegative, got {n_per_arm}")
-    _check_sizes((arms,), (n_per_arm * arms, 2))
+    linalg.check_sizes((arms,), (n_per_arm * arms, 2))
     rng = np.random.default_rng(seed)
     n = n_per_arm * arms
     base = 2 * np.pi * np.arange(arms) / arms
@@ -123,7 +114,7 @@ def dot_sequences(n_seq, t_len, width_d, dot_std=1.0, speed=1.0, seed=0, noise_s
         raise InvalidParameterError(f"n_seq must be nonnegative, got {n_seq}")
     if not 0.0 <= noise_std < np.inf:
         raise InvalidParameterError(f"noise_std must be finite and nonnegative, got {noise_std}")
-    _check_sizes((n_seq, t_len, width_d))
+    linalg.check_sizes((n_seq, t_len, width_d))
     rng = np.random.default_rng(seed)
     length = float(width_d - 1)
     grid = np.arange(width_d, dtype=float)
@@ -213,6 +204,15 @@ def load_delimited(path, has_labels=False, label_column=None):
     return Dataset(rows=table, labels=labels, provenance=prov)
 
 
+def write_table(path, header, rows):
+    """A header line of names, then each row's values as space-joined
+    ``repr(float(v))``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(" ".join(header) + "\n")
+        for row in rows:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
 def export(ds, path):
     """Write rows (and labels) as whitespace-delimited text plus a provenance file."""
     path = Path(path)
@@ -221,11 +221,7 @@ def export(ds, path):
     if ds.labels is not None:
         header.append("label")
         cols.append(ds.labels[:, None].astype(float))
-    table = np.hstack(cols)
-    with path.open("w") as fh:
-        fh.write(" ".join(header) + "\n")
-        for row in table:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    write_table(path, header, np.hstack(cols))
     with Path(str(path) + ".prov").open("w") as fh:
         for key, val in ds.provenance.items():
             fh.write(f"{key}={val}\n")

@@ -926,13 +926,6 @@ def pca_basis(rows):
     return mean, vt[:2].T
 
 
-def _write_table(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(header) + "\n")
-        for row in rows:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 def dump_plot_data(state, ds, out_dir, n_draws=2000, metrics=None, seed=0):
     """Emit generated samples, labeled data, and curves as delimited text."""
     prior = eval_prior(state)
@@ -961,12 +954,12 @@ def dump_plot_data(state, ds, out_dir, n_draws=2000, metrics=None, seed=0):
         "curves": os.path.join(out_dir, "curves.txt"),
     }
     coord_names = [f"pc{i}" if ds.dim > 2 else f"x{i}" for i in range(samples_xy.shape[1])]
-    _write_table(
+    data.write_table(
         paths["samples"],
         coord_names + ["component", "weight"],
         [list(s) + [c, w] for s, c, w in zip(samples_xy, comp, weight)],
     )
-    _write_table(
+    data.write_table(
         paths["data"],
         coord_names + ["label"],
         [list(r) + [l] for r, l in zip(data_xy, labels)],

@@ -90,8 +90,7 @@ import numpy as np
 
 from . import linalg, models, nnet
 from .errors import ContractError, InvalidParameterError, NumericalError
-
-LOG_2PI = np.log(2.0 * np.pi)
+from .models import LOG_2PI
 
 
 @dataclass

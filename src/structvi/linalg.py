@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError, NumericalError
+from .errors import ContractError, InvalidParameterError, NumericalError
 
 JITTER_SCALE = 1e-8
 MAX_JITTER_TRIES = 3
@@ -48,6 +48,15 @@ def unflatten(vec, shapes):
         parts.append(vec[stop : stop + size].reshape(shape))
         stop += size
     return parts
+
+
+def check_sizes(*shapes):
+    """InvalidParameterError for a float array shape that numpy cannot hold:
+    a dimension or a byte count past its index type's range."""
+    limit = np.iinfo(np.intp).max
+    for shape in shapes:
+        if max(shape) > limit or 8 * math.prod(shape) > limit:
+            raise InvalidParameterError(f"an array of shape {shape} is past numpy's index range")
 
 
 def symmetrize(a):

@@ -528,9 +528,12 @@ def _decode_sample(decoder, x, rng):
 def generate(model, rng, n, seq_len=None):
     """Ancestral draw of n observations, or of n sequences of length seq_len
     for a dynamics prior: the prior's latents, then one decoder pass over
-    their observed rows.  n may be 0, not negative."""
+    their observed rows.  n may be 0, not negative; a draw numpy cannot
+    hold raises InvalidParameterError before anything is allocated."""
     if n < 0:
         raise ContractError(f"cannot generate {n} draws")
+    steps = () if seq_len is None else (seq_len + model.prior.lead_rows,)
+    linalg.check_sizes((n, *steps, model.prior.dim), (n, *steps, model.decoder.head.dim))
     x, labels = model.prior.sample(rng, n, seq_len)
     obs = x[..., model.prior.lead_rows :, :]
     y = _decode_sample(model.decoder, obs.reshape(-1, obs.shape[-1]), rng)

@@ -537,6 +537,31 @@ def test_generator_size_past_index_range_exits_nonzero(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["latent-gmm", "latent-lds"])
+def test_draw_count_past_index_range_exits_nonzero(tmp_path, capsys, kind):
+    """eval's sample-dump and dump-plots reject a draw numpy cannot hold
+    before allocating it, for a mixture and for a dynamics checkpoint."""
+    if kind == "latent-gmm":
+        dataset, extra = make_pinwheel_file(tmp_path, n_per_arm=10), ["--n-components", "2"]
+    else:
+        dataset, extra = str(tmp_path / "dots.txt"), ["--model-kind", kind, "--seq-len", "4"]
+        assert run_cli(["generate-data", "--kind", "dots", "--out", dataset, "--n-seq", "6",
+                        "--t-len", "4", "--width-d", "3"]) == 0
+    out_dir = str(tmp_path / "run")
+    assert run_cli(["train", "--dataset", dataset, "--hidden", "4", "--n-iters", "1",
+                    "--eval-interval", "1", "--timing", "0", "--out-dir", out_dir] + extra) == 0
+    ckpt = os.path.join(out_dir, "structured.ckpt")
+    samples_out, plot_dir = tmp_path / "samples.txt", tmp_path / "plots"
+    for args in (
+        ["eval", "--checkpoint", ckpt, "--tasks", "sample-dump", "--samples-out", str(samples_out)],
+        ["dump-plots", "--checkpoint", ckpt, "--out-dir", str(plot_dir)],
+    ):
+        capsys.readouterr()
+        code = run_cli(args + ["--n-draws", PAST_RANGE])
+        assert_one_error_line(capsys, code, "index range")
+    assert not samples_out.exists() and not plot_dir.exists()
+
+
 def test_empty_training_split_exits_nonzero_without_warning(tmp_path, capsys):
     """60 rows at --train-frac 0.01 leave no training row to standardize on."""
     dataset = make_pinwheel_file(tmp_path, n_per_arm=20)
