@@ -1,9 +1,9 @@
 """Dataset generation, ingestion, and splitting.
 
 Two synthetic generators (a spiraled-arms point cloud and bouncing-dot image
-sequences), a delimited-text loader, the package's one delimited-table
-writer, outlier injection, and a deterministic train/validation/test split.  Standardization always uses training-split
-statistics so held-out rows never leak into the transform.
+sequences), a delimited-text loader and writer, outlier injection, and a
+deterministic train/validation/test split.  Standardization always uses
+training-split statistics so held-out rows never leak into the transform.
 """
 
 import dataclasses

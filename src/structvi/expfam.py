@@ -257,11 +257,10 @@ def kl_divergence(q, p):
 
 def sample(nat, rng):
     """One draw; the Normal-Wishart returns a (mean, precision) pair, stacked
-    for a stack.  The precision is the Bartlett construction R B B^T R^T,
-    with R = C^-T for the factor C of inv(W) that ``nw_standard`` returns: R
-    R^T = W, so R is a square root of W and W is never formed or factored.
-    It is drawn in three blocks over the whole stack: B's chi-square
-    diagonals, B's normals below them, then the mean normals.
+    for a stack.  The precision is the Bartlett construction R B B^T R^T with
+    R = C^-T, a square root of W, for the factor C of inv(W) from
+    ``nw_standard``, drawn in three blocks over the whole stack: B's
+    chi-square diagonals, B's normals below them, then the mean normals.
     """
     _check_natural(nat)
     if nat.family == DIRICHLET:

@@ -273,9 +273,8 @@ def init_state(cfg, data_dim, prior_override=None):
 
 
 def eval_prior(state, rng=None):
-    """Point generative parameters: the state's point prior or, from its
-    conjugate mixture posterior, the posterior mean (every evaluation) or,
-    given ``rng``, one draw (a training step)."""
+    """The point prior, or the conjugate posterior's mean (every evaluation)
+    or, given ``rng``, one draw from it (a training step)."""
     if state.pgm_posterior is None:
         return state.pgm_point
     if rng is None:

@@ -128,9 +128,8 @@ def natural_gradient_step(q, message, beta1):
 
 
 def posterior_mean_params(q):
-    """Plug-in point parameters: E[pi], E[mu_k], and E[Lam_k]^-1 = (nu_k
-    W_k)^-1 = C_k C_k^T / nu_k, from the factor C_k of inv(W_k) that
-    ``expfam.nw_standard`` returns, with no inversion."""
+    """Plug-in point parameters: E[pi], E[mu_k], and E[Lam_k]^-1 = C_k C_k^T /
+    nu_k for the factor C_k of inv(W_k) that ``expfam.nw_standard`` returns."""
     alpha = expfam.to_standard(q.weights).alpha
     mean, _, chol, dof = expfam.nw_standard(q.components.values, q.dim)
     return alpha / alpha.sum(), mean, chol @ chol.swapaxes(-1, -2) / dof[:, None, None]

@@ -10,6 +10,7 @@ range); counts with no upper bound get none.  Data sets are tiny and runs
 take at most two iterations.
 """
 
+import dataclasses
 import os
 import warnings
 
@@ -59,7 +60,7 @@ def files(tmp_path_factory):
                          "--n-iters", "1", "--eval-interval", "1", "--timing", "0",
                          "--out-dir", out_dir] + extra) == 0
         ckpts[kind] = os.path.join(out_dir, "structured.ckpt")
-    return {"root": root, "pin": pin, "dots": dots, "ckpt": ckpts}
+    return {"pin": pin, "dots": dots, "ckpt": ckpts}
 
 
 GENERATE = [
@@ -109,7 +110,7 @@ TRAINERS = {
 
 
 def test_config_fields_cover_every_numeric_field():
-    numeric = {f.name for f in harness.dataclasses.fields(harness.TrainConfig)
+    numeric = {f.name for f in dataclasses.fields(harness.TrainConfig)
                if f.type in (int, float, "int", "float") or f.name == "hidden"}
     assert numeric == set(CONFIG_FIELDS)
 
