@@ -106,6 +106,9 @@ def _cmd_generate_data(args):
             seed=args.seed,
             noise_std=args.noise_std,
         )
+    if ds.n_rows == 0:
+        flag = "--n-per-arm" if args.kind == "pinwheel" else "--n-seq"
+        raise ContractError(f"{flag} 0 leaves no data rows to write")
     if args.outlier_fraction != 0:
         ds = data.inject_outliers(
             ds, fraction=args.outlier_fraction, outlier_std=args.outlier_std, seed=args.seed

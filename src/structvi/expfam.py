@@ -13,6 +13,7 @@ normal_wishart (dim d)
     T = (Lam mu, -mu^T Lam mu / 2, -Lam / 2, log|Lam| / 2) and
     eta = (kappa m, kappa, inv(W) + kappa m m^T, nu - d).
     Flat layout: (d,), (1,), (d*d,) row-major, (1,).
+    A draw is (mu, the lower Cholesky factor of inv(Lam)); Lam is never formed.
 
 Mean coordinates are E[T] in the identical layout, so ``kl_divergence``
 reduces to the bregman form A(p) - A(q) - <p - q, E_q[T]> for any pair
@@ -256,26 +257,25 @@ def kl_divergence(q, p):
 
 
 def sample(nat, rng):
-    """One draw; the Normal-Wishart returns a (mean, precision) pair, stacked
-    for a stack.  The precision is the Bartlett construction R B B^T R^T with
-    R = C^-T, a square root of W, for the factor C of inv(W) from
-    ``nw_standard``, drawn in three blocks over the whole stack: B's
-    chi-square diagonals, B's normals below them, then the mean normals.
+    """One draw; the Normal-Wishart returns (mean, L), stacked for a stack,
+    L the lower Cholesky factor of inv(Lam).  With the factor C of inv(W)
+    from ``nw_standard`` and the upper Bartlett matrix B (the lower one
+    reversed, so B B^T ~ W(I, nu)), Lam = C^-T B B^T C^-1, so L = C B^-T
+    and the mean is m + L z / sqrt(kappa).  The draws come in three blocks
+    over the whole stack: B's chi-square diagonals, its normals above them,
+    then the mean normals.
     """
     _check_natural(nat)
     if nat.family == DIRICHLET:
         return rng.dirichlet(nat.values + 1.0)
     d = nat.dim
     mean, kappa, chol_winv, dof = nw_standard(nat.values, d)
-    root_w = np.linalg.inv(chol_winv).swapaxes(-1, -2)
     bart = np.zeros(dof.shape + (d, d))
     idx = np.arange(d)
-    bart[..., idx, idx] = np.sqrt(rng.chisquare(dof[..., None] - idx))
+    bart[..., idx, idx] = np.sqrt(rng.chisquare(dof[..., None] - idx[::-1]))
     if d > 1:
-        rr, cc = np.tril_indices(d, -1)
+        rr, cc = np.triu_indices(d, 1)
         bart[..., rr, cc] = rng.standard_normal(dof.shape + (rr.size,))
-    factor = root_w @ bart  # lam = factor factor^T
-    lam = factor @ factor.swapaxes(-1, -2)
+    chol = chol_winv @ np.linalg.inv(bart).swapaxes(-1, -2)
     z = rng.standard_normal(dof.shape + (d,))
-    shift = np.linalg.solve(factor.swapaxes(-1, -2), z[..., None])[..., 0]
-    return mean + shift / np.sqrt(kappa)[..., None], lam
+    return mean + (chol @ z[..., None])[..., 0] / np.sqrt(kappa)[..., None], chol

@@ -278,10 +278,10 @@ def eval_prior(state, rng=None):
     if state.pgm_posterior is None:
         return state.pgm_point
     if rng is None:
-        moments = updates.posterior_mean_params(state.pgm_posterior)
+        params = updates.posterior_mean_params(state.pgm_posterior)
     else:
-        moments = updates.sample_gmm_params(state.pgm_posterior, rng)
-    return models.GaussianMixture.from_moments(*moments)
+        params = updates.sample_gmm_params(state.pgm_posterior, rng)
+    return models.GaussianMixture.from_factors(*params)
 
 
 def eval_decoder(state):
@@ -508,6 +508,14 @@ def tau_ahead_mae(state, seqs, tau):
     return _scores(state, seqs.shape[-2], 0, jobs)["mae"][tau]
 
 
+def _check_width(state, ds):
+    """ContractError unless the rows of ``ds`` are as wide as the model's."""
+    if ds.dim != state.data_dim:
+        raise ContractError(
+            f"the data set has {ds.dim} columns, the checkpoint's model reads {state.data_dim}"
+        )
+
+
 def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
     """Run the requested evaluation tasks on the dataset's test split.
 
@@ -516,6 +524,7 @@ def evaluate(state, ds, tasks, seed=0, taus=(1, 5, 10), n_draws=1000):
     block and its masked copy once for them all; ``sample-dump`` draws
     ``n_draws`` samples from the generative model.
     """
+    _check_width(state, ds)
     test_rows = ds.rows[ds.test_idx] if ds.test_idx is not None else ds.rows
     keys = {"bound": "bound", "tau-ahead": "tau_mae", "imputation": "imputation_mse"}
     jobs = {key: (task, test_rows, taus) for task, key in keys.items() if task in tasks}
@@ -927,6 +936,7 @@ def pca_basis(rows):
 
 def dump_plot_data(state, ds, out_dir, n_draws=2000, metrics=None, seed=0):
     """Emit generated samples, labeled data, and curves as delimited text."""
+    _check_width(state, ds)
     prior = eval_prior(state)
     model = models.GenerativeModel(decoder=eval_decoder(state), prior=prior)
     draw = models.generate(model, np.random.default_rng(seed), n_draws, seq_len=ds.seq_len)

@@ -22,7 +22,8 @@ through the raw-Cholesky chain rule.  The inference networks, whose
 structured factors are these classes, hand their moment gradients to it.
 
 Priors are immutable, so each builds its factors, covariances and (for a
-mixture) precisions once, at their first read, for every later reader to share.
+mixture) precisions, inverted from the factors, once, at their first read, for
+every later reader to share.
 
 ``GaussianMixture`` is the package's one mixture density: its ``scores`` and
 ``score_adjoints`` take its own covariance factors or per-row (n, k, d, d)
@@ -106,10 +107,11 @@ class GaussianMixture(_VectorParams):
     _params = ("logits", "means", "chol_raw")
 
     @classmethod
-    def from_moments(cls, weights, means, covs):
-        """The mixture of component ``weights``, ``means`` and covariances."""
+    def from_factors(cls, weights, means, chols):
+        """The mixture of component ``weights``, ``means`` and lower Cholesky
+        factors of the covariances (positive diagonals)."""
         logits = np.log(np.maximum(weights, 1e-300))
-        return cls(logits=logits, means=np.asarray(means), chol_raw=linalg.raw_from_spd(covs))
+        return cls(logits=logits, means=np.asarray(means), chol_raw=linalg.raw_from_tril(chols))
 
     @property
     def n_components(self):
@@ -141,11 +143,17 @@ class GaussianMixture(_VectorParams):
 
     @cached_property
     def precisions(self):
-        """(k, d, d) inverse covariances."""
+        """(k, d, d) inverse covariances from ``chols``; ones that are
+        singular or overflow raise InvalidParameterError without a warning."""
+        self.covs  # raises for an overflowing covariance
         try:
-            return np.linalg.inv(self.covs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                prec = linalg.inv_from_chol(self.chols)
         except np.linalg.LinAlgError:
-            raise InvalidParameterError("mixture covariance is singular") from None
+            prec = None
+        if prec is None or not np.all(np.isfinite(prec)):
+            raise InvalidParameterError("mixture covariance is singular")
+        return prec
 
     def log_weights(self):
         return self.logits - logsumexp(self.logits)
@@ -188,7 +196,7 @@ class GaussianMixture(_VectorParams):
         axes, each row's (n, k, d, d) ones or, at the mixture's own (k, d,
         d) factors, their sum over rows, built without the per-row stack."""
         chol = self.chols if chol is None else chol
-        prec = linalg.inv_from_chol(chol)
+        prec = self.precisions if chol is self.chols else linalg.inv_from_chol(chol)
         u = x[:, None, :] - self.means[None, :, :]
         pu = (prec @ u[..., None])[..., 0]
         rw = resp * self._tail_weights(u, pu)

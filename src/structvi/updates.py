@@ -128,19 +128,18 @@ def natural_gradient_step(q, message, beta1):
 
 
 def posterior_mean_params(q):
-    """Plug-in point parameters: E[pi], E[mu_k], and E[Lam_k]^-1 = C_k C_k^T /
-    nu_k for the factor C_k of inv(W_k) that ``expfam.nw_standard`` returns."""
+    """Plug-in point parameters: E[pi], E[mu_k], and C_k / sqrt(nu_k), the lower
+    factor of E[Lam_k]^-1, for the factor C_k of inv(W_k) from ``nw_standard``."""
     alpha = expfam.to_standard(q.weights).alpha
     mean, _, chol, dof = expfam.nw_standard(q.components.values, q.dim)
-    return alpha / alpha.sum(), mean, chol @ chol.swapaxes(-1, -2) / dof[:, None, None]
+    return alpha / alpha.sum(), mean, chol / np.sqrt(dof)[:, None, None]
 
 
 def sample_gmm_params(q, rng):
-    """Draw (pi, means, covariances) from the posterior: the weights, then
-    every component's (mean, precision) in one ``expfam.sample`` call."""
+    """Draw (pi, means, lower Cholesky factors of the covariances) from the
+    posterior: the weights, then every component in one ``expfam.sample`` call."""
     pi = expfam.sample(q.weights, rng)
-    means, lam = expfam.sample(q.components, rng)
-    return pi, means, np.linalg.inv(lam)
+    return (pi, *expfam.sample(q.components, rng))
 
 
 def kl_to_prior(q, prior):

@@ -65,13 +65,12 @@ def test_vb_gmm_predictive_matches_parameter_sampling():
     draws = 20_000
     dens = np.empty((draws, test_rows.shape[0]))
     for s in range(draws):
-        pi, means, covs = updates.sample_gmm_params(res.posterior, rng)
+        pi, means, chols = updates.sample_gmm_params(res.posterior, rng)
         cols = np.zeros(test_rows.shape[0])
         for j in range(2):
-            diff = test_rows - means[j]
-            prec = np.linalg.inv(covs[j])
-            quad = np.einsum("ni,ij,nj->n", diff, prec, diff)
-            logdet = np.linalg.slogdet(covs[j])[1]
+            sol = np.linalg.solve(chols[j], (test_rows - means[j]).T)
+            quad = np.sum(sol**2, axis=0)
+            logdet = 2.0 * np.sum(np.log(np.diag(chols[j])))
             cols += pi[j] * np.exp(-0.5 * (quad + logdet + 2 * np.log(2 * np.pi)))
         dens[s] = cols
     mc = dens.mean(axis=0)

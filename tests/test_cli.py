@@ -562,6 +562,58 @@ def test_draw_count_past_index_range_exits_nonzero(tmp_path, capsys, kind):
     assert not samples_out.exists() and not plot_dir.exists()
 
 
+def train_checkpoint_beside_a_wider_or_narrower_dataset(tmp_path, kind):
+    """A one-step checkpoint of ``kind`` and a data set of another width: a
+    mixture on 2-wide pinwheel rows with 3-wide dots, a dynamics model on
+    3-wide dots with 2-wide pinwheel rows (24 of them, whole sequences)."""
+    pinwheel = make_pinwheel_file(tmp_path, n_per_arm=8)
+    dots = str(tmp_path / "dots.txt")
+    assert run_cli(["generate-data", "--kind", "dots", "--out", dots, "--n-seq", "6",
+                    "--t-len", "4", "--width-d", "3"]) == 0
+    if kind == "latent-gmm":
+        dataset, other, extra = pinwheel, dots, ["--n-components", "2"]
+    else:
+        dataset, other, extra = dots, pinwheel, ["--model-kind", kind, "--seq-len", "4"]
+    out_dir = str(tmp_path / "run")
+    assert run_cli(["train", "--dataset", dataset, "--hidden", "4", "--n-iters", "1",
+                    "--eval-interval", "1", "--timing", "0", "--out-dir", out_dir] + extra) == 0
+    return os.path.join(out_dir, "structured.ckpt"), other
+
+
+@pytest.mark.parametrize("kind", ["latent-gmm", "latent-lds"])
+def test_eval_of_a_dataset_of_another_width_exits_nonzero(tmp_path, capsys, kind):
+    ckpt, other = train_checkpoint_beside_a_wider_or_narrower_dataset(tmp_path, kind)
+    samples_out = tmp_path / "samples.txt"
+    capsys.readouterr()
+    code = run_cli(["eval", "--checkpoint", ckpt, "--dataset", other,
+                    "--tasks", "bound,imputation,sample-dump", "--samples-out", str(samples_out)])
+    assert_one_error_line(capsys, code, "columns")
+    assert not samples_out.exists()
+
+
+@pytest.mark.parametrize("kind", ["latent-gmm", "latent-lds"])
+def test_dump_plots_of_a_dataset_of_another_width_writes_nothing(tmp_path, capsys, kind):
+    ckpt, other = train_checkpoint_beside_a_wider_or_narrower_dataset(tmp_path, kind)
+    plot_dir = tmp_path / "plots"
+    capsys.readouterr()
+    code = run_cli(["dump-plots", "--checkpoint", ckpt, "--dataset", other,
+                    "--out-dir", str(plot_dir)])
+    assert_one_error_line(capsys, code, "columns")
+    assert not plot_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args", [["--kind", "pinwheel", "--n-per-arm", "0"], ["--kind", "dots", "--n-seq", "0"]],
+    ids=["pinwheel", "dots"],
+)
+def test_generate_data_with_no_rows_exits_nonzero(tmp_path, capsys, args):
+    """The generators accept a zero size; the command refuses to write a
+    file that holds only a header."""
+    out = tmp_path / "g.txt"
+    assert_one_error_line(capsys, run_cli(["generate-data", "--out", str(out)] + args), args[2])
+    assert not out.exists() and not (tmp_path / "g.txt.prov").exists()
+
+
 def test_empty_training_split_exits_nonzero_without_warning(tmp_path, capsys):
     """60 rows at --train-frac 0.01 leave no training row to standardize on."""
     dataset = make_pinwheel_file(tmp_path, n_per_arm=20)

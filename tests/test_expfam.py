@@ -199,7 +199,8 @@ class TestSampling:
         np.testing.assert_allclose(draws.sum(1), 1.0, atol=1e-12)
 
     def test_normal_wishart_moments(self):
-        """Sampled E[lam] ~ nu W and E[mu] ~ m within Monte Carlo error."""
+        """Sampled E[lam] ~ nu W and E[mu] ~ m within Monte Carlo error, with
+        lam = L^-T L^-1 for the drawn covariance factor L."""
         rng = np.random.default_rng(47)
         p = expfam.NormalWishartParam(
             mean=np.array([1.0, 2.0]),
@@ -210,28 +211,35 @@ class TestSampling:
         nat = expfam.to_natural_vector(p)
         mus, lams = [], []
         for _ in range(20000):
-            mu, lam = expfam.sample(nat, rng)
+            mu, chol = expfam.sample(nat, rng)
+            chol_inv = np.linalg.inv(chol)
             mus.append(mu)
-            lams.append(lam)
+            lams.append(chol_inv.T @ chol_inv)
         np.testing.assert_allclose(np.mean(mus, axis=0), p.mean, atol=0.02)
         np.testing.assert_allclose(np.mean(lams, axis=0), p.dof * p.scale, rtol=0.03)
 
     def test_normal_wishart_mean_covariance(self):
-        """Cov[mu] = E[(kappa Lam)^-1] = inv(W) / (kappa (nu - d - 1)) at d = 3,
-        each entry within five of its Monte Carlo standard errors.  The
-        mean's shift solves against the Bartlett factor, so this checks the
-        square root of W the sampler builds, which E[mu] and E[Lam] do not."""
+        """At d = 3, E[Sigma] = inv(W) / (nu - d - 1) for Sigma = L L^T and
+        Cov[mu] = E[Sigma] / kappa, each entry within five of its Monte Carlo
+        standard errors, and every drawn L is lower-triangular with a
+        positive diagonal.  The mean's shift is L z, so this checks the
+        factor the sampler builds, which E[mu] and E[Lam] do not."""
         rng = np.random.default_rng(53)
         n, d = 40000, 3
         p = random_normal_wishart(rng, d)
         p = expfam.NormalWishartParam(p.mean, p.kappa, p.scale, dof=12.0)
         one = expfam.to_natural_vector(p)
-        mus, _ = expfam.sample(one.replace_values(np.tile(one.values, (n, 1))), rng)
+        mus, chols = expfam.sample(one.replace_values(np.tile(one.values, (n, 1))), rng)
+        np.testing.assert_array_equal(chols, np.tril(chols))
+        assert np.all(np.diagonal(chols, axis1=1, axis2=2) > 0)
+        want_sigma = np.linalg.inv(p.scale) / (p.dof - d - 1)
         u = mus - p.mean
-        prods = u[:, :, None] * u[:, None, :]
-        want = np.linalg.inv(p.scale) / (p.kappa * (p.dof - d - 1))
-        err = np.abs(prods.mean(axis=0) - want)
-        assert np.all(err < 5.0 * prods.std(axis=0) / np.sqrt(n))
+        for draws, want in (
+            (chols @ chols.swapaxes(1, 2), want_sigma),
+            (u[:, :, None] * u[:, None, :], want_sigma / p.kappa),
+        ):
+            err = np.abs(draws.mean(axis=0) - want)
+            assert np.all(err < 5.0 * draws.std(axis=0) / np.sqrt(n))
 
 
 class TestConjugacy:

@@ -418,10 +418,7 @@ class TestExpectedLogPrior:
         z = rng.integers(0, k, size=6)
         val = self.expected_log_joint(q, x, z)
 
-        w, mu, cov = updates.posterior_mean_params(q)
-        point = models.GaussianMixture(
-            logits=np.log(w), means=mu, chol_raw=np.stack([linalg.raw_from_spd(c) for c in cov])
-        )
+        point = models.GaussianMixture.from_factors(*updates.posterior_mean_params(q))
         expect = float(point.scores(x)[np.arange(x.shape[0]), z].sum())
         assert val == pytest.approx(expect, abs=1e-3)
 

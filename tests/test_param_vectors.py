@@ -111,9 +111,9 @@ def test_posterior_vector_of_wrong_length_is_contract_error():
             q.with_flat_values(bad)
 
 
-def test_mixture_from_moments_reproduces_the_moments():
+def test_mixture_from_factors_reproduces_the_mixture():
     mix = priors(np.random.default_rng(6))["gaussian"]
-    back = models.GaussianMixture.from_moments(mix.weights, mix.means, mix.covs)
+    back = models.GaussianMixture.from_factors(mix.weights, mix.means, mix.chols)
     np.testing.assert_allclose(back.weights, mix.weights, rtol=1e-14)
     np.testing.assert_allclose(back.chol_raw, mix.chol_raw, rtol=1e-12, atol=1e-14)
     np.testing.assert_array_equal(back.means, mix.means)

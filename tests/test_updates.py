@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from structvi import expfam, updates
+from structvi import data, expfam, harness, updates
 from structvi.errors import ContractError, InvalidParameterError
 
 
@@ -199,16 +199,46 @@ class TestStackedPosterior:
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_posterior_mean_covariances_invert_the_expected_precisions(self, k, d):
-        """E[Lam_k]^-1 read off the factor of inv(W_k) equals inv(nu_k W_k)."""
+        """The covariance factor L_k read off the factor of inv(W_k) is lower
+        with a positive diagonal, and L_k L_k^T = E[Lam_k]^-1 = inv(nu_k W_k)."""
         rng = np.random.default_rng(100 + 10 * k + d)
         prior = updates.default_gmm_prior(k, d)
         x = rng.standard_normal((40, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
         msg = updates.conjugate_gmm_message(prior, x, rng.integers(0, k, 40), n_total=200)
         q = updates.natural_gradient_step(prior, msg, beta1=0.7)
-        _, _, covs = updates.posterior_mean_params(q)
+        _, _, chols = updates.posterior_mean_params(q)
+        np.testing.assert_array_equal(chols, np.tril(chols))
+        assert np.all(np.diagonal(chols, axis1=1, axis2=2) > 0)
         p = expfam.to_standard(q.components)
         want = np.linalg.inv(p.dof[:, None, None] * p.scale)
-        np.testing.assert_allclose(covs, want, rtol=1e-12)
+        np.testing.assert_allclose(chols @ chols.swapaxes(1, 2), want, rtol=1e-12)
+
+    def test_mixture_step_and_evaluation_lapack_work_is_pinned(self, monkeypatch):
+        """np.linalg calls (cholesky, inv, solve) in one k = 10, d = 2,
+        64-row latent-gmm step and one bound-and-imputation evaluation.  The
+        posterior hands its point mixture covariance factors, so no draw or
+        posterior mean is factored twice, and a mixture's precisions are one
+        ``inv_from_chol`` shared by the draw and the factor density."""
+        ds = data.standardize(data.split(data.pinwheel(n_per_arm=40, arms=5, seed=0), seed=0))[0]
+        cfg = harness.TrainConfig(
+            model_kind="latent-gmm", n_components=10, hidden=(8,), batch_size=64, timing=False
+        )
+        state = harness.init_state(cfg, ds.dim)
+        counts = dict.fromkeys(("cholesky", "inv", "solve"), 0)
+        for name in counts:
+            real = getattr(np.linalg, name)
+
+            def counted(*a, _real=real, _name=name, **kw):
+                counts[_name] += 1
+                return _real(*a, **kw)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        batch = ds.rows[ds.train_idx][:64]
+        state = harness.train_step(state, cfg, batch, ds.train_idx.size, np.random.default_rng(0))[0]
+        assert counts == {"cholesky": 4, "inv": 6, "solve": 3}
+        counts.update(dict.fromkeys(counts, 0))
+        harness.evaluate(state, ds, ["bound", "imputation"])
+        assert counts == {"cholesky": 4, "inv": 3, "solve": 4}
 
     def test_wrong_length_flat_vector_is_contract_error(self):
         prior = updates.default_gmm_prior(3, 2)
