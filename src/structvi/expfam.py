@@ -257,19 +257,26 @@ def kl_divergence(q, p):
 
 
 def sample(nat, rng):
-    """One draw; the Normal-Wishart returns (mean, L), stacked for a stack,
-    L the lower Cholesky factor of inv(Lam).  With the factor C of inv(W)
-    from ``nw_standard`` and the upper Bartlett matrix B (the lower one
-    reversed, so B B^T ~ W(I, nu)), Lam = C^-T B B^T C^-1, so L = C B^-T
-    and the mean is m + L z / sqrt(kappa).  The draws come in three blocks
-    over the whole stack: B's chi-square diagonals, its normals above them,
-    then the mean normals.
-    """
+    """One draw: the Dirichlet's weights, or ``sample_normal_wishart`` of the
+    Normal-Wishart's ``nw_standard`` form."""
     _check_natural(nat)
     if nat.family == DIRICHLET:
         return rng.dirichlet(nat.values + 1.0)
-    d = nat.dim
-    mean, kappa, chol_winv, dof = nw_standard(nat.values, d)
+    return sample_normal_wishart(nw_standard(nat.values, nat.dim), rng)
+
+
+def sample_normal_wishart(standard, rng):
+    """One Normal-Wishart draw (mean, L), stacked for a stack, from the
+    checked standard form (m, kappa, C, nu) that ``nw_standard`` returns; L
+    is the lower Cholesky factor of inv(Lam).  With the factor C of inv(W)
+    and the upper Bartlett matrix B (the lower one reversed, so
+    B B^T ~ W(I, nu)), Lam = C^-T B B^T C^-1, so L = C B^-T and the mean is
+    m + L z / sqrt(kappa).  The draws come in three blocks over the whole
+    stack: B's chi-square diagonals, its normals above them, then the mean
+    normals.
+    """
+    mean, kappa, chol_winv, dof = standard
+    d = mean.shape[-1]
     bart = np.zeros(dof.shape + (d, d))
     idx = np.arange(d)
     bart[..., idx, idx] = np.sqrt(rng.chisquare(dof[..., None] - idx[::-1]))

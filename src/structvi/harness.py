@@ -330,8 +330,7 @@ def train_step(state, cfg, batch, n_total, rng):
 
         van = updates.van_step(state.van, neg_grad, curvature, cfg.beta3, rng)
         bundle = stash["bundle"]
-        state = dataclasses.replace(
-            state,
+        new = dict(
             van=van,
             decoder=nnet.set_param_vector(decoder, van.mu[:n_nn]),
             net=state.net.with_phi_vector(van.mu[n_nn:]),
@@ -344,7 +343,7 @@ def train_step(state, cfg, batch, n_total, rng):
             g = bundle.grad_theta_nn
             g_sigma2 = g * noise / (2.0 * np.sqrt(state.theta_posterior.sigma2))
             post = updates.bayes_nn_step(state.theta_posterior, g, g_sigma2, cfg.beta2)
-            state = dataclasses.replace(state, theta_posterior=post)
+            new = dict(theta_posterior=post)
         else:
             vec, opt_nn = _euclid_step(
                 cfg.optimizer,
@@ -353,9 +352,7 @@ def train_step(state, cfg, batch, n_total, rng):
                 state.opt_nn,
                 cfg.beta2,
             )
-            state = dataclasses.replace(
-                state, decoder=nnet.set_param_vector(state.decoder, vec), opt_nn=opt_nn
-            )
+            new = dict(decoder=nnet.set_param_vector(state.decoder, vec), opt_nn=opt_nn)
 
         phi, opt_phi = _euclid_step(
             cfg.optimizer,
@@ -364,9 +361,7 @@ def train_step(state, cfg, batch, n_total, rng):
             state.opt_phi,
             cfg.beta3,
         )
-        state = dataclasses.replace(
-            state, net=state.net.with_phi_vector(phi), opt_phi=opt_phi
-        )
+        new.update(net=state.net.with_phi_vector(phi), opt_phi=opt_phi)
 
     if not state.prior_fixed:
         if state.pgm_posterior is not None and cfg.beta1 > 0.0:
@@ -376,23 +371,20 @@ def train_step(state, cfg, batch, n_total, rng):
                 bundle.sample.z_star,
                 n_total=n_total,
             )
-            q = updates.natural_gradient_step(state.pgm_posterior, msg, cfg.beta1)
-            state = dataclasses.replace(state, pgm_posterior=q)
+            new["pgm_posterior"] = updates.natural_gradient_step(
+                state.pgm_posterior, msg, cfg.beta1
+            )
         elif state.pgm_point is not None:
-            vec, opt_pgm = _euclid_step(
+            vec, new["opt_pgm"] = _euclid_step(
                 cfg.optimizer,
                 state.pgm_point.param_vector(),
                 bundle.grad_theta_pgm,
                 state.opt_pgm,
                 cfg.beta1,
             )
-            state = dataclasses.replace(
-                state,
-                pgm_point=state.pgm_point.with_param_vector(vec),
-                opt_pgm=opt_pgm,
-            )
+            new["pgm_point"] = state.pgm_point.with_param_vector(vec)
 
-    state = dataclasses.replace(state, iteration=state.iteration + 1)
+    state = dataclasses.replace(state, iteration=state.iteration + 1, **new)
     return state, bundle
 
 

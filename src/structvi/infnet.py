@@ -44,13 +44,17 @@ their emission is the identity.
 
 The dynamics factor has one Python loop over time with a nonlinear body:
 the covariance pass's recursion (predicted covariance, innovation, its
-inverse, gain, filtered covariance).  Every linear recursion over time runs
-through ``backward_chain``: the filter means, the draw's
-x_t = offset_t + J_t x_{t+1} and its adjoint, the filter reverse sweep's
-carried adjoints, and the RTS smoother's means and covariances.  Everything
-else (innovation factors, log normalizer terms, smoother gains and
-conditional factors, draw offsets, per-step adjoints) is one numpy call
-stacked over (..., T, d, d).
+inverse, gain, filtered covariance).  At small d its cost is per-call
+overhead, so where a step holds one matrix (one sequence, or LDS-EM's
+shared noise) it multiplies by ``ndarray.dot``, which reaches the BLAS
+routine that ``np.matmul`` reaches for 2-d operands, and so gives the same
+bits, without the ufunc's dispatch; a block's steps keep ``np.matmul``.
+Every linear recursion over time runs through ``backward_chain``: the
+filter means, the draw's x_t = offset_t + J_t x_{t+1} and its adjoint, the
+filter reverse sweep's carried adjoints, and the RTS smoother's means and
+covariances.  Everything else (innovation factors, log normalizer terms,
+smoother gains and conditional factors, draw offsets, per-step adjoints) is
+one numpy call stacked over (..., T, d, d).
 
 A chain over R rows whose gains the block shares (one sequence, or an
 LDS-EM block) runs in ceil(log2 R) doubling levels, the prefix-scan form of
@@ -561,6 +565,12 @@ def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
     ``p_pred``, ``chol_s``, ``s_inv``, ``gain``, ``p_filt`` (T-row stacks,
     row t for step t + 1), ``logdet_s``, and the mean pass's drive A K_t and
     chain A (I - K_t C) (T-1 rows) as a dict.
+
+    When each step holds one matrix (``obs_cov`` is (T, D, D): one sequence,
+    or LDS-EM's shared noise), the loop multiplies by ``np.ndarray.dot``,
+    which skips the ufunc dispatch that is half of a 2 x 2 ``np.matmul``'s
+    cost; a block keeps ``np.matmul``.  numpy runs a 2-d float product
+    through the same BLAS routine either way, so the bits are the same.
     """
     t_len, obs_dim = obs_cov.shape[-3], obs_cov.shape[-1]
     d = trans.shape[0]
@@ -571,20 +581,24 @@ def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
     pp_t, pf_t, k_t, s_t, si_t, r_t = (
         _axis_first(a) for a in (p_pred, p_filt, gain, s, s_inv, obs_cov)
     )
+    # a one-matrix step's rows are C-contiguous, as dot's out= needs
+    mm = np.ndarray.dot if obs_cov.ndim == 3 else np.matmul
+    trans_t = trans.T
+    emit_t = None if emit is None else emit.T
     pp_t[:1] = p1
     for t in range(t_len):
         pp = pp_t[t]
-        pc = pp if emit is None else pp @ emit.T
-        st = np.add(pc if emit is None else emit @ pc, r_t[t], out=s_t[t])
+        pc = pp if emit is None else mm(pp, emit_t)
+        st = np.add(pc if emit is None else mm(emit, pc), r_t[t], out=s_t[t])
         try:
             si = np.linalg.inv(st)
         except np.linalg.LinAlgError:
             si = linalg.inv_from_chol(_guarded_chol(st, "innovation covariance"))
         si_t[t] = si
-        k = np.matmul(pc, si, out=k_t[t])
-        pf = np.subtract(pp, k @ pc.swapaxes(-1, -2), out=pf_t[t])
+        k = mm(pc, si, out=k_t[t])
+        pf = np.subtract(pp, mm(k, pc.swapaxes(-1, -2)), out=pf_t[t])
         if t + 1 < t_len:
-            np.add(trans @ pf @ trans.T, noise_cov, out=pp_t[t + 1])
+            np.add(mm(mm(trans, pf), trans_t), noise_cov, out=pp_t[t + 1])
     chol_s = _guarded_chol(s, "innovation covariance")
     k_prev = gain[..., :-1, :, :]
     return dict(

@@ -11,6 +11,12 @@ Conventions fixed here once:
 * Every flat parameter vector (network weights, prior parameters, the
   conjugate posterior's naturals, their gradients) is its arrays raveled in
   order: ``flatten`` writes one and ``unflatten`` reads it back.
+* Constants that depend only on d (the triangle's index sets, its mask and
+  flat positions) are built once per d by ``_tril_cache`` and ``_tril_mask``
+  and are read-only, so no caller can change them for the next.  The
+  helpers mask and gather through them and through ndarray methods, not
+  ``np.tril`` or ``np.diagonal``, whose per-call cost is several times theirs
+  at d = 2; the entries and the arithmetic are the same.
 """
 
 import math
@@ -24,10 +30,25 @@ JITTER_SCALE = 1e-8
 MAX_JITTER_TRIES = 3
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _tril_cache(d):
     rows, cols = np.tril_indices(d)
-    return rows, cols, np.flatnonzero(rows == cols), np.arange(d)
+    return _frozen(rows, cols, np.flatnonzero(rows == cols), np.arange(d))
+
+
+@lru_cache(maxsize=None)
+def _tril_mask(d):
+    """The boolean mask that ``np.tril`` keeps, its row-major flat positions
+    (the lower triangle in ``np.tril_indices`` order), and weights 0.5 on
+    the diagonal and 1 elsewhere."""
+    lower = np.tri(d, dtype=bool)
+    return _frozen(lower, np.flatnonzero(lower), 1.0 - 0.5 * np.eye(d))
 
 
 def flatten(arrays):
@@ -101,7 +122,7 @@ def inv_from_chol(chol):
 
 
 def logdet_from_chol(chol):
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
 
 
 def chol_quad(chol, cols):
@@ -149,11 +170,8 @@ def tril_raw_vjp(chol, grad_mat):
     """
     d = chol.shape[-1]
     grad_chol = (grad_mat + grad_mat.swapaxes(-1, -2)) @ chol
-    rows, cols, diag_slots, idx = _tril_cache(d)
-    out = grad_chol[..., rows, cols].copy()
-    out[..., diag_slots] = (
-        grad_chol[..., idx, idx] * np.diagonal(chol, axis1=-2, axis2=-1)
-    )
+    out = grad_chol.reshape(grad_chol.shape[:-2] + (d * d,)).take(_tril_mask(d)[1], -1)
+    out[..., _tril_cache(d)[2]] *= chol.diagonal(0, -2, -1)
     return out
 
 
@@ -163,13 +181,11 @@ def cholesky_vjp(chol, grad_chol):
     Given dF/dL on the lower factor, returns dF/dA with A treated as a
     symmetric matrix produced upstream.
     """
-    d = chol.shape[-1]
+    lower, _, half_diag = _tril_mask(chol.shape[-1])
     # only lower entries of the factor exist; discard any upper-part adjoint
-    p = chol.swapaxes(-1, -2) @ np.tril(grad_chol)
+    p = chol.swapaxes(-1, -2) @ np.where(lower, grad_chol, 0.0)
     # keep the lower triangle, halve the diagonal
-    p = np.tril(p)
-    idx = np.arange(d)
-    p[..., idx, idx] *= 0.5
+    p = np.where(lower, p * half_diag, 0.0)
     lt_inv = np.linalg.inv(chol)
     w = lt_inv.swapaxes(-1, -2) @ p @ lt_inv
     return symmetrize(w)

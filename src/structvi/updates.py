@@ -18,6 +18,7 @@ posterior to its prior.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,9 @@ class PgmPosterior:
     Normal-Wishart block, stacked as one (K, d*d + d + 2) natural array.
 
     The flat layout is the Dirichlet block, then the component blocks in
-    order.
+    order.  ``standard``, the components' checked standard form, is computed
+    once per posterior: the domain check that admits a natural-gradient step's
+    result computes it, and that posterior's draws and mean read it.
     """
 
     weights: expfam.NaturalParamVector
@@ -55,8 +58,23 @@ class PgmPosterior:
         values = linalg.unflatten(flat, [b.values.shape for b in blocks])
         return PgmPosterior(*(b.replace_values(v) for b, v in zip(blocks, values)))
 
+    @cached_property
+    def standard(self):
+        """``expfam.nw_standard`` of the components, read-only; raises
+        InvalidParameterError outside the domain."""
+        standard = expfam.nw_standard(self.components.values, self.dim)
+        for a in standard:
+            a.flags.writeable = False
+        return standard
+
     def in_domain(self):
-        return all(expfam.in_natural_domain(b) for b in (self.weights, self.components))
+        if not expfam.in_natural_domain(self.weights):
+            return False
+        try:
+            self.standard
+        except InvalidParameterError:
+            return False
+        return True
 
 
 def default_gmm_prior(k, d, alpha0=1.0, kappa0=0.1):
@@ -131,15 +149,16 @@ def posterior_mean_params(q):
     """Plug-in point parameters: E[pi], E[mu_k], and C_k / sqrt(nu_k), the lower
     factor of E[Lam_k]^-1, for the factor C_k of inv(W_k) from ``nw_standard``."""
     alpha = expfam.to_standard(q.weights).alpha
-    mean, _, chol, dof = expfam.nw_standard(q.components.values, q.dim)
+    mean, _, chol, dof = q.standard
     return alpha / alpha.sum(), mean, chol / np.sqrt(dof)[:, None, None]
 
 
 def sample_gmm_params(q, rng):
     """Draw (pi, means, lower Cholesky factors of the covariances) from the
-    posterior: the weights, then every component in one ``expfam.sample`` call."""
+    posterior: the weights, then every component in one
+    ``expfam.sample_normal_wishart`` call on the cached ``standard`` form."""
     pi = expfam.sample(q.weights, rng)
-    return (pi, *expfam.sample(q.components, rng))
+    return (pi, *expfam.sample_normal_wishart(q.standard, rng))
 
 
 def kl_to_prior(q, prior):

@@ -1030,6 +1030,62 @@ class TestIdentityEmission:
         assert np.array_equal(got, want)
 
 
+class TestProductRoute:
+    """``kalman_covariances`` runs a one-matrix-per-step pass (one sequence, or
+    LDS-EM's noise shared as a broadcast (T, D, D) view) through
+    ``ndarray.dot`` and a block through ``np.matmul``; both reach the same
+    BLAS call for each 2-d product, so the routes agree bit for bit."""
+
+    @staticmethod
+    def em_case(seed, t_len, d, obs_dim):
+        rng = np.random.default_rng(seed)
+        a = 0.5 * rng.standard_normal((d, d))
+        q, p1, r = (
+            g @ g.T + np.eye(n)
+            for g, n in ((rng.standard_normal((k, k)), k) for k in (d, d, obs_dim))
+        )
+        emit = rng.standard_normal((obs_dim, d))
+        return a, q, p1, emit, np.broadcast_to(r, (t_len, obs_dim, obs_dim))
+
+    @staticmethod
+    def same(one, block):
+        assert one.keys() == block.keys()
+        for key in one:
+            assert np.array_equal(one[key], block[key][0]), key
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_sequence_matches_a_one_member_block(self, d):
+        _, dyn, _, v = TestLdsStackedParity.case(90 + d, 7, d)
+        a, q = dyn.trans, dyn.noise_cov
+        p1 = a @ dyn.init_cov @ a.T + q
+        obs_cov = v[..., None] * np.eye(d)
+        one = infnet.kalman_covariances(a, q, p1, None, obs_cov)
+        self.same(one, infnet.kalman_covariances(a, q, p1, None, obs_cov[None]))
+
+    @pytest.mark.parametrize("d,obs_dim", [(1, 1), (1, 4), (2, 5), (3, 2), (3, 3)])
+    def test_broadcast_noise_matches_a_materialised_block(self, d, obs_dim):
+        a, q, p1, emit, r = self.em_case(95 + d + obs_dim, 6, d, obs_dim)
+        one = infnet.kalman_covariances(a, q, p1, emit, r)
+        self.same(one, infnet.kalman_covariances(a, q, p1, emit, np.array(r)[None]))
+
+    def test_one_matrix_passes_make_no_matmul_call(self, monkeypatch):
+        """A one-sequence pass and an LDS-EM pass call ``np.matmul`` nowhere
+        (so not in the loop); a block pass makes every product through it."""
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
+        _, dyn, m, v = TestLdsStackedParity.case(97, 6, 2)
+        infnet.lds_filter(dyn, m, v)
+        a, q, p1, emit, r = self.em_case(98, 6, 2, 5)
+        infnet.kalman_covariances(a, q, p1, emit, r)
+        seqs = np.random.default_rng(99).standard_normal((3, 6, 5))
+        baselines.lds_em_fit(seqs, 2, n_iter=2)
+        assert calls == []
+        infnet.lds_filter(dyn, m[None], v[None])
+        # four products a step, less the prediction past the last step
+        assert len(calls) == 4 * 6 - 2
+
+
 class TestDivergedDynamics:
     """A raw log-diagonal of +800 overflows a dynamics covariance and -800
     zeroes its factor's diagonal.  Overflow raises InvalidParameterError

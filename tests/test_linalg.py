@@ -84,3 +84,74 @@ class TestCholeskySolves:
         np.testing.assert_allclose(
             linalg.inv_from_chol(chol), np.linalg.inv(mat), rtol=1e-12
         )
+
+
+class TestCachedTriangleHelpers:
+    """``cholesky_vjp``, ``tril_raw_vjp`` and ``logdet_from_chol`` read the
+    cached triangle constants and ndarray methods; each returns the bits of
+    the formula it replaced, kept here, for one matrix and for stacks."""
+
+    @staticmethod
+    def cholesky_vjp_formula(chol, grad_chol):
+        d = chol.shape[-1]
+        p = np.tril(chol.swapaxes(-1, -2) @ np.tril(grad_chol))
+        idx = np.arange(d)
+        p[..., idx, idx] *= 0.5
+        lt_inv = np.linalg.inv(chol)
+        return linalg.symmetrize(lt_inv.swapaxes(-1, -2) @ p @ lt_inv)
+
+    @staticmethod
+    def tril_raw_vjp_formula(chol, grad_mat):
+        d = chol.shape[-1]
+        grad_chol = (grad_mat + grad_mat.swapaxes(-1, -2)) @ chol
+        rows, cols = np.tril_indices(d)
+        diag_slots = np.flatnonzero(rows == cols)
+        idx = np.arange(d)
+        out = grad_chol[..., rows, cols].copy()
+        out[..., diag_slots] = grad_chol[..., idx, idx] * np.diagonal(chol, axis1=-2, axis2=-1)
+        return out
+
+    @staticmethod
+    def logdet_formula(chol):
+        return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+    @pytest.mark.parametrize("lead", [(), (4,), (3, 2)])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_helpers_match_their_formulas(self, d, lead):
+        rng = np.random.default_rng(10 * d + len(lead))
+        chol = linalg.tril_from_raw(rng.standard_normal(lead + (linalg.tril_size(d),)), d)
+        grad = rng.standard_normal(lead + (d, d))
+        assert np.array_equal(
+            linalg.cholesky_vjp(chol, grad), self.cholesky_vjp_formula(chol, grad)
+        )
+        assert np.array_equal(
+            linalg.tril_raw_vjp(chol, grad), self.tril_raw_vjp_formula(chol, grad)
+        )
+        assert np.array_equal(linalg.logdet_from_chol(chol), self.logdet_formula(chol))
+        # one factor shared by a stack of adjoints
+        grads = rng.standard_normal((3,) + lead + (d, d))
+        assert np.array_equal(
+            linalg.tril_raw_vjp(chol, grads), self.tril_raw_vjp_formula(chol, grads)
+        )
+        assert np.array_equal(
+            linalg.cholesky_vjp(chol, grads), self.cholesky_vjp_formula(chol, grads)
+        )
+
+    def test_upper_adjoint_entries_are_discarded_even_when_not_finite(self):
+        chol = np.array([[1.5, 0.0], [0.3, 0.7]])
+        grad = np.array([[0.2, np.inf], [-0.4, 1.1]])
+        got = linalg.cholesky_vjp(chol, grad)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, self.cholesky_vjp_formula(chol, grad))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_cached_constants_are_read_only(self, d):
+        rows, cols, diag_slots, idx = linalg._tril_cache(d)
+        lower, flat_lower, half_diag = linalg._tril_mask(d)
+        assert np.array_equal(lower, np.tril(np.ones((d, d))) > 0)
+        assert np.array_equal(flat_lower, rows * d + cols)
+        assert np.array_equal(half_diag, np.where(np.eye(d) > 0, 0.5, 1.0))
+        for value in (rows, cols, diag_slots, idx, lower, flat_lower, half_diag):
+            assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[...] = 0

@@ -172,13 +172,15 @@ class TestStackedPosterior:
         "name,want",
         [
             ("natural_gradient_step", 1),
-            ("sample_gmm_params", 1),
+            ("sample_gmm_params", 0),
             ("kl_to_prior", 3),
-            ("posterior_mean_params", 1),
+            ("posterior_mean_params", 0),
         ],
     )
     def test_cholesky_calls_do_not_grow_with_k(self, monkeypatch, k, name, want):
-        """All K scale matrices are factored in one call."""
+        """All K scale matrices are factored in one call, and a posterior that
+        a natural-gradient step returned hands its draws and its mean the
+        factor its domain check took."""
         rng = np.random.default_rng(8)
         prior = updates.default_gmm_prior(k, 2)
         x = rng.standard_normal((30, 2))
@@ -215,10 +217,12 @@ class TestStackedPosterior:
 
     def test_mixture_step_and_evaluation_lapack_work_is_pinned(self, monkeypatch):
         """np.linalg calls (cholesky, inv, solve) in one k = 10, d = 2,
-        64-row latent-gmm step and one bound-and-imputation evaluation.  The
-        posterior hands its point mixture covariance factors, so no draw or
-        posterior mean is factored twice, and a mixture's precisions are one
-        ``inv_from_chol`` shared by the draw and the factor density."""
+        64-row latent-gmm step, one bound-and-imputation evaluation and a
+        second step.  The posterior hands its point mixture covariance
+        factors, so no draw or posterior mean is factored twice; it keeps its
+        checked standard form, so its domain check, its mean and the next
+        step's draw share one factorization; and a mixture's precisions are
+        one ``inv_from_chol`` shared by the draw and the factor density."""
         ds = data.standardize(data.split(data.pinwheel(n_per_arm=40, arms=5, seed=0), seed=0))[0]
         cfg = harness.TrainConfig(
             model_kind="latent-gmm", n_components=10, hidden=(8,), batch_size=64, timing=False
@@ -238,7 +242,13 @@ class TestStackedPosterior:
         assert counts == {"cholesky": 4, "inv": 6, "solve": 3}
         counts.update(dict.fromkeys(counts, 0))
         harness.evaluate(state, ds, ["bound", "imputation"])
-        assert counts == {"cholesky": 4, "inv": 3, "solve": 4}
+        assert counts == {"cholesky": 3, "inv": 3, "solve": 4}
+        # the first step factored the initial posterior for its draw; the
+        # next draws from the factor the last domain check took (and reads
+        # one inverse that the evaluation left cached on the network)
+        counts.update(dict.fromkeys(counts, 0))
+        harness.train_step(state, cfg, batch, ds.train_idx.size, np.random.default_rng(1))
+        assert counts == {"cholesky": 3, "inv": 5, "solve": 3}
 
     def test_wrong_length_flat_vector_is_contract_error(self):
         prior = updates.default_gmm_prior(3, 2)
