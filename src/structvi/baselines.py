@@ -148,16 +148,11 @@ class LdsEmParams:
     def __post_init__(self):
         for f in fields(self):
             arr = np.array(getattr(self, f.name), dtype=float)
-            object.__setattr__(self, f.name, _read_only(arr))
+            object.__setattr__(self, f.name, linalg.read_only(arr))
         object.__setattr__(self, "_by_length", {})
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
 
 
 def _levels(gains):
@@ -165,7 +160,7 @@ def _levels(gains):
     where ``infnet.backward_chain`` would not double even one sequence."""
     if not infnet.doubling_pays(gains.shape[-1], 1):
         return None
-    return tuple(_read_only(p) for p in infnet.chain_levels(gains))
+    return tuple(linalg.read_only(p) for p in infnet.chain_levels(gains))
 
 
 def _covariances(params, t_len):
@@ -177,7 +172,7 @@ def _covariances(params, t_len):
         cov = infnet.kalman_covariances(
             params.trans, params.trans_cov, params.init_cov, params.emit, r
         )
-        cov = {k: _read_only(v) for k, v in cov.items()}
+        cov = {k: linalg.read_only(v) for k, v in cov.items()}
         cov["chain_levels"] = _levels(cov["chain"][::-1])
         memo[t_len] = cov
     return memo[t_len]
@@ -195,10 +190,10 @@ def _smoother_covariances(params, t_len):
         ps = np.concatenate([cond, pf[-1:]])
         ps = linalg.symmetrize(infnet.backward_chain(ps, j, j.swapaxes(-1, -2)))
         cross = ps[1:] @ j.swapaxes(-1, -2)
-        j = _read_only(j)
+        j = linalg.read_only(j)
         cov.update(
             smooth_gain=j, smooth_levels=_levels(j),
-            smooth_cov=_read_only(ps), smooth_cross=_read_only(cross),
+            smooth_cov=linalg.read_only(ps), smooth_cross=linalg.read_only(cross),
         )
     return cov
 

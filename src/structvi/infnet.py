@@ -571,6 +571,10 @@ def kalman_covariances(trans, noise_cov, p1, emit, obs_cov):
     which skips the ufunc dispatch that is half of a 2 x 2 ``np.matmul``'s
     cost; a block keeps ``np.matmul``.  numpy runs a 2-d float product
     through the same BLAS routine either way, so the bits are the same.
+    ``dot`` checks the floating-point status as the ufunc does, so an
+    overflow warns (as "in dot") and ``np.errstate`` governs it on both
+    routes; a non-finite S_t raises InvalidParameterError on both, from the
+    guarded Cholesky.
     """
     t_len, obs_dim = obs_cov.shape[-3], obs_cov.shape[-1]
     d = trans.shape[0]

@@ -12,14 +12,16 @@ Conventions fixed here once:
   conjugate posterior's naturals, their gradients) is its arrays raveled in
   order: ``flatten`` writes one and ``unflatten`` reads it back.
 * Constants that depend only on d (the triangle's index sets, its mask and
-  flat positions) are built once per d by ``_tril_cache`` and ``_tril_mask``
-  and are read-only, so no caller can change them for the next.  The
-  helpers mask and gather through them and through ndarray methods, not
-  ``np.tril`` or ``np.diagonal``, whose per-call cost is several times theirs
-  at d = 2; the entries and the arithmetic are the same.
+  flat positions) are built once per d by ``_tril_cache``, and every cached
+  or memoized array is made read-only by ``read_only``, so no caller can
+  change it for the next.  The helpers mask and gather through these
+  constants and through ndarray methods, not ``np.tril`` or ``np.diagonal``,
+  whose per-call cost is several times theirs at d = 2; the entries and the
+  arithmetic are the same.
 """
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,25 +32,33 @@ JITTER_SCALE = 1e-8
 MAX_JITTER_TRIES = 3
 
 
-def _frozen(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def read_only(arr):
+    """``arr``, marked read-only."""
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class _Triangle:
+    """The d x d lower triangle's constants, each read-only."""
+
+    rows: np.ndarray  # np.tril_indices(d), row-major
+    cols: np.ndarray
+    diag_slots: np.ndarray  # positions of the diagonal in that order
+    idx: np.ndarray  # arange(d)
+    lower: np.ndarray  # the boolean mask np.tril keeps
+    flat: np.ndarray  # row-major flat positions rows * d + cols
+    half_diag: np.ndarray  # 0.5 on the diagonal, 1 elsewhere
 
 
 @lru_cache(maxsize=None)
 def _tril_cache(d):
     rows, cols = np.tril_indices(d)
-    return _frozen(rows, cols, np.flatnonzero(rows == cols), np.arange(d))
-
-
-@lru_cache(maxsize=None)
-def _tril_mask(d):
-    """The boolean mask that ``np.tril`` keeps, its row-major flat positions
-    (the lower triangle in ``np.tril_indices`` order), and weights 0.5 on
-    the diagonal and 1 elsewhere."""
-    lower = np.tri(d, dtype=bool)
-    return _frozen(lower, np.flatnonzero(lower), 1.0 - 0.5 * np.eye(d))
+    arrays = (
+        rows, cols, np.flatnonzero(rows == cols), np.arange(d),
+        np.tri(d, dtype=bool), rows * d + cols, 1.0 - 0.5 * np.eye(d),
+    )
+    return _Triangle(*map(read_only, arrays))
 
 
 def flatten(arrays):
@@ -140,10 +150,10 @@ def tril_size(d):
 def tril_from_raw(raw, d):
     """Unconstrained vector -> lower Cholesky factor (log-diagonal storage)."""
     raw = np.asarray(raw, dtype=float)
-    rows, cols, diag_slots, idx = _tril_cache(d)
+    tri = _tril_cache(d)
     chol = np.zeros(raw.shape[:-1] + (d, d))
-    chol[..., rows, cols] = raw
-    chol[..., idx, idx] = np.exp(raw[..., diag_slots])
+    chol[..., tri.rows, tri.cols] = raw
+    chol[..., tri.idx, tri.idx] = np.exp(raw[..., tri.diag_slots])
     return chol
 
 
@@ -151,9 +161,9 @@ def raw_from_tril(chol):
     """Inverse of tril_from_raw; requires a positive diagonal."""
     chol = np.asarray(chol, dtype=float)
     d = chol.shape[-1]
-    rows, cols, diag_slots, _ = _tril_cache(d)
-    raw = chol[..., rows, cols].copy()
-    raw[..., diag_slots] = np.log(np.diagonal(chol, axis1=-2, axis2=-1))
+    tri = _tril_cache(d)
+    raw = chol[..., tri.rows, tri.cols].copy()
+    raw[..., tri.diag_slots] = np.log(np.diagonal(chol, axis1=-2, axis2=-1))
     return raw
 
 
@@ -169,9 +179,10 @@ def tril_raw_vjp(chol, grad_mat):
     M treated independently (so symmetric in value for symmetric functions).
     """
     d = chol.shape[-1]
+    tri = _tril_cache(d)
     grad_chol = (grad_mat + grad_mat.swapaxes(-1, -2)) @ chol
-    out = grad_chol.reshape(grad_chol.shape[:-2] + (d * d,)).take(_tril_mask(d)[1], -1)
-    out[..., _tril_cache(d)[2]] *= chol.diagonal(0, -2, -1)
+    out = grad_chol.reshape(grad_chol.shape[:-2] + (d * d,)).take(tri.flat, -1)
+    out[..., tri.diag_slots] *= chol.diagonal(0, -2, -1)
     return out
 
 
@@ -181,11 +192,11 @@ def cholesky_vjp(chol, grad_chol):
     Given dF/dL on the lower factor, returns dF/dA with A treated as a
     symmetric matrix produced upstream.
     """
-    lower, _, half_diag = _tril_mask(chol.shape[-1])
+    tri = _tril_cache(chol.shape[-1])
     # only lower entries of the factor exist; discard any upper-part adjoint
-    p = chol.swapaxes(-1, -2) @ np.where(lower, grad_chol, 0.0)
+    p = chol.swapaxes(-1, -2) @ np.where(tri.lower, grad_chol, 0.0)
     # keep the lower triangle, halve the diagonal
-    p = np.where(lower, p * half_diag, 0.0)
+    p = np.where(tri.lower, p * tri.half_diag, 0.0)
     lt_inv = np.linalg.inv(chol)
     w = lt_inv.swapaxes(-1, -2) @ p @ lt_inv
     return symmetrize(w)

@@ -63,9 +63,7 @@ class PgmPosterior:
         """``expfam.nw_standard`` of the components, read-only; raises
         InvalidParameterError outside the domain."""
         standard = expfam.nw_standard(self.components.values, self.dim)
-        for a in standard:
-            a.flags.writeable = False
-        return standard
+        return tuple(map(linalg.read_only, standard))
 
     def in_domain(self):
         if not expfam.in_natural_domain(self.weights):

@@ -1085,6 +1085,23 @@ class TestProductRoute:
         # four products a step, less the prediction past the last step
         assert len(calls) == 4 * 6 - 2
 
+    @pytest.mark.parametrize("block", [False, True])
+    def test_an_overflowing_pass_warns_raises_and_obeys_errstate(self, block):
+        """Both routes report floating-point overflow (``dot`` honours the
+        error state as ``np.matmul`` does), and a non-finite innovation
+        raises InvalidParameterError through the guarded Cholesky."""
+        a, q, p1, emit, r = self.em_case(96, 12, 2, 3)
+        a = 1e200 * np.array([[1.0, 0.3], [0.0, 1.0]])
+        if block:
+            r = np.array(r)[None]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidParameterError, match="non-finite"):
+                infnet.kalman_covariances(a, q, p1, emit, r)
+        assert any("overflow encountered" in str(w.message) for w in seen)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            infnet.kalman_covariances(a, q, p1, emit, r)
+
 
 class TestDivergedDynamics:
     """A raw log-diagonal of +800 overflows a dynamics covariance and -800

@@ -146,12 +146,15 @@ class TestCachedTriangleHelpers:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_cached_constants_are_read_only(self, d):
-        rows, cols, diag_slots, idx = linalg._tril_cache(d)
-        lower, flat_lower, half_diag = linalg._tril_mask(d)
-        assert np.array_equal(lower, np.tril(np.ones((d, d))) > 0)
-        assert np.array_equal(flat_lower, rows * d + cols)
-        assert np.array_equal(half_diag, np.where(np.eye(d) > 0, 0.5, 1.0))
-        for value in (rows, cols, diag_slots, idx, lower, flat_lower, half_diag):
+        tri = linalg._tril_cache(d)
+        rows, cols = np.tril_indices(d)
+        assert np.array_equal(tri.rows, rows) and np.array_equal(tri.cols, cols)
+        assert np.array_equal(tri.diag_slots, np.flatnonzero(rows == cols))
+        assert np.array_equal(tri.idx, np.arange(d))
+        assert np.array_equal(tri.lower, np.tril(np.ones((d, d))) > 0)
+        assert np.array_equal(tri.flat, np.flatnonzero(tri.lower))
+        assert np.array_equal(tri.half_diag, np.where(np.eye(d) > 0, 0.5, 1.0))
+        for value in vars(tri).values():
             assert not value.flags.writeable
             with pytest.raises(ValueError):
                 value[...] = 0

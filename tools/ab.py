@@ -8,7 +8,7 @@ at the sizes of ``perfbench/run.py`` (``--tiny``: its tiny sizes).  The
 operation is one of
 
   * ``step``: one ``harness.train_step`` on the initial state (the first
-    training sequence, or the first ``batch_size`` training rows), or for
+    training sequence, or the first BATCH_SIZE training rows), or for
     ``dots-lds-em`` one ``baselines.lds_em_fit(n_iter=1)`` iteration from a
     fresh copy of the parameters one iteration gave, so the covariance pass
     runs every time, as in the benchmark's EM loop;
@@ -44,6 +44,9 @@ import numpy as np
 import trees
 
 WORKLOADS = ("dots-lds", "dots-lds-em", "pinwheel-gmm")
+# perfbench/run.py's latent dimension, and its batch size for pinwheel-gmm
+LATENT_DIM = 2
+BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -62,16 +65,16 @@ FULL = Sizes()
 TINY = Sizes(n_per_arm=30, n_seq=6, t_len=5, width=4, hidden=(8,))
 
 
-def make_op(pkg, workload, op, sizes, seed, latent_dim, batch_size, workdir):
+def make_op(pkg, workload, op, sizes, seed, workdir):
     """(prepare, run): ``run(prepare())`` is one timed call on ``pkg``."""
     path = os.path.join(workdir, f"{pkg.__name__}.txt")
     common = dict(
-        n_components=10, latent_dim=latent_dim, hidden=sizes.hidden, activation="tanh",
-        optimizer="adagrad", seed=seed, dataset=path, batch_size=batch_size,
+        n_components=10, latent_dim=LATENT_DIM, hidden=sizes.hidden, activation="tanh",
+        optimizer="adagrad", seed=seed, dataset=path,
     )
     if workload == "pinwheel-gmm":
         raw = pkg.data.pinwheel(n_per_arm=sizes.n_per_arm, arms=sizes.arms, seed=seed)
-        cfg = pkg.harness.TrainConfig(model_kind="latent-gmm", **common)
+        cfg = pkg.harness.TrainConfig(model_kind="latent-gmm", batch_size=BATCH_SIZE, **common)
     else:
         raw = pkg.data.dot_sequences(sizes.n_seq, sizes.t_len, sizes.width, noise_std=0.05, seed=seed)
         cfg = pkg.harness.TrainConfig(model_kind="latent-lds", seq_len=sizes.t_len, **common)
@@ -83,10 +86,10 @@ def make_op(pkg, workload, op, sizes, seed, latent_dim, batch_size, workdir):
         shape = (-1, sizes.t_len, ds.dim)
         seqs, test = train.reshape(shape), ds.rows[ds.test_idx].reshape(shape)
         fit = pkg.baselines.lds_em_fit
-        params = fit(seqs, latent_dim, n_iter=1)[0]
+        params = fit(seqs, LATENT_DIM, n_iter=1)[0]
         if op == "step":
             return (lambda: dataclasses.replace(params)), (
-                lambda fresh: fit(seqs, latent_dim, n_iter=1, init=fresh)
+                lambda fresh: fit(seqs, LATENT_DIM, n_iter=1, init=fresh)
             )
         return (lambda: None), lambda _: (
             pkg.baselines.lds_em_loglik(params, test),
@@ -100,7 +103,7 @@ def make_op(pkg, workload, op, sizes, seed, latent_dim, batch_size, workdir):
     if cfg.seq_len:
         batch, n_total = train[: cfg.seq_len], train.shape[0] // cfg.seq_len
     else:
-        batch, n_total = train[:batch_size], train.shape[0]
+        batch, n_total = train[:BATCH_SIZE], train.shape[0]
     return (lambda: np.random.default_rng(seed)), (
         lambda rng: pkg.harness.train_step(state, cfg, batch, n_total, rng)
     )
@@ -123,13 +126,10 @@ def summary(ms):
     return {"median_ms": med, "iqr_ms": q3 - q1}
 
 
-def compare(tree_a, tree_b, workload, op, rounds, reps, sizes, seed, latent_dim, batch_size):
+def compare(tree_a, tree_b, workload, op, rounds, reps, sizes, seed):
     """The JSON-ready A/B result."""
     with trees.sides(tree_a, tree_b) as pkgs, tempfile.TemporaryDirectory() as workdir:
-        ops = [
-            make_op(pkg, workload, op, sizes, seed, latent_dim, batch_size, workdir)
-            for pkg in pkgs
-        ]
+        ops = [make_op(pkg, workload, op, sizes, seed, workdir) for pkg in pkgs]
         for one in ops:
             time_round(one, 1)
         ms = ([], [])
@@ -154,15 +154,13 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--reps", type=int, default=20)
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--latent-dim", type=int, default=2)
-    parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--tiny", action="store_true", help="perfbench's tiny sizes")
     args = parser.parse_args(argv)
     if min(args.rounds, args.reps) < 1:
         parser.error("--rounds and --reps must be positive")
     result = compare(
         args.a, args.b, args.workload, args.op, args.rounds, args.reps,
-        TINY if args.tiny else FULL, args.seed, args.latent_dim, args.batch_size,
+        TINY if args.tiny else FULL, args.seed,
     )
     print(json.dumps(result))
     return 0

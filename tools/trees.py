@@ -16,7 +16,6 @@ import importlib.util
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -40,11 +39,7 @@ def _source_dir(tree, stack):
     )
     if archive.returncode:
         raise SystemExit(f"{tree}: neither a directory nor a git revision")
-    with tempfile.TemporaryFile() as fh:
-        fh.write(archive.stdout)
-        fh.seek(0)
-        with tarfile.open(fileobj=fh) as tar:
-            tar.extractall(out, filter="data")
+    subprocess.run(["tar", "-x", "-C", str(out)], input=archive.stdout, check=True)
     return out / "src" / "structvi"
 
 
