@@ -24,6 +24,7 @@ whole file.
 
 import dataclasses
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -194,6 +195,30 @@ class TrainState:
     data_dim: int
 
 
+# The three point blocks: (TrainState field, vector getter, setter, GradBundle
+# gradient, step-size field, adagrad-state field, checkpoint array).
+BLOCKS = (
+    ("decoder", nnet.param_vector, nnet.set_param_vector,
+     "grad_theta_nn", "beta2", "opt_nn", "theta_nn"),
+    ("net", lambda net: net.phi_vector(), lambda net, vec: net.with_phi_vector(vec),
+     "grad_phi", "beta3", "opt_phi", "phi"),
+    ("pgm_point", lambda prior: prior.param_vector(), lambda prior, vec: prior.with_param_vector(vec),
+     "grad_theta_pgm", "beta1", "opt_pgm", "theta_pgm"),
+)
+
+
+def _euclid_blocks(cfg, state):
+    """The BLOCKS entries that the Euclidean rule steps: VAN's search takes
+    the decoder and phi jointly, a Bayes posterior takes the decoder, and a
+    conjugate or fixed prior takes no point step."""
+    stepped = {
+        "decoder": cfg.optimizer != "van" and state.theta_posterior is None,
+        "net": cfg.optimizer != "van",
+        "pgm_point": state.pgm_point is not None and not state.prior_fixed,
+    }
+    return [block for block in BLOCKS if stepped[block[0]]]
+
+
 def _hyperparameters(prior, factor):
     """The fields of ``prior`` (a class or an instance) that ``factor`` lacks."""
     have = {f.name for f in dataclasses.fields(factor)}
@@ -239,23 +264,13 @@ def init_state(cfg, data_dim, prior_override=None):
             mu=mu, sigma2=np.full(mu.size, 1e-4), mu0=0.0, sigma0_sq=1.0
         )
 
-    n_nn = nnet.num_params(decoder)
-    n_phi = net.phi_vector().size
     van = None
-    opt_nn = opt_phi = opt_pgm = None
     if cfg.optimizer == "van":
         van = updates.VanState.init(
             np.concatenate([nnet.param_vector(decoder), net.phi_vector()]),
             VAN_INIT_SIGMA2,
         )
-    elif cfg.optimizer == "adagrad":
-        opt_nn = updates.AdagradState.zeros(n_nn)
-        opt_phi = updates.AdagradState.zeros(n_phi)
-    # VAN's search distribution covers [theta_nn, phi]; a learned point prior
-    # steps by adagrad under it, as under adagrad itself.
-    if cfg.optimizer != "sgd" and pgm_point is not None and prior_override is None:
-        opt_pgm = updates.AdagradState.zeros(pgm_point.param_vector().size)
-    return TrainState(
+    state = TrainState(
         net=net,
         decoder=decoder,
         theta_posterior=theta_posterior,
@@ -263,13 +278,16 @@ def init_state(cfg, data_dim, prior_override=None):
         pgm_prior=pgm_prior,
         pgm_point=pgm_point,
         prior_fixed=prior_override is not None,
-        opt_nn=opt_nn,
-        opt_phi=opt_phi,
-        opt_pgm=opt_pgm,
+        opt_nn=None,
+        opt_phi=None,
+        opt_pgm=None,
         van=van,
         iteration=0,
         data_dim=data_dim,
     )
+    for field, get, _, _, _, opt, _ in _euclid_blocks(cfg, state) if cfg.optimizer != "sgd" else ():
+        setattr(state, opt, updates.AdagradState.zeros(get(getattr(state, field)).size))
+    return state
 
 
 def eval_prior(state, rng=None):
@@ -301,14 +319,10 @@ def _euclid_step(optimizer, params, grad, opt_state, beta):
 def train_step(state, cfg, batch, n_total, rng):
     """One full update pass; returns the new state and the gradient bundle."""
     prior = eval_prior(state, rng)
-
-    if state.theta_posterior is not None:
-        post = state.theta_posterior
+    decoder, post, new = state.decoder, state.theta_posterior, {}
+    if post is not None:
         noise = rng.standard_normal(post.mu.shape)
-        theta = post.mu + np.sqrt(post.sigma2) * noise
-        decoder = nnet.set_param_vector(state.decoder, theta)
-    else:
-        decoder = state.decoder
+        decoder = nnet.set_param_vector(decoder, post.mu + np.sqrt(post.sigma2) * noise)
 
     if cfg.optimizer == "van":
         n_nn = nnet.num_params(decoder)
@@ -330,7 +344,7 @@ def train_step(state, cfg, batch, n_total, rng):
 
         van = updates.van_step(state.van, neg_grad, curvature, cfg.beta3, rng)
         bundle = stash["bundle"]
-        new = dict(
+        new.update(
             van=van,
             decoder=nnet.set_param_vector(decoder, van.mu[:n_nn]),
             net=state.net.with_phi_vector(van.mu[n_nn:]),
@@ -339,50 +353,26 @@ def train_step(state, cfg, batch, n_total, rng):
         model = models.GenerativeModel(decoder=decoder, prior=prior)
         bundle = bound.bound_gradients(model, state.net, batch, rng, n_total)
 
-        if state.theta_posterior is not None:
-            g = bundle.grad_theta_nn
-            g_sigma2 = g * noise / (2.0 * np.sqrt(state.theta_posterior.sigma2))
-            post = updates.bayes_nn_step(state.theta_posterior, g, g_sigma2, cfg.beta2)
-            new = dict(theta_posterior=post)
-        else:
-            vec, opt_nn = _euclid_step(
-                cfg.optimizer,
-                nnet.param_vector(state.decoder),
-                bundle.grad_theta_nn,
-                state.opt_nn,
-                cfg.beta2,
-            )
-            new = dict(decoder=nnet.set_param_vector(state.decoder, vec), opt_nn=opt_nn)
-
-        phi, opt_phi = _euclid_step(
-            cfg.optimizer,
-            state.net.phi_vector(),
-            bundle.grad_phi,
-            state.opt_phi,
-            cfg.beta3,
+    if post is not None:
+        g = bundle.grad_theta_nn
+        g_sigma2 = g * noise / (2.0 * np.sqrt(post.sigma2))
+        new["theta_posterior"] = updates.bayes_nn_step(post, g, g_sigma2, cfg.beta2)
+    if state.pgm_posterior is not None and cfg.beta1 > 0.0:
+        msg = updates.conjugate_gmm_message(
+            state.pgm_prior,
+            bundle.sample.x_star,
+            bundle.sample.z_star,
+            n_total=n_total,
         )
-        new.update(net=state.net.with_phi_vector(phi), opt_phi=opt_phi)
-
-    if not state.prior_fixed:
-        if state.pgm_posterior is not None and cfg.beta1 > 0.0:
-            msg = updates.conjugate_gmm_message(
-                state.pgm_prior,
-                bundle.sample.x_star,
-                bundle.sample.z_star,
-                n_total=n_total,
-            )
-            new["pgm_posterior"] = updates.natural_gradient_step(
-                state.pgm_posterior, msg, cfg.beta1
-            )
-        elif state.pgm_point is not None:
-            vec, new["opt_pgm"] = _euclid_step(
-                cfg.optimizer,
-                state.pgm_point.param_vector(),
-                bundle.grad_theta_pgm,
-                state.opt_pgm,
-                cfg.beta1,
-            )
-            new["pgm_point"] = state.pgm_point.with_param_vector(vec)
+        new["pgm_posterior"] = updates.natural_gradient_step(
+            state.pgm_posterior, msg, cfg.beta1
+        )
+    for field, get, put, grad, beta, opt, _ in _euclid_blocks(cfg, state):
+        block = getattr(state, field)
+        vec, new[opt] = _euclid_step(
+            cfg.optimizer, get(block), getattr(bundle, grad), getattr(state, opt), getattr(cfg, beta)
+        )
+        new[field] = put(block, vec)
 
     state = dataclasses.replace(state, iteration=state.iteration + 1, **new)
     return state, bundle
@@ -624,27 +614,30 @@ def _eval_splits(ds, cfg, net):
 # Checkpoint plumbing
 
 
+def _saved_fields(state):
+    """(TrainState field, checkpoint array names, getter of those arrays,
+    setter from them) for each field that a checkpoint of ``state`` holds;
+    ``_state_arrays`` and ``load_state`` both read this one list."""
+    mu_sigma2 = operator.attrgetter("mu", "sigma2")
+    fields = [
+        ("theta_posterior", ("theta_mu", "theta_sigma2"), mu_sigma2,
+         lambda post, mu, sigma2: dataclasses.replace(post, mu=mu, sigma2=sigma2)),
+        ("pgm_posterior", ("lambda",), lambda q: (q.flat_values(),), lambda q, flat: q.with_flat_values(flat)),
+        ("van", ("van_mu", "van_sigma2"), mu_sigma2, lambda _, mu, sigma2: updates.VanState(mu=mu, sigma2=sigma2)),
+    ]
+    for field, get, put, _, _, opt, name in BLOCKS:
+        if field != "decoder" or state.theta_posterior is None:  # else held as its posterior
+            fields.append((field, (name,), lambda block, get=get: (get(block),), put))
+        fields.append((opt, (opt.replace("opt", "adagrad"),), lambda s: (s.accum,),
+                       lambda _, accum: updates.AdagradState(accum)))
+    return [entry for entry in fields if getattr(state, entry[0]) is not None]
+
+
 def _state_arrays(state):
     """The arrays a checkpoint of ``state`` holds, by name."""
-    arrays = {
-        "phi": state.net.phi_vector(),
-        "iteration": np.array(float(state.iteration)),
-    }
-    if state.theta_posterior is not None:
-        arrays["theta_mu"] = state.theta_posterior.mu
-        arrays["theta_sigma2"] = state.theta_posterior.sigma2
-    else:
-        arrays["theta_nn"] = nnet.param_vector(state.decoder)
-    if state.pgm_posterior is not None:
-        arrays["lambda"] = state.pgm_posterior.flat_values()
-    if state.pgm_point is not None:
-        arrays["theta_pgm"] = state.pgm_point.param_vector()
-    if state.van is not None:
-        arrays["van_mu"] = state.van.mu
-        arrays["van_sigma2"] = state.van.sigma2
-    for name, opt in (("nn", state.opt_nn), ("phi", state.opt_phi), ("pgm", state.opt_pgm)):
-        if opt is not None:
-            arrays[f"adagrad_{name}"] = opt.accum
+    arrays = {"iteration": np.array(float(state.iteration))}
+    for field, names, get, _ in _saved_fields(state):
+        arrays.update(zip(names, get(getattr(state, field))))
     return arrays
 
 
@@ -694,22 +687,8 @@ def load_state(path):
                 f"{path}: {name} has shape {arrays[name].shape}, the configured "
                 f"state needs {like.shape}"
             )
-    state.net = state.net.with_phi_vector(arrays["phi"])
-    if state.theta_posterior is not None:
-        state.theta_posterior = dataclasses.replace(
-            state.theta_posterior, mu=arrays["theta_mu"], sigma2=arrays["theta_sigma2"]
-        )
-    else:
-        state.decoder = nnet.set_param_vector(state.decoder, arrays["theta_nn"])
-    if state.pgm_posterior is not None:
-        state.pgm_posterior = state.pgm_posterior.with_flat_values(arrays["lambda"])
-    if state.pgm_point is not None:
-        state.pgm_point = state.pgm_point.with_param_vector(arrays["theta_pgm"])
-    if state.van is not None:
-        state.van = updates.VanState(mu=arrays["van_mu"], sigma2=arrays["van_sigma2"])
-    for name in ("nn", "phi", "pgm"):
-        if getattr(state, f"opt_{name}") is not None:
-            setattr(state, f"opt_{name}", updates.AdagradState(arrays[f"adagrad_{name}"]))
+    for field, names, _, put in _saved_fields(state):
+        setattr(state, field, put(getattr(state, field), *(arrays[name] for name in names)))
     it = float(arrays["iteration"])
     if not 0 <= it <= 2**53 or it % 1:  # float64 holds every whole count to 2**53
         raise ParseError(f"{path}: iteration {it!r} is not a whole count of steps")
