@@ -5,7 +5,13 @@ runs keep a conjugate posterior over mixture parameters and move it by
 natural-gradient steps; heavy-tailed mixture and dynamics runs carry point
 parameters moved by the configured Euclidean rule.  Per iteration the loop
 draws point generative parameters, takes one posterior sample with its
-gradient bundle, and steps every block.  Baseline trainers for the plain
+gradient bundle, and steps every block by its own rule: the decoder theta_nn
+and the network's phi by VAN's joint search or the Euclidean rule (sgd or
+adagrad), a Bayes decoder by its natural-parameter step, the conjugate
+theta_pgm by natural gradients, and a point theta_pgm by the Euclidean rule.
+One list, ``BLOCKS``, names each point block's field, vectors, gradient, step
+size, adagrad state and checkpoint array; ``init_state``, ``train_step`` and
+the checkpoint reader and writer all read it.  Baseline trainers for the plain
 variational autoencoder, variational-Bayes mixture EM, and dynamical-system
 EM live alongside so comparisons share data handling and metrics format.
 Priors score and draw themselves and networks give posterior means, so the
@@ -111,6 +117,10 @@ class TrainConfig:
             raise ContractError("train_frac must lie in (0, 1]")
         if not all(0.0 <= b < math.inf for b in (self.beta1, self.beta2, self.beta3)):
             raise ContractError("step sizes must be finite and nonnegative")
+        if self.model_kind == "latent-gmm" and self.beta1 > 1.0:
+            raise ContractError("latent-gmm's natural-gradient step needs beta1 in [0, 1]")
+        if self.theta_nn == "bayes" and self.beta2 > 1.0:
+            raise ContractError("a bayes decoder's natural-parameter step needs beta2 in [0, 1]")
         if not 2.0 < self.dof < math.inf:
             raise ContractError("dof must be finite and exceed 2 for finite component variance")
         return self
@@ -180,16 +190,17 @@ def load_config(path, base=None):
 
 @dataclass
 class TrainState:
-    net: object  # posterior network; its factor's family is the model's
-    decoder: nnet.Mlp
-    theta_posterior: object  # BayesNnPosterior or None
-    pgm_posterior: object  # conjugate mixture posterior, or None
+    # Each field's rule; decoder, net and pgm_point are the BLOCKS entries.
+    net: object  # posterior network; its factor's family is the model's; phi: VAN or Euclidean
+    decoder: nnet.Mlp  # theta_nn: VAN or Euclidean; under bayes only its layout is used
+    theta_posterior: object  # BayesNnPosterior (bayes_nn_step) or None
+    pgm_posterior: object  # conjugate mixture posterior (natural gradients), or None
     pgm_prior: object  # fixed conjugate prior for the posterior above
-    pgm_point: object  # point prior parameters when there is no posterior
+    pgm_point: object  # point prior parameters when there is no posterior; Euclidean
     prior_fixed: bool  # pgm_point was given and does not train
-    opt_nn: object
-    opt_phi: object
-    opt_pgm: object
+    opt_nn: object  # AdagradState of each block the Euclidean rule steps, when
+    opt_phi: object  # that rule is adagrad (as it is for a point prior under
+    opt_pgm: object  # VAN); None for every other block
     van: object  # VanState over [theta_nn, phi] when optimizer == "van"
     iteration: int
     data_dim: int
@@ -317,7 +328,15 @@ def _euclid_step(optimizer, params, grad, opt_state, beta):
 
 
 def train_step(state, cfg, batch, n_total, rng):
-    """One full update pass; returns the new state and the gradient bundle."""
+    """One full update pass; returns the new state and the gradient bundle.
+
+    The step takes its one gradient bundle from VAN's search over [theta_nn,
+    phi], which also moves both, or from one ``bound_gradients`` call.  Then
+    a Bayes decoder takes its natural-parameter step, a conjugate theta_pgm
+    its natural-gradient step (unless beta1 is 0), and each block that
+    ``_euclid_blocks`` picks from ``BLOCKS`` its sgd or adagrad step (none
+    when its step size is 0).
+    """
     prior = eval_prior(state, rng)
     decoder, post, new = state.decoder, state.theta_posterior, {}
     if post is not None:

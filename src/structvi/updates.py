@@ -264,8 +264,8 @@ def bayes_nn_step(post, grad_mu, grad_sigma2, beta):
     curvature.  Zero likelihood gradients contract the posterior onto its
     prior; the 1-d conjugate case converges to the exact posterior.
     """
-    if not 0.0 <= beta < 1.0 + 1e-12:
-        raise ContractError("beta must lie in [0, 1)")
+    if not 0.0 <= beta <= 1.0:
+        raise ContractError("beta must lie in [0, 1]")
     if beta == 0.0:
         return post
     grad_mu = np.asarray(grad_mu, dtype=float)

@@ -4,19 +4,24 @@
 
 A and B are directories or git revisions (see trees.py).  Both run one
 fixed list of cases from the same seeds and data: ``train_structured`` for
-each model kind with ``adagrad`` and with ``van`` (beta3 = 1e-3), at two
-seeds each, followed by an ``evaluate`` of the trained state (bound,
-imputation, tau-ahead for sequences, and drawn samples); short
-``train_lds_em`` fits at latent dimensions 1, 2 and 3; and a
-``train_vb_gmm`` fit.  Each case records its metrics log (written with
-``timing = 0``, so its seconds column is 0), the network's phi, the
-decoder's vector and the prior's (posterior naturals or point parameters),
-and every evaluation output.
+each model kind under every rule the harness routes, followed by an
+``evaluate`` of the trained state (bound, imputation, tau-ahead for
+sequences, and drawn samples); short ``train_lds_em`` fits at latent
+dimensions 1, 2 and 3; and a ``train_vb_gmm`` fit.  The structured rules
+are ``adagrad`` and ``van`` (beta3 = 1e-3) at two seeds each, ``sgd`` at
+beta1 = beta2 = beta3 = 1e-3, a ``bayes`` decoder under ``adagrad``, and a
+fixed prior (the initial network's factor) under ``adagrad`` and ``van``.
+Each structured case records its metrics log (written with ``timing = 0``,
+so its seconds column is 0), the network's phi, the decoder's vector and
+the prior's (posterior naturals or point parameters), every evaluation
+output, and the arrays of a ``save_state`` -> ``load_state`` ->
+``save_state`` round trip.  Each other case records its metrics log and
+its fitted parameters.
 
 The JSON line maps each case's array to "equal" (``np.array_equal``, NaN
 positions equal) or to its largest relative difference,
 max |a - b| / max |a|, or to a note when the shapes or the raised errors
-differ.  A case that raises on both sides compares each error's type and
+differ, or when only one side has the array.  A case that raises on both sides compares each error's type and
 message.  The exit status is 0 when every array is equal, or within
 ``--rtol`` when one is given.
 """
@@ -33,8 +38,15 @@ import numpy as np
 import trees
 
 KINDS = ("latent-gmm", "latent-tmm", "latent-lds")
-OPTIMIZERS = (("adagrad", {}), ("van", {"beta3": 1e-3}))
-SEEDS = (0, 1)
+# (case label, config fields, fixed prior?, seeds); tiny runs take the first seed.
+RULES = (
+    ("adagrad", {}, False, (0, 1)),
+    ("van", {"optimizer": "van", "beta3": 1e-3}, False, (0, 1)),
+    ("sgd", {"optimizer": "sgd", "beta1": 1e-3, "beta2": 1e-3, "beta3": 1e-3}, False, (0,)),
+    ("bayes", {"theta_nn": "bayes"}, False, (0,)),
+    ("fixed-adagrad", {}, True, (0,)),
+    ("fixed-van", {"optimizer": "van", "beta3": 1e-3}, True, (0,)),
+)
 
 
 def _datasets(pkg, workdir, tiny):
@@ -55,9 +67,10 @@ def _metrics(rows):
     return np.array([[row[c] for c in sorted(row)] for row in rows])
 
 
-def _structured(pkg, cfg, ds):
+def _structured(pkg, cfg, ds, fixed, ckpt):
     h = pkg.harness
-    res = h.train_structured(cfg, ds)
+    override = h.init_state(cfg, ds.dim).net.factor if fixed else None
+    res = h.train_structured(cfg, ds, prior_override=override)
     state = res.state
     post = state.pgm_posterior
     prior = post.flat_values() if post is not None else state.pgm_point.param_vector()
@@ -72,6 +85,9 @@ def _structured(pkg, cfg, ds):
     for key, value in ev.items():
         values = value.values() if isinstance(value, dict) else [value]
         out[f"eval_{key}"] = np.array(list(values), dtype=float)
+    h.save_state(ckpt, state, cfg)
+    h.save_state(ckpt, h.load_state(ckpt)[0], cfg)
+    out.update({f"ckpt_{name}": a for name, a in pkg.checkpoint.load(ckpt)[0].items()})
     return out
 
 
@@ -83,15 +99,17 @@ def cases(pkg, workdir, tiny):
     out = {}
     for kind in KINDS:
         files = dots if kind == "latent-lds" else pin
-        for opt, extra in OPTIMIZERS:
-            for seed in SEEDS[:1] if tiny else SEEDS:
+        for label, extra, fixed, seeds in RULES:
+            for seed in seeds[:1] if tiny else seeds:
                 cfg = h.TrainConfig(
                     model_kind=kind, n_components=3, hidden=(8,), batch_size=16,
                     n_iters=n_iters, eval_interval=n_iters // 2, timing=False,
-                    optimizer=opt, seed=seed, **extra, **files,
+                    seed=seed, **extra, **files,
                 )
-                out[f"{kind}/{opt}/seed{seed}"] = (
-                    lambda cfg=cfg: _structured(pkg, cfg, h.load_dataset(cfg))
+                name = f"{kind}/{label}/seed{seed}"
+                ckpt = os.path.join(workdir, f"{pkg.__name__}-{name.replace('/', '-')}.ckpt")
+                out[name] = lambda cfg=cfg, fixed=fixed, ckpt=ckpt: _structured(
+                    pkg, cfg, h.load_dataset(cfg), fixed, ckpt
                 )
 
     vb_cfg = h.TrainConfig(n_components=3, n_iters=3 if tiny else 10, timing=False, **pin)
@@ -158,7 +176,7 @@ def compare(tree_a, tree_b, tiny):
                 continue
             for key in sorted(set(got_a) | set(got_b)):
                 if key not in got_a or key not in got_b:
-                    report[f"{name}/{key}"] = "present on one side only"
+                    report[f"{name}/{key}"] = f"present on {'A' if key in got_a else 'B'} only"
                 else:
                     report[f"{name}/{key}"] = compare_arrays(got_a[key], got_b[key])
     return report
