@@ -213,7 +213,7 @@ BLOCKS = (
      "grad_theta_nn", "beta2", "opt_nn", "theta_nn"),
     ("net", lambda net: net.phi_vector(), lambda net, vec: net.with_phi_vector(vec),
      "grad_phi", "beta3", "opt_phi", "phi"),
-    ("pgm_point", lambda prior: prior.param_vector(), lambda prior, vec: prior.with_param_vector(vec),
+    ("pgm_point", lambda prior: prior.param_vector(), lambda p, vec: p.with_param_vector(vec),
      "grad_theta_pgm", "beta1", "opt_pgm", "theta_pgm"),
 )
 
@@ -389,7 +389,8 @@ def train_step(state, cfg, batch, n_total, rng):
     for field, get, put, grad, beta, opt, _ in _euclid_blocks(cfg, state):
         block = getattr(state, field)
         vec, new[opt] = _euclid_step(
-            cfg.optimizer, get(block), getattr(bundle, grad), getattr(state, opt), getattr(cfg, beta)
+            cfg.optimizer, get(block), getattr(bundle, grad), getattr(state, opt),
+            getattr(cfg, beta),
         )
         new[field] = put(block, vec)
 
@@ -641,8 +642,10 @@ def _saved_fields(state):
     fields = [
         ("theta_posterior", ("theta_mu", "theta_sigma2"), mu_sigma2,
          lambda post, mu, sigma2: dataclasses.replace(post, mu=mu, sigma2=sigma2)),
-        ("pgm_posterior", ("lambda",), lambda q: (q.flat_values(),), lambda q, flat: q.with_flat_values(flat)),
-        ("van", ("van_mu", "van_sigma2"), mu_sigma2, lambda _, mu, sigma2: updates.VanState(mu=mu, sigma2=sigma2)),
+        ("pgm_posterior", ("lambda",), lambda q: (q.flat_values(),),
+         lambda q, flat: q.with_flat_values(flat)),
+        ("van", ("van_mu", "van_sigma2"), mu_sigma2,
+         lambda _, mu, sigma2: updates.VanState(mu=mu, sigma2=sigma2)),
     ]
     for field, get, put, _, _, opt, name in BLOCKS:
         if field != "decoder" or state.theta_posterior is None:  # else held as its posterior

@@ -101,7 +101,9 @@ def test_bayes_checkpoint_with_unread_accumulator_loads(tmp_path):
     for name, want in arrays.items():
         np.testing.assert_array_equal(back[name], want, err_msg=name)
     batch = np.random.default_rng(9).standard_normal((8, DATA_DIM))
-    steps = [harness.train_step(s, cfg, batch, 8, np.random.default_rng(3))[0] for s in (state, loaded)]
+    steps = [
+        harness.train_step(s, cfg, batch, 8, np.random.default_rng(3))[0] for s in (state, loaded)
+    ]
     for name, want in harness._state_arrays(steps[0]).items():
         np.testing.assert_array_equal(harness._state_arrays(steps[1])[name], want, err_msg=name)
 

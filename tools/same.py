@@ -21,9 +21,9 @@ its fitted parameters.
 The JSON line maps each case's array to "equal" (``np.array_equal``, NaN
 positions equal) or to its largest relative difference,
 max |a - b| / max |a|, or to a note when the shapes or the raised errors
-differ, or when only one side has the array.  A case that raises on both sides compares each error's type and
-message.  The exit status is 0 when every array is equal, or within
-``--rtol`` when one is given.
+differ or only one side has the array.  A case that raises on both sides
+compares each error's type and message.  The exit status is 0 when every
+array is equal, or within ``--rtol`` when one is given.
 """
 
 import argparse
