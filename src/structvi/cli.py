@@ -128,8 +128,9 @@ def _cmd_train(args):
         "lds-em": harness.train_lds_em,
     }
     res = trainers[args.trainer](cfg, out_dir=out_dir)
-    print(f"wrote {res.metrics_path}")
-    print(f"wrote {res.checkpoint_path}")
+    for path in (res.metrics_path, res.checkpoint_path):
+        if path:
+            print(f"wrote {path}")
     return 0
 
 

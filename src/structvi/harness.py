@@ -730,14 +730,15 @@ class TrainResult:
     checkpoint_path: str
 
 
-def _finish(out_dir, name, state_saver, metrics):
+def _finish(out_dir, name, metrics, state=None, cfg=None):
     metrics_path = ckpt_path = ""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, f"{name}-metrics.txt")
         write_metrics(metrics_path, metrics)
-        ckpt_path = os.path.join(out_dir, f"{name}.ckpt")
-        state_saver(ckpt_path)
+        if state is not None:
+            ckpt_path = os.path.join(out_dir, f"{name}.ckpt")
+            save_state(ckpt_path, state, cfg)
     return metrics_path, ckpt_path
 
 
@@ -781,13 +782,9 @@ def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
                     )
                 )
     except FAILURE_KINDS:
-        if out_dir:
-            _finish(out_dir, "structured", lambda p: save_state(p, good, cfg), metrics)
+        _finish(out_dir, "structured", metrics, good, cfg)
         raise
-    metrics_path, ckpt_path = _finish(
-        out_dir, "structured", lambda p: save_state(p, state, cfg), metrics
-    )
-    return TrainResult(state, metrics, metrics_path, ckpt_path)
+    return TrainResult(state, metrics, *_finish(out_dir, "structured", metrics, state, cfg))
 
 
 def train_vae(cfg, ds=None, out_dir=None):
@@ -838,18 +835,7 @@ def train_vae(cfg, ds=None, out_dir=None):
             seconds = (time.perf_counter() - start) if cfg.timing else 0.0
             metrics.append(metrics_row(it, seconds, test_bound=test_bound(it)))
 
-    def saver(path):
-        checkpoint.save(
-            path,
-            {
-                "decoder": nnet.param_vector(decoder),
-                "encoder": nnet.param_vector(encoder),
-            },
-            {"config": config_to_text(cfg), "format": "structvi-vae"},
-        )
-
-    metrics_path, ckpt_path = _finish(out_dir, "vae", saver, metrics)
-    return TrainResult((decoder, encoder), metrics, metrics_path, ckpt_path)
+    return TrainResult((decoder, encoder), metrics, *_finish(out_dir, "vae", metrics))
 
 
 def train_vb_gmm(cfg, ds=None, out_dir=None):
@@ -869,15 +855,7 @@ def train_vb_gmm(cfg, ds=None, out_dir=None):
     metrics = [metrics_row(i + 1, train_bound=e / rows.shape[0]) for i, e in enumerate(res.elbos)]
     metrics[-1]["test_bound"] = test_score
 
-    def saver(path):
-        checkpoint.save(
-            path,
-            {"lambda": res.posterior.flat_values()},
-            {"config": config_to_text(cfg), "format": "structvi-vb-gmm"},
-        )
-
-    metrics_path, ckpt_path = _finish(out_dir, "vb-gmm", saver, metrics)
-    return TrainResult(res, metrics, metrics_path, ckpt_path)
+    return TrainResult(res, metrics, *_finish(out_dir, "vb-gmm", metrics))
 
 
 def train_lds_em(cfg, ds=None, out_dir=None):
@@ -897,22 +875,7 @@ def train_lds_em(cfg, ds=None, out_dir=None):
         metrics[-1]["test_bound"] = baselines.lds_em_loglik(params, test_seqs) / ds.test_idx.size
         metrics[-1]["tau_mae"] = baselines.lds_em_tau_mae(params, test_seqs, 1)
 
-    def saver(path):
-        checkpoint.save(
-            path,
-            {
-                "trans": params.trans,
-                "trans_cov": params.trans_cov,
-                "emit": params.emit,
-                "emit_cov": params.emit_cov,
-                "init_mean": params.init_mean,
-                "init_cov": params.init_cov,
-            },
-            {"config": config_to_text(cfg), "format": "structvi-lds-em"},
-        )
-
-    metrics_path, ckpt_path = _finish(out_dir, "lds-em", saver, metrics)
-    return TrainResult((params, logliks), metrics, metrics_path, ckpt_path)
+    return TrainResult((params, logliks), metrics, *_finish(out_dir, "lds-em", metrics))
 
 
 # ---------------------------------------------------------------------------

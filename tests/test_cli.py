@@ -140,8 +140,9 @@ def test_train_env_var_out_dir(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(env_dir, "structured.ckpt"))
 
 
-def test_train_baseline_trainers(tmp_path):
+def test_train_baseline_trainers(tmp_path, capsys):
     dataset = make_pinwheel_file(tmp_path)
+    capsys.readouterr()
     for trainer, name in (("vb-gmm", "vb-gmm"), ("vae", "vae")):
         out_dir = str(tmp_path / trainer)
         assert run_cli(
@@ -164,7 +165,8 @@ def test_train_baseline_trainers(tmp_path):
             ]
             + ["--out-dir", out_dir]
         ) == 0
-        assert os.path.exists(os.path.join(out_dir, f"{name}.ckpt"))
+        assert os.listdir(out_dir) == [f"{name}-metrics.txt"]
+        assert capsys.readouterr().out.count("wrote ") == 1
 
     dots = str(tmp_path / "dots.txt")
     run_cli(
@@ -174,6 +176,7 @@ def test_train_baseline_trainers(tmp_path):
             "--noise-std", "0.05",
         ]
     )
+    capsys.readouterr()
     out_dir = str(tmp_path / "lds-em")
     assert run_cli(
         [
@@ -183,7 +186,14 @@ def test_train_baseline_trainers(tmp_path):
             "--out-dir", out_dir,
         ]
     ) == 0
-    assert os.path.exists(os.path.join(out_dir, "lds-em.ckpt"))
+    assert os.listdir(out_dir) == ["lds-em-metrics.txt"]
+    assert capsys.readouterr().out.count("wrote ") == 1
+    out_dir = str(tmp_path / "structured")
+    assert run_cli(
+        ["train", "--dataset", dataset, "--n-components", "2", "--hidden", "4",
+         "--n-iters", "2", "--timing", "0", "--out-dir", out_dir]
+    ) == 0
+    assert capsys.readouterr().out.count("wrote ") == 2
 
 
 def test_eval_and_dump_plots(tmp_path, capsys):

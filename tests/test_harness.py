@@ -927,7 +927,8 @@ def test_vb_gmm_wrapper(tmp_path):
     bounds = [row["train_bound"] for row in res.metrics]
     assert np.all(np.diff(bounds) > -1e-8)
     assert np.isfinite(res.metrics[-1]["test_bound"])
-    assert os.path.exists(res.metrics_path) and os.path.exists(res.checkpoint_path)
+    assert os.path.exists(res.metrics_path) and res.checkpoint_path == ""
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".ckpt")]
     back = harness.read_metrics(res.metrics_path)
     assert len(back) == len(res.metrics)
 
@@ -993,7 +994,8 @@ def test_vae_trainer_improves(tmp_path):
     res = harness.train_vae(cfg, ds=ds, out_dir=str(tmp_path))
     bounds = [row["test_bound"] for row in res.metrics]
     assert bounds[-1] > bounds[0]
-    assert os.path.exists(res.checkpoint_path)
+    assert res.checkpoint_path == "" and os.listdir(tmp_path) == ["vae-metrics.txt"]
+
 
 
 # ---------------------------------------------------------------------------
