@@ -18,11 +18,12 @@ from .errors import ContractError, ParseError
 
 ENV_OUT_DIR = "STRUCTVI_OUT"
 
-_CLI_ERRORS = harness.FAILURE_KINDS + (ContractError, ParseError)
+_CLI_ERRORS = harness.FAILURE_KINDS + (ContractError, ParseError, OSError)
 
 
-def _default_out_dir():
-    return os.environ.get(ENV_OUT_DIR, ".")
+def _out_dir(flag):
+    """``--out-dir``, else STRUCTVI_OUT, else the current directory."""
+    return flag or os.environ.get(ENV_OUT_DIR) or "."
 
 
 def _add_config_flags(parser):
@@ -120,7 +121,8 @@ def _cmd_generate_data(args):
 
 def _cmd_train(args):
     cfg = _merged_config(args)
-    out_dir = args.out_dir if args.out_dir is not None else _default_out_dir()
+    out_dir = _out_dir(args.out_dir)
+    os.makedirs(out_dir, exist_ok=True)  # fail here, not after the run
     trainers = {
         "structured": harness.train_structured,
         "vae": harness.train_vae,
@@ -183,7 +185,7 @@ def _cmd_eval(args):
 def _cmd_dump_plots(args):
     _check_seed(args)
     state, _, ds = _load_for_eval(args)
-    out_dir = args.out_dir if args.out_dir is not None else _default_out_dir()
+    out_dir = _out_dir(args.out_dir)
     metrics = harness.read_metrics(args.metrics) if args.metrics else None
     paths = harness.dump_plot_data(
         state, ds, out_dir, n_draws=args.n_draws, metrics=metrics, seed=args.seed

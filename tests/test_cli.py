@@ -637,6 +637,53 @@ def test_empty_training_split_exits_nonzero_without_warning(tmp_path, capsys):
     assert_one_error_line(capsys, code, "training split has no rows")
 
 
+TINY_TRAIN = ["train", "--dataset", "{tmp}/pin.txt", "--n-components", "2", "--hidden", "4",
+              "--n-iters", "1", "--eval-interval", "1", "--timing", "0"]
+PLOT_FILES = ["samples.txt", "data.txt", "curves.txt"]
+TRAIN_FILES = ["structured-metrics.txt", "structured.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "args, env, written",
+    [
+        (["generate-data", "--kind", "pinwheel", "--out", "{tmp}/missing/x.txt"], None,
+         "missing/x.txt"),
+        (["eval", "--checkpoint", "{tmp}/run/structured.ckpt", "--tasks", "sample-dump",
+          "--samples-out", "{tmp}/missing/s.txt"], None, "missing/s.txt"),
+        (TINY_TRAIN + ["--out-dir", "{tmp}/afile/sub"], None, "afile/sub"),
+        (["dump-plots", "--checkpoint", "{tmp}/run/structured.ckpt", "--out-dir", ""], None,
+         PLOT_FILES),
+        (TINY_TRAIN + ["--out-dir", ""], None, TRAIN_FILES),
+        (TINY_TRAIN, "", TRAIN_FILES),
+    ],
+    ids=["generate-missing-dir", "samples-missing-dir", "train-under-a-file",
+         "dump-plots-empty-out-dir", "train-empty-out-dir", "train-empty-env"],
+)
+def test_output_paths_fail_cleanly_and_an_empty_one_is_unset(
+    tmp_path, monkeypatch, capsys, args, env, written
+):
+    """An unwritable path exits 2 with one error line naming it, a training
+    run before it trains; an empty --out-dir or STRUCTVI_OUT falls back to the
+    current directory.  ``written`` is that path or the files written."""
+    make_pinwheel_file(tmp_path)
+    assert run_cli(TINY_TRAIN[:1] + [a.format(tmp=tmp_path) for a in TINY_TRAIN[1:]]
+                   + ["--out-dir", str(tmp_path / "run")]) == 0
+    (tmp_path / "afile").write_text("")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    if env is not None:
+        monkeypatch.setenv(cli.ENV_OUT_DIR, env)
+    capsys.readouterr()
+    args = [a.format(tmp=tmp_path) for a in args]
+    if isinstance(written, str):
+        monkeypatch.setattr(harness, "train_structured", lambda *a, **k: pytest.fail("trained"))
+        assert_one_error_line(capsys, run_cli(args), written)
+        return
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out.count("wrote ") == len(written)
+    assert all((tmp_path / name).is_file() for name in written)
+
+
 @pytest.mark.parametrize("valid_lines", [0, 5000], ids=["header", "body"])
 def test_non_utf8_dataset_exits_nonzero_without_traceback(tmp_path, capsys, valid_lines):
     """Bytes that are not UTF-8 in the header line, or past the first read
