@@ -790,6 +790,11 @@ def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
 def train_vae(cfg, ds=None, out_dir=None):
     """Plain VAE baseline trained by the same loop conventions."""
     cfg.validate()
+    if cfg.optimizer != "adagrad" or cfg.theta_nn != "point":
+        raise ContractError(
+            "the vae trainer steps a point decoder by adagrad, not "
+            f"optimizer {cfg.optimizer!r} with theta_nn {cfg.theta_nn!r}"
+        )
     ds = _training_split(cfg, ds)
     rows = ds.rows[ds.train_idx]
     test_rows = ds.rows[ds.test_idx] if ds.test_idx is not None else None

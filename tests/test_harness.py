@@ -997,6 +997,17 @@ def test_vae_trainer_improves(tmp_path):
     assert res.checkpoint_path == "" and os.listdir(tmp_path) == ["vae-metrics.txt"]
 
 
+@pytest.mark.parametrize(
+    "fields", [{"optimizer": "sgd"}, {"optimizer": "van"}, {"theta_nn": "bayes"}],
+    ids=["sgd", "van", "bayes"],
+)
+def test_vae_trainer_rejects_a_rule_it_does_not_run(fields):
+    """The plain VAE steps a point decoder by adagrad; any other setting
+    fails before the data set is read."""
+    cfg = harness.TrainConfig(dataset="nothere.txt", **fields)
+    with pytest.raises(ContractError, match="vae trainer steps a point decoder by adagrad"):
+        harness.train_vae(cfg)
+
 
 # ---------------------------------------------------------------------------
 # Plot data
