@@ -7,7 +7,7 @@ fixed list of cases from the same seeds and data: ``train_structured`` for
 each model kind under every rule the harness routes, followed by an
 ``evaluate`` of the trained state (bound, imputation, tau-ahead for
 sequences, and drawn samples); short ``train_lds_em`` fits at latent
-dimensions 1, 2 and 3; and a ``train_vb_gmm`` fit.  The structured rules
+dimensions 1, 2 and 3; a ``train_vb_gmm`` fit; and a ``train_vae`` run.  The structured rules
 are ``adagrad`` and ``van`` (beta3 = 1e-3) at two seeds each, ``sgd`` at
 beta1 = beta2 = beta3 = 1e-3, a ``bayes`` decoder under ``adagrad``, and a
 fixed prior (the initial network's factor) under ``adagrad`` and ``van``.
@@ -16,7 +16,7 @@ so its seconds column is 0), the network's phi, the decoder's vector and
 the prior's (posterior naturals or point parameters), every evaluation
 output, and the arrays of a ``save_state`` -> ``load_state`` ->
 ``save_state`` round trip.  Each other case records its metrics log and
-its fitted parameters.
+its fitted parameters (for the VAE, the decoder's and encoder's vectors).
 
 The JSON line maps each case's array to "equal" (``np.array_equal``, NaN
 positions equal) or to its largest relative difference,
@@ -133,9 +133,19 @@ def cases(pkg, workdir, tiny):
             posterior=res.state.posterior.flat_values(),
         )
 
+    def vae():
+        cfg = h.TrainConfig(
+            hidden=(8,), batch_size=16, n_iters=n_iters, eval_interval=n_iters // 2,
+            timing=False, **pin,
+        )
+        res = h.train_vae(cfg)
+        decoder, encoder = (pkg.nnet.param_vector(net) for net in res.state)
+        return dict(metrics=_metrics(res.metrics), decoder=decoder, encoder=encoder)
+
     for d in (1, 2, 3):
         out[f"lds-em/d{d}"] = lambda d=d: lds_em(d)
     out["vb-gmm"] = vb_gmm
+    out["vae"] = vae
     return out
 
 
