@@ -3,7 +3,9 @@
 Flags mirror the training-config field names with hyphens; a config file
 (key = value lines, same names) seeds the values and explicit flags win.
 The output directory defaults to the STRUCTVI_OUT environment variable,
-then to the current directory.  Failures arrive on stderr with exit code 2.
+then to the current directory; an empty value counts as unset.  Failures,
+an unwritable output path among them, arrive as one ``error:`` line on
+stderr with exit code 2.
 """
 
 import argparse
@@ -61,7 +63,9 @@ def _build_parser():
     gen.add_argument("--outlier-fraction", type=float, default=0.0)
     gen.add_argument("--outlier-std", type=float, default=8.0)
 
-    train = sub.add_parser("train", help="fit a model and write metrics plus a checkpoint")
+    train = sub.add_parser(
+        "train", help="fit a model and write metrics; only the structured trainer checkpoints"
+    )
     train.add_argument("--config", default=None)
     train.add_argument(
         "--trainer",

@@ -13,7 +13,9 @@ One list, ``BLOCKS``, names each point block's field, vectors, gradient, step
 size, adagrad state and checkpoint array; ``init_state``, ``train_step`` and
 the checkpoint reader and writer all read it.  Baseline trainers for the plain
 variational autoencoder, variational-Bayes mixture EM, and dynamical-system
-EM live alongside so comparisons share data handling and metrics format.
+EM live alongside so comparisons share data handling and metrics format;
+they write only their metrics logs, and only the structured trainer writes a
+checkpoint (``save_state``, read back by ``load_state``).
 Priors score and draw themselves and networks give posterior means, so the
 harness holds no per-family code: the model kind names a point-prior class
 (``POINT_PRIORS``), and the network's factor says whether data units are rows
@@ -731,6 +733,9 @@ class TrainResult:
 
 
 def _finish(out_dir, name, metrics, state=None, cfg=None):
+    """Write ``name``'s metrics log under ``out_dir`` and, given a structured
+    ``state``, its checkpoint; return (metrics path, checkpoint path), each ""
+    when not written.  Without ``out_dir`` nothing is written."""
     metrics_path = ckpt_path = ""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
