@@ -7,10 +7,11 @@ fixed list of cases from the same seeds and data: ``train_structured`` for
 each model kind under every rule the harness routes, followed by an
 ``evaluate`` of the trained state (bound, imputation, tau-ahead for
 sequences, and drawn samples); short ``train_lds_em`` fits at latent
-dimensions 1, 2 and 3; a ``train_vb_gmm`` fit; and a ``train_vae`` run.  The structured rules
-are ``adagrad`` and ``van`` (beta3 = 1e-3) at two seeds each, ``sgd`` at
-beta1 = beta2 = beta3 = 1e-3, a ``bayes`` decoder under ``adagrad``, and a
-fixed prior (the initial network's factor) under ``adagrad`` and ``van``.
+dimensions 1, 2 and 3; a ``train_vb_gmm`` fit; and a ``train_vae`` run.
+The structured rules are ``adagrad`` and ``van`` (beta3 = 1e-3) at two
+seeds each, ``sgd`` at beta1 = beta2 = beta3 = 1e-3, a ``bayes`` decoder
+under ``adagrad``, and a fixed prior (the initial network's factor) under
+``adagrad`` and ``van``.
 Each structured case records its metrics log (written with ``timing = 0``,
 so its seconds column is 0), the network's phi, the decoder's vector and
 the prior's (posterior naturals or point parameters), every evaluation
