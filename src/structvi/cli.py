@@ -5,7 +5,9 @@ Flags mirror the training-config field names with hyphens; a config file
 The output directory defaults to the STRUCTVI_OUT environment variable,
 then to the current directory; an empty value counts as unset.  Failures,
 an unwritable output path among them, arrive as one ``error:`` line on
-stderr with exit code 2.
+stderr with exit code 2.  So does a baseline ``--trainer`` given a
+``--model-kind`` it does not fit or an ``--optimizer``/``--theta-nn`` other
+than adagrad/point (``harness.BASELINES``).
 """
 
 import argparse

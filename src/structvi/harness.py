@@ -15,7 +15,9 @@ the checkpoint reader and writer all read it.  Baseline trainers for the plain
 variational autoencoder, variational-Bayes mixture EM, and dynamical-system
 EM live alongside so comparisons share data handling and metrics format;
 they write only their metrics logs, and only the structured trainer writes a
-checkpoint (``save_state``, read back by ``load_state``).
+checkpoint (``save_state``, read back by ``load_state``).  A baseline refuses
+a model kind it does not fit and any rule but adagrad on a point decoder
+(``BASELINES``), so that no setting it would ignore passes silently.
 Priors score and draw themselves and networks give posterior means, so the
 harness holds no per-family code: the model kind names a point-prior class
 (``POINT_PRIORS``), and the network's factor says whether data units are rows
@@ -792,14 +794,30 @@ def train_structured(cfg, ds=None, out_dir=None, prior_override=None):
     return TrainResult(state, metrics, *_finish(out_dir, "structured", metrics, state, cfg))
 
 
-def train_vae(cfg, ds=None, out_dir=None):
-    """Plain VAE baseline trained by the same loop conventions."""
+# Each baseline trainer's model kinds and its one fitting rule.
+BASELINES = {
+    "vae": (("latent-gmm", "latent-tmm"), "steps a point decoder by adagrad"),
+    "vb-gmm": (("latent-gmm",), "fits a conjugate mixture by EM"),
+    "lds-em": (("latent-lds",), "fits dynamics by EM"),
+}
+
+
+def _check_baseline(cfg, name):
+    """Validate ``cfg``; refuse a model kind or a rule the ``name`` baseline ignores."""
     cfg.validate()
+    kinds, rule = BASELINES[name]
+    if cfg.model_kind not in kinds:
+        raise ContractError(f"the {name} trainer fits {' or '.join(kinds)}, not {cfg.model_kind}")
     if cfg.optimizer != "adagrad" or cfg.theta_nn != "point":
         raise ContractError(
-            "the vae trainer steps a point decoder by adagrad, not "
+            f"the {name} trainer {rule}, not "
             f"optimizer {cfg.optimizer!r} with theta_nn {cfg.theta_nn!r}"
         )
+
+
+def train_vae(cfg, ds=None, out_dir=None):
+    """Plain VAE baseline trained by the same loop conventions."""
+    _check_baseline(cfg, "vae")
     ds = _training_split(cfg, ds)
     rows = ds.rows[ds.train_idx]
     test_rows = ds.rows[ds.test_idx] if ds.test_idx is not None else None
@@ -850,7 +868,7 @@ def train_vae(cfg, ds=None, out_dir=None):
 
 def train_vb_gmm(cfg, ds=None, out_dir=None):
     """Conjugate mixture EM baseline on the raw observations."""
-    cfg.validate()
+    _check_baseline(cfg, "vb-gmm")
     ds = _training_split(cfg, ds)
     rows = ds.rows[ds.train_idx]
     res = baselines.vb_gmm_fit(
@@ -870,9 +888,7 @@ def train_vb_gmm(cfg, ds=None, out_dir=None):
 
 def train_lds_em(cfg, ds=None, out_dir=None):
     """Dynamics EM baseline on the raw sequences."""
-    cfg.validate()
-    if cfg.seq_len < 2:
-        raise ContractError("lds-em needs seq_len >= 2")
+    _check_baseline(cfg, "lds-em")
     ds = _training_split(cfg, ds)
     seqs = _as_sequences(ds.rows[ds.train_idx], cfg.seq_len)
     params, logliks = baselines.lds_em_fit(seqs, d=cfg.latent_dim, n_iter=cfg.n_iters)

@@ -541,7 +541,7 @@ def generate(model, rng, n, seq_len=None):
     if n < 0:
         raise ContractError(f"cannot generate {n} draws")
     steps = () if seq_len is None else (seq_len + model.prior.lead_rows,)
-    linalg.check_sizes((n, *steps, model.prior.dim), (n, *steps, model.decoder.head.dim))
+    linalg.check_sizes((n, *steps, model.prior.dim), (n, *steps, model.decoder.out_dim))
     x, labels = model.prior.sample(rng, n, seq_len)
     obs = x[..., model.prior.lead_rows :, :]
     y = _decode_sample(model.decoder, obs.reshape(-1, obs.shape[-1]), rng)

@@ -1,10 +1,12 @@
 """Plain-numpy MLPs with hand-written reverse mode.
 
-Activation derivatives are computed from recorded forward values; the tape
-holds exactly what the backward pass needs and nothing else.  The final
-linear layer feeds a Gaussian head: the first half of its outputs is the
-mean, the second half passes through softplus and is floored/capped to keep
-downstream log-densities finite.
+``forward`` takes an (n, in) batch of rows.  One table, ``ACTIVATIONS``,
+gives each hidden activation its forward map and its slope, read from the
+layer's recorded output; the tape holds exactly what the backward pass needs
+and nothing else.  The final linear layer feeds a Gaussian head: the first
+``Mlp.out_dim`` outputs are the mean, the rest pass through softplus and are
+floored/capped (``VAR_FLOOR``, ``VAR_CAP``) to keep downstream log-densities
+finite.
 
 The tape keeps the variance half's softplus, not its raw outputs: the cap
 test reads it directly, and the softplus derivative follows from it as
@@ -34,11 +36,20 @@ from .errors import ContractError
 VAR_FLOOR = 1e-6
 VAR_CAP = 1e6
 
-ACTIVATIONS = ("tanh", "identity", "softplus", "relu")
-
 
 def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+# name -> (map of a layer's fresh product h W^T + b, in place where numpy
+# allows; slope read from the layer's output a, None for the identity)
+ACTIVATIONS = {
+    "tanh": (lambda h: np.tanh(h, out=h), lambda a: 1.0 - a * a),
+    "identity": (lambda h: h, None),
+    # a = softplus(z) => sigmoid(z) = 1 - exp(-a)
+    "softplus": (_softplus, lambda a: 1.0 - np.exp(-a)),
+    "relu": (lambda h: np.maximum(h, 0.0, out=h), lambda a: a > 0.0),
+}
 
 
 @dataclass
@@ -48,17 +59,14 @@ class Layer:
     activation: str
 
 
-@dataclass(frozen=True)
-class GaussianHead:
-    dim: int
-    var_floor: float = VAR_FLOOR
-    var_cap: float = VAR_CAP
-
-
 @dataclass
 class Mlp:
     layers: list
-    head: GaussianHead
+
+    @property
+    def out_dim(self):
+        """Width of the mean and of the variance: half the last layer's."""
+        return self.layers[-1].bias.shape[0] // 2
 
 
 @dataclass
@@ -69,7 +77,6 @@ class GradTape:
     x: np.ndarray
     post: list
     var_softplus: np.ndarray
-    squeeze: bool
 
 
 def init_mlp(sizes, activations, rng):
@@ -90,40 +97,31 @@ def init_mlp(sizes, activations, rng):
     for n_in, n_out, act in zip(sizes[:-1], sizes[1:], acts):
         w = rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in)
         layers.append(Layer(weight=w, bias=np.zeros(n_out), activation=act))
-    return Mlp(layers=layers, head=GaussianHead(dim=sizes[-1] // 2))
+    return Mlp(layers)
 
 
 def forward(net, x):
-    """Returns (mean, var, tape); accepts a single vector or a batch."""
+    """Returns (mean, var, tape) for an (n, in) batch of rows."""
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    h = x[None, :] if squeeze else x
+    n_in = net.layers[0].weight.shape[1]
+    if x.ndim != 2 or x.shape[1] != n_in:
+        raise ContractError(f"need an (n, {n_in}) batch of rows, got shape {x.shape}")
+    h = x
     post = []
     for layer in net.layers[:-1]:
         h = h @ layer.weight.T
         h += layer.bias
-        if layer.activation == "tanh":
-            np.tanh(h, out=h)
-        elif layer.activation == "softplus":
-            h = _softplus(h)
-        elif layer.activation == "relu":
-            np.maximum(h, 0.0, out=h)
+        h = ACTIVATIONS[layer.activation][0](h)
         post.append(h)
     last = net.layers[-1]
     raw = h @ last.weight.T
     raw += last.bias
-    d = net.head.dim
+    d = net.out_dim
     mean = raw[:, :d]
     var_softplus = _softplus(raw[:, d:])
-    var = var_softplus + net.head.var_floor
-    np.minimum(var, net.head.var_cap, out=var)
-    tape = GradTape(
-        x=x[None, :] if squeeze else x, post=post, var_softplus=var_softplus,
-        squeeze=squeeze,
-    )
-    if squeeze:
-        return mean[0], var[0], tape
-    return mean, var, tape
+    var = var_softplus + VAR_FLOOR
+    np.minimum(var, VAR_CAP, out=var)
+    return mean, var, GradTape(x=x, post=post, var_softplus=var_softplus)
 
 
 def backward(net, tape, dmean, dvar):
@@ -132,10 +130,8 @@ def backward(net, tape, dmean, dvar):
     Returns (flat parameter gradient, gradient with respect to the input),
     the gradient in ``param_vector``'s layout.
     """
-    dmean = np.atleast_2d(np.asarray(dmean, dtype=float))
-    dvar = np.atleast_2d(np.asarray(dvar, dtype=float))
     sp = tape.var_softplus
-    capped = sp + net.head.var_floor >= net.head.var_cap
+    capped = sp + VAR_FLOOR >= VAR_CAP
     # sigmoid(z) = 1 - exp(-softplus(z)), as for a softplus hidden layer
     draw = np.concatenate([dmean, dvar * -np.expm1(-sp) * ~capped], axis=1)
 
@@ -148,19 +144,11 @@ def backward(net, tape, dmean, dvar):
         gb = upstream.sum(axis=0)
         grads[li] = (gw, gb)
         upstream = upstream @ layer.weight
-        if li > 0:
-            prev = net.layers[li - 1]
-            a = tape.post[li - 1]
-            if prev.activation == "tanh":
-                upstream = upstream * (1.0 - a * a)
-            elif prev.activation == "softplus":
-                # a = softplus(z) => sigmoid(z) = 1 - exp(-a)
-                upstream = upstream * (1.0 - np.exp(-a))
-            elif prev.activation == "relu":
-                upstream = upstream * (a > 0.0)
+        slope = ACTIVATIONS[net.layers[li - 1].activation][1] if li > 0 else None
+        if slope is not None:
+            upstream = upstream * slope(tape.post[li - 1])
     flat = linalg.flatten([g for pair in grads for g in pair])
-    dx = upstream[0] if tape.squeeze else upstream
-    return flat, dx
+    return flat, upstream
 
 
 def _arrays(net):
@@ -180,4 +168,4 @@ def set_param_vector(net, vec):
     """New net with the same topology and the given flat parameters."""
     arrays = linalg.unflatten(vec, [a.shape for a in _arrays(net)])
     pairs = zip(net.layers, arrays[::2], arrays[1::2])
-    return Mlp([Layer(w, b, l.activation) for l, w, b in pairs], net.head)
+    return Mlp([Layer(w, b, l.activation) for l, w, b in pairs])

@@ -1009,6 +1009,26 @@ def test_vae_trainer_rejects_a_rule_it_does_not_run(fields):
         harness.train_vae(cfg)
 
 
+@pytest.mark.parametrize(
+    "trainer, kind, fields, message",
+    [
+        (harness.train_vae, "latent-gmm", {"model_kind": "latent-lds"}, "or latent-tmm, not"),
+        (harness.train_vb_gmm, "latent-gmm", {"model_kind": "latent-tmm"}, "fits latent-gmm, not"),
+        (harness.train_vb_gmm, "latent-gmm", {"optimizer": "van"}, "by EM, not optimizer 'van'"),
+        (harness.train_vb_gmm, "latent-gmm", {"theta_nn": "bayes"}, "with theta_nn 'bayes'"),
+        (harness.train_lds_em, "latent-lds", {"model_kind": "latent-gmm"}, "fits latent-lds, not"),
+        (harness.train_lds_em, "latent-lds", {"optimizer": "sgd"}, "by EM, not optimizer 'sgd'"),
+    ],
+    ids=["vae-kind", "vb-gmm-kind", "vb-gmm-van", "vb-gmm-bayes", "lds-em-kind", "lds-em-sgd"],
+)
+def test_baseline_trainers_refuse_settings_they_ignore(trainer, kind, fields, message):
+    """Each baseline fits its own model kinds by one rule; any other kind,
+    optimizer or theta_nn fails before the data set is read."""
+    cfg = harness.TrainConfig(dataset="nothere.txt", model_kind=kind, seq_len=6)
+    with pytest.raises(ContractError, match=message):
+        trainer(dataclasses.replace(cfg, **fields))
+
+
 # ---------------------------------------------------------------------------
 # Plot data
 

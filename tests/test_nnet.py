@@ -11,6 +11,7 @@ import pytest
 from scipy import special
 
 from structvi import nnet
+from structvi.errors import ContractError
 
 
 def random_net(rng, first_act="tanh"):
@@ -149,10 +150,15 @@ class TestGaussianHead:
 
 class TestShapesAndSampling:
     def test_single_vector_input(self):
+        """Only an (n, in) batch of rows passes: a single vector, a stack of
+        batches and rows of the wrong width raise before any layer runs."""
         rng = np.random.default_rng(6)
         net = nnet.init_mlp([3, 5, 4], ["tanh"], rng)
-        mean, var, _ = nnet.forward(net, np.zeros(3))
-        assert mean.shape == (2,) and var.shape == (2,)
+        for shape in [(3,), (4, 2, 3), (4, 2)]:
+            with pytest.raises(ContractError, match="batch of rows"):
+                nnet.forward(net, np.zeros(shape))
+        mean, var, _ = nnet.forward(net, np.zeros((1, 3)))
+        assert mean.shape == (1, 2) and var.shape == (1, 2)
 
     def test_forward_is_pure(self):
         rng = np.random.default_rng(8)
@@ -174,8 +180,8 @@ class TestShapesAndSampling:
 def out_of_place_forward(net, x):
     """``nnet.forward``'s arithmetic with a fresh array for every product,
     bias add and activation; returns (mean, var, post, var_softplus) on the
-    (n, in) view of ``x``."""
-    h = np.atleast_2d(np.asarray(x, dtype=float))
+    (n, in) batch ``x``."""
+    h = np.asarray(x, dtype=float)
     activations = {
         "tanh": np.tanh, "softplus": nnet._softplus,
         "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z,
@@ -185,34 +191,31 @@ def out_of_place_forward(net, x):
         h = activations[layer.activation](h @ layer.weight.T + layer.bias)
         post.append(h)
     raw = h @ net.layers[-1].weight.T + net.layers[-1].bias
-    d = net.head.dim
+    d = net.out_dim
     var_softplus = nnet._softplus(raw[:, d:])
-    var = np.minimum(var_softplus + net.head.var_floor, net.head.var_cap)
+    var = np.minimum(var_softplus + nnet.VAR_FLOOR, nnet.VAR_CAP)
     return raw[:, :d], var, post, var_softplus
 
 
 class TestInPlaceLayers:
-    @pytest.mark.parametrize("rows", [None, 7])
-    @pytest.mark.parametrize("act", ["tanh", "relu", "identity", "softplus"])
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("act", list(nnet.ACTIVATIONS))
     def test_forward_equals_out_of_place_layers(self, act, rows):
         """Bit for bit: mean, var and every tape entry, and the input is left
-        as it was.  ``rows=None`` is a 1-D input."""
+        as it was."""
         rng = np.random.default_rng(31)
         net = nnet.init_mlp([3, 6, 5, 8], [act, act], rng)
         for layer in net.layers:
             layer.bias = rng.standard_normal(layer.bias.shape)
-        x = 3.0 * rng.standard_normal(3 if rows is None else (rows, 3))
+        x = 3.0 * rng.standard_normal((rows, 3))
         before = x.copy()
         mean, var, tape = nnet.forward(net, x)
         want_mean, want_var, want_post, want_sp = out_of_place_forward(net, x)
-        if rows is None:
-            want_mean, want_var = want_mean[0], want_var[0]
         assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
-        assert np.array_equal(tape.x, np.atleast_2d(x))
+        assert np.array_equal(tape.x, x)
         assert len(tape.post) == len(want_post)
         assert all(np.array_equal(a, b) for a, b in zip(tape.post, want_post))
         assert np.array_equal(tape.var_softplus, want_sp)
-        assert tape.squeeze == (rows is None)
         assert np.array_equal(x, before)
 
 

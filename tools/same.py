@@ -11,7 +11,9 @@ dimensions 1, 2 and 3; a ``train_vb_gmm`` fit; and a ``train_vae`` run.
 The structured rules are ``adagrad`` and ``van`` (beta3 = 1e-3) at two
 seeds each, ``sgd`` at beta1 = beta2 = beta3 = 1e-3, a ``bayes`` decoder
 under ``adagrad``, and a fixed prior (the initial network's factor) under
-``adagrad`` and ``van``.
+``adagrad`` and ``van``, all with tanh layers; ``latent-gmm`` under
+``adagrad`` at the first seed also runs once with each other activation
+(softplus, relu, identity).
 Each structured case records its metrics log (written with ``timing = 0``,
 so its seconds column is 0), the network's phi, the decoder's vector and
 the prior's (posterior naturals or point parameters), every evaluation
@@ -48,6 +50,9 @@ RULES = (
     ("fixed-adagrad", {}, True, (0,)),
     ("fixed-van", {"optimizer": "van", "beta3": 1e-3}, True, (0,)),
 )
+# Every rule above runs tanh layers; each other activation gets one
+# latent-gmm adagrad case at the first seed.
+OTHER_ACTIVATIONS = ("softplus", "relu", "identity")
 
 
 def _datasets(pkg, workdir, tiny):
@@ -98,20 +103,23 @@ def cases(pkg, workdir, tiny):
     pin, dots = _datasets(pkg, workdir, tiny)
     n_iters = 4 if tiny else 40
     out = {}
+
+    def structured(kind, label, fixed, seed, extra):
+        cfg = h.TrainConfig(
+            model_kind=kind, n_components=3, hidden=(8,), batch_size=16,
+            n_iters=n_iters, eval_interval=n_iters // 2, timing=False,
+            seed=seed, **extra, **(dots if kind == "latent-lds" else pin),
+        )
+        name = f"{kind}/{label}/seed{seed}"
+        ckpt = os.path.join(workdir, f"{pkg.__name__}-{name.replace('/', '-')}.ckpt")
+        out[name] = lambda: _structured(pkg, cfg, h.load_dataset(cfg), fixed, ckpt)
+
     for kind in KINDS:
-        files = dots if kind == "latent-lds" else pin
         for label, extra, fixed, seeds in RULES:
             for seed in seeds[:1] if tiny else seeds:
-                cfg = h.TrainConfig(
-                    model_kind=kind, n_components=3, hidden=(8,), batch_size=16,
-                    n_iters=n_iters, eval_interval=n_iters // 2, timing=False,
-                    seed=seed, **extra, **files,
-                )
-                name = f"{kind}/{label}/seed{seed}"
-                ckpt = os.path.join(workdir, f"{pkg.__name__}-{name.replace('/', '-')}.ckpt")
-                out[name] = lambda cfg=cfg, fixed=fixed, ckpt=ckpt: _structured(
-                    pkg, cfg, h.load_dataset(cfg), fixed, ckpt
-                )
+                structured(kind, label, fixed, seed, extra)
+    for act in OTHER_ACTIVATIONS:
+        structured("latent-gmm", f"adagrad-{act}", False, 0, {"activation": act})
 
     vb_cfg = h.TrainConfig(n_components=3, n_iters=3 if tiny else 10, timing=False, **pin)
 
