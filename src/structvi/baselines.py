@@ -17,23 +17,25 @@ length and keeps them read-only in a per-length memo:
   * the covariance pass, ``infnet.kalman_covariances`` with the constant
     emission noise as a broadcast (T, D, D) array, including the mean
     pass's drive A K_t and chain A (I - K_t C);
-  * the doubling levels (``infnet.chain_levels``) of that chain, time
-    reversed;
-  * on first smooth, the RTS gains J_t, their doubling levels, and the
+  * that chain's dense (T d, T d) operator (``infnet.chain_operator``, the
+    forward orientation);
+  * on first smooth, the RTS gains J_t, their chain's operator, and the
     smoothed and lag-one covariances.
 
 A filter call then runs only the mean pass ``infnet.kalman_means`` and a
-smooth call adds only the smoothed-mean chain, each chain a few stacked
-products through the cached levels.  Where ``infnet.backward_chain`` would
-not double (large d), no levels are kept and the chains run step by step.
-Means carry the block's leading axis, covariances are shared (T, d, d)
-arrays, and log-likelihoods are block totals.
+smooth call adds only the smoothed-mean chain, each chain one product of
+the block's (n_seq, T d) means with its operator.  Past
+``infnet.CHAIN_OPERATOR_MAX_ROWS`` (long sequences or large d) no operator
+is kept and the chains run through ``infnet.backward_chain``, as chains on
+any gains do.  Means carry the block's leading axis, covariances are shared
+(T, d, d) arrays, and log-likelihoods are block totals.
 
 Because the block shares its parameters, its work runs as matrix products:
 the mean chains and the products with the shared gain stacks run over all
-sequences at once (``infnet.backward_chain`` and ``infnet._mv`` on shared
-stacks), and EM's sufficient statistics are matmuls over the (n_seq * T)
-rows of the block, the second moments one time-major batched product.
+sequences at once (the operators, or ``infnet.backward_chain``, and
+``infnet._mv`` on shared stacks), and EM's sufficient statistics are
+matmuls over the (n_seq * T) rows of the block, the second moments one
+time-major batched product.
 """
 
 from dataclasses import dataclass, fields
@@ -155,17 +157,17 @@ class LdsEmParams:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def _levels(gains):
-    """``infnet.chain_levels`` of read-only gains, each level read-only; None
-    where ``infnet.backward_chain`` would not double even one sequence."""
-    if not infnet.doubling_pays(gains.shape[-1], 1):
+def _operator(gains, forward=False):
+    """``infnet.chain_operator`` of read-only gains, read-only; None where the
+    chain's R k rows exceed ``infnet.CHAIN_OPERATOR_MAX_ROWS``."""
+    if (len(gains) + 1) * gains.shape[-1] > infnet.CHAIN_OPERATOR_MAX_ROWS:
         return None
-    return tuple(linalg.read_only(p) for p in infnet.chain_levels(gains))
+    return linalg.read_only(infnet.chain_operator(gains, forward))
 
 
 def _covariances(params, t_len):
-    """The filter's covariance pass for length t_len, with the doubling levels
-    of its time-reversed mean chain, memoized on params."""
+    """The filter's covariance pass for length t_len, with the operator of
+    its forward mean chain where it is kept, memoized on params."""
     memo = params._by_length
     if t_len not in memo:
         r = np.broadcast_to(params.emit_cov, (t_len,) + params.emit_cov.shape)
@@ -173,15 +175,15 @@ def _covariances(params, t_len):
             params.trans, params.trans_cov, params.init_cov, params.emit, r
         )
         cov = {k: linalg.read_only(v) for k, v in cov.items()}
-        cov["chain_levels"] = _levels(cov["chain"][::-1])
+        cov["chain_operator"] = _operator(cov["chain"], forward=True)
         memo[t_len] = cov
     return memo[t_len]
 
 
 def _smoother_covariances(params, t_len):
-    """RTS gains J_t with their doubling levels, smoothed covariances P_t and
-    lag-one covariances for length t_len, added to the memoized covariance
-    pass on first use."""
+    """RTS gains J_t with the operator of their mean chain where it is kept,
+    smoothed covariances P_t and lag-one covariances for length t_len, added
+    to the memoized covariance pass on first use."""
     cov = _covariances(params, t_len)
     if "smooth_gain" not in cov:
         pf = cov["p_filt"]
@@ -192,7 +194,7 @@ def _smoother_covariances(params, t_len):
         cross = ps[1:] @ j.swapaxes(-1, -2)
         j = linalg.read_only(j)
         cov.update(
-            smooth_gain=j, smooth_levels=_levels(j),
+            smooth_gain=j, smooth_operator=_operator(j),
             smooth_cov=linalg.read_only(ps), smooth_cross=linalg.read_only(cross),
         )
     return cov
@@ -264,14 +266,18 @@ def lds_em_filter(params, y):
 def lds_em_smooth(params, y):
     """Rauch-Tung-Striebel pass with the lag-one covariances EM needs: the
     filter, then the smoothed-mean chain x_t = xf_t + J_t (x_{t+1} - xp_{t+1})
-    through the memoized gains and their doubling levels; ``cov`` and
-    ``cross`` are shared read-only."""
+    through the memoized gains, as one product with their operator where it
+    is kept; ``cov`` and ``cross`` are shared read-only."""
     xf, pf, xp, pp, loglik = lds_em_filter(params, y)
     cov = _smoother_covariances(params, pf.shape[0])
     j = cov["smooth_gain"]
     xs = xf.copy()
     xs[..., :-1, :] -= infnet._mv(j, xp[..., 1:, :])
-    infnet.backward_chain(xs, j, levels=cov["smooth_levels"])
+    op = cov["smooth_operator"]
+    if op is None:
+        infnet.backward_chain(xs, j)
+    else:
+        xs = xs.reshape(-1, op.shape[0]).dot(op).reshape(xs.shape)
     return SmoothedMoments(
         mean=xs, cov=cov["smooth_cov"], cross=cov["smooth_cross"], loglik=loglik
     )

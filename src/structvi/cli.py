@@ -7,7 +7,8 @@ then to the current directory; an empty value counts as unset.  Failures,
 an unwritable output path among them, arrive as one ``error:`` line on
 stderr with exit code 2.  So does a baseline ``--trainer`` given a
 ``--model-kind`` it does not fit or an ``--optimizer``/``--theta-nn`` other
-than adagrad/point (``harness.BASELINES``).
+than adagrad/point (``harness.BASELINES``), before the output directory is
+made.
 """
 
 import argparse
@@ -127,6 +128,8 @@ def _cmd_generate_data(args):
 
 def _cmd_train(args):
     cfg = _merged_config(args)
+    if args.trainer in harness.BASELINES:
+        harness._check_baseline(cfg, args.trainer)  # refuse before making out_dir
     out_dir = _out_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)  # fail here, not after the run
     trainers = {

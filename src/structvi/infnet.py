@@ -49,12 +49,13 @@ overhead, so where a step holds one matrix (one sequence, or LDS-EM's
 shared noise) it multiplies by ``ndarray.dot``, which reaches the BLAS
 routine that ``np.matmul`` reaches for 2-d operands, and so gives the same
 bits, without the ufunc's dispatch; a block's steps keep ``np.matmul``.
-Every linear recursion over time runs through ``backward_chain``: the
-filter means, the draw's x_t = offset_t + J_t x_{t+1} and its adjoint, the
-filter reverse sweep's carried adjoints, and the RTS smoother's means and
-covariances.  Everything else (innovation factors, log normalizer terms,
-smoother gains and conditional factors, draw offsets, per-step adjoints) is
-one numpy call stacked over (..., T, d, d).
+Every linear recursion over time runs through ``backward_chain`` (or the
+operator below that stands for it): the filter means, the draw's
+x_t = offset_t + J_t x_{t+1} and its adjoint, the filter reverse sweep's
+carried adjoints, and the RTS smoother's means and covariances.  Everything
+else (innovation factors, log normalizer terms, smoother gains and
+conditional factors, draw offsets, per-step adjoints) is one numpy call
+stacked over (..., T, d, d).
 
 A chain over R rows whose gains the block shares (one sequence, or an
 LDS-EM block) runs in ceil(log2 R) doubling levels, the prefix-scan form of
@@ -63,9 +64,13 @@ smoothers), while its steps are small enough that numpy's per-call overhead
 sets their cost (``doubling_pays`` for vector chains,
 ``two_sided_doubling_pays`` for the filter reverse sweep's and LDS-EM's
 smoothed covariances' two-sided ones).  ``chain_levels`` builds a vector
-chain's gain products, and LDS-EM keeps them per parameter set.
-Per-sequence gains (the dynamics factor's blocks) and large gains keep the
-R-1-step loop: their levels would cost more products than the loop saves.
+chain's gain products for one call.  Per-sequence gains (the dynamics
+factor's blocks) and large gains keep the R-1-step loop: their levels would
+cost more products than the loop saves.  A vector chain whose gains serve
+many calls (LDS-EM's fixed parameters) can instead be kept as one dense
+(R k, R k) ``chain_operator``, which runs each call as one matrix product;
+LDS-EM keeps its filter's and smoother's mean chains so while R k is at
+most ``CHAIN_OPERATOR_MAX_ROWS``.
 
 Axes move by ndarray methods (``swapaxes``, ``transpose``), not by
 ``np.moveaxis`` or ``np.swapaxes``, whose argument checks cost more than the
@@ -622,16 +627,19 @@ def kalman_means(cov, trans, mu1, y, emit):
     mu_{t+1|t} = A (I - K_t C) mu_{t|t-1} + A K_t y_t, with ``cov``'s chain
     and drive, one ``backward_chain`` call on time-reversed views;
     ``emit=None``, as in ``kalman_covariances``, skips C mu_pred.  A ``cov``
-    that also holds ``chain_levels``, ``chain_levels`` of the time-reversed
-    chain, runs the chain through them.  Returns ``mu_pred``, ``resid``,
-    ``mu_filt`` and ``log_z`` (one value per sequence) as a dict.
+    that holds the chain's forward ``chain_operator`` under that key (not
+    None) runs the chain as one product with it instead.  Returns
+    ``mu_pred``, ``resid``, ``mu_filt`` and ``log_z`` (one value per
+    sequence) as a dict.
     """
     mu_pred = np.empty(y.shape[:-1] + (trans.shape[0],))
     mu_pred[..., 0, :] = mu1
     mu_pred[..., 1:, :] = _mv(cov["drive"], y[..., :-1, :])
-    backward_chain(
-        mu_pred[..., ::-1, :], cov["chain"][..., ::-1, :, :], None, cov.get("chain_levels")
-    )
+    op = cov.get("chain_operator")
+    if op is None:
+        backward_chain(mu_pred[..., ::-1, :], cov["chain"][..., ::-1, :, :])
+    else:
+        mu_pred = mu_pred.reshape(-1, op.shape[0]).dot(op).reshape(mu_pred.shape)
     resid = y - (mu_pred if emit is None else mu_pred @ emit.T)
     mu_filt = mu_pred + _mv(cov["gain"], resid)
     quad = np.sum(resid * _mv(cov["s_inv"], resid), axis=-1)
@@ -686,6 +694,19 @@ def rts_gains(trans, p_filt, p_pred_next):
 # 43, (8, 9) in 37 against 46, and (16, 17) lost, 69 against 52.
 DOUBLING_MAX_OPERANDS = 256
 
+# A fitted LDS keeps each mean chain as one (R k, R k) ``chain_operator``
+# while the chain's R k rows number at most this.  A warm chain is then one
+# product in place of ceil(log2 R) levels or R-1 steps, but every parameter
+# set builds its two operators, in O(R^2 k^3), and an EM fit smooths each
+# set once.  Measured on a 2-vCPU host, one EM iteration on 35 sequences
+# against cached doubling levels read 0.94-0.98x at (d, T) = (2, 20),
+# 0.95-1.06x at R k = 80, 0.91-1.09x at (5, 20), and 1.04-1.38x at
+# (6, 20), (8, 20), (10, 20), (12, 20) and (4, 64), 1.5x at (16, 16).  A warm
+# one-sequence filter and smooth read 0.44-0.67x at every one of those
+# sizes, so a fit that skipped the build could take a larger bound.  Within
+# it the product beat ``backward_chain`` on blocks of up to 1000 sequences.
+CHAIN_OPERATOR_MAX_ROWS = 80
+
 
 def doubling_pays(k, n):
     """Whether ``backward_chain`` runs shared k x k gains on n columns in
@@ -706,8 +727,7 @@ def chain_levels(j):
     Level l, with s = 2^l, holds the R-s products
     P_t = J_t J_{t+1} ... J_{t+s-1}: level 0 is ``j`` itself and
     P^(l+1)_t = P^(l)_t P^(l)_{t+s}, one stacked product per level.  There
-    are ceil(log2 R) levels, none for R = 1.  The levels depend on the gains
-    alone, so a caller whose gains outlive one chain can keep them.
+    are ceil(log2 R) levels, none for R = 1.
     """
     if not len(j):
         return []
@@ -718,7 +738,36 @@ def chain_levels(j):
     return levels
 
 
-def backward_chain(x, j, right=None, levels=None):
+def chain_operator(j, forward=False):
+    """The (R k, R k) matrix M of the vector chain on shared gains ``j``
+    (R-1, k, k): for (..., R, k) rows x, ``backward_chain(x, j)`` is
+    ``x.reshape(-1, R k) @ M``, or with ``forward`` the forward chain
+    X_{t+1} = X_{t+1} + J_t X_t, which ``backward_chain`` runs on
+    time-reversed views of x and ``j``.
+
+    Block (s, t) of M is the transpose of X_t's coefficient on x_s, the
+    product J_t ... J_{s-1} (forward: J_{t-1} ... J_s) where the chain
+    reaches row t from row s, the identity at s = t, and 0 elsewhere.  It is
+    built as R-1 ``ndarray.dot`` updates of the coefficient rows on an
+    identity, each row block from its neighbour's, so M costs O(R^2 k^3)
+    and (R k)^2 numbers: it pays only while R k is small
+    (``CHAIN_OPERATOR_MAX_ROWS``), for gains that serve many chains.
+    """
+    r, k = len(j) + 1, j.shape[-1]
+    # row block t of the coefficients: X_t = sum_s phi[t, :, s k:(s+1) k] x_s
+    phi = np.eye(r * k).reshape(r, k, r * k)
+    if forward:
+        for t in range(r - 1):
+            s = (t + 1) * k
+            phi[t + 1, :, :s] = j[t].dot(phi[t, :, :s])
+    else:
+        for t in range(r - 2, -1, -1):
+            s = (t + 1) * k
+            phi[t, :, s:] = j[t].dot(phi[t + 1, :, s:])
+    return phi.reshape(r * k, r * k).T
+
+
+def backward_chain(x, j, right=None):
     """X_t = X_t + J_t X_{t+1} R_t backward over time, in place.
 
     ``x`` holds (..., R, k) vector rows, or with ``right`` (..., R, k, m)
@@ -735,9 +784,8 @@ def backward_chain(x, j, right=None, levels=None):
     Where ``doubling_pays(k, N)`` they run in ceil(log2 R) doubling levels
     instead of R-1 steps: level l, with s = 2^l, adds P^(l)_t X_{t+s} to
     every row t < R-s as one stacked product, where P^(l) are
-    ``chain_levels(j)``, or ``levels`` when the caller keeps them.  After
-    level l each row holds the chain's terms from up to 2^(l+1) rows ahead,
-    so the last level leaves the chain's sum.
+    ``chain_levels(j)``.  After level l each row holds the chain's terms
+    from up to 2^(l+1) rows ahead, so the last level leaves the chain's sum.
 
     A two-sided chain on one (R, k, m) stack with (R-1, k, k) and
     (R-1, m, m) gains (the filter reverse sweep, LDS-EM's smoothed
@@ -774,7 +822,7 @@ def backward_chain(x, j, right=None, levels=None):
         rows = x if right is not None else x[..., None]
         cols, gains = _axis_first(rows), _axis_first(j)
     if doubled:
-        for level, p in enumerate(chain_levels(j) if levels is None else levels):
+        for level, p in enumerate(chain_levels(j)):
             s = 1 << level
             cols[:-s] += p @ cols[s:]
     else:

@@ -467,28 +467,55 @@ def test_memo_and_params_are_read_only():
         )
 
 
-def test_fitted_params_reuse_their_doubling_levels(monkeypatch):
+def test_fitted_params_reuse_their_chain_operators(monkeypatch):
     """Once a length has been smoothed, filter and smooth calls at that length
-    build no doubling levels; a new length builds its mean chain's once.  The
-    cached levels, ceil(log2 T) per chain, are read-only."""
+    build no chain operator; a new length builds its filter chain's once.
+    Every cached operator is a read-only (T d, T d) matrix."""
     rng = np.random.default_rng(71)
     params = random_lds_params(rng, 2, 3)
     seqs = simulate(params, rng, 4, 9)
     baselines.lds_em_smooth(params, seqs)
     calls = []
-    levels = infnet.chain_levels
-    monkeypatch.setattr(infnet, "chain_levels", lambda j: calls.append(1) or levels(j))
+    build = infnet.chain_operator
+    monkeypatch.setattr(
+        infnet, "chain_operator", lambda j, forward=False: calls.append(forward) or build(j, forward)
+    )
     for y in (seqs, seqs[1], seqs[:2], seqs[3]):
         baselines.lds_em_filter(params, y)
         baselines.lds_em_smooth(params, y)
     assert calls == []
     baselines.lds_em_filter(params, seqs[:, :5])
-    assert len(calls) == 1
-    cov = params._by_length[9]
-    assert len(cov["chain_levels"]) == len(cov["smooth_levels"]) == 4
-    for level in (*cov["chain_levels"], *cov["smooth_levels"]):
+    assert calls == [True]
+    long, short = params._by_length[9], params._by_length[5]
+    ops = (long["chain_operator"], long["smooth_operator"], short["chain_operator"])
+    assert [op.shape for op in ops] == [(18, 18), (18, 18), (10, 10)]
+    for op in ops:
         with pytest.raises(ValueError):
-            level[0, 0, 0] = 0.0
+            op[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("d, t_len, chains", [(2, 9, 0), (32, 6, 6)])
+def test_warm_mean_chains_skip_backward_chain_where_an_operator_is_kept(
+    monkeypatch, d, t_len, chains
+):
+    """Warm filter and smooth calls, on a block and on one sequence, make no
+    ``infnet.backward_chain`` call where T d is within
+    ``infnet.CHAIN_OPERATOR_MAX_ROWS``; at d = 32 no operator is kept and
+    each mean chain is one call (filter 1, smooth 2, per input)."""
+    assert (t_len * d <= infnet.CHAIN_OPERATOR_MAX_ROWS) == (chains == 0)
+    rng = np.random.default_rng(73)
+    params = random_lds_params(rng, d, 3)
+    seqs = simulate(params, rng, 3, t_len)
+    baselines.lds_em_smooth(params, seqs)
+    calls = []
+    chain = infnet.backward_chain
+    monkeypatch.setattr(
+        infnet, "backward_chain", lambda *a, **k: calls.append(1) or chain(*a, **k)
+    )
+    for y in (seqs, seqs[1]):
+        baselines.lds_em_filter(params, y)
+        baselines.lds_em_smooth(params, y)
+    assert len(calls) == chains
 
 
 def test_lds_em_contract_errors_keep_their_type():

@@ -406,6 +406,25 @@ def test_non_finite_step_size_exits_nonzero_before_training(tmp_path, capsys):
     assert not os.path.exists(out_dir)
 
 
+@pytest.mark.parametrize(
+    "kind, args",
+    [
+        ("dots", ["--trainer", "lds-em", "--model-kind", "latent-gmm", "--seq-len", "6"]),
+        ("pinwheel", ["--trainer", "vae", "--optimizer", "van"]),
+    ],
+    ids=["lds-em-kind", "vae-optimizer"],
+)
+def test_refused_baseline_run_leaves_no_out_dir(tmp_path, capsys, kind, args):
+    dataset = str(tmp_path / f"{kind}.txt")
+    assert run_cli(["generate-data", "--kind", kind, "--out", dataset, "--n-per-arm", "20",
+                    "--n-seq", "4", "--t-len", "6", "--width-d", "4"]) == 0
+    capsys.readouterr()
+    out_dir = str(tmp_path / "run")
+    code = run_cli(["train", "--dataset", dataset, *args, "--out-dir", out_dir])
+    assert_one_error_line(capsys, code, "trainer")
+    assert not os.path.exists(out_dir)
+
+
 def test_bad_config_value_exits_nonzero(tmp_path, capsys):
     code = run_cli(["train", "--dataset", "x.txt", "--model-kind", "latent-hmm"])
     assert code == 2

@@ -883,22 +883,40 @@ class TestChainCore:
     @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
     @pytest.mark.parametrize("r", DOUBLING_ROWS)
     def test_doubling_matches_the_step_loop(self, r, lead, reverse, k):
-        """The shared-gain path, with its own levels and with levels passed
-        in, against the explicit loop; "reversed" runs a forward chain on
-        time-reversed views of x and the gains.  k = 3 doubles, k = 16 runs
-        the loop and ignores the levels.  Entries are O(1); the atol covers
+        """The shared-gain path against the explicit loop; "reversed" runs a
+        forward chain on time-reversed views of x and the gains.  k = 3
+        doubles, k = 16 runs the loop.  Entries are O(1); the atol covers
         the few that cancel to near 0 in a different summation order."""
         assert infnet.doubling_pays(3, 6) and not infnet.doubling_pays(16, 1)
         rng = np.random.default_rng(36 + r + len(lead) + k)
         x = rng.standard_normal(lead + (r, k))
         j = (0.5 if k == 3 else 0.2) * rng.standard_normal((r - 1, k, k))
         want = self.chain_loop(x, j, forward=reverse)
-        gains = j[::-1] if reverse else j
-        for levels in (None, infnet.chain_levels(gains)):
-            got = x.copy()
-            view = got[..., ::-1, :] if reverse else got
-            assert infnet.backward_chain(view, gains, None, levels) is view
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        got = x.copy()
+        view = got[..., ::-1, :] if reverse else got
+        assert infnet.backward_chain(view, j[::-1] if reverse else j) is view
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    @pytest.mark.parametrize("r", DOUBLING_ROWS)
+    def test_chain_operator_matches_backward_chain(self, r, lead, forward, k):
+        """x.reshape(-1, R k) @ M is ``backward_chain(x, j)``, or with
+        ``forward`` its run on time-reversed views of x and j, on one
+        sequence and on a block; the atol is the doubling test's."""
+        rng = np.random.default_rng(39 + r + len(lead) + k)
+        x = rng.standard_normal(lead + (r, k))
+        j = 0.5 * rng.standard_normal((r - 1, k, k))
+        want = x.copy()
+        if forward:
+            infnet.backward_chain(want[..., ::-1, :], j[::-1])
+        else:
+            infnet.backward_chain(want, j)
+        m = infnet.chain_operator(j, forward)
+        assert m.shape == (r * k, r * k)
+        got = (x.reshape(-1, r * k) @ m).reshape(x.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     TWO_SIDED_ROWS = [1, 2, 3, 4, 5, 8, 9, 21]
 

@@ -14,7 +14,11 @@ operation is one of
     runs every time, as in the benchmark's EM loop;
   * ``eval``: one ``harness.evaluate`` of the initial state on the test split
     (bound and imputation, and tau = 1 forecasts for sequences), or for
-    ``dots-lds-em`` the test log-likelihood and tau = 1 MAE.
+    ``dots-lds-em`` the benchmark's whole evaluation of the parameters one
+    iteration gave: the test log-likelihood, the tau = 1 MAE and the
+    imputation MSE by ``perfbench/run.py``'s rule (a mask of
+    ``IMPUTE_FRACTION`` of the test entries, drawn from ``--seed``, then one
+    ``lds_em_smooth`` per test sequence).
 
 After one warm-up call per side, each round times ``--reps`` calls on each
 side, A first in even rounds and B first in odd ones.  The JSON line gives
@@ -47,6 +51,8 @@ WORKLOADS = ("dots-lds", "dots-lds-em", "pinwheel-gmm")
 # perfbench/run.py's latent dimension, and its batch size for pinwheel-gmm
 LATENT_DIM = 2
 BATCH_SIZE = 64
+# perfbench/run.py's masking rate for LDS-EM imputation
+IMPUTE_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,7 @@ def make_op(pkg, workload, op, sizes, seed, workdir):
             return (lambda: dataclasses.replace(params)), (
                 lambda fresh: fit(seqs, LATENT_DIM, n_iter=1, init=fresh)
             )
-        return (lambda: None), lambda _: (
-            pkg.baselines.lds_em_loglik(params, test),
-            pkg.baselines.lds_em_tau_mae(params, test, 1),
-        )
+        return (lambda: None), lambda _: em_evaluate(pkg.baselines, params, test, seed)
 
     state = pkg.harness.init_state(cfg, ds.dim)
     if op == "eval":
@@ -106,6 +109,22 @@ def make_op(pkg, workload, op, sizes, seed, workdir):
         batch, n_total = train[:BATCH_SIZE], train.shape[0]
     return (lambda: np.random.default_rng(seed)), (
         lambda rng: pkg.harness.train_step(state, cfg, batch, n_total, rng)
+    )
+
+
+def em_evaluate(baselines, params, seqs, seed):
+    """``perfbench/run.py``'s ``em_evaluate`` through ``baselines``: the test
+    log-likelihood, the tau = 1 MAE and the imputation MSE."""
+    rows = seqs.reshape(-1, seqs.shape[-1])
+    mask = np.random.default_rng(seed).random(rows.shape) < IMPUTE_FRACTION
+    filled = np.where(mask, 0.0, rows).reshape(seqs.shape)
+    recon = np.concatenate(
+        [baselines.lds_em_smooth(params, seq).mean @ params.emit.T for seq in filled]
+    )
+    return (
+        baselines.lds_em_loglik(params, seqs),
+        baselines.lds_em_tau_mae(params, seqs, 1),
+        float(np.mean((recon[mask] - rows[mask]) ** 2)),
     )
 
 

@@ -19,7 +19,10 @@ so its seconds column is 0), the network's phi, the decoder's vector and
 the prior's (posterior naturals or point parameters), every evaluation
 output, and the arrays of a ``save_state`` -> ``load_state`` ->
 ``save_state`` round trip.  Each other case records its metrics log and
-its fitted parameters (for the VAE, the decoder's and encoder's vectors).
+its fitted parameters (for the VAE, the decoder's and encoder's vectors);
+each ``train_lds_em`` case also records, once a first filter and smooth of
+the test block have warmed its fitted parameters' memo, the test
+log-likelihood, the tau = 1 MAE and each test sequence's smoothed means.
 
 The JSON line maps each case's array to "equal" (``np.array_equal``, NaN
 positions equal) or to its largest relative difference,
@@ -127,12 +130,21 @@ def cases(pkg, workdir, tiny):
         cfg = h.TrainConfig(
             model_kind="latent-lds", latent_dim=d, n_iters=3 if tiny else 10, timing=False, **dots
         )
-        res = h.train_lds_em(cfg)
+        ds = h.load_dataset(cfg)
+        res = h.train_lds_em(cfg, ds)
         params, logliks = res.state
         fields = ("trans", "trans_cov", "emit", "emit_cov", "init_mean", "init_cov")
+        # the fitted parameters' memo is warm: their metrics row filtered the
+        # test block, and this smooth of it adds the smoother's part
+        em = pkg.baselines
+        test = ds.rows[ds.test_idx].reshape(-1, cfg.seq_len, ds.dim)
+        em.lds_em_smooth(params, test)
         return dict(
             metrics=_metrics(res.metrics), logliks=np.asarray(logliks),
             **{f: getattr(params, f) for f in fields},
+            warm_loglik=em.lds_em_loglik(params, test),
+            warm_tau_mae=em.lds_em_tau_mae(params, test, 1),
+            warm_smoothed_means=np.stack([em.lds_em_smooth(params, seq).mean for seq in test]),
         )
 
     def vb_gmm():
