@@ -441,10 +441,11 @@ def _scores(state, seq_len, seed, jobs, n_samples=2, fraction=IMPUTATION_FRACTIO
     their posterior-mean reconstruction; ``tau-ahead`` maps each of ``taus``
     to the error of the filtered means rolled tau steps by the prior
     dynamics and decoded.  Each task draws from a fresh generator on
-    ``seed``; a bound or tau-ahead job needs rows, an imputation job on none
-    scores 0.  Jobs on the same rows share a pass: one ``prepare_blocks``
-    call, one filter for a dynamics network, prepares each distinct nonempty
-    block (a masked one per imputation job) in job order."""
+    ``seed``; a job on no rows raises ``ContractError``, and an imputation
+    job that masks nothing scores 0.  Jobs on the same rows share a pass:
+    one ``prepare_blocks`` call, one filter for a dynamics network, prepares
+    each distinct nonempty block (a masked one per imputation job) in job
+    order."""
     net = state.net
     if any(task == "tau-ahead" for task, _, _ in jobs.values()):
         if not net.lead_rows:
@@ -470,6 +471,8 @@ def _scores(state, seq_len, seed, jobs, n_samples=2, fraction=IMPUTATION_FRACTIO
             rng = np.random.default_rng(seed)
             est = bound.bound_estimate(model, net, block, rng, n_samples=n_samples, prep=prep)
             out[name] = est.total / rows.shape[0]
+        elif task == "imputation" and prep is None:
+            raise ContractError("imputation needs at least one row")
         elif task == "imputation" and not mask.any():
             out[name] = 0.0
         elif task == "imputation":

@@ -58,19 +58,17 @@ conditional factors, draw offsets, per-step adjoints) is one numpy call
 stacked over (..., T, d, d).
 
 A chain over R rows whose gains the block shares (one sequence, or an
-LDS-EM block) runs in ceil(log2 R) doubling levels, the prefix-scan form of
-the recursion (as in Sarkka and Garcia-Fernandez's parallel-in-time
-smoothers), while its steps are small enough that numpy's per-call overhead
-sets their cost (``doubling_pays`` for vector chains,
-``two_sided_doubling_pays`` for the filter reverse sweep's and LDS-EM's
-smoothed covariances' two-sided ones).  ``chain_levels`` builds a vector
-chain's gain products for one call.  Per-sequence gains (the dynamics
-factor's blocks) and large gains keep the R-1-step loop: their levels would
-cost more products than the loop saves.  A vector chain whose gains serve
-many calls (LDS-EM's fixed parameters) can instead be kept as one dense
-(R k, R k) ``chain_operator``, which runs each call as one matrix product;
-LDS-EM keeps its filter's and smoother's mean chains so while R k is at
-most ``CHAIN_OPERATOR_MAX_ROWS``.
+LDS-EM block) runs one doubling loop of ceil(log2 R) levels, the prefix-scan
+form of the recursion (as in Sarkka and Garcia-Fernandez's parallel-in-time
+smoothers), vector and two-sided chains alike, while its steps are small
+enough that numpy's per-call overhead sets their cost: one rule,
+``doubling_pays``, bounds one step's operands.  Per-sequence gains (the
+dynamics factor's blocks) and large gains keep the one R-1-step loop: their
+levels would cost more products than the loop saves.  A vector chain whose
+gains serve many calls (LDS-EM's fixed parameters) can instead be kept as
+one dense (R k, R k) ``chain_operator``, which runs each call as one matrix
+product; LDS-EM keeps its filter's and smoother's mean chains so while R k
+is at most ``CHAIN_OPERATOR_MAX_ROWS``.
 
 Axes move by ndarray methods (``swapaxes``, ``transpose``), not by
 ``np.moveaxis`` or ``np.swapaxes``, whose argument checks cost more than the
@@ -684,12 +682,12 @@ def rts_gains(trans, p_filt, p_pred_next):
 
 
 # A shared-gain chain runs in doubling levels while one step's operands, the
-# k x k gain and the k x N columns (for a two-sided chain, the k x k and
-# m x m gains and a k x m row), hold at most this many numbers.  There a
-# step costs about one numpy call whatever its size, so ceil(log2 R) stacked
-# calls beat R-1 small ones; past it the levels' extra products cost more.
-# Measured on a 2-vCPU host at R = 21: k = 2 doubles up to N = 126 and wins
-# to about N = 128; at k = 32 building the levels alone costs more than the
+# k x k gain and the k x m rows (for a two-sided chain also the m x m right
+# gain), hold at most this many numbers.  There a step costs about one numpy
+# call whatever its size, so ceil(log2 R) stacked calls beat R-1 small ones;
+# past it the levels' extra products cost more.
+# Measured on a 2-vCPU host at R = 21: k = 2 doubles up to m = 126 and wins
+# to about m = 128; at k = 32 building the levels alone costs more than the
 # whole loop.  Two-sided, (k, m) = (2, 3) ran in 24 us against the loop's
 # 43, (8, 9) in 37 against 46, and (16, 17) lost, 69 against 52.
 DOUBLING_MAX_OPERANDS = 256
@@ -708,34 +706,12 @@ DOUBLING_MAX_OPERANDS = 256
 CHAIN_OPERATOR_MAX_ROWS = 80
 
 
-def doubling_pays(k, n):
-    """Whether ``backward_chain`` runs shared k x k gains on n columns in
-    doubling levels."""
-    return k * (k + n) <= DOUBLING_MAX_OPERANDS
-
-
-def two_sided_doubling_pays(k, m):
-    """Whether ``backward_chain`` runs a two-sided chain on one (R, k, m)
-    stack, its k x k left and m x m right gains shared, in doubling levels:
-    one step's operands are the two gains and a k x m row."""
-    return k * k + k * m + m * m <= DOUBLING_MAX_OPERANDS
-
-
-def chain_levels(j):
-    """Doubling levels of shared gains ``j`` (R-1, k, k), for ``backward_chain``.
-
-    Level l, with s = 2^l, holds the R-s products
-    P_t = J_t J_{t+1} ... J_{t+s-1}: level 0 is ``j`` itself and
-    P^(l+1)_t = P^(l)_t P^(l)_{t+s}, one stacked product per level.  There
-    are ceil(log2 R) levels, none for R = 1.
-    """
-    if not len(j):
-        return []
-    levels, s = [j], 1
-    while 2 * s <= len(j):
-        levels.append(levels[-1][:-s] @ levels[-1][s:])
-        s *= 2
-    return levels
+def doubling_pays(k, m, two_sided=False):
+    """Whether ``backward_chain`` runs a chain on shared k x k gains in
+    doubling levels: one step's operands, the gain and a k x m row (for a
+    two-sided chain also the m x m right gain), hold at most
+    ``DOUBLING_MAX_OPERANDS`` numbers."""
+    return k * k + k * m + (m * m if two_sided else 0) <= DOUBLING_MAX_OPERANDS
 
 
 def chain_operator(j, forward=False):
@@ -779,56 +755,45 @@ def backward_chain(x, j, right=None):
     covariances (R_t = J_t^T) and the filter reverse sweep.
 
     Vector rows with gains shared by the block, (R-1, k, k), fold every
-    leading axis of ``x`` into one column axis N, an (R, k, N) view (or a
+    leading axis of ``x`` into one column axis m, an (R, k, m) view (or a
     folded copy written back where the leading axes are strided unevenly).
-    Where ``doubling_pays(k, N)`` they run in ceil(log2 R) doubling levels
-    instead of R-1 steps: level l, with s = 2^l, adds P^(l)_t X_{t+s} to
-    every row t < R-s as one stacked product, where P^(l) are
-    ``chain_levels(j)``.  After level l each row holds the chain's terms
-    from up to 2^(l+1) rows ahead, so the last level leaves the chain's sum.
+    A chain on one (R, k, m) stack whose gains are shared runs in
+    ceil(log2 R) doubling levels where ``doubling_pays``: level l, with
+    s = 2^l, adds L_t X_{t+s} R'_t to every row t < R-s as one stacked
+    update, where L_t = J_t ... J_{t+s-1} and R'_t = R_{t+s-1} ... R_t, and
+    builds the next level's products from this one's.  After level l each
+    row holds the chain's terms from up to 2^(l+1) rows ahead, so the last
+    level leaves the chain's sum.
 
-    A two-sided chain on one (R, k, m) stack with (R-1, k, k) and
-    (R-1, m, m) gains (the filter reverse sweep, LDS-EM's smoothed
-    covariances) doubles the same way where ``two_sided_doubling_pays(k, m)``:
-    level l adds P^(l)_t X_{t+s} Q^(l)_t as one stacked update, where
-    Q^(l)_t = R_{t+s-1} ... R_t, and builds the next level's products of
-    both sides, Q^(l+1)_t = Q^(l)_{t+s} Q^(l)_t.  Nothing keeps these
-    levels: LDS-EM runs its two-sided chain once per parameter set.
-
-    Every other chain runs the R-1-step loop, on matrices (a vector is a
-    (k, 1) column) broadcast against the gains' leading axes.  Large gains
-    or many columns make the levels' extra products cost more than the
-    loop's calls (a two-sided chain at k = 16 already does).  Per-sequence
-    gains would need levels for every sequence, which measured slower than
-    the loop on blocks of 16 sequences.  A two-sided chain on a block of
-    stacks keeps the loop too: no caller runs one.
+    Every other chain runs the R-1-step loop on time-first views (a vector
+    is a (k, 1) column), broadcast against the gains' leading axes: large
+    gains or many columns, whose levels' extra products cost more than the
+    loop's calls; per-sequence gains, whose levels for every sequence
+    measured slower than the loop on blocks of 16 sequences; and a two-sided
+    chain on a block of stacks, which no caller runs.
     """
-    if right is not None and x.ndim == j.ndim == right.ndim == 3:
-        if two_sided_doubling_pays(*x.shape[1:]):
-            left, s = j, 1
-            while s < len(x):
-                x[:-s] += left @ x[s:] @ right
-                if 2 * s < len(x):
-                    left, right = left[:-s] @ left[s:], right[s:] @ right[:-s]
-                s *= 2
-            return x
-    copied = doubled = False
-    if right is None and j.ndim == 3:
+    two_sided, copied = right is not None, False
+    if not two_sided and j.ndim == 3:
         folded = x.reshape((-1,) + x.shape[-2:])
         copied = not np.may_share_memory(folded, x)
-        cols, gains = folded.transpose(1, 2, 0), j
-        doubled = doubling_pays(*cols.shape[1:])
+        cols = folded.transpose(1, 2, 0)
     else:
-        rows = x if right is not None else x[..., None]
-        cols, gains = _axis_first(rows), _axis_first(j)
-    if doubled:
-        for level, p in enumerate(chain_levels(j)):
-            s = 1 << level
-            cols[:-s] += p @ cols[s:]
+        cols = _axis_first(x if two_sided else x[..., None])
+    shared = j.ndim == cols.ndim == 3 and (not two_sided or right.ndim == 3)
+    if shared and doubling_pays(*cols.shape[1:], two_sided):
+        left, s = j, 1
+        while s < len(cols):
+            step = left @ cols[s:]
+            cols[:-s] += step @ right if two_sided else step
+            if 2 * s < len(cols):
+                left = left[:-s] @ left[s:]
+                right = right[s:] @ right[:-s] if two_sided else None
+            s *= 2
     else:
+        gains = _axis_first(j)
         for t in range(gains.shape[0] - 1, -1, -1):
             step = gains[t] @ cols[t + 1]
-            cols[t] += step if right is None else step @ right[..., t, :, :]
+            cols[t] += step @ right[..., t, :, :] if two_sided else step
     if copied:
         x[...] = folded.reshape(x.shape)
     return x

@@ -1360,7 +1360,8 @@ def test_tau_ahead_with_no_taus_is_an_empty_map():
 
 
 def test_tau_ahead_on_an_empty_test_split_is_a_contract_error():
-    """Like the bound, the forecast needs at least one test sequence."""
+    """Like the bound and the imputation, the forecast needs at least one
+    test sequence."""
     state, ds = lds_eval_state()
     ds = data.split(ds, train_frac=1.0, seed=14)
     assert ds.test_idx.size == 0
@@ -1368,6 +1369,8 @@ def test_tau_ahead_on_an_empty_test_split_is_a_contract_error():
         harness.evaluate(state, ds, ("tau-ahead",), taus=(1,))
     with pytest.raises(ContractError, match="nonempty"):
         harness.evaluate(state, ds, ("bound",))
+    with pytest.raises(ContractError, match="at least one row"):
+        harness.evaluate(state, ds, ("imputation",))
 
 
 def test_tau_ahead_without_a_sequence_length_names_it():

@@ -865,19 +865,6 @@ class TestChainCore:
 
     DOUBLING_ROWS = [1, 2, 3, 4, 5, 8, 9, 16, 17, 21, 33]
 
-    @pytest.mark.parametrize("r", DOUBLING_ROWS)
-    def test_chain_levels_are_products_of_successive_gains(self, r):
-        """ceil(log2 R) levels; level l holds J_t ... J_{t+s-1}, s = 2^l."""
-        j = 0.5 * np.random.default_rng(35 + r).standard_normal((r - 1, 3, 3))
-        levels = infnet.chain_levels(j)
-        assert len(levels) == int(np.ceil(np.log2(r)))
-        for level, p in enumerate(levels):
-            s = 2**level
-            assert p.shape == (r - s, 3, 3)
-            for t in range(r - s):
-                want = np.linalg.multi_dot([np.eye(3), *j[t : t + s]])
-                np.testing.assert_allclose(p[t], want, rtol=1e-12, atol=1e-15)
-
     @pytest.mark.parametrize("k", [3, 16])
     @pytest.mark.parametrize("reverse", [False, True], ids=["backward", "reversed"])
     @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
@@ -926,7 +913,7 @@ class TestChainCore:
         """One (R, k, m) stack with shared left and right gains, the filter
         reverse sweep's (k, m) = (d, d + 1) and LDS-EM's (d, d) shapes,
         doubles and gives the loop's chain."""
-        assert infnet.two_sided_doubling_pays(k, m)
+        assert infnet.doubling_pays(k, m, two_sided=True)
         rng = np.random.default_rng(37 + r + k + m)
         x = rng.standard_normal((r, k, m))
         j = 0.5 * rng.standard_normal((r - 1, k, k))
@@ -948,20 +935,36 @@ class TestChainCore:
                 type(self).reads.append(int(key))
             return super().__getitem__(key)
 
-    def test_large_two_sided_chain_keeps_the_loop(self):
-        """At (k, m) = (16, 17), d = 16's reverse sweep, the levels' products
-        cost more than the loop saves: the chain steps through every row."""
-        assert not infnet.two_sided_doubling_pays(16, 17)
+    # (k, m, two-sided?, doubles?) on each side of DOUBLING_MAX_OPERANDS: a
+    # vector chain's step holds k k + k m numbers, 256 and 264, a two-sided
+    # one's also m m, 244 and 273; (16, 17) is d = 16's reverse sweep
+    BOUND_CHAINS = [
+        (8, 24, False, True), (8, 25, False, False),
+        (8, 10, True, True), (8, 11, True, False), (16, 17, True, False),
+    ]
+
+    @pytest.mark.parametrize(
+        "k, m, two_sided, doubles", BOUND_CHAINS,
+        ids=[f"{'two-sided' if t else 'vector'}-{k}x{m}" for k, m, t, _ in BOUND_CHAINS],
+    )
+    def test_operand_bound_splits_doubling_from_the_loop(self, k, m, two_sided, doubles):
+        """Past the operand bound the levels' products cost more than the
+        loop saves, so the chain steps through every row; within it the
+        levels read no single row.  A vector chain's m columns are the
+        folded leading axis of (m, R, k) rows."""
+        assert infnet.doubling_pays(k, m, two_sided) == doubles
         rng = np.random.default_rng(38)
         r = 21
-        x = rng.standard_normal((r, 16, 17))
-        j = 0.2 * rng.standard_normal((r - 1, 16, 16))
-        right = 0.2 * rng.standard_normal((r - 1, 17, 17))
+        x = rng.standard_normal((r, k, m) if two_sided else (m, r, k))
+        j = 0.2 * rng.standard_normal((r - 1, k, k))
+        gains = (j, 0.2 * rng.standard_normal((r - 1, m, m))) if two_sided else (j,)
         self.RowReads.reads = []
         got = x.copy()
-        infnet.backward_chain(got, j.view(self.RowReads), right)
-        assert self.RowReads.reads == list(range(r - 2, -1, -1))
-        np.testing.assert_allclose(got, self.chain_loop(x, j, right), rtol=1e-12, atol=0)
+        infnet.backward_chain(got, j.view(self.RowReads), *gains[1:])
+        assert self.RowReads.reads == ([] if doubles else list(range(r - 2, -1, -1)))
+        # the levels sum in another order: the doubling test's atol
+        atol = 1e-13 if doubles else 0
+        np.testing.assert_allclose(got, self.chain_loop(x, *gains), rtol=1e-12, atol=atol)
 
     @pytest.mark.parametrize("lead", [(), (2,), (5, 3)])
     def test_mv_shared_and_per_sequence_stacks(self, lead):

@@ -13,7 +13,10 @@ seeds each, ``sgd`` at beta1 = beta2 = beta3 = 1e-3, a ``bayes`` decoder
 under ``adagrad``, and a fixed prior (the initial network's factor) under
 ``adagrad`` and ``van``, all with tanh layers; ``latent-gmm`` under
 ``adagrad`` at the first seed also runs once with each other activation
-(softplus, relu, identity).
+(softplus, relu, identity), and ``latent-lds`` under ``adagrad`` at the
+first seed once at latent dimension 16, where every chain takes
+``infnet.backward_chain``'s step loop (every other case runs at d <= 3, where
+every shared-gain chain doubles).
 Each structured case records its metrics log (written with ``timing = 0``,
 so its seconds column is 0), the network's phi, the decoder's vector and
 the prior's (posterior naturals or point parameters), every evaluation
@@ -123,6 +126,8 @@ def cases(pkg, workdir, tiny):
                 structured(kind, label, fixed, seed, extra)
     for act in OTHER_ACTIVATIONS:
         structured("latent-gmm", f"adagrad-{act}", False, 0, {"activation": act})
+    # at d = 16 a step's chains are past infnet.DOUBLING_MAX_OPERANDS
+    structured("latent-lds", "adagrad-d16", False, 0, {"latent_dim": 16})
 
     vb_cfg = h.TrainConfig(n_components=3, n_iters=3 if tiny else 10, timing=False, **pin)
 
