@@ -309,7 +309,6 @@ def lds_em_fit(seqs, d, n_iter=50, init=None):
         sm = lds_em_smooth(params, seqs)
         xs = sm.mean
         logliks.append(sm.loglik)
-        d = params.trans.shape[0]
         by_time = xs.transpose(1, 0, 2)
         second = n_seq * sm.cov + by_time.swapaxes(-1, -2) @ by_time
         s10 = n_seq * sm.cross.sum(axis=0) + (

@@ -163,8 +163,9 @@ def _assemble(model, net, batch, prep, drawn, scale, want_grads):
 
 
 def _estimate(model, net, units, n_total, prep, draw, want_grads):
-    """The estimator behind every entry point: the checked units' prepared
-    pass (``prep`` when the caller has it, covering the units), the draw
+    """The estimator behind every entry point, and every check on its inputs:
+    the checked units' prepared pass (``prep`` when the caller has it, which
+    must cover the units: its m leads with their shape), the draw
     ``draw(prep)`` from it, and its ``_assemble`` score at the n_total / units
     scale; n_total None means the units are the whole data set."""
     units = np.asarray(units, dtype=float)
@@ -176,7 +177,12 @@ def _estimate(model, net, units, n_total, prep, draw, want_grads):
     n_total = n_units if n_total is None else n_total
     if n_total < n_units:
         raise ContractError("n_total must cover at least the batch")
-    prep = net.prepared(units, prep)
+    if prep is None:
+        prep = net.prepare(units)
+    elif prep.m.shape[:-1] != units.shape[:-1]:
+        raise ContractError(
+            f"prep covers rows {prep.m.shape[:-1]}, the batch has {units.shape[:-1]}"
+        )
     return _assemble(model, net, units, prep, draw(prep), n_total / n_units, want_grads)
 
 

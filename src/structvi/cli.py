@@ -1,7 +1,8 @@
 """Command-line front end: generate-data, train, eval, dump-plots.
 
 Flags mirror the training-config field names with hyphens; a config file
-(key = value lines, same names) seeds the values and explicit flags win.
+(key = value lines, same names; '#' starts a comment only as a line's first
+non-blank character) seeds the values and explicit flags win.
 The output directory defaults to the STRUCTVI_OUT environment variable,
 then to the current directory; an empty value counts as unset.  Failures,
 an unwritable output path among them, arrive as one ``error:`` line on

@@ -10,13 +10,13 @@ and the network's phi by VAN's joint search or the Euclidean rule (sgd or
 adagrad), a Bayes decoder by its natural-parameter step, the conjugate
 theta_pgm by natural gradients, and a point theta_pgm by the Euclidean rule.
 One list, ``BLOCKS``, names each point block's field, vectors, gradient, step
-size, adagrad state and checkpoint array; ``init_state``, ``train_step`` and
-the checkpoint reader and writer all read it.  Baseline trainers for the plain
-variational autoencoder, variational-Bayes mixture EM, and dynamical-system
-EM live alongside so comparisons share data handling and metrics format;
-they write only their metrics logs, and only the structured trainer writes a
-checkpoint (``save_state``, read back by ``load_state``).  A baseline refuses
-a model kind it does not fit and any rule but adagrad on a point decoder
+size, adagrad accumulator and checkpoint array; ``init_state``, ``train_step``
+and the checkpoint reader and writer read it.  Baseline trainers for the plain
+variational autoencoder, variational-Bayes mixture EM, and dynamical-system EM
+live alongside so comparisons share data handling and metrics format; they
+write only their metrics logs, and only the structured trainer writes a
+checkpoint (``save_state``, read back by ``load_state``).  A baseline refuses a
+model kind it does not fit and any rule but adagrad on a point decoder
 (``BASELINES``), so that no setting it would ignore passes silently.
 Priors score and draw themselves and networks give posterior means, so the
 harness holds no per-family code: the model kind names a point-prior class
@@ -162,11 +162,13 @@ def _coerce_field(name, text):
 
 
 def config_from_text(text, base=None, path="<config>"):
-    """Parse key = value lines; later keys win, comments start with '#'."""
+    """Parse key = value lines; later keys win.  A line whose first non-blank
+    character is '#' is a comment; a '#' anywhere else is part of the value,
+    so a saved path such as ``run#1/pin.txt`` reads back whole."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(f"{path}, line {lineno}: expected key = value")
@@ -202,16 +204,16 @@ class TrainState:
     pgm_prior: object  # fixed conjugate prior for the posterior above
     pgm_point: object  # point prior parameters when there is no posterior; Euclidean
     prior_fixed: bool  # pgm_point was given and does not train
-    opt_nn: object  # AdagradState of each block the Euclidean rule steps, when
-    opt_phi: object  # that rule is adagrad (as it is for a point prior under
-    opt_pgm: object  # VAN); None for every other block
+    opt_nn: object  # adagrad accumulator of each block the Euclidean rule steps,
+    opt_phi: object  # when that rule is adagrad (as it is for a point prior
+    opt_pgm: object  # under VAN); None for every other block
     van: object  # VanState over [theta_nn, phi] when optimizer == "van"
     iteration: int
     data_dim: int
 
 
 # The three point blocks: (TrainState field, vector getter, setter, GradBundle
-# gradient, step-size field, adagrad-state field, checkpoint array).
+# gradient, step-size field, adagrad-accumulator field, checkpoint array).
 BLOCKS = (
     ("decoder", nnet.param_vector, nnet.set_param_vector,
      "grad_theta_nn", "beta2", "opt_nn", "theta_nn"),
@@ -301,7 +303,7 @@ def init_state(cfg, data_dim, prior_override=None):
         data_dim=data_dim,
     )
     for field, get, _, _, _, opt, _ in _euclid_blocks(cfg, state) if cfg.optimizer != "sgd" else ():
-        setattr(state, opt, updates.AdagradState.zeros(get(getattr(state, field)).size))
+        setattr(state, opt, np.zeros(get(getattr(state, field)).size))
     return state
 
 
@@ -323,12 +325,12 @@ def eval_decoder(state):
     return state.decoder
 
 
-def _euclid_step(optimizer, params, grad, opt_state, beta):
+def _euclid_step(optimizer, params, grad, accum, beta):
     if beta == 0.0:
-        return params, opt_state
+        return params, accum
     if optimizer == "sgd":
-        return updates.sgd_step(params, grad, beta), opt_state
-    return updates.adagrad_step(params, grad, opt_state, beta)
+        return updates.sgd_step(params, grad, beta), accum
+    return updates.adagrad_step(params, grad, accum, beta)
 
 
 def train_step(state, cfg, batch, n_total, rng):
@@ -657,8 +659,7 @@ def _saved_fields(state):
     for field, get, put, _, _, opt, name in BLOCKS:
         if field != "decoder" or state.theta_posterior is None:  # else held as its posterior
             fields.append((field, (name,), lambda block, get=get: (get(block),), put))
-        fields.append((opt, (opt.replace("opt", "adagrad"),), lambda s: (s.accum,),
-                       lambda _, accum: updates.AdagradState(accum)))
+        fields.append((opt, (opt.replace("opt", "adagrad"),), lambda a: (a,), lambda _, a: a))
     return [entry for entry in fields if getattr(state, entry[0]) is not None]
 
 
@@ -830,8 +831,8 @@ def train_vae(cfg, ds=None, out_dir=None):
     acts = [cfg.activation] * len(cfg.hidden)
     decoder = nnet.init_mlp([d, *cfg.hidden, 2 * data_dim], acts, rng)
     encoder = nnet.init_mlp([data_dim, *cfg.hidden, 2 * d], acts, rng)
-    opt_dec = updates.AdagradState.zeros(nnet.num_params(decoder))
-    opt_enc = updates.AdagradState.zeros(nnet.num_params(encoder))
+    opt_dec = np.zeros(nnet.num_params(decoder))
+    opt_enc = np.zeros(nnet.num_params(encoder))
     loop_rng = np.random.default_rng(cfg.seed + 1)
 
     def test_bound(it):

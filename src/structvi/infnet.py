@@ -148,17 +148,6 @@ class ProductNet:
         m, v, tape = _encode_with_tape(self, y)
         return PreparedBatch(m, v, tape, *self._factor_pass(m, v))
 
-    def prepared(self, y, prep=None):
-        """``prep`` when the caller has it, else ``prepare(y)``; a given
-        ``prep`` must cover the rows of ``y`` (its m leads with y's shape)."""
-        if prep is None:
-            return self.prepare(y)
-        if prep.m.shape[:-1] != np.shape(y)[:-1]:
-            raise ContractError(
-                f"prep covers rows {prep.m.shape[:-1]}, the batch has {np.shape(y)[:-1]}"
-            )
-        return prep
-
     @property
     def lead_rows(self):
         """Latent rows ahead of the first observed row, as the factor has."""
@@ -236,13 +225,15 @@ class GmmInferenceNet(ProductNet):
         return PosteriorSample(x_star=x.reshape(eps.shape), z_star=z, eps=eps, factors=factors)
 
     def posterior_mean(self, prep):
-        """E[x | y] of the prepared rows, responsibilities folded in."""
+        """E[x | y] of the prepared rows: each component's conditional mean
+        cov @ b, as a draw forms it, weighted by the responsibilities."""
         n, k = prep.record.resp.shape
         # every (component, row) pair, component-major
-        mean, _ = gmm_conditional(
+        _, cov, b = _conditional_parts(
             self.mixture, np.tile(prep.m, (k, 1)), np.tile(prep.v, (k, 1)),
             np.repeat(np.arange(k), n),
         )
+        mean = np.einsum("nij,nj->ni", cov, b)
         return np.einsum("nk,knd->nd", prep.record.resp, mean.reshape(k, n, -1))
 
     def log_z_vjp(self, prep):
@@ -419,12 +410,6 @@ def _conditional_parts(mixture, m, v, z):
     prec[:, idx, idx] += 1.0 / v
     b = m / v + np.einsum("nij,nj->ni", pk, mixture.means[z])
     return pk, np.linalg.inv(prec), b
-
-
-def gmm_conditional(mixture, m, v, z):
-    """Mean and covariance of x_n given indicator z_n, vectorized over rows."""
-    _, cov, b = _conditional_parts(mixture, m, v, np.asarray(z, dtype=int))
-    return np.einsum("nij,nj->ni", cov, b), cov
 
 
 def gmm_draw_factors(mixture, m, v, z):

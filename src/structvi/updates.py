@@ -5,7 +5,8 @@ Four families of update live here:
 * natural-gradient steps on the conjugate posterior over mixture parameters
   (a convex combination in natural coordinates, which at step size one and
   full-batch statistics IS the exact conjugate posterior);
-* plain and adagrad ascent steps for network and inference-net parameters;
+* plain and adagrad ascent steps for network and inference-net parameters
+  (adagrad's state is one accumulator array, which a step replaces);
 * the variational optimizer that maintains a Gaussian search distribution
   whose variance contracts as curvature accumulates;
 * Gaussian coordinate-wise posteriors over network weights.
@@ -185,26 +186,22 @@ def sgd_step(params, grad, beta):
     return np.asarray(params, dtype=float) + beta * grad
 
 
-@dataclass(frozen=True)
-class AdagradState:
-    accum: np.ndarray
+def adagrad_step(params, grad, accum, beta):
+    """Ascent with per-coordinate scaling by sqrt of accumulated squares.
 
-    @classmethod
-    def zeros(cls, n):
-        return cls(accum=np.zeros(n))
-
-
-def adagrad_step(params, grad, state, beta):
-    """Ascent with per-coordinate scaling by sqrt of accumulated squares."""
+    ``accum`` is the sum of squared gradients so far (zeros at the start);
+    returns (params, accum) with a new accumulator array, never writing into
+    the one given.  A non-finite gradient returns both unchanged.
+    """
     if beta <= 0:
         raise ContractError("beta must be positive")
     params = np.asarray(params, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if not _finite_or_warn(grad, "adagrad_step"):
-        return params, state
-    accum = state.accum + grad**2
+        return params, accum
+    accum = accum + grad**2
     step = beta * grad / (np.sqrt(accum) + 1e-8)
-    return params + step, AdagradState(accum=accum)
+    return params + step, accum
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,26 @@ def test_eval_and_dump_plots(tmp_path, capsys):
     assert curves[-1]["iteration"] == 4
 
 
+def test_dataset_path_with_a_hash_survives_the_checkpoint(tmp_path, monkeypatch, capsys):
+    """The checkpoint's saved config keeps a '#' inside the dataset path, so
+    ``eval`` alone reloads the same data and prints the bound it prints when
+    given the path."""
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("run#1")
+    dataset = "run#1/pin.txt"
+    assert run_cli(["generate-data", "--kind", "pinwheel", "--n-per-arm", "30",
+                    "--arms", "3", "--out", dataset]) == 0
+    assert run_cli(["train", "--dataset", dataset, "--n-iters", "4", "--eval-interval", "2",
+                    "--hidden", "8", "--n-components", "3", "--out-dir", "out"]) == 0
+    bounds = []
+    for extra in ([], ["--dataset", dataset]):
+        capsys.readouterr()
+        assert run_cli(["eval", "--checkpoint", "out/structured.ckpt", *extra]) == 0
+        bounds.append([line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("bound ")])
+    assert len(bounds[0]) == 1 and bounds[0] == bounds[1]
+
+
 def test_sample_dump_without_samples_out_fails_before_loading(
     tmp_path, capsys, monkeypatch
 ):

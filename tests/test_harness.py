@@ -85,7 +85,7 @@ def test_config_round_trip():
         batch_size=32,
         n_iters=17,
         seed=9,
-        dataset="/tmp/some.txt",
+        dataset="/tmp/run#1/some.txt",
         seq_len=8,
         optimizer="sgd",
         theta_nn="point",
@@ -763,7 +763,7 @@ def optimizer_arrays(state):
     arrays = {}
     for name in ("opt_nn", "opt_phi", "opt_pgm"):
         if getattr(state, name) is not None:
-            arrays[name] = getattr(state, name).accum
+            arrays[name] = getattr(state, name)
     if state.van is not None:
         arrays["van_mu"], arrays["van_sigma2"] = state.van.mu, state.van.sigma2
     if state.theta_posterior is not None:

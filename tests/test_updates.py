@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from structvi import data, expfam, harness, updates
+from structvi import data, expfam, harness, linalg, updates
 from structvi.errors import ContractError, InvalidParameterError
 
 
@@ -281,7 +281,7 @@ class TestEuclideanSteps:
         """
         b = 0.5
         x = np.zeros(2)
-        st = updates.AdagradState.zeros(2)
+        st = np.zeros(2)
         g1, g2, g3 = np.array([1.0, 2.0]), np.array([1.0, 0.0]), np.array([2.0, 2.0])
         x, st = updates.adagrad_step(x, g1, st, beta=b)
         e1 = b * g1 / (np.sqrt([1.0, 4.0]) + 1e-8)
@@ -292,19 +292,28 @@ class TestEuclideanSteps:
         x, st = updates.adagrad_step(x, g3, st, beta=b)
         e3 = e2 + b * g3 / (np.sqrt([6.0, 8.0]) + 1e-8)
         np.testing.assert_allclose(x, e3, rtol=1e-14)
-        np.testing.assert_allclose(st.accum, [6.0, 8.0])
+        np.testing.assert_allclose(st, [6.0, 8.0])
 
     def test_non_finite_gradient_skips_with_warning(self):
         x = np.array([1.0])
-        st = updates.AdagradState.zeros(1)
+        st = np.zeros(1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             x2, st2 = updates.adagrad_step(x, np.array([np.nan]), st, beta=0.1)
             x3 = updates.sgd_step(x, np.array([np.inf]), beta=0.1)
         assert len(caught) == 2
         np.testing.assert_array_equal(x2, x)
-        np.testing.assert_array_equal(st2.accum, st.accum)
+        np.testing.assert_array_equal(st2, st)
         np.testing.assert_array_equal(x3, x)
+
+    def test_adagrad_returns_a_new_accumulator(self):
+        """The step never writes into the accumulator it is given: a
+        read-only one steps, comes back as a new array, and keeps its zeros."""
+        accum = linalg.read_only(np.zeros(2))
+        x, new = updates.adagrad_step(np.zeros(2), np.array([1.0, -2.0]), accum, beta=0.5)
+        assert new is not accum and not np.shares_memory(new, accum)
+        np.testing.assert_array_equal(new, [1.0, 4.0])
+        np.testing.assert_array_equal(accum, [0.0, 0.0])
 
 
 class TestVanStep:
