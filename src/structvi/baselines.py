@@ -22,9 +22,15 @@ length and keeps them read-only in a per-length memo:
   * on first smooth, the RTS gains J_t, their chain's operator, and the
     smoothed and lag-one covariances.
 
-A filter call then runs only the mean pass ``infnet.kalman_means`` and a
-smooth call adds only the smoothed-mean chain, each chain one product of
-the block's (n_seq, T d) means with its operator.  Past
+A warm filter call then checks its input once (shape, width and one
+finite test over the block) and runs only the mean pass
+``infnet.kalman_means``: two products with shared gain stacks, the
+forward chain, the emission product, one product with the S_t^-1 stack,
+and one log Z reduction per sequence.  A warm smooth call adds only the
+smoothed-mean chain, written into the filter's fresh means, and the test
+log-likelihood and tau-ahead error check their block once and call the
+same pass.  Each chain is one product of the block's (n_seq, T d) means
+with its operator.  Past
 ``infnet.CHAIN_OPERATOR_MAX_ROWS`` (long sequences or large d) no operator
 is kept and the chains run through ``infnet.backward_chain``, as chains on
 any gains do.  Means carry the block's leading axis, covariances are shared
@@ -223,7 +229,7 @@ def _checked_sequences(seqs, obs_dim=None, min_len=1, block=True):
         raise ContractError(
             f"sequences have {seqs.shape[-1]} observed coordinates, the parameters {obs_dim}"
         )
-    if not np.all(np.isfinite(seqs)):
+    if not np.isfinite(seqs).all():
         raise ContractError("sequence rows contain non-finite values")
     return seqs
 
@@ -256,10 +262,15 @@ def lds_em_filter(params, y):
     and the log-likelihood, shaped as the module docstring says.  The
     covariances are the read-only ones shared by every call on ``params``
     at this length."""
-    y = _checked_sequences(y, params.emit.shape[0], block=False)
+    return _filter(params, _checked_sequences(y, params.emit.shape[0], block=False))
+
+
+def _filter(params, y):
+    """``lds_em_filter`` of sequences ``_checked_sequences`` has passed."""
     cov = _covariances(params, y.shape[-2])
     out = infnet.kalman_means(cov, params.trans, params.init_mean, y, params.emit)
-    loglik = float(np.sum(out["log_z"]))
+    log_z = out["log_z"]  # a numpy scalar for one sequence, whose .sum() costs more
+    loglik = float(log_z if y.ndim == 2 else log_z.sum())
     return out["mu_filt"], cov["p_filt"], out["mu_pred"], cov["p_pred"], loglik
 
 
@@ -271,7 +282,7 @@ def lds_em_smooth(params, y):
     xf, pf, xp, pp, loglik = lds_em_filter(params, y)
     cov = _smoother_covariances(params, pf.shape[0])
     j = cov["smooth_gain"]
-    xs = xf.copy()
+    xs = xf  # the filter's fresh means, which nothing else holds
     xs[..., :-1, :] -= infnet._mv(j, xp[..., 1:, :])
     op = cov["smooth_operator"]
     if op is None:
@@ -339,7 +350,7 @@ def lds_em_fit(seqs, d, n_iter=50, init=None):
 
 def lds_em_loglik(params, seqs):
     """Marginal log-likelihood summed over an (n_seq, T, D) block."""
-    return lds_em_filter(params, _checked_sequences(seqs))[4]
+    return _filter(params, _checked_sequences(seqs, params.emit.shape[0]))[4]
 
 
 def lds_em_tau_mae(params, seqs, tau):
@@ -347,10 +358,10 @@ def lds_em_tau_mae(params, seqs, tau):
 
     The average runs over sequences, the T - tau valid origins, and every
     observed coordinate; tau = 0 degenerates to filtered reconstruction.
+    ``tau`` is an integer in [0, T) (``models.check_tau``).
     """
-    seqs = _checked_sequences(seqs)
-    if not 0 <= tau < seqs.shape[1]:
-        raise ContractError("tau must lie in [0, T)")
-    xf = lds_em_filter(params, seqs)[0]
+    seqs = _checked_sequences(seqs, params.emit.shape[0])
+    models.check_tau(tau, seqs.shape[1])
+    xf = _filter(params, seqs)[0]
     pred = models.forecast_means(xf, params.trans, tau)
     return float(np.mean(np.abs(seqs[:, tau:] - pred @ params.emit.T)))

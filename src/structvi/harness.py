@@ -487,8 +487,7 @@ def _scores(state, seq_len, seed, jobs, n_samples=2, fraction=IMPUTATION_FRACTIO
             filtered = prep.record.mu_filt[:, 1:]
             out[name] = {}
             for tau in taus:
-                if not 0 <= tau < block.shape[1]:
-                    raise ContractError("tau must lie in [0, T)")
+                models.check_tau(tau, block.shape[1])
                 pred = models.forecast_means(filtered, model.prior.trans, tau)
                 mean, _, _ = nnet.forward(model.decoder, pred.reshape(-1, pred.shape[-1]))
                 err = np.abs(block[:, tau:] - mean.reshape(*pred.shape[:-1], -1))

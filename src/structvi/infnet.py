@@ -90,6 +90,7 @@ differentiated; pathwise derivatives flow only through the Gaussian
 conditional at fixed indicators.
 """
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -508,13 +509,14 @@ def _mv(mat, vec):
 
     A (T, a, b) stack shared by a (..., T, b) block runs as T products on a
     time-major view: the block's leading axes fold into one axis N first
-    (so none of them can broadcast against T), the block is read as
+    (by their product, so a block of empty time slices folds too; none of
+    them can broadcast against T), the block is read as
     (T, N, b), and each step is one (N, b) @ (b, a) product.  Stacks with
     their own leading axes (per sequence), and single sequences, take one
     matrix-vector product per (..., T) entry.
     """
     if mat.ndim == 3 and vec.ndim > 2:
-        rows = vec.reshape((-1,) + vec.shape[-2:]).transpose(1, 0, 2)
+        rows = vec.reshape((math.prod(vec.shape[:-2]),) + vec.shape[-2:]).transpose(1, 0, 2)
         out = (rows @ _t(mat)).transpose(1, 0, 2)
         return out.reshape(vec.shape[:-2] + out.shape[-2:])
     return (mat @ vec[..., None])[..., 0]
@@ -614,6 +616,15 @@ def kalman_means(cov, trans, mu1, y, emit):
     None) runs the chain as one product with it instead.  Returns
     ``mu_pred``, ``resid``, ``mu_filt`` and ``log_z`` (one value per
     sequence) as a dict.
+
+    Each sequence's log Z is one reduction over its T D contiguous entries
+    of e_t * S_t^-1 e_t, plus the sum of its T log|S_t| and the constant
+    T D log 2 pi, so a block's value for a sequence is summed exactly as a
+    call on that sequence alone sums it.  A single (T, D) sequence takes its
+    emission product as one 2-d ``ndarray.dot``, which skips the ufunc
+    dispatch of ``np.matmul`` and runs the same BLAS routine; a block keeps
+    ``np.matmul``, whose per-sequence products a folded 2-d product would
+    round differently.
     """
     mu_pred = np.empty(y.shape[:-1] + (trans.shape[0],))
     mu_pred[..., 0, :] = mu1
@@ -623,10 +634,13 @@ def kalman_means(cov, trans, mu1, y, emit):
         backward_chain(mu_pred[..., ::-1, :], cov["chain"][..., ::-1, :, :])
     else:
         mu_pred = mu_pred.reshape(-1, op.shape[0]).dot(op).reshape(mu_pred.shape)
-    resid = y - (mu_pred if emit is None else mu_pred @ emit.T)
+    if emit is None:
+        resid = y - mu_pred
+    else:
+        resid = y - (mu_pred.dot(emit.T) if y.ndim == 2 else mu_pred @ emit.T)
     mu_filt = mu_pred + _mv(cov["gain"], resid)
-    quad = np.sum(resid * _mv(cov["s_inv"], resid), axis=-1)
-    log_z = -0.5 * np.sum(y.shape[-1] * LOG_2PI + cov["logdet_s"] + quad, axis=-1)
+    quad = (resid * _mv(cov["s_inv"], resid)).reshape(y.shape[:-2] + (-1,)).sum(-1)
+    log_z = -0.5 * (y.shape[-2] * y.shape[-1] * LOG_2PI + cov["logdet_s"].sum(-1) + quad)
     return dict(mu_pred=mu_pred, resid=resid, mu_filt=mu_filt, log_z=log_z)
 
 

@@ -460,6 +460,15 @@ class DynamicsStack:
         return [lambda row=row: row for row in rows]
 
 
+def check_tau(tau, t_len):
+    """ContractError unless the forecast horizon ``tau`` is an integer (a
+    numpy integer too, but not a bool) in [0, t_len)."""
+    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)):
+        raise ContractError(f"tau must be an integer, got {tau!r}")
+    if not 0 <= tau < t_len:
+        raise ContractError("tau must lie in [0, T)")
+
+
 def forecast_means(filtered, trans, tau):
     """Roll the (..., T, d) filtered means of origins 0..T-1-tau tau steps
     ahead through the transition matrix ``trans``."""

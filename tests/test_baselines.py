@@ -284,6 +284,54 @@ def test_tau_mae_contracts():
         baselines.lds_em_tau_mae(params, seqs[0], tau=1)
 
 
+@pytest.mark.parametrize(
+    "tau", [1.0, 0.5, np.float64(1.0), True, np.bool_(True), "1", None],
+    ids=["float", "half", "np-float", "bool", "np-bool", "str", "none"],
+)
+def test_tau_mae_rejects_a_tau_that_is_not_an_integer(tau):
+    """A float tau inside [0, T) is a contract error, as is a bool."""
+    rng = np.random.default_rng(83)
+    params = random_lds_params(rng, 1, 2)
+    seqs = simulate(params, rng, 2, 5)
+    with pytest.raises(ContractError, match="tau must be an integer"):
+        baselines.lds_em_tau_mae(params, seqs, tau)
+
+
+def test_tau_mae_accepts_numpy_integers():
+    rng = np.random.default_rng(89)
+    params = random_lds_params(rng, 1, 2)
+    seqs = simulate(params, rng, 2, 5)
+    want = baselines.lds_em_tau_mae(params, seqs, 2)
+    for tau in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert baselines.lds_em_tau_mae(params, seqs, tau) == want
+
+
+def test_one_step_block_equals_its_single_sequences():
+    """An (n, 1, D) block, whose mean pass has no drive rows, filters,
+    smooths and scores as its n one-step sequences do."""
+    rng = np.random.default_rng(79)
+    params = random_lds_params(rng, 2, 3)
+    seqs = simulate(params, rng, 4, 1)
+    xf, pf, xp, pp, block_ll = baselines.lds_em_filter(params, seqs)
+    block = baselines.lds_em_smooth(params, seqs)
+    assert block.mean.shape == xf.shape == xp.shape == (4, 1, 2)
+    assert block.cross.shape == (0, 2, 2)
+    per_seq = []
+    for n, y in enumerate(seqs):
+        one_xf, one_pf, one_xp, one_pp, one_ll = baselines.lds_em_filter(params, y)
+        one = baselines.lds_em_smooth(params, y)
+        for got, want in ((xf[n], one_xf), (xp[n], one_xp), (block.mean[n], one.mean)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        for got, want in ((pf, one_pf), (pp, one_pp), (block.cov, one.cov)):
+            np.testing.assert_array_equal(got, want)
+        per_seq.append(one_ll)
+    assert block_ll == block.loglik == pytest.approx(sum(per_seq), rel=1e-12)
+    assert baselines.lds_em_loglik(params, seqs) == block_ll
+    assert baselines.lds_em_tau_mae(params, seqs, 0) == pytest.approx(
+        np.mean(np.abs(seqs - xf @ params.emit.T)), rel=1e-12
+    )
+
+
 def batched_cases(rng):
     for d, obs_dim, t_len in ((1, 1, 2), (1, 3, 4), (2, 2, 3), (2, 3, 6), (3, 2, 5)):
         params = random_lds_params(rng, d, obs_dim)

@@ -210,6 +210,28 @@ def test_tau_ahead_contracts():
         harness.tau_ahead_mae(gmm_state, seqs, 1)
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.5, True, "1"], ids=["float", "half", "bool", "str"])
+def test_tau_ahead_rejects_a_tau_that_is_not_an_integer(tau):
+    """A float tau inside [0, T) is a contract error, as is a bool."""
+    state = lds_fixture_state()
+    seqs = np.zeros((2, 4, 1))
+    with pytest.raises(ContractError, match="tau must be an integer"):
+        harness.tau_ahead_mae(state, seqs, tau)
+
+
+def test_evaluate_takes_integer_taus_only():
+    ds = seq_dataset(seed=12)
+    cfg = harness.TrainConfig(
+        model_kind="latent-lds", latent_dim=2, hidden=(8,), seed=12, seq_len=10, timing=False,
+    )
+    state = harness.init_state(cfg, ds.dim)
+    with pytest.raises(ContractError, match="tau must be an integer"):
+        harness.evaluate(state, ds, ("tau-ahead",), taus=(1.0,))
+    want = harness.evaluate(state, ds, ("tau-ahead",), taus=(1, 2))["tau_mae"]
+    got = harness.evaluate(state, ds, ("tau-ahead",), taus=(np.int64(1), np.int32(2)))["tau_mae"]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # Imputation
 

@@ -982,6 +982,68 @@ class TestChainCore:
                 rtol=1e-12, atol=0,
             )
 
+    @staticmethod
+    def exact_mean_pass(rng, route, emission, n=4, t_len=6, d=2):
+        """A ``kalman_means`` input on shared stacks whose products are all
+        exact whatever kernel runs them, so a block and its single sequences
+        reach the log Z reduction with the same bits: the drive, chain and
+        gains are dyadic, the observations integers, and S_t^-1 is diagonal.
+        Its entries, and so e_t * S_t^-1 e_t, and the log-determinants are
+        rounded, so the reduction's order shows in the result."""
+        obs_dim = 3 if emission == "dense" else d
+        dyadic = lambda *shape: rng.integers(-2, 3, shape) / 4.0
+        chain = dyadic(t_len - 1, d, d)
+        cov = dict(
+            drive=dyadic(t_len - 1, d, obs_dim), chain=chain, gain=dyadic(t_len, d, obs_dim),
+            s_inv=np.eye(obs_dim) / (1.0 + rng.random((t_len, 1, obs_dim))),
+            logdet_s=rng.standard_normal(t_len),
+            chain_operator=infnet.chain_operator(chain, forward=True) if route == "operator" else None,
+        )
+        y = rng.integers(-3, 4, (n, t_len, obs_dim)).astype(float)
+        return cov, dyadic(d), y, dyadic(obs_dim, d) if emission == "dense" else None
+
+    @staticmethod
+    def step_sum_log_z(cov, resid):
+        """Each sequence's log Z as an explicit sum over its steps."""
+        obs_dim = resid.shape[-1]
+        return [
+            sum(
+                -0.5 * (obs_dim * models.LOG_2PI + cov["logdet_s"][t] + e @ cov["s_inv"][t] @ e)
+                for t, e in enumerate(seq)
+            )
+            for seq in resid
+        ]
+
+    @pytest.mark.parametrize("emission", ["identity", "dense"])
+    @pytest.mark.parametrize("route", ["chain", "operator"])
+    def test_log_z_is_one_reduction_per_sequence(self, route, emission):
+        """A block's log Z is its sequences' single-call values bit for bit,
+        and the explicit per-step sum; so is that of a covariance pass."""
+        rng = np.random.default_rng(37)
+        cov, mu1, y, emit = self.exact_mean_pass(rng, route, emission)
+        d = mu1.shape[0]
+        block = infnet.kalman_means(cov, np.eye(d), mu1, y, emit)
+        for b, seq in enumerate(y):
+            one = infnet.kalman_means(cov, np.eye(d), mu1, seq, emit)
+            for key in ("mu_pred", "resid", "mu_filt"):
+                assert np.array_equal(block[key][b], one[key]), key
+            assert block["log_z"][b] == one["log_z"]
+        np.testing.assert_allclose(
+            block["log_z"], self.step_sum_log_z(cov, block["resid"]), rtol=1e-13, atol=0
+        )
+
+        a = 0.6 * np.eye(d) + 0.2 * rng.standard_normal((d, d))
+        obs_dim = y.shape[-1]
+        noise = np.broadcast_to(0.5 * np.eye(obs_dim), (y.shape[1], obs_dim, obs_dim))
+        cov = infnet.kalman_covariances(a, 0.3 * np.eye(d), np.eye(d), emit, noise)
+        if route == "operator":
+            cov["chain_operator"] = infnet.chain_operator(cov["chain"], forward=True)
+        y = rng.standard_normal(y.shape)
+        block = infnet.kalman_means(cov, a, mu1, y, emit)
+        np.testing.assert_allclose(
+            block["log_z"], self.step_sum_log_z(cov, block["resid"]), rtol=1e-13, atol=0
+        )
+
 
 class TestIdentityEmission:
     """``emit=None`` skips the identity's products and changes no bit: the

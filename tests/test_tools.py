@@ -29,6 +29,10 @@ def test_ab_and_same_run_on_two_copies_of_one_tree(tmp_path):
         assert set(out[side]) == {"tree", "median_ms", "iqr_ms"} and out[side]["median_ms"] > 0
     assert math.isfinite(out["ratio_b_over_a"]) and out["ratio_b_over_a"] > 0
     assert sum(out["wins"].values()) <= 2
+    out = ab.compare(*trees, "dots-lds-em", "smooth", 2, 1, ab.TINY, 3)
+    assert out["op"] == "smooth" and min(out[side]["median_ms"] for side in "ab") > 0
+    with pytest.raises(SystemExit):
+        ab.main([str(trees[0]), str(trees[1]), "--workload", "dots-lds", "--op", "smooth"])
 
     report = same.compare(*trees, tiny=True)
     assert len(report) > 50

@@ -18,7 +18,10 @@ operation is one of
     iteration gave: the test log-likelihood, the tau = 1 MAE and the
     imputation MSE by ``perfbench/run.py``'s rule (a mask of
     ``IMPUTE_FRACTION`` of the test entries, drawn from ``--seed``, then one
-    ``lds_em_smooth`` per test sequence).
+    ``lds_em_smooth`` per test sequence);
+  * ``smooth`` (``dots-lds-em`` only): one warm ``lds_em_smooth`` of the
+    first test sequence under the parameters one iteration gave, the call
+    that evaluation's imputation makes once per test sequence.
 
 After one warm-up call per side, each round times ``--reps`` calls on each
 side, A first in even rounds and B first in odd ones.  The JSON line gives
@@ -97,6 +100,8 @@ def make_op(pkg, workload, op, sizes, seed, workdir):
             return (lambda: dataclasses.replace(params)), (
                 lambda fresh: fit(seqs, LATENT_DIM, n_iter=1, init=fresh)
             )
+        if op == "smooth":
+            return (lambda: None), lambda _: pkg.baselines.lds_em_smooth(params, test[0])
         return (lambda: None), lambda _: em_evaluate(pkg.baselines, params, test, seed)
 
     state = pkg.harness.init_state(cfg, ds.dim)
@@ -169,7 +174,7 @@ def main(argv=None):
     parser.add_argument("a", help="tree A: a directory or a git revision")
     parser.add_argument("b", help="tree B: a directory or a git revision")
     parser.add_argument("--workload", choices=WORKLOADS, default="dots-lds")
-    parser.add_argument("--op", choices=("step", "eval"), default="step")
+    parser.add_argument("--op", choices=("step", "eval", "smooth"), default="step")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--reps", type=int, default=20)
     parser.add_argument("--seed", type=int, default=3)
@@ -177,6 +182,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if min(args.rounds, args.reps) < 1:
         parser.error("--rounds and --reps must be positive")
+    if args.op == "smooth" and args.workload != "dots-lds-em":
+        parser.error("--op smooth times an LDS-EM call: it needs --workload dots-lds-em")
     result = compare(
         args.a, args.b, args.workload, args.op, args.rounds, args.reps,
         TINY if args.tiny else FULL, args.seed,
